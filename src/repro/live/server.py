@@ -21,6 +21,7 @@ import os
 from typing import Any, Optional, Tuple
 
 from ..chaos.health import HealthTracker
+from ..errors import StorageError
 from ..obs import prom
 from ..obs.collector import TraceCollector, dumps_jsonl
 from ..obs.httpd import ObsHttpServer
@@ -91,20 +92,23 @@ class FilePageStore(PageStore):
                 self._pages[address] = blob[start:start + length]
 
     def write(self, address: int, data: bytes) -> None:
+        if self._file.closed:
+            raise StorageError(f"{self.name}: write to closed page store")
         token = (self.profiler.start() if self.profiler is not None
                  else None)
         super().write(address, data)
-        self._file.seek(address * self._slot_size)
-        self._file.write(len(data).to_bytes(_SLOT_HEADER, "big") + data)
-        self._file.flush()
+        # Ask the file object, not a saved descriptor: after close()
+        # the OS may hand the same number to another file.
+        descriptor = self._file.fileno()
+        os.pwrite(descriptor, len(data).to_bytes(_SLOT_HEADER, "big") + data,
+                  address * self._slot_size)
         if self.fsync:
-            os.fsync(self._file.fileno())
+            os.fsync(descriptor)
         if token is not None:
             self.profiler.stop("storage.page_write", token)
 
     def close(self) -> None:
         if not self._file.closed:
-            self._file.flush()
             self._file.close()
 
 
@@ -201,8 +205,8 @@ class LiveStorageServer:
         })
         self.obs_address: Optional[Tuple[str, int]] = None
         if not fresh:
-            # A mounted (pre-existing) disk may hold committed or
-            # in-doubt transaction records from the previous daemon run.
+            # A mounted (pre-existing) disk may hold prepared (in-doubt)
+            # transaction records from the previous daemon run.
             self.participant.recover()
 
     def _on_message(self, message) -> None:
@@ -290,8 +294,8 @@ class LiveStorageServer:
 
         Recovery ordering is the contract here: ``host.restart()``
         synchronously remounts the file system and fires the restart
-        listeners — :meth:`TransactionParticipant.recover` replays
-        committed records and re-acquires locks for in-doubt ones —
+        listeners — :meth:`TransactionParticipant.recover` re-adopts
+        prepared records as in-doubt and re-acquires their locks —
         *before* the listener reopens, so no request can observe the
         half-recovered state.  Idempotent: restarting a running server
         only re-opens its listener if needed.
@@ -309,9 +313,14 @@ class LiveStorageServer:
         return await self.transport.listen(host, port)
 
     async def close(self) -> None:
+        """Release sockets and page files; the server ends up crashed."""
         await self.obs_httpd.stop()
         self.obs_address = None
         await self.transport.close()
+        # Crash before the page files go away: handlers still running
+        # (a prepare or commit mid-update) die with the host, as they
+        # would in stop(), instead of writing to closed files.
+        self.host.crash()
         for careful in (self.server.stable.primary,
                         self.server.stable.shadow):
             pages = careful.pages

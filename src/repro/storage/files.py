@@ -6,19 +6,25 @@ versioned files whose whole-file updates are **atomic across crashes**.
 Layout
 ------
 
-* Logical page 0 is the *root page*: it holds the head address of the
-  current directory chain and an epoch counter.
-* The directory is a JSON blob (name → version, length, data-chain head,
-  properties) stored in a chain of pages.
+* Logical page 0 is the *root page*.  It is fixed-width binary: a
+  format byte (:data:`ROOT_FORMAT`), the epoch counter, the bucket
+  count ``B`` and then ``B`` head addresses, one per directory bucket.
+* The directory is split into ``B`` *buckets*; a file lives in bucket
+  ``zlib.crc32(name) % B``.  A non-empty bucket is a JSON list of its
+  entries (name, version, length, data-chain head, properties) stored
+  in its own chain of pages.  ``B = min(64, room in the root page)``
+  is derived from the page geometry and checked at mount.
 * File data is stored in chains of pages; each page carries the address
   of the next page and a chunk of bytes.
 
-Atomicity comes from shadow paging: an update writes the new data chain
-and a whole new directory chain into *free* pages, then flips the root
-page to point at the new directory.  The root flip is a single stable
-page write, so a crash at any earlier point leaves the old file system
-state fully intact; pages orphaned by a crash are reclaimed by the
-reachability sweep in :meth:`FileSystem.mount`.
+Atomicity comes from shadow paging: :meth:`FileSystem.update` writes
+the new data chains and new chains for just the *touched* buckets into
+*free* pages, then flips the root page to point at them (untouched
+buckets keep their heads).  The root flip is a single stable page
+write, so a crash at any earlier point leaves the old file system
+state fully intact — for every file in the update at once; pages
+orphaned by a crash are reclaimed by the reachability sweep in
+:meth:`FileSystem.mount`.
 
 Every mutating operation is written as a *generator* that yields an
 ``IoStep`` after each page write.  A timed caller (the storage server)
@@ -33,8 +39,10 @@ from __future__ import annotations
 import heapq
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import (Any, Dict, Generator, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..errors import (FileExistsError_, NoSuchFileError, StorageError)
 from .stable import StableStore
@@ -45,8 +53,21 @@ ROOT_PAGE = 0
 #: Sentinel "no next page" address.
 END_OF_CHAIN = -1
 
+#: First byte of the root page.  The JSON root of the earlier
+#: whole-directory layout starts with ``{`` (0x7b), so the two can never
+#: be mistaken for each other.
+ROOT_FORMAT = 2
+
+#: Ceiling on directory buckets (small pages hold fewer heads).
+MAX_BUCKETS = 64
+
 # Chain-page payload layout: 8-byte next address + 4-byte chunk length.
 _CHAIN_HEADER = struct.Struct("<qi")
+
+# Root-page layout: format byte, epoch, bucket count, then one 4-byte
+# signed head address per bucket.
+_ROOT_HEADER = struct.Struct("<BQH")
+_HEAD_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -83,18 +104,38 @@ class FileStat:
                    properties=raw.get("properties", {}))
 
 
+@dataclass(frozen=True)
+class Put:
+    """One file to install by :meth:`FileSystem.update`."""
+
+    name: str
+    data: bytes
+    version: int
+    #: ``None`` keeps the stored property map (empty for a new file).
+    properties: Optional[Dict[str, Any]] = None
+
+
 FsOp = Generator[IoStep, None, Any]
 
 
 class FileSystem:
-    """Versioned files with crash-atomic whole-file updates."""
+    """Versioned files with crash-atomic (multi-)file updates."""
 
     def __init__(self, store: StableStore) -> None:
         self.store = store
-        self._entries: Dict[str, FileStat] = {}
+        buckets = min(MAX_BUCKETS, (store.payload_size - _ROOT_HEADER.size)
+                      // _HEAD_SIZE)
+        self._root = struct.Struct(f"{_ROOT_HEADER.format}{buckets}i")
+        # The directory: bucket index -> {name -> stat}, and the pages
+        # of the chain each bucket is stored in.
+        self._buckets: List[Dict[str, FileStat]] = [
+            {} for _ in range(buckets)]
+        self._bucket_pages: List[List[int]] = [[] for _ in range(buckets)]
+        # Pages of every file's data chain, so a replaced or deleted
+        # file is released without re-reading pages it no longer owns.
+        self._file_pages: Dict[str, List[int]] = {}
         self._free: List[int] = []
         self._epoch = 0
-        self._directory_pages: List[int] = []
         self._mounted = False
 
     # ------------------------------------------------------------------
@@ -121,8 +162,9 @@ class FileSystem:
 
     def format(self) -> None:
         """Initialise an empty file system (destroys existing content)."""
-        self._epoch = 0
-        self._write_root_sync(directory_head=END_OF_CHAIN)
+        buckets = len(self._buckets)
+        self.store.write(ROOT_PAGE, self._root.pack(
+            ROOT_FORMAT, 0, buckets, *[END_OF_CHAIN] * buckets))
         self.mount()
 
     def mount(self) -> None:
@@ -132,57 +174,165 @@ class FileSystem:
         including any orphaned by a crash mid-update — become free.
         """
         self.store.recover()
-        root = json.loads(self.store.read(ROOT_PAGE).decode())
-        self._epoch = root["epoch"]
-        head = root["directory_head"]
-        used: Set[int] = {ROOT_PAGE}
-        self._entries = {}
-        self._directory_pages = []
-        if head != END_OF_CHAIN:
-            blob, chain = self._read_chain_sync(head)
-            self._directory_pages = chain
+        self._epoch, heads = self._read_root()
+        used = {ROOT_PAGE}
+        self._file_pages = {}
+        for index, head in enumerate(heads):
+            chunks, chain = self._walk_chain_sync(head)
             used.update(chain)
-            for raw in json.loads(blob.decode()):
+            self._bucket_pages[index] = chain
+            bucket = self._buckets[index] = {}
+            for raw in json.loads(b"".join(chunks)) if chain else ():
                 stat = FileStat.from_json(raw)
-                self._entries[stat.name] = stat
-                used.update(self._chain_addresses_sync(stat.head))
+                bucket[stat.name] = stat
+                _chunks, pages = self._walk_chain_sync(stat.head)
+                self._file_pages[stat.name] = pages
+                used.update(pages)
         self._free = [address for address in range(self.store.num_pages)
                       if address not in used]
         heapq.heapify(self._free)
         self._mounted = True
 
+    def _read_root(self) -> Tuple[int, Tuple[int, ...]]:
+        """Parse the root page into ``(epoch, bucket heads)``.
+
+        Refuses a root written by another layout (the earlier JSON
+        root, or a different page geometry) instead of mis-parsing it.
+        """
+        payload = self.store.read(ROOT_PAGE)
+        buckets = len(self._buckets)
+        if len(payload) < _ROOT_HEADER.size or payload[0] != ROOT_FORMAT:
+            raise StorageError(
+                f"unsupported on-disk format: root page starts with "
+                f"{payload[:1]!r}, expected format byte {ROOT_FORMAT} "
+                f"(a JSON root is the pre-bucket layout; reformat)")
+        _format, epoch, recorded = _ROOT_HEADER.unpack_from(payload)
+        if recorded != buckets or len(payload) != self._root.size:
+            raise StorageError(
+                f"root page records {recorded} directory buckets, this "
+                f"page geometry expects {buckets}")
+        return epoch, self._root.unpack(payload)[3:]
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
+    def _bucket_of(self, name: str) -> int:
+        # crc32, never hash(): the bucket is part of the on-disk format.
+        return zlib.crc32(name.encode()) % len(self._buckets)
+
+    def _lookup(self, name: str) -> Optional[FileStat]:
+        return self._buckets[self._bucket_of(name)].get(name)
+
     def exists(self, name: str) -> bool:
         self._require_mounted()
-        return name in self._entries
+        return self._lookup(name) is not None
 
     def stat(self, name: str) -> FileStat:
         self._require_mounted()
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise NoSuchFileError(name) from None
+        stat = self._lookup(name)
+        if stat is None:
+            raise NoSuchFileError(name)
+        return stat
 
     def list_files(self) -> List[str]:
         self._require_mounted()
-        return sorted(self._entries)
+        return sorted(name for bucket in self._buckets for name in bucket)
 
     # ------------------------------------------------------------------
     # Operations (generators yielding IoStep)
     # ------------------------------------------------------------------
 
+    def update(self, puts: Sequence[Put] = (),
+               deletes: Sequence[str] = ()) -> FsOp:
+        """Install every put and remove every delete in **one** root flip.
+
+        The commit primitive every mutation goes through: new data
+        chains, then new chains for the touched buckets, then the root
+        flip, then the replaced chains return to the free pool.  A
+        crash before the flip leaves every named file as it was; after
+        it, all of them are in their new state.
+        """
+        self._require_mounted()
+        names = [put.name for put in puts] + list(deletes)
+        if len(set(names)) != len(names):
+            raise ValueError(f"update names a file twice: {sorted(names)}")
+        for name in deletes:
+            if self._lookup(name) is None:
+                raise NoSuchFileError(name)
+        return self._update_op(puts, deletes)
+
+    def _update_op(self, puts: Sequence[Put],
+                   deletes: Sequence[str]) -> FsOp:
+        data_chains: Dict[str, List[int]] = {}
+        bucket_chains: Dict[int, List[int]] = {}
+        touched: Dict[int, Dict[str, FileStat]] = {}
+
+        def bucket_for(name: str) -> Dict[str, FileStat]:
+            index = self._bucket_of(name)
+            if index not in touched:
+                touched[index] = dict(self._buckets[index])
+            return touched[index]
+
+        try:
+            for put in puts:
+                head, chain = yield from self._write_chain(put.data)
+                data_chains[put.name] = chain
+                bucket = bucket_for(put.name)
+                properties = put.properties
+                if properties is None:
+                    old = bucket.get(put.name)
+                    properties = old.properties if old else {}
+                bucket[put.name] = FileStat(
+                    name=put.name, version=put.version,
+                    length=len(put.data), head=head,
+                    properties=dict(properties))
+            for name in deletes:
+                bucket_for(name).pop(name, None)
+            for index in sorted(touched):
+                entries = touched[index]
+                blob = json.dumps(
+                    [entries[name].to_json() for name in sorted(entries)],
+                    separators=(",", ":")).encode() if entries else b""
+                _head, chain = yield from self._write_chain(blob)
+                bucket_chains[index] = chain
+        except StorageError:
+            # Nothing is reachable from the root yet: reclaim it all.
+            for chain in (*data_chains.values(), *bucket_chains.values()):
+                self._release(chain)
+            raise
+
+        bucket_pages = list(self._bucket_pages)
+        for index, chain in bucket_chains.items():
+            bucket_pages[index] = chain
+        heads = [chain[0] if chain else END_OF_CHAIN
+                 for chain in bucket_pages]
+        root_payload = self._root.pack(ROOT_FORMAT, self._epoch + 1,
+                                       len(heads), *heads)
+        self.store.write_primary(ROOT_PAGE, root_payload)
+        yield IoStep("write-primary", ROOT_PAGE)
+        self.store.write_shadow(ROOT_PAGE, root_payload)
+        yield IoStep("write-shadow", ROOT_PAGE)
+        # The flip is durable: now update the in-memory image.
+        self._epoch += 1
+        for index in bucket_chains:
+            self._release(self._bucket_pages[index])
+            self._buckets[index] = touched[index]
+        self._bucket_pages = bucket_pages
+        for name in deletes:
+            self._release(self._file_pages.pop(name, ()))
+        for name, chain in data_chains.items():
+            self._release(self._file_pages.get(name, ()))
+            self._file_pages[name] = chain
+        return None
+
     def create_file(self, name: str,
                     properties: Optional[Dict[str, Any]] = None) -> FsOp:
         """Create an empty file at version 0."""
         self._require_mounted()
-        if name in self._entries:
+        if self._lookup(name) is not None:
             raise FileExistsError_(name)
-        stat = FileStat(name=name, version=0, length=0,
-                        properties=dict(properties or {}))
-        return self._install_entry(name, stat, old_head=END_OF_CHAIN)
+        return self.update([Put(name, b"", 0, properties or {})])
 
     def write_file(self, name: str, data: bytes, version: int,
                    properties: Optional[Dict[str, Any]] = None,
@@ -193,48 +343,17 @@ class FileSystem:
         With ``create=True`` a missing file is created.
         """
         self._require_mounted()
-        existing = self._entries.get(name)
-        if existing is None and not create:
+        if not create and self._lookup(name) is None:
             raise NoSuchFileError(name)
-        return self._write_file_op(name, data, version, properties, existing)
-
-    def _write_file_op(self, name: str, data: bytes, version: int,
-                       properties: Optional[Dict[str, Any]],
-                       existing: Optional[FileStat]) -> FsOp:
-        new_head, new_chain = yield from self._write_chain(data)
-        if properties is None:
-            properties = dict(existing.properties) if existing else {}
-        stat = FileStat(name=name, version=version, length=len(data),
-                        head=new_head, properties=dict(properties))
-        old_head = existing.head if existing else END_OF_CHAIN
-        try:
-            result = yield from self._install_entry(name, stat,
-                                                    old_head=old_head)
-        except StorageError:
-            # Directory update failed: reclaim the new data chain.
-            self._release_chain(new_chain)
-            raise
-        return result
+        return self.update([Put(name, data, version, properties)])
 
     def delete_file(self, name: str) -> FsOp:
         """Remove a file; its pages return to the free pool."""
-        self._require_mounted()
-        if name not in self._entries:
-            raise NoSuchFileError(name)
-        return self._delete_file_op(name)
-
-    def _delete_file_op(self, name: str) -> FsOp:
-        old = self._entries[name]
-        entries = {k: v for k, v in self._entries.items() if k != name}
-        yield from self._commit_directory(entries)
-        self._release_chain(self._chain_addresses_sync(old.head))
-        return None
+        return self.update(deletes=[name])
 
     def read_file(self, name: str) -> FsOp:
         """Return ``(data, version)``; yields a step per page read."""
-        self._require_mounted()
-        if name not in self._entries:
-            raise NoSuchFileError(name)
+        self.stat(name)
         return self._read_file_op(name)
 
     def read_file_limited(self, name: str, max_bytes: float) -> FsOp:
@@ -246,11 +365,7 @@ class FileSystem:
         no page I/O at all — this is what lets a version inquiry offer
         to piggyback the data without risking an unbounded transfer.
         """
-        self._require_mounted()
-        stat = self._entries.get(name)
-        if stat is None:
-            raise NoSuchFileError(name)
-        if stat.length > max_bytes:
+        if self.stat(name).length > max_bytes:
             return self._skip_read_op()
         return self._read_file_op(name)
 
@@ -259,7 +374,9 @@ class FileSystem:
         yield  # pragma: no cover - makes this a generator
 
     def _read_file_op(self, name: str) -> FsOp:
-        stat = self._entries[name]
+        # Looked up when the walk starts, not when the op is created:
+        # a commit that runs in between releases the old chain.
+        stat = self.stat(name)
         parts: List[bytes] = []
         address = stat.head
         while address != END_OF_CHAIN:
@@ -300,7 +417,7 @@ class FileSystem:
                 f"out of pages: need {count}, have {len(self._free)} free")
         return [heapq.heappop(self._free) for _ in range(count)]
 
-    def _release_chain(self, addresses: List[int]) -> None:
+    def _release(self, addresses: Iterable[int]) -> None:
         for address in addresses:
             heapq.heappush(self._free, address)
 
@@ -328,16 +445,8 @@ class FileSystem:
             next_address = address
         return addresses[0], addresses
 
-    def _chain_addresses_sync(self, head: int) -> List[int]:
-        addresses: List[int] = []
-        address = head
-        while address != END_OF_CHAIN:
-            addresses.append(address)
-            payload = self.store.read(address)
-            address, _ = _CHAIN_HEADER.unpack_from(payload)
-        return addresses
-
-    def _read_chain_sync(self, head: int) -> Tuple[bytes, List[int]]:
+    def _walk_chain_sync(self, head: int) -> Tuple[List[bytes], List[int]]:
+        """Follow a chain from ``head``: its chunks and its pages."""
         parts: List[bytes] = []
         addresses: List[int] = []
         address = head
@@ -348,41 +457,7 @@ class FileSystem:
             parts.append(payload[_CHAIN_HEADER.size:
                                  _CHAIN_HEADER.size + chunk_len])
             address = next_address
-        return b"".join(parts), addresses
-
-    def _install_entry(self, name: str, stat: FileStat,
-                       old_head: int) -> FsOp:
-        entries = dict(self._entries)
-        entries[name] = stat
-        yield from self._commit_directory(entries)
-        if old_head != END_OF_CHAIN:
-            self._release_chain(self._chain_addresses_sync(old_head))
-        return None
-
-    def _commit_directory(self, entries: Dict[str, FileStat]) -> FsOp:
-        """Write a new directory chain and flip the root to it."""
-        blob = json.dumps(
-            [entries[name].to_json() for name in sorted(entries)],
-            separators=(",", ":")).encode()
-        new_head, new_chain = yield from self._write_chain(blob)
-        root_payload = json.dumps(
-            {"epoch": self._epoch + 1, "directory_head": new_head},
-            separators=(",", ":")).encode()
-        self.store.write_primary(ROOT_PAGE, root_payload)
-        yield IoStep("write-primary", ROOT_PAGE)
-        self.store.write_shadow(ROOT_PAGE, root_payload)
-        yield IoStep("write-shadow", ROOT_PAGE)
-        # The flip is durable: now update the in-memory image.
-        self._epoch += 1
-        self._release_chain(self._directory_pages)
-        self._directory_pages = new_chain
-        self._entries = entries
-
-    def _write_root_sync(self, directory_head: int) -> None:
-        payload = json.dumps(
-            {"epoch": self._epoch, "directory_head": directory_head},
-            separators=(",", ":")).encode()
-        self.store.write(ROOT_PAGE, payload)
+        return parts, addresses
 
 
 def drive(operation: FsOp) -> Any:

@@ -15,12 +15,13 @@ semantics:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
+                    Optional, Sequence, Tuple)
 
 from ..errors import ServerDownError
 from ..sim.network import Host
 from ..sim.queues import Resource
-from .files import FileSystem, FsOp, FileStat
+from .files import FileSystem, FsOp, FileStat, Put
 from .stable import StableStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -152,6 +153,12 @@ class StorageServer:
         self._require_up()
         yield from self.execute(
             self.fs.write_file(name, data, version, properties, create))
+
+    def update(self, puts: Sequence[Put] = (), deletes: Sequence[str] = (),
+               ) -> Generator[Any, Any, None]:
+        """Timed :meth:`FileSystem.update`: many files, one root flip."""
+        self._require_up()
+        yield from self.execute(self.fs.update(puts, deletes))
 
     def create_file(self, name: str,
                     properties: Optional[Dict[str, Any]] = None

@@ -10,14 +10,14 @@ from .coordinator import (ABORTED, ACTIVE, COMMITTED, COMMITTING,
                           Transaction, TransactionManager)
 from .ids import TransactionId, TransactionIdGenerator
 from .locks import EXCLUSIVE, SHARED, LockManager, compatible
-from .log import (PREPARED, Intention, TransactionRecord, is_record_file,
+from .log import (Intention, TransactionRecord, is_record_file,
                   record_file_name)
 from .participant import (VOTE_PREPARED, VOTE_READ_ONLY,
                           TransactionParticipant)
 
 __all__ = [
     "ABORTED", "ACTIVE", "COMMITTED", "COMMITTING", "EXCLUSIVE",
-    "Intention", "LockManager", "PREPARED", "SHARED", "Transaction",
+    "Intention", "LockManager", "SHARED", "Transaction",
     "TransactionId", "TransactionIdGenerator", "TransactionManager",
     "TransactionParticipant", "TransactionRecord", "VOTE_PREPARED",
     "VOTE_READ_ONLY", "compatible", "is_record_file", "record_file_name",

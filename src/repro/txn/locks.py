@@ -23,7 +23,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
 
-from ..errors import DeadlockError, LockTimeoutError
+from ..errors import DeadlockError, LockTimeoutError, TransactionAborted
 from ..sim.events import Event
 from .ids import TransactionId
 
@@ -175,7 +175,14 @@ class LockManager:
     # -- release ---------------------------------------------------------------
 
     def release_all(self, txn: TransactionId) -> None:
-        """Drop every lock and queued request of ``txn`` (commit/abort)."""
+        """Drop every lock and queued request of ``txn`` (commit/abort).
+
+        A request still queued (a slow representative's inquiry parked
+        behind a writer after the quorum already closed) is failed at
+        once with :class:`TransactionAborted`, so its handler replies
+        now instead of sitting out the lock timer — it is not a
+        timeout and is not counted as one.
+        """
         resources = self._held_by_txn.pop(txn, set())
         waited = self._waiting_on.pop(txn, set())
         resources = resources | set(waited)
@@ -184,6 +191,11 @@ class LockManager:
             if lock is None:
                 continue
             lock.holders.pop(txn, None)
+            for waiter in lock.queue:
+                if waiter.txn == txn and waiter.event.pending:
+                    waiter.event.fail(TransactionAborted(
+                        txn, f"finished at {self.name} while waiting "
+                        f"for {waiter.mode} on {resource!r}"))
             lock.queue = deque(w for w in lock.queue if w.txn != txn)
             self._promote(lock, resource)
             if not lock.holders and not lock.queue:

@@ -6,13 +6,14 @@ replaying it.  Here a participant's prepared state is one
 :class:`TransactionRecord` holding every intention for that server,
 serialized to JSON (data base64-encoded) and stored as a single file in
 the shadow-paging file system, whose whole-file writes are crash-atomic.
-That file *is* the participant's commit log:
+That file *is* the participant's commit log, and it has one state:
 
-* ``PREPARED`` record present  → the participant votes yes and must
-  await the coordinator's decision across crashes (in-doubt).
-* ``COMMITTED`` record present → the decision is durable; intentions
-  are (re)applied idempotently, then the record is deleted.
-* no record                    → presumed abort.
+* record present → *prepared*: the participant voted yes and must await
+  the coordinator's decision across crashes (in-doubt).
+* no record      → presumed abort, or already committed: the commit
+  installs the intentions and removes the record in the **same** root
+  flip (:meth:`repro.storage.files.FileSystem.update`), so that flip is
+  the commit flag and no "committed" record ever exists on disk.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .ids import TransactionId
 
 #: Directory prefix for transaction-record files.
 RECORD_PREFIX = "__txn__/"
-
-PREPARED = "prepared"
-COMMITTED = "committed"
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class TransactionRecord:
     """The durable per-participant state of one transaction."""
 
     txn_id: TransactionId
-    state: str
     intentions: List[Intention] = field(default_factory=list)
 
     @property
@@ -74,7 +71,6 @@ class TransactionRecord:
     def encode(self) -> bytes:
         return json.dumps({
             "txn": str(self.txn_id),
-            "state": self.state,
             "intentions": [i.to_json() for i in self.intentions],
         }, separators=(",", ":")).encode()
 
@@ -82,7 +78,6 @@ class TransactionRecord:
     def decode(cls, blob: bytes) -> "TransactionRecord":
         raw = json.loads(blob.decode())
         return cls(txn_id=TransactionId.parse(raw["txn"]),
-                   state=raw["state"],
                    intentions=[Intention.from_json(i)
                                for i in raw["intentions"]])
 

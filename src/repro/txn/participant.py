@@ -8,15 +8,18 @@ file system, with strict two-phase locking for concurrency control:
   the write as an in-memory intention (no disk I/O until prepare);
 * ``prepare`` makes the intentions list durable (one crash-atomic file
   write) and votes;
-* ``commit`` durably flips the record to *committed*, applies the
-  intentions idempotently, deletes the record, and releases locks;
+* ``commit`` installs every intention *and* removes the record in one
+  :meth:`~repro.storage.files.FileSystem.update` — a single root flip,
+  which is the commit point — then releases locks;
 * ``abort`` discards everything.
 
 Crash/recovery: volatile state (locks, unprepared transactions)
-vanishes on a crash.  At restart, :meth:`recover` replays the record
-files — *committed* records are re-applied (redo) and removed;
-*prepared* records become **in-doubt**: their files are re-locked
-exclusively and the participant waits for the coordinator's decision,
+vanishes on a crash.  A record file found at restart can only mean
+*prepared, decision unknown* (a crash before the commit flip leaves
+record and old files; after it the record is gone with the new files
+in place), so :meth:`recover` makes every record **in-doubt**: its
+files are re-locked exclusively and the participant waits for the
+coordinator's decision — its ``txn.commit`` retry finishes the job —
 which is the (blocking) behaviour of textbook two-phase commit.
 """
 
@@ -28,11 +31,12 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 from ..errors import (InvalidTransactionState, NoSuchFileError,
                       TransactionAborted)
 from ..sim.metrics import MetricsRegistry
+from ..storage.files import Put
 from ..storage.server import StorageServer
 from .ids import TransactionId
 from .locks import EXCLUSIVE, SHARED, LockManager
-from .log import (COMMITTED, PREPARED, Intention, TransactionRecord,
-                  is_record_file, record_file_name)
+from .log import (Intention, TransactionRecord, is_record_file,
+                  record_file_name)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.simulator import Simulator
@@ -284,25 +288,33 @@ class TransactionParticipant:
             return VOTE_READ_ONLY
             yield  # pragma: no cover - makes this a generator
         record = TransactionRecord(
-            txn_id=txn_id, state=PREPARED,
-            intentions=list(scratch.intentions.values()))
+            txn_id=txn_id, intentions=list(scratch.intentions.values()))
         yield from self.server.write_file(
             record.record_file, record.encode(), version=0, create=True)
         scratch.prepared = True
         return VOTE_PREPARED
 
     def commit(self, txn: str) -> Generator[Any, Any, str]:
-        """Phase 2: make the decision durable, apply, clean up."""
+        """Phase 2: apply the intentions and drop the record in one
+        file-system update, whose root flip is the commit point."""
         txn_id = TransactionId.parse(txn)
         record = self._committable_record(txn_id)
         if record is None:
             return "ack"  # already finished: idempotent
             yield  # pragma: no cover
-        record.state = COMMITTED
-        yield from self.server.write_file(
-            record.record_file, record.encode(), version=1)
-        yield from self._apply(record)
-        yield from self.server.delete_file(record.record_file)
+        fs = self.server.fs
+        puts = [Put(i.name, i.data, i.version, i.properties)
+                for i in record.intentions if not i.delete]
+        deletes = [i.name for i in record.intentions
+                   if i.delete and fs.exists(i.name)]
+        yield from self.server.update(puts, deletes + [record.record_file])
+        if self.metrics is not None:
+            for put in puts:
+                # The copy just caught up to the version this
+                # transaction told us about.
+                self.metrics.gauge(
+                    f"rep.version_lag[file={put.name},"
+                    f"server={self.name}]").set(0.0)
         self._forget(txn_id)
         self.commits += 1
         return "ack"
@@ -330,24 +342,8 @@ class TransactionParticipant:
         if not scratch.prepared:
             raise InvalidTransactionState(
                 f"commit of unprepared {txn_id} on {self.name}")
-        return TransactionRecord(txn_id=txn_id, state=PREPARED,
+        return TransactionRecord(txn_id=txn_id,
                                  intentions=list(scratch.intentions.values()))
-
-    def _apply(self, record: TransactionRecord) -> Generator[Any, Any, None]:
-        for intention in record.intentions:
-            if intention.delete:
-                if self.server.fs.exists(intention.name):
-                    yield from self.server.delete_file(intention.name)
-            else:
-                yield from self.server.write_file(
-                    intention.name, intention.data, intention.version,
-                    properties=intention.properties, create=True)
-                if self.metrics is not None:
-                    # The copy just caught up to the version this
-                    # transaction told us about.
-                    self.metrics.gauge(
-                        f"rep.version_lag[file={intention.name},"
-                        f"server={self.name}]").set(0.0)
 
     def _forget(self, txn_id: TransactionId) -> None:
         self._active.pop(txn_id, None)
@@ -367,31 +363,19 @@ class TransactionParticipant:
         self.locks.clear()
 
     def recover(self) -> None:
-        """Replay record files after a restart (redo + in-doubt)."""
+        """Re-adopt prepared transactions after a restart (in-doubt)."""
         fs = self.server.fs
         for name in fs.list_files():
             if not is_record_file(name):
                 continue
             blob, _version = fs.read_file_sync(name)
             record = TransactionRecord.decode(blob)
-            if record.state == COMMITTED:
-                for intention in record.intentions:
-                    if intention.delete:
-                        if fs.exists(intention.name):
-                            fs.delete_file_sync(intention.name)
-                    else:
-                        fs.write_file_sync(
-                            intention.name, intention.data,
-                            intention.version,
-                            properties=intention.properties, create=True)
-                fs.delete_file_sync(name)
-            else:
-                # In-doubt: hold exclusive locks until the coordinator
-                # resolves us (blocking 2PC semantics).
-                self._indoubt[record.txn_id] = record
-                for intention in record.intentions:
-                    self.locks.acquire(record.txn_id, intention.name,
-                                       EXCLUSIVE, timeout=None)
+            # Hold exclusive locks until the coordinator resolves us
+            # (blocking 2PC semantics).
+            self._indoubt[record.txn_id] = record
+            for intention in record.intentions:
+                self.locks.acquire(record.txn_id, intention.name,
+                                   EXCLUSIVE, timeout=None)
 
     def in_doubt(self) -> List[TransactionId]:
         """Transactions prepared before a crash, awaiting a decision."""

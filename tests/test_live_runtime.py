@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.core import make_configuration
-from repro.errors import RpcTimeout
+from repro.errors import RpcTimeout, StorageError
 from repro.live import FilePageStore, LiveKernel, LoopbackCluster
 from repro.live.server import make_stable_store
 from repro.live.transport import TransportNode
@@ -186,6 +186,25 @@ class TestPersistence:
         assert reloaded.read(3) == b""  # never written stays blank
         reloaded.close()
 
+    def test_file_page_store_write_after_close_refused(self, tmp_path):
+        store = FilePageStore(str(tmp_path / "pages.bin"), num_pages=8,
+                              page_size=128)
+        store.write(1, b"kept")
+        store.close()
+        with pytest.raises(StorageError, match="closed"):
+            store.write(1, b"lost")
+        assert store.read(1) == b"kept"
+
+    def test_file_page_store_fsync_writes_through(self, tmp_path):
+        path = str(tmp_path / "pages.bin")
+        store = FilePageStore(path, num_pages=8, page_size=128, fsync=True)
+        store.write(7, b"synced")
+        # No close(): the bytes must already be in the file.
+        reloaded = FilePageStore(path, num_pages=8, page_size=128)
+        assert reloaded.read(7) == b"synced"
+        reloaded.close()
+        store.close()
+
     def test_make_stable_store_reports_freshness(self, tmp_path):
         directory = str(tmp_path / "rep")
         stable, fresh = make_stable_store(directory, num_pages=8,
@@ -230,6 +249,65 @@ class TestPersistence:
         data, read_version = asyncio.run(second_life())
         assert data == b"durable bytes"
         assert read_version == version
+
+    def test_close_with_writes_in_flight(self, tmp_path):
+        """Closing under running prepare/commit handlers must kill them
+        with the host, not let them write to closed page files."""
+        config = make_config("closing")
+        options = dict(data_root=str(tmp_path), num_pages=256,
+                       page_size=256)
+
+        async def first_life():
+            cluster = LoopbackCluster(["s1", "s2", "s3"], **options)
+            await cluster.start()
+            suite = await cluster.install(config, b"acknowledged")
+            acked = (await cluster.read(suite)).version
+            # Hold every disk, so each prepare parks with its record
+            # still unwritten, and close the cluster under them.
+            disks = [server.server.disk
+                     for server in cluster.servers.values()]
+            for disk in disks:
+                disk.acquire()
+            writes = [asyncio.ensure_future(
+                cluster.write(suite, b"in flight %d" % index))
+                for index in range(4)]
+            while not any(disk.queue_length for disk in disks):
+                await asyncio.sleep(0.001)
+            await cluster.close()
+            for disk in disks:
+                disk.release()  # whatever was parked would resume now
+            await asyncio.sleep(0.05)
+            for write in writes:
+                write.cancel()
+            await asyncio.gather(*writes, return_exceptions=True)
+            kernels = [cluster.client.kernel] + [
+                server.kernel for server in cluster.servers.values()]
+            return acked, [failure for kernel in kernels
+                           for failure in kernel.orphan_failures]
+
+        async def second_life():
+            async with LoopbackCluster(["s1", "s2", "s3"],
+                                       **options) as cluster:
+                # Whatever was prepared when the plug was pulled is
+                # in-doubt with no coordinator left: an operator's abort.
+                endpoint = cluster.client.endpoint
+
+                def resolve():
+                    for name, server in cluster.servers.items():
+                        for txn_id in server.participant.in_doubt():
+                            yield endpoint.call(name, "txn.abort",
+                                                timeout=1_000.0,
+                                                txn=str(txn_id))
+
+                await cluster.run(resolve())
+                read = await cluster.read(cluster.suite(config))
+                return read.data, read.version
+
+        acked, orphans = asyncio.run(first_life())
+        assert orphans == []
+        data, version = asyncio.run(second_life())
+        assert version >= acked
+        assert data == b"acknowledged" or data.startswith(b"in flight")
 
     def test_live_demo_cli_runs(self, capsys):
         from repro.cli import main

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeadlockError, LockTimeoutError
+from repro.errors import DeadlockError, LockTimeoutError, TransactionAborted
 from repro.txn import EXCLUSIVE, SHARED, LockManager, TransactionId, compatible
 
 
@@ -111,6 +111,19 @@ class TestReleaseAndQueue:
         third = locks.acquire(tid(3), "r", EXCLUSIVE)
         locks.release_all(tid(1))
         assert third.triggered
+
+
+    def test_release_fails_own_queued_request_at_once(self, sim):
+        locks = LockManager(sim, name="test", default_timeout=5_000.0)
+        locks.acquire(tid(1), "r", EXCLUSIVE)
+        parked = locks.acquire(tid(2), "r", SHARED)
+        assert parked.pending
+        locks.release_all(tid(2))  # its transaction finished elsewhere
+        assert parked.failed
+        assert isinstance(parked.value, TransactionAborted)
+        sim.run()  # the lock timer still fires: it must find nothing
+        assert locks.lock_timeouts == 0
+        assert locks.holds(tid(1), "r", EXCLUSIVE)
 
 
 class TestUpgrades:

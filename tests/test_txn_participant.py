@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import (NoSuchFileError, TransactionAborted)
 from repro.testbed import Testbed
-from repro.txn import VOTE_PREPARED, VOTE_READ_ONLY
+from repro.txn import (EXCLUSIVE, VOTE_PREPARED, VOTE_READ_ONLY, Intention,
+                       TransactionRecord)
 from repro.txn.log import record_file_name
 
 
@@ -182,34 +183,6 @@ class TestVotes:
 
 
 class TestRecovery:
-    def test_committed_record_replayed_after_crash(self, bed):
-        manager = manager_of(bed)
-        server = bed.servers["s1"].server
-        participant = bed.servers["s1"].participant
-
-        def prepare_and_mark(txn_label):
-            txn = manager.begin()
-            yield txn.call("s1", "txn.stage_write", name="f", data=b"redo",
-                           version=2, create=True)
-            yield txn.call("s1", "txn.prepare")
-            return txn
-
-        txn = bed.run(prepare_and_mark("t"))
-        # Manually flip the record to committed, simulating a crash right
-        # after the decision became durable but before apply finished.
-        from repro.txn.log import TransactionRecord, COMMITTED
-        record_name = record_file_name(txn.txn_id)
-        blob, _ = server.fs.read_file_sync(record_name)
-        record = TransactionRecord.decode(blob)
-        record.state = COMMITTED
-        server.fs.write_file_sync(record_name, record.encode(), version=1)
-
-        bed.crash("s1")
-        bed.restart("s1")
-        assert server.fs.read_file_sync("f") == (b"redo", 2)
-        assert not server.fs.exists(record_name)
-        assert participant.in_doubt() == []
-
     def test_prepared_record_goes_in_doubt_and_blocks(self, bed):
         manager = manager_of(bed)
         participant = bed.servers["s1"].participant
@@ -226,7 +199,6 @@ class TestRecovery:
         bed.restart("s1")
         assert participant.in_doubt() == [txn.txn_id]
         # The in-doubt transaction holds an exclusive lock on "f".
-        from repro.txn import EXCLUSIVE
         assert participant.locks.holds(txn.txn_id, "f", EXCLUSIVE)
 
     def test_in_doubt_resolved_by_commit(self, bed):
@@ -277,6 +249,138 @@ class TestRecovery:
         assert bed.run(resolve()) == "ack"
         assert participant.in_doubt() == []
         assert not bed.servers["s1"].server.fs.exists("g")
+
+
+class TestCommitCrashAtEveryStep:
+    """The commit's root flip is the commit point: kill the participant
+    after every page step of ``txn.commit`` and restart it."""
+
+    OLD = {"a": (b"old-a" * 30, 1), "c": (b"old-c" * 30, 1)}
+    NEW = {"a": (b"new-a" * 50, 2), "b": (b"new-b" * 10, 1)}
+    INTENTIONS = [
+        Intention(name="a", data=b"new-a" * 50, version=2),
+        Intention(name="b", data=b"new-b" * 10, version=1),
+        Intention(name="c", data=b"", version=0, delete=True),
+    ]
+
+    def start(self, page_size):
+        """A bed with the old state installed and the transaction's
+        coordinator spawned (not yet run)."""
+        bed = Testbed(servers=["s1"], seed=3, page_io_time=1.0,
+                      page_size=page_size, idle_abort_after=None)
+        manager = manager_of(bed)
+        holder = {}
+
+        def setup():
+            txn = manager.begin()
+            for name, (data, version) in self.OLD.items():
+                yield txn.call("s1", "txn.stage_write", name=name,
+                               data=data, version=version, create=True)
+            yield from txn.commit()
+
+        def flow():
+            txn = holder["txn"] = manager.begin()
+            for name, (data, version) in self.NEW.items():
+                yield txn.call("s1", "txn.stage_write", name=name,
+                               data=data, version=version, create=True)
+            yield txn.call("s1", "txn.stage_delete", name="c")
+            yield from txn.commit()
+
+        bed.run(setup())
+        return bed, bed.sim.spawn(flow()), holder
+
+    def files(self, bed):
+        fs = bed.servers["s1"].server.fs
+        return {name: fs.read_file_sync(name) for name in fs.list_files()}
+
+    def measure(self, page_size):
+        """Dry run: when the participant's commit starts and how many
+        page steps it takes."""
+        bed, process, _holder = self.start(page_size)
+        server = bed.servers["s1"].server
+        stores = (server.stable.primary.pages, server.stable.shadow.pages)
+        seen = {}
+        update = server.update
+
+        def tapped(puts=(), deletes=()):
+            seen["start"] = bed.sim.now
+            seen["writes"] = sum(store.writes for store in stores)
+            return update(puts, deletes)
+
+        server.update = tapped
+        bed.settle()
+        assert process.triggered and self.files(bed) == self.NEW
+        steps = sum(store.writes for store in stores) - seen["writes"]
+        return seen["start"], steps
+
+    @pytest.mark.parametrize("page_size", [128, 512])
+    def test_in_doubt_or_applied_then_retry_converges(self, page_size):
+        start, steps = self.measure(page_size)
+        assert steps >= 6  # two data chains, a bucket or more, the root
+        in_doubt_runs = applied_runs = 0
+        for done in range(steps + 1):
+            bed, process, holder = self.start(page_size)
+            # Step j's page write lands at start + j: stop between
+            # write ``done - 1`` and write ``done``.
+            bed.sim.run(until=start + done - 0.5)
+            bed.crash("s1")
+            bed.restart("s1")
+            txn_id = holder["txn"].txn_id
+            participant = bed.servers["s1"].participant
+            if participant.in_doubt():
+                in_doubt_runs += 1
+                assert participant.in_doubt() == [txn_id]
+                files = self.files(bed)
+                blob, _version = files.pop(record_file_name(txn_id))
+                assert (TransactionRecord.decode(blob).intentions
+                        == self.INTENTIONS)
+                assert files == self.OLD
+                assert participant.locks.holds(txn_id, "a", EXCLUSIVE)
+            else:
+                applied_runs += 1
+                assert self.files(bed) == self.NEW
+            # The coordinator keeps re-sending its decision.
+            bed.settle(30_000.0)
+            assert process.triggered
+            assert self.files(bed) == self.NEW
+            assert participant.in_doubt() == []
+            assert participant.locks.locked_resources(txn_id) == set()
+        assert in_doubt_runs and applied_runs
+
+
+class TestQueuedRequestOfFinishedTransaction:
+    def test_parked_inquiry_replies_when_its_transaction_ends(self, bed):
+        """A ``txn.stat`` parked behind a writer must answer the moment
+        its transaction is finished, not sit out the lock timer."""
+        manager = manager_of(bed)
+        locks = bed.servers["s1"].participant.locks
+
+        def flow():
+            writer = manager.begin()
+            yield writer.call("s1", "txn.stage_write", name="f", data=b"w",
+                              version=1, create=True)
+            reader = manager.begin()
+            parked = reader.call("s1", "txn.stat", name="f")
+            yield bed.sim.timeout(10.0)
+            assert parked.pending
+            asked = bed.sim.now
+            # The quorum closed elsewhere: the reader is done with s1.
+            yield manager.endpoint.call("s1", "txn.abort", timeout=1_000.0,
+                                        txn=str(reader.txn_id))
+            try:
+                yield parked
+                outcome = "answered"
+            except TransactionAborted:
+                outcome = "aborted"
+            waited = bed.sim.now - asked
+            yield from writer.abort()
+            return outcome, waited
+
+        outcome, waited = bed.run(flow())
+        assert outcome == "aborted"
+        assert waited < 10.0  # two message delays, not the 5 s timer
+        bed.settle(10_000.0)
+        assert locks.lock_timeouts == 0
 
 
 class TestIdleSweeper:

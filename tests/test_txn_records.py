@@ -4,7 +4,6 @@ import pytest
 
 from repro.txn import (Intention, TransactionId, TransactionIdGenerator,
                        TransactionRecord, is_record_file, record_file_name)
-from repro.txn.log import COMMITTED, PREPARED
 
 
 class TestTransactionId:
@@ -39,7 +38,7 @@ class TestTransactionId:
 class TestRecords:
     def test_round_trip(self):
         record = TransactionRecord(
-            txn_id=TransactionId("c", 9), state=PREPARED,
+            txn_id=TransactionId("c", 9),
             intentions=[
                 Intention(name="f", data=b"\x00\xffbinary", version=4,
                           properties={"stamp": 2}),
@@ -47,13 +46,7 @@ class TestRecords:
             ])
         decoded = TransactionRecord.decode(record.encode())
         assert decoded.txn_id == record.txn_id
-        assert decoded.state == PREPARED
         assert decoded.intentions == record.intentions
-
-    def test_state_change_survives(self):
-        record = TransactionRecord(TransactionId("c", 1), PREPARED)
-        record.state = COMMITTED
-        assert TransactionRecord.decode(record.encode()).state == COMMITTED
 
     def test_record_file_naming(self):
         txn = TransactionId("host", 5)
@@ -64,7 +57,7 @@ class TestRecords:
 
     def test_properties_none_preserved(self):
         record = TransactionRecord(
-            TransactionId("c", 2), PREPARED,
+            TransactionId("c", 2),
             intentions=[Intention(name="f", data=b"d", version=1)])
         decoded = TransactionRecord.decode(record.encode())
         assert decoded.intentions[0].properties is None
