@@ -81,11 +81,15 @@ class SoakConfig:
     autopilot_restore_rounds: int = 12
 
     # Planted degradation for the known-answer scenario: ``slow_host``
-    # the server past the call timeout (every RPC to it times out, the
-    # breaker path), healed at op index ``degrade_heal_at`` (default
-    # halfway) so the tail of the run exercises restoration.
+    # the server past every timeout ladder below — the delay applies
+    # both ways, so a round trip gains 1,200 ms, more than even a data
+    # call's 2 x 500 ms — so that every RPC to it times out (the
+    # breaker path; at 400 ms a refresher's install call still got its
+    # answer and closed the breaker again), healed at op index
+    # ``degrade_heal_at`` (default halfway) so the tail of the run
+    # exercises restoration.
     degrade_server: Optional[str] = None
-    degrade_delay_ms: float = 400.0
+    degrade_delay_ms: float = 600.0
     degrade_heal_at: Optional[int] = None
 
     # Read fast path: on by default (the production default); a soak

@@ -1453,7 +1453,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--degrade-server", default=None, metavar="NAME",
                        help="slow this server past the call timeout "
                             "from the first op; heals halfway")
-    chaos.add_argument("--degrade-delay-ms", type=float, default=400.0,
+    chaos.add_argument("--degrade-delay-ms", type=float, default=600.0,
                        help="extra per-message delay for "
                             "--degrade-server")
     chaos.add_argument("--expect-shift", default=None, metavar="NAME",
@@ -1483,7 +1483,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="server to slow past the call timeout "
                                 "('none' to disable)")
     autopilot.add_argument("--degrade-delay-ms", type=float,
-                           default=400.0)
+                           default=600.0)
     autopilot.add_argument("--expect-shift", default=None,
                            metavar="NAME",
                            help="known-answer: exit 2 unless votes "

@@ -83,7 +83,7 @@ class ClusterSoakConfig:
     # call timeout from the first op, heal at ``degrade_heal_at``
     # (default halfway).
     degrade_server: Optional[str] = None
-    degrade_delay_ms: float = 400.0
+    degrade_delay_ms: float = 600.0
     degrade_heal_at: Optional[int] = None
 
     def __post_init__(self) -> None:

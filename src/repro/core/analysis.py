@@ -175,17 +175,24 @@ class SuiteAnalysis:
 def message_cost(config: SuiteConfiguration) -> Dict[str, int]:
     """Messages per operation in the happy path (request + reply each).
 
-    * **read** — a version inquiry to every representative (weak ones
-      included: they are read candidates) and a lock-release prepare to
-      every polled server; the data rides the cheapest
-      representative's inquiry reply (the single-round-trip fast
-      path), so no separate transfer appears in the count.
+    * **read** — one round: a version inquiry to every representative
+      (weak ones included: they are read candidates).  The data rides
+      the cheapest representative's inquiry reply (the
+      single-round-trip fast path) and every representative drops its
+      shared lock as it replies (a suite ``read()`` is its
+      transaction's only operation), so neither a data transfer nor a
+      lock-release round appears in the count.  A ``read_in`` inside a
+      caller's transaction holds its locks until that transaction's
+      commit, whose messages belong to the commit, not the read.
     * **read_fallback** — the legacy two-trip read (fast path off,
       piggyback target stale or reply truncated): the same messages
       plus one dedicated data request + reply.
     * **write** — an exclusive inquiry to every voting representative,
       data staged at the cheapest write quorum, then two-phase commit:
       phase 1 to every participant, phase 2 to the quorum that staged.
+    * **refresh** — per representative brought current in the
+      background from data the operation already held: one one-phase
+      install call and its reply.
 
     ``tests/test_message_accounting.py`` pins the implementation to
     exactly these numbers, so a protocol regression that adds a round
@@ -194,10 +201,11 @@ def message_cost(config: SuiteConfiguration) -> Dict[str, int]:
     voting = len(config.voting)
     total = len(config.representatives)
     quorum = len(cheapest_quorum(config.voting, config.write_quorum))
-    read = 2 * total + 2 * total
+    read = 2 * total
     read_fallback = read + 2
     write = 2 * voting + 2 * quorum + 2 * voting + 2 * quorum
-    return {"read": read, "read_fallback": read_fallback, "write": write}
+    return {"read": read, "read_fallback": read_fallback, "write": write,
+            "refresh": 2}
 
 
 def availability_sweep(config: SuiteConfiguration,

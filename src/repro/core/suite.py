@@ -21,6 +21,20 @@ target stale, down, or over the ``read_max_bytes`` ceiling, or a
 ``for_update`` read that stages a write next — keeps behaviour
 otherwise identical (``read_fastpath=False`` disables the path).
 
+A read that is its transaction's **only operation** — :meth:`read` and
+:meth:`current_version`, which own their transaction — is one round in
+total: every inquiry (and the fallback fetch) carries ``release=True``,
+so each representative takes the shared lock exactly as before, builds
+its reply and drops the lock as the handler returns; nothing is
+enrolled for commit and no release round follows.  That is safe
+because a version becomes observable only after its writer's decision,
+by which time every member of its write quorum is prepared
+(exclusive-locked, across crashes) or applied — any later read quorum
+meets one of them and is either blocked by it or shown the new version
+(``docs/PROTOCOL.md``, "Single-operation reads").  :meth:`read_in`
+inside a caller's transaction, ``for_update`` reads and writes hold
+their locks to commit, strict two-phase locking as ever.
+
 **Write** — poll voting representatives (exclusive locks) until ``w``
 votes have answered, compute ``new version = current + 1``, stage the
 new data at a cheapest write quorum, and commit via two-phase commit so
@@ -30,8 +44,9 @@ writes.
 
 Representatives discovered to be stale, and representatives outside the
 write quorum (including weak ones), are handed to the **background
-refresher** (:mod:`repro.core.refresh`) — bringing copies current never
-adds latency to the foreground operation.
+refresher** (:mod:`repro.core.refresh`) together with the version and
+bytes the operation already holds — bringing copies current never adds
+latency to the foreground operation, and costs one call per copy.
 
 Every operation runs inside a transaction; by default each call manages
 its own transaction and retries transient failures (deadlock, lock
@@ -213,7 +228,7 @@ class FileSuiteClient:
             "suite.read", parent, suite=self.config.suite_name)
         try:
             result = yield from self._with_retries(self._read_once,
-                                                   span=span)
+                                                   span=span, release=True)
         except BaseException as exc:
             span.end(error=f"{type(exc).__name__}: {exc}")
             raise
@@ -259,7 +274,7 @@ class FileSuiteClient:
         def inquire(txn: Transaction):
             gathered = yield from self._inquire(
                 txn, self.config.read_quorum, mode=SHARED,
-                include_weak=False)
+                include_weak=False, release=True)
             return self._current_version_from(gathered)
 
         result = yield from self._with_retries(inquire)
@@ -312,7 +327,11 @@ class FileSuiteClient:
     # ------------------------------------------------------------------
 
     def _read_once(self, txn: Transaction, for_update: bool = False,
+                   release: bool = False,
                    ) -> Generator[Any, Any, ReadResult]:
+        """One read attempt.  ``release`` is set by :meth:`read` alone,
+        whose transaction holds nothing but this read: every call then
+        drops its lock with its reply (see the module docstring)."""
         config = self.config
         started = self.sim.now
         if for_update:
@@ -329,17 +348,15 @@ class FileSuiteClient:
         gathered = yield from self._inquire(
             txn, threshold, mode=mode, include_weak=not for_update,
             read_data=fastpath,
-            skip_version=cached[0] if cached is not None else None)
+            skip_version=cached[0] if cached is not None else None,
+            release=release)
         current = self._current_version_from(gathered)
-
-        stale = [rep for rep, stat in gathered.successes.items()
-                 if stat["version"] < current]
 
         data: Optional[bytes] = None
         served_by = ""
         if cached is not None and cached[0] == current:
-            # The inquiry proved the client-resident copy current (the
-            # shared read-quorum locks make this the same argument that
+            # The inquiry proved the client-resident copy current (a
+            # version number names its bytes: the same argument that
             # lets any weak representative serve a read) — no data
             # needs to move at all.
             data = cached[1]
@@ -370,9 +387,12 @@ class FileSuiteClient:
                 key=lambda rep: (rep.latency_hint, rep.rep_id))
             for rep in candidates:
                 try:
-                    data, version = yield txn.call(
+                    # The version that came with the bytes is the one
+                    # to report: without held locks a newer commit may
+                    # land between the inquiry and this fetch.
+                    data, current = yield txn.call(
                         rep.server, "txn.read", name=config.file_name,
-                        timeout=self.data_timeout)
+                        timeout=self.data_timeout, release=release)
                 except RETRYABLE:
                     continue
                 served_by = rep.rep_id
@@ -383,7 +403,9 @@ class FileSuiteClient:
                 raise QuorumUnavailableError("read-data", 1, 0)
             self._observe_read_path("fallback", started)
 
-        self._schedule_refresh(stale, current)
+        stale = [rep for rep, stat in gathered.successes.items()
+                 if stat["version"] < current]
+        self._schedule_refresh(stale, current, data)
         quorum_ids = [rep.rep_id for rep in gathered.successes
                       if rep.votes > 0]
         self.tracer.record(f"suite:{config.suite_name}", "read",
@@ -425,7 +447,7 @@ class FileSuiteClient:
         # moment this commits; hand them to the background refresher —
         # but only if the commit actually happens.
         txn.after_commit(
-            lambda: self._schedule_refresh(left_behind, new_version))
+            lambda: self._schedule_refresh(left_behind, new_version, data))
         txn.after_commit(
             lambda: self.tracer.record(
                 f"suite:{config.suite_name}", "write",
@@ -460,6 +482,7 @@ class FileSuiteClient:
     def _inquire(self, txn: Transaction, threshold: int, mode: str,
                  include_weak: bool, read_data: bool = False,
                  skip_version: Optional[int] = None,
+                 release: bool = False,
                  ) -> Generator[Any, Any, GatherResult]:
         """Version-number inquiry until ``threshold`` votes respond.
 
@@ -475,6 +498,9 @@ class FileSuiteClient:
         data).  Only one target keeps the paper's "data moves once"
         economy: broadcasting the request would multiply the bulk
         transfer by the representative count.
+
+        With ``release=True`` every inquiry tells its representative to
+        drop the lock it takes as it replies (single-operation reads).
         """
         config = self.config
         started = self.sim.now
@@ -575,7 +601,7 @@ class FileSuiteClient:
                 calls[rep] = txn.call(rep.server, "txn.stat",
                                       name=config.file_name,
                                       mode=rep_mode, timeout=timeout,
-                                      **extra)
+                                      release=release, **extra)
             gathered = yield from gather_until(self.sim, calls, enough)
             waited_total = self.sim.now - started
             self.metrics.histogram("suite.quorum_wait").observe(
@@ -604,7 +630,7 @@ class FileSuiteClient:
             self._attribute_blocking(gathered, started, mode)
             self._record_flight_quorum(gathered, started, mode, threshold)
             self._observe_lags(gathered)
-            yield from self._check_configuration(txn, gathered)
+            yield from self._check_configuration(txn, gathered, release)
             if not gathered.satisfied:
                 self.metrics.counter("suite.quorum_failures").increment()
                 qspan.event("quorum.failed", votes=votes,
@@ -730,6 +756,7 @@ class FileSuiteClient:
 
     def _check_configuration(self, txn: Transaction,
                              gathered: GatherResult,
+                             release: bool = False,
                              ) -> Generator[Any, Any, None]:
         """Adopt a newer configuration if any representative has one.
 
@@ -749,7 +776,8 @@ class FileSuiteClient:
             return
         detail = yield txn.call(newest_rep.server, "txn.stat",
                                 name=self.config.file_name, mode=SHARED,
-                                detail=True, timeout=self.inquiry_timeout)
+                                detail=True, timeout=self.inquiry_timeout,
+                                release=release)
         raw = detail.get("properties", {}).get("config")
         if raw and raw["config_version"] > self.config.config_version:
             self.config = SuiteConfiguration.from_json(raw)
@@ -759,17 +787,17 @@ class FileSuiteClient:
                 "retrying under it")
 
     def _schedule_refresh(self, stale: Sequence[Representative],
-                          version: int) -> None:
+                          version: int, data: bytes) -> None:
         if self.refresher is not None and stale:
             self.refresher.schedule(self, [rep.rep_id for rep in stale],
-                                    version)
+                                    version, data)
 
     # ------------------------------------------------------------------
     # Transaction + retry wrapper
     # ------------------------------------------------------------------
 
-    def _with_retries(self, operation, *args,
-                      span=NOOP_SPAN) -> Generator[Any, Any, Any]:
+    def _with_retries(self, operation, *args, span=NOOP_SPAN,
+                      **kwargs) -> Generator[Any, Any, Any]:
         last_error: Optional[BaseException] = None
         attempts = 0            # retryable failures (bounds the loop)
         config_refreshes = 0    # configuration adoptions (bounded at 3)
@@ -781,7 +809,7 @@ class FileSuiteClient:
             txn.span = span
             total_attempts += 1
             try:
-                result = yield from operation(txn, *args)
+                result = yield from operation(txn, *args, **kwargs)
                 yield from txn.commit()
             except StaleConfigurationError as exc:
                 # Not a failure: we learned a newer configuration.

@@ -15,6 +15,15 @@ commit:
   transaction in-doubt across their crashes, so the retries eventually
   land.
 
+Two kinds of call never reach either phase, because the participant
+ends the transaction itself as the handler returns: a ``release=True``
+inquiry or read (the one operation of a suite ``read()``: lock taken,
+reply built, lock dropped) and a ``one_phase=True`` stage (the
+refresher's install: staged and committed in one participant-side
+update, the textbook one-phase commit for a transaction with a single
+participant).  :meth:`Transaction.call` does not enrol their servers,
+so commit and abort send them nothing.
+
 This is textbook *blocking* 2PC: if the coordinating client dies between
 the two phases, prepared participants stay in-doubt.  That matches the
 transaction substrate Gifford's design assumes; the weighted-voting
@@ -64,13 +73,16 @@ class Transaction:
                  txn_id: TransactionId) -> None:
         self.manager = manager
         self.txn_id = txn_id
-        #: Servers that replied to at least one call: they hold state for
-        #: us and take part in two-phase commit.
+        #: Servers that replied to at least one call that left state
+        #: behind (locks, intentions): they take part in two-phase
+        #: commit.  Self-terminating calls never add to it, so a suite
+        #: ``read()`` ends with this set — and ``attempted`` — empty.
         self.participants: Set[str] = set()
-        #: Servers we called at all.  A call whose reply was lost may
-        #: still have taken locks on the server, so ``attempted -
-        #: participants`` receives best-effort aborts at termination
-        #: (the participant's idle-abort sweeper is the backstop).
+        #: Servers sent at least one such call.  A call whose reply was
+        #: lost may still have taken locks on the server, so
+        #: ``attempted - participants`` receives best-effort aborts at
+        #: termination (the participant's idle-abort sweeper is the
+        #: backstop).
         self.attempted: Set[str] = set()
         #: Servers where this transaction staged a write or delete.
         #: Empty set ⇒ read-only transaction, whose commit is a pure
@@ -103,14 +115,22 @@ class Transaction:
         return self.manager.sim
 
     def call(self, server: str, method: str, timeout: Optional[float] = None,
+             release: bool = False, one_phase: bool = False,
              **args: Any):
-        """RPC to a participant, tagged with this transaction's id."""
+        """RPC to a participant, tagged with this transaction's id.
+
+        ``release`` and ``one_phase`` mark the call as self-terminating
+        (see the module docstring): the flag travels in the request —
+        only when set, so every other request keeps its size — and the
+        server is not enrolled for commit/abort.
+        """
         if self.state != ACTIVE:
             raise TransactionAborted(self.txn_id,
                                      f"call in state {self.state}")
-        self.attempted.add(server)
-        if method in _STAGING_METHODS:
-            self.staged.add(server)
+        if release:
+            args["release"] = True
+        if one_phase:
+            args["one_phase"] = True
         effective = timeout if timeout is not None \
             else self.manager.call_timeout
         event = self.manager.endpoint.call(
@@ -118,6 +138,13 @@ class Transaction:
             attempts=self.manager.transport_attempts,
             trace=self.span.context if self.span else None,
             txn=str(self.txn_id), **args)
+        if release or one_phase:
+            # The participant ends the transaction itself as this
+            # call's handler returns: nothing to commit or abort there.
+            return event
+        self.attempted.add(server)
+        if method in _STAGING_METHODS:
+            self.staged.add(server)
 
         def confirm(settled, server=server):
             if settled.triggered:
@@ -206,13 +233,16 @@ class TransactionManager:
             return
 
         if not txn.staged:
-            # Read-only transaction.  At this instant the client holds
+            # Multi-operation read-only transaction (``read_in``
+            # inside ``transact``, a Violet query across suites; a
+            # lone suite ``read()`` released at its participants and
+            # returned above).  At this instant the client holds
             # every shared lock it ever needed, so the reads already
             # form a consistent (serializable) snapshot; the prepares
             # below only *release* locks and nothing about this
             # transaction can still fail.  Fire them without waiting —
-            # this is why a suite read does not pay a commit round trip
-            # to its slowest representative.  The detached retry keeps
+            # the transaction does not pay a commit round trip to its
+            # slowest representative.  The detached retry keeps
             # re-sending if the release message is lost, so a dropped
             # datagram cannot strand a shared lock until the idle
             # sweeper.

@@ -3,9 +3,19 @@
 Implements the server side of two-phase commit over the shadow-paging
 file system, with strict two-phase locking for concurrency control:
 
-* ``read`` / ``read_version`` take **shared** locks;
+* ``read`` / ``read_version`` / ``stat`` take **shared** locks (``stat``
+  exclusive ones for writers); ``read`` and ``stat`` accept
+  ``release=True`` — the client's promise that this call is its
+  transaction's only operation — under which the lock is taken exactly
+  the same way, so a prepared or in-doubt writer still blocks the call,
+  and dropped again as the handler returns: nothing is left for a
+  prepare, commit or abort to clean up;
 * ``stage_write`` / ``stage_delete`` take **exclusive** locks and buffer
   the write as an in-memory intention (no disk I/O until prepare);
+  ``stage_write(one_phase=True)`` stages **and** commits in the same
+  call — one-phase commit, legal because the transaction has this one
+  participant and this one intention, so there is no vote to collect
+  and no record to write;
 * ``prepare`` makes the intentions list durable (one crash-atomic file
   write) and votes;
 * ``commit`` installs every intention *and* removes the record in one
@@ -110,19 +120,26 @@ class TransactionParticipant:
     # Data operations (RPC handlers; txn ids arrive as strings)
     # ------------------------------------------------------------------
 
-    def read(self, txn: str, name: str,
+    def read(self, txn: str, name: str, release: bool = False,
              ) -> Generator[Any, Any, Tuple[bytes, int]]:
-        """Read a file under a shared lock; sees the txn's own writes."""
+        """Read a file under a shared lock; sees the txn's own writes.
+
+        ``release`` works as in :meth:`stat`.
+        """
         txn_id = TransactionId.parse(txn)
-        scratch = self._scratch(txn_id)
-        staged = scratch.intentions.get(name)
-        if staged is not None:
-            if staged.delete:
-                raise NoSuchFileError(name)
-            return staged.data, staged.version
-        yield self.locks.acquire(txn_id, name, SHARED)
-        result = yield from self.server.read_file(name)
-        return result
+        try:
+            scratch = self._scratch(txn_id)
+            staged = scratch.intentions.get(name)
+            if staged is not None:
+                if staged.delete:
+                    raise NoSuchFileError(name)
+                return staged.data, staged.version
+            yield self.locks.acquire(txn_id, name, SHARED)
+            result = yield from self.server.read_file(name)
+            return result
+        finally:
+            if release:
+                self._release(txn_id)
 
     def read_version(self, txn: str, name: str,
                      ) -> Generator[Any, Any, int]:
@@ -141,6 +158,7 @@ class TransactionParticipant:
              detail: bool = False, read_data: bool = False,
              max_bytes: Optional[int] = None,
              skip_version: Optional[int] = None,
+             release: bool = False,
              ) -> Generator[Any, Any, Dict[str, Any]]:
         """Version inquiry under a lock, optionally carrying the data.
 
@@ -168,34 +186,46 @@ class TransactionParticipant:
         * ``skip_version`` — when the copy's version equals it, the
           client already holds these bytes (a client cache), so the
           data is omitted and the reply stays inquiry-sized.
+
+        ``release=True`` says this call is the only operation of its
+        transaction (a suite ``read()``): the lock is acquired as
+        always — a prepared or in-doubt writer blocks the inquiry
+        until its decision lands — and dropped, with the scratch
+        entry, as the handler returns, whether it replies, fails or is
+        killed by a crash.  The client then owes this server no
+        prepare, commit or abort.
         """
         txn_id = TransactionId.parse(txn)
-        scratch = self._scratch(txn_id)
-        staged = scratch.intentions.get(name)
-        data: Optional[bytes] = None
-        truncated = False
-        if staged is not None:
-            if staged.delete:
-                raise NoSuchFileError(name)
-            properties = staged.properties or {}
-            version = staged.version
-            if read_data and version != skip_version:
-                if len(staged.data) <= self._stat_data_limit(max_bytes):
-                    data = staged.data
-                else:
-                    truncated = True
-        else:
-            yield self.locks.acquire(txn_id, name, mode)
-            info = self.server.stat(name)
-            properties = info.properties
-            version = info.version
-            if read_data and version != skip_version:
-                fetched = yield from self.server.read_file_limited(
-                    name, self._stat_data_limit(max_bytes))
-                if fetched is not None:
-                    data, version = fetched
-                else:
-                    truncated = True
+        try:
+            scratch = self._scratch(txn_id)
+            staged = scratch.intentions.get(name)
+            data: Optional[bytes] = None
+            truncated = False
+            if staged is not None:
+                if staged.delete:
+                    raise NoSuchFileError(name)
+                properties = staged.properties or {}
+                version = staged.version
+                if read_data and version != skip_version:
+                    if len(staged.data) <= self._stat_data_limit(max_bytes):
+                        data = staged.data
+                    else:
+                        truncated = True
+            else:
+                yield self.locks.acquire(txn_id, name, mode)
+                info = self.server.stat(name)
+                properties = info.properties
+                version = info.version
+                if read_data and version != skip_version:
+                    fetched = yield from self.server.read_file_limited(
+                        name, self._stat_data_limit(max_bytes))
+                    if fetched is not None:
+                        data, version = fetched
+                    else:
+                        truncated = True
+        finally:
+            if release:
+                self._release(txn_id)
         result = {"version": version, "stamp": properties.get("stamp", 0)}
         if data is not None:
             result["data"] = data
@@ -215,6 +245,7 @@ class TransactionParticipant:
     def stage_write(self, txn: str, name: str, data: bytes, version: int,
                     properties: Optional[Dict[str, Any]] = None,
                     create: bool = False, only_if_newer: bool = False,
+                    one_phase: bool = False,
                     ) -> Generator[Any, Any, str]:
         """Buffer a write under an exclusive lock; durable at prepare.
 
@@ -224,38 +255,65 @@ class TransactionParticipant:
         check cannot be invalidated before commit — this is what lets
         the background refresher copy data to stale representatives
         without ever moving a version number backwards.
+
+        With ``one_phase`` the call is the whole transaction: the
+        intention is installed by the same single-flip
+        :meth:`~repro.storage.files.FileSystem.update` that
+        :meth:`commit` uses, with no prepare record (a crash leaves the
+        old file or the new one, never an in-doubt transaction), and
+        the transaction is finished — lock released, tombstoned — as
+        the handler returns, installed (``"committed"``), skipped or
+        failed.  That is only sound when this participant and this
+        intention are all the transaction has, so a transaction that
+        already staged something here is refused.
         """
         txn_id = TransactionId.parse(txn)
         scratch = self._scratch(txn_id)
         if scratch.prepared:
             raise InvalidTransactionState(
                 f"{txn_id} already prepared on {self.name}")
-        yield self.locks.acquire(txn_id, name, EXCLUSIVE)
-        staged = scratch.intentions.get(name)
-        if staged is not None and not staged.delete:
-            exists, current_version = True, staged.version
-        elif self.server.fs.exists(name):
-            exists, current_version = True, self.server.stat(name).version
-        else:
-            exists, current_version = False, -1
-        if not exists and not create:
-            raise NoSuchFileError(name)
-        if self.metrics is not None and exists:
-            # Observed staleness: a foreground write carries
-            # current + 1, a refresh (only_if_newer) carries the
-            # current version itself — either way the write tells this
-            # representative what the suite-wide version is, and the
-            # shortfall of its own copy is its lag.
-            global_current = version if only_if_newer else version - 1
-            self.metrics.gauge(
-                f"rep.version_lag[file={name},server={self.name}]").set(
-                float(max(0, global_current - current_version)))
-        if only_if_newer and exists and current_version >= version:
-            return "skipped"
-        scratch.intentions[name] = Intention(
-            name=name, data=bytes(data), version=version,
-            properties=dict(properties) if properties is not None else None)
-        return "staged"
+        if one_phase and scratch.intentions:
+            raise InvalidTransactionState(
+                f"one-phase commit of {txn_id} on {self.name}: it holds "
+                f"{len(scratch.intentions)} other intention(s)")
+        try:
+            yield self.locks.acquire(txn_id, name, EXCLUSIVE)
+            staged = scratch.intentions.get(name)
+            if staged is not None and not staged.delete:
+                exists, current_version = True, staged.version
+            elif self.server.fs.exists(name):
+                exists, current_version = \
+                    True, self.server.stat(name).version
+            else:
+                exists, current_version = False, -1
+            if not exists and not create:
+                raise NoSuchFileError(name)
+            if self.metrics is not None and exists:
+                # Observed staleness: a foreground write carries
+                # current + 1, a refresh (only_if_newer) carries the
+                # current version itself — either way the write tells
+                # this representative what the suite-wide version is,
+                # and the shortfall of its own copy is its lag.
+                global_current = version if only_if_newer else version - 1
+                self.metrics.gauge(
+                    f"rep.version_lag[file={name},"
+                    f"server={self.name}]").set(
+                    float(max(0, global_current - current_version)))
+            if only_if_newer and exists and current_version >= version:
+                return "skipped"
+            intention = Intention(
+                name=name, data=bytes(data), version=version,
+                properties=dict(properties) if properties is not None
+                else None)
+            if not one_phase:
+                scratch.intentions[name] = intention
+                return "staged"
+            yield from self._apply([intention])
+            self.commits += 1
+            return "committed"
+        finally:
+            if one_phase:
+                self._forget(txn_id)
 
     def stage_delete(self, txn: str, name: str,
                      ) -> Generator[Any, Any, None]:
@@ -283,8 +341,7 @@ class TransactionParticipant:
                                      f"unknown at participant {self.name}")
         if not scratch.intentions:
             # Read-only participant: release locks now, skip phase 2.
-            self.locks.release_all(txn_id)
-            del self._active[txn_id]
+            self._release(txn_id)
             return VOTE_READ_ONLY
             yield  # pragma: no cover - makes this a generator
         record = TransactionRecord(
@@ -302,19 +359,7 @@ class TransactionParticipant:
         if record is None:
             return "ack"  # already finished: idempotent
             yield  # pragma: no cover
-        fs = self.server.fs
-        puts = [Put(i.name, i.data, i.version, i.properties)
-                for i in record.intentions if not i.delete]
-        deletes = [i.name for i in record.intentions
-                   if i.delete and fs.exists(i.name)]
-        yield from self.server.update(puts, deletes + [record.record_file])
-        if self.metrics is not None:
-            for put in puts:
-                # The copy just caught up to the version this
-                # transaction told us about.
-                self.metrics.gauge(
-                    f"rep.version_lag[file={put.name},"
-                    f"server={self.name}]").set(0.0)
+        yield from self._apply(record.intentions, record.record_file)
         self._forget(txn_id)
         self.commits += 1
         return "ack"
@@ -344,6 +389,38 @@ class TransactionParticipant:
                 f"commit of unprepared {txn_id} on {self.name}")
         return TransactionRecord(txn_id=txn_id,
                                  intentions=list(scratch.intentions.values()))
+
+    def _apply(self, intentions: List[Intention],
+               record_file: Optional[str] = None,
+               ) -> Generator[Any, Any, None]:
+        """Install ``intentions`` — and drop ``record_file``, when the
+        transaction prepared one — in one file-system update."""
+        fs = self.server.fs
+        puts = [Put(i.name, i.data, i.version, i.properties)
+                for i in intentions if not i.delete]
+        deletes = [i.name for i in intentions
+                   if i.delete and fs.exists(i.name)]
+        if record_file is not None:
+            deletes.append(record_file)
+        yield from self.server.update(puts, deletes)
+        if self.metrics is not None:
+            for put in puts:
+                # The copy just caught up to the version this
+                # transaction told us about.
+                self.metrics.gauge(
+                    f"rep.version_lag[file={put.name},"
+                    f"server={self.name}]").set(0.0)
+
+    def _release(self, txn_id: TransactionId) -> None:
+        """End a transaction that staged nothing here (a ``release=True``
+        call returning, a read-only prepare): locks and scratch go.
+
+        No tombstone: a late retransmission of a read just takes and
+        drops the lock again, and remembering every read would push
+        the transactions that need a tombstone out of the LRU.
+        """
+        self._active.pop(txn_id, None)
+        self.locks.release_all(txn_id)
 
     def _forget(self, txn_id: TransactionId) -> None:
         self._active.pop(txn_id, None)

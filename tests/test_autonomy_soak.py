@@ -146,10 +146,17 @@ class TestClusterAutopilot:
 
 class TestLiveKnownAnswer:
     """One wall-clock run: the same controller generator on the live
-    kernel shifts votes off the degraded server over real sockets."""
+    kernel shifts votes off the degraded server over real sockets.
+
+    The controller is stepped every 10 ops, and with s4's breaker open
+    an op takes ~10 ms of wall clock, so two steps can fall inside one
+    open → half-open cycle; the second then sees no new evidence
+    (half-open, no fresh trip: score 0.5) and resets the hot streak.
+    120 ops (the sim twin's count) keep s4 sick for six steps, not
+    three, so a demotion does not hinge on where one step lands."""
 
     def test_live_degrade_shifts_votes(self):
-        config = SoakConfig(ops=60, seed=1, nemesis_kind="none",
+        config = SoakConfig(ops=120, seed=1, nemesis_kind="none",
                             autopilot=True, degrade_server="s4",
                             horizon=1.0)
         report = asyncio.run(run_live_soak(config))

@@ -26,7 +26,7 @@ def quiet_bed():
 def message_delta(bed, operation):
     before = bed.network.messages_sent
     result = bed.run(operation)
-    bed.settle(5_000.0)  # let lock-release prepares etc. drain
+    bed.settle(5_000.0)  # let straggler replies, commit retries etc. drain
     return bed.network.messages_sent - before, result
 
 
@@ -35,9 +35,10 @@ class TestReadCosts:
         bed = quiet_bed
         suite = bed.install(triple_config(), b"x" * 1000)
         delta, _ = message_delta(bed, suite.read())
-        # 3 stat requests + 3 replies (the data rides the cheapest
-        # rep's reply: the fast path), 3 release-prepares + 3 acks = 12.
-        assert delta == message_cost(suite.config)["read"] == 12
+        # 3 stat requests + 3 replies and nothing else: the data rides
+        # the cheapest rep's reply (the fast path) and each rep drops
+        # its shared lock as it replies (no release round).
+        assert delta == message_cost(suite.config)["read"] == 6
 
     def test_legacy_read_message_budget(self, quiet_bed):
         """With the fast path off, the dedicated data trip reappears."""
@@ -45,9 +46,18 @@ class TestReadCosts:
         suite = bed.install(triple_config(), b"x" * 1000,
                             read_fastpath=False)
         delta, _ = message_delta(bed, suite.read())
-        # 3 stat requests + 3 replies, 1 read + 1 reply,
-        # 3 release-prepares + 3 acks = 14.
-        assert delta == message_cost(suite.config)["read_fallback"] == 14
+        # 3 stat requests + 3 replies, 1 read + 1 reply = 8.
+        assert delta == message_cost(suite.config)["read_fallback"] == 8
+
+    def test_read_in_a_callers_transaction_still_pays_the_release(
+            self, quiet_bed):
+        """Only a read that owns its transaction is one round: inside
+        ``transact`` the locks are held until the commit releases them."""
+        bed = quiet_bed
+        suite = bed.install(triple_config(), b"x" * 1000)
+        delta, _ = message_delta(bed, suite.transact(suite.read_in))
+        # 3 stats + 3 replies, then 3 release-prepares + 3 acks.
+        assert delta == 12
 
     def test_only_one_data_transfer_per_read(self, quiet_bed):
         """However large the file, exactly one message carries it."""

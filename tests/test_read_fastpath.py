@@ -215,9 +215,10 @@ class TestLiveFastPath:
         assert fast_result.data == legacy_result.data == data
         assert fast_result.version == legacy_result.version
         assert fast_result.served_by == legacy_result.served_by
-        # 3 stats + 3 release-prepares, versus the same plus txn.read.
-        assert fast_calls == 6
-        assert legacy_calls == 7
+        # 3 stats (locks dropped with the replies: no release round),
+        # versus the same plus txn.read.
+        assert fast_calls == 3
+        assert legacy_calls == 4
 
     def test_live_soak_with_fastpath_holds_invariants(self):
         report = asyncio.run(run_live_soak(

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import (NoSuchFileError, TransactionAborted)
+from repro.errors import (InvalidTransactionState, LockTimeoutError,
+                          NoSuchFileError, TransactionAborted)
 from repro.testbed import Testbed
 from repro.txn import (EXCLUSIVE, VOTE_PREPARED, VOTE_READ_ONLY, Intention,
                        TransactionRecord)
-from repro.txn.log import record_file_name
+from repro.txn.log import is_record_file, record_file_name
 
 
 @pytest.fixture
@@ -16,6 +17,32 @@ def bed():
 
 def manager_of(bed):
     return bed.clients["client"].manager
+
+
+def files_on(bed, server="s1"):
+    fs = bed.servers[server].server.fs
+    return {name: fs.read_file_sync(name) for name in fs.list_files()}
+
+
+def time_the_update(bed, process, expected, server="s1"):
+    """Dry run of a crash loop: let ``process`` finish and report when
+    the participant's file-system update started and how many page
+    steps it took."""
+    node = bed.servers[server].server
+    stores = (node.stable.primary.pages, node.stable.shadow.pages)
+    seen = {}
+    update = node.update
+
+    def tapped(puts=(), deletes=()):
+        seen["start"] = bed.sim.now
+        seen["writes"] = sum(store.writes for store in stores)
+        return update(puts, deletes)
+
+    node.update = tapped
+    bed.settle()
+    assert process.triggered and files_on(bed, server) == expected
+    steps = sum(store.writes for store in stores) - seen["writes"]
+    return seen["start"], steps
 
 
 class TestDataOperations:
@@ -289,29 +316,11 @@ class TestCommitCrashAtEveryStep:
         bed.run(setup())
         return bed, bed.sim.spawn(flow()), holder
 
-    def files(self, bed):
-        fs = bed.servers["s1"].server.fs
-        return {name: fs.read_file_sync(name) for name in fs.list_files()}
-
     def measure(self, page_size):
         """Dry run: when the participant's commit starts and how many
         page steps it takes."""
         bed, process, _holder = self.start(page_size)
-        server = bed.servers["s1"].server
-        stores = (server.stable.primary.pages, server.stable.shadow.pages)
-        seen = {}
-        update = server.update
-
-        def tapped(puts=(), deletes=()):
-            seen["start"] = bed.sim.now
-            seen["writes"] = sum(store.writes for store in stores)
-            return update(puts, deletes)
-
-        server.update = tapped
-        bed.settle()
-        assert process.triggered and self.files(bed) == self.NEW
-        steps = sum(store.writes for store in stores) - seen["writes"]
-        return seen["start"], steps
+        return time_the_update(bed, process, self.NEW)
 
     @pytest.mark.parametrize("page_size", [128, 512])
     def test_in_doubt_or_applied_then_retry_converges(self, page_size):
@@ -330,7 +339,7 @@ class TestCommitCrashAtEveryStep:
             if participant.in_doubt():
                 in_doubt_runs += 1
                 assert participant.in_doubt() == [txn_id]
-                files = self.files(bed)
+                files = files_on(bed)
                 blob, _version = files.pop(record_file_name(txn_id))
                 assert (TransactionRecord.decode(blob).intentions
                         == self.INTENTIONS)
@@ -338,14 +347,321 @@ class TestCommitCrashAtEveryStep:
                 assert participant.locks.holds(txn_id, "a", EXCLUSIVE)
             else:
                 applied_runs += 1
-                assert self.files(bed) == self.NEW
+                assert files_on(bed) == self.NEW
             # The coordinator keeps re-sending its decision.
             bed.settle(30_000.0)
             assert process.triggered
-            assert self.files(bed) == self.NEW
+            assert files_on(bed) == self.NEW
             assert participant.in_doubt() == []
             assert participant.locks.locked_resources(txn_id) == set()
         assert in_doubt_runs and applied_runs
+
+
+def assert_nothing_left(participant, txn_id):
+    """No lock held or queued and no scratch entry for ``txn_id``."""
+    assert txn_id not in participant._active
+    assert participant.locks.locked_resources(txn_id) == set()
+    assert txn_id not in participant.locks._waiting_on
+
+
+class TestReleasingCalls:
+    """``release=True``: the call is its transaction's only operation,
+    so the participant ends the transaction as the handler returns."""
+
+    def install(self, bed, name="f", data=b"x" * 40, version=1):
+        manager = manager_of(bed)
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stage_write", name=name, data=data,
+                           version=version, create=True)
+            yield from txn.commit()
+
+        bed.run(flow())
+
+    def test_stat_and_read_leave_nothing_and_enrol_nobody(self, bed):
+        self.install(bed)
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            txn = manager.begin()
+            stat = yield txn.call("s1", "txn.stat", name="f",
+                                  read_data=True, release=True)
+            assert_nothing_left(participant, txn.txn_id)
+            data, version = yield txn.call("s1", "txn.read", name="f",
+                                           release=True)
+            assert_nothing_left(participant, txn.txn_id)
+            return txn, stat, bytes(data), version
+
+        sent = bed.network.messages_sent
+        txn, stat, data, version = bed.run(flow())
+        assert stat == {"version": 1, "stamp": 0, "data": b"x" * 40}
+        assert (data, version) == (b"x" * 40, 1)
+        assert txn.participants == set() and txn.attempted == set()
+        bed.run(txn.commit())          # owes the server nothing
+        bed.settle(5_000.0)
+        assert bed.network.messages_sent - sent == 4
+        assert txn.txn_id not in participant._finished
+
+    def test_without_the_flag_the_lock_is_held_to_commit(self, bed):
+        self.install(bed)
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stat", name="f")
+            held = participant.locks.holds(txn.txn_id, "f")
+            yield from txn.commit()
+            return txn, held
+
+        txn, held = bed.run(flow())
+        assert held and txn.participants == {"s1"}
+        bed.settle(5_000.0)
+        assert_nothing_left(participant, txn.txn_id)
+
+    def test_handler_that_fails_still_releases(self, bed):
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            txn = manager.begin()
+            with pytest.raises(NoSuchFileError):
+                yield txn.call("s1", "txn.stat", name="missing",
+                               release=True)
+            return txn
+
+        txn = bed.run(flow())
+        assert_nothing_left(participant, txn.txn_id)
+
+    def test_lock_timeout_leaves_no_queued_request(self):
+        bed = Testbed(servers=["s1"], seed=3, lock_timeout=200.0,
+                      idle_abort_after=None)
+        self.install(bed)
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            writer = manager.begin()
+            yield writer.call("s1", "txn.stat", name="f", mode=EXCLUSIVE)
+            reader = manager.begin()
+            with pytest.raises(LockTimeoutError):
+                yield reader.call("s1", "txn.stat", name="f",
+                                  release=True)
+            assert_nothing_left(participant, reader.txn_id)
+            yield from writer.abort()
+
+        bed.run(flow())
+        assert participant.locks.holders_of("f") == {}
+
+    def test_prepared_writer_blocks_the_releasing_inquiry(self, bed):
+        """The lock is *acquired* exactly as before: a prepared writer
+        holds the inquiry until its decision lands, and the inquiry
+        then reports the new version."""
+        self.install(bed)
+        manager = manager_of(bed)
+
+        def flow():
+            writer = manager.begin()
+            yield writer.call("s1", "txn.stage_write", name="f",
+                              data=b"new", version=2)
+            yield writer.call("s1", "txn.prepare")
+            reader = manager.begin()
+            inquiry = reader.call("s1", "txn.stat", name="f",
+                                  release=True)
+            yield bed.sim.timeout(50.0)
+            assert inquiry.pending
+            yield writer.call("s1", "txn.commit")
+            stat = yield inquiry
+            return stat["version"]
+
+        assert bed.run(flow()) == 2
+
+
+class TestOnePhaseStage:
+    """``stage_write(one_phase=True)``: stage and commit in one call."""
+
+    def call(self, bed, txn, **args):
+        args.setdefault("name", "f")
+        return txn.call("s1", "txn.stage_write", one_phase=True, **args)
+
+    def test_installs_with_no_record_and_finishes_the_transaction(
+            self, bed):
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+        fs = bed.servers["s1"].server.fs
+
+        def flow():
+            txn = manager.begin()
+            outcome = yield self.call(bed, txn, data=b"v1", version=1,
+                                      create=True,
+                                      properties={"stamp": 3})
+            return txn, outcome
+
+        sent = bed.network.messages_sent
+        txn, outcome = bed.run(flow())
+        assert outcome == "committed"
+        assert fs.read_file_sync("f") == (b"v1", 1)
+        assert fs.stat("f").properties == {"stamp": 3}
+        assert not any(is_record_file(name) for name in fs.list_files())
+        assert_nothing_left(participant, txn.txn_id)
+        assert txn.txn_id in participant._finished
+        assert participant.commits == 1 and participant.in_doubt() == []
+        # One call, and the coordinator has nobody to prepare or commit.
+        assert txn.participants == txn.attempted == txn.staged == set()
+        bed.run(txn.commit())
+        bed.settle(5_000.0)
+        assert bed.network.messages_sent - sent == 2
+
+    def test_only_if_newer_skip_releases_and_tombstones(self, bed):
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            first = manager.begin()
+            yield self.call(bed, first, data=b"v5", version=5, create=True)
+            stale = manager.begin()
+            outcome = yield self.call(bed, stale, data=b"v3", version=3,
+                                      only_if_newer=True, create=True)
+            return stale, outcome
+
+        stale, outcome = bed.run(flow())
+        assert outcome == "skipped"
+        assert bed.servers["s1"].server.fs.read_file_sync("f") == (b"v5", 5)
+        assert_nothing_left(participant, stale.txn_id)
+        assert stale.txn_id in participant._finished
+        assert participant.locks.holders_of("f") == {}
+
+    def test_late_retransmission_is_refused_or_skipped(self, bed):
+        """First delivery of a resent request after the install (a new
+        call id, so the endpoint's reply cache cannot answer it)."""
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+        request = dict(name="f", data=b"v2", version=2, create=True,
+                       only_if_newer=True, one_phase=True)
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stage_write", **request)
+            with pytest.raises(TransactionAborted):
+                yield manager.endpoint.call(
+                    "s1", "txn.stage_write", timeout=1_000.0,
+                    txn=str(txn.txn_id), **request)
+            assert_nothing_left(participant, txn.txn_id)
+            # The tombstone aged out of the LRU (or died with a crash):
+            # the request is evaluated again, against the installed copy.
+            participant._finished.clear()
+            outcome = yield manager.endpoint.call(
+                "s1", "txn.stage_write", timeout=1_000.0,
+                txn=str(txn.txn_id), **request)
+            assert_nothing_left(participant, txn.txn_id)
+            return outcome
+
+        assert bed.run(flow()) == "skipped"
+        assert bed.servers["s1"].server.fs.read_file_sync("f") == (b"v2", 2)
+        assert participant.locks.holders_of("f") == {}
+
+    def test_refused_when_the_transaction_holds_another_intention(
+            self, bed):
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stage_write", name="a", data=b"a",
+                           version=1, create=True)
+            with pytest.raises(InvalidTransactionState):
+                yield self.call(bed, txn, name="b", data=b"b", version=1,
+                                create=True)
+            # The refusal touched nothing: the two-phase half goes on.
+            assert participant.locks.holds(txn.txn_id, "a", EXCLUSIVE)
+            assert not participant.locks.holds(txn.txn_id, "b")
+            yield from txn.commit()
+
+        bed.run(flow())
+        fs = bed.servers["s1"].server.fs
+        assert fs.read_file_sync("a") == (b"a", 1)
+        assert not fs.exists("b")
+
+    def test_missing_file_without_create_releases(self, bed):
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            txn = manager.begin()
+            with pytest.raises(NoSuchFileError):
+                yield self.call(bed, txn, data=b"x", version=1)
+            return txn
+
+        txn = bed.run(flow())
+        assert_nothing_left(participant, txn.txn_id)
+        assert participant.locks.holders_of("f") == {}
+
+
+class TestOnePhaseCrashAtEveryStep:
+    """No prepare record, so no in-doubt state: kill the participant
+    after every page step of a one-phase install and restart it."""
+
+    OLD = {"f": (b"old-f" * 30, 1)}
+    NEW = {"f": (b"new-f" * 50, 2)}
+    REQUEST = dict(name="f", data=b"new-f" * 50, version=2,
+                   properties={"stamp": 2}, only_if_newer=True,
+                   create=True, one_phase=True)
+
+    def start(self, page_size):
+        bed = Testbed(servers=["s1"], seed=3, page_io_time=1.0,
+                      page_size=page_size, idle_abort_after=None)
+        manager = manager_of(bed)
+
+        def setup():
+            txn = manager.begin()
+            data, version = self.OLD["f"]
+            yield txn.call("s1", "txn.stage_write", name="f", data=data,
+                           version=version, create=True)
+            yield from txn.commit()
+
+        def flow():
+            yield manager.begin().call("s1", "txn.stage_write",
+                                       **self.REQUEST)
+
+        bed.run(setup())
+        return bed, bed.sim.spawn(flow())
+
+    def measure(self, page_size):
+        bed, process = self.start(page_size)
+        return time_the_update(bed, process, self.NEW)
+
+    @pytest.mark.parametrize("page_size", [128, 512])
+    def test_old_or_new_never_in_doubt_then_retry_converges(
+            self, page_size):
+        start, steps = self.measure(page_size)
+        assert steps >= 3  # a data chain, its bucket, the root
+        old_runs = new_runs = 0
+        for done in range(steps + 1):
+            bed, process = self.start(page_size)
+            bed.sim.run(until=start + done - 0.5)
+            bed.crash("s1")
+            bed.restart("s1")
+            participant = bed.servers["s1"].participant
+            assert participant.in_doubt() == []
+            assert participant.locks.holders_of("f") == {}
+            files = files_on(bed)      # no record file among them
+            assert files in (self.OLD, self.NEW)
+            if files == self.OLD:
+                old_runs += 1
+            else:
+                new_runs += 1
+            # The refresher's next pass is a fresh one-phase call (it
+            # can find the first one, still on the wire at the crash,
+            # delivered after the restart and already installed).
+            outcome = bed.sim.run_until(manager_of(bed).begin().call(
+                "s1", "txn.stage_write", **self.REQUEST))
+            assert outcome in (("committed", "skipped")
+                               if files == self.OLD else ("skipped",))
+            assert files_on(bed) == self.NEW
+            assert participant.locks.holders_of("f") == {}
+        assert old_runs and new_runs
 
 
 class TestQueuedRequestOfFinishedTransaction:
