@@ -3,7 +3,8 @@
 Runs paper example 2 on the full simulated stack with causal tracing
 enabled, then derives a per-phase latency breakdown from the span tree
 instead of from ad-hoc stopwatches: quorum assembly (version-inquiry
-gather), two-phase-commit prepare and commit rounds, and the individual
+gather), the two-phase-commit decision round (a suite write votes with
+its stages, so it has no prepare round to span), and the individual
 RPCs underneath them.  Each row is also emitted as a JSON object so
 downstream tooling (plots, regression dashboards) can consume the
 breakdown without re-parsing the pretty table.
@@ -80,19 +81,20 @@ def test_span_latency_breakdown(benchmark):
 
     by_name = {(operation, name): (count, mean)
                for operation, name, count, mean in rows}
-    # Each read assembles one read quorum; each write assembles a read
-    # quorum (version collect) and runs both 2PC phases.
+    # Each read assembles one read quorum; each write assembles a
+    # write quorum (version collect), votes with its stages — no
+    # prepare phase — and runs the decision round.
     assert by_name[("suite.read", "quorum.assemble")][0] == OPERATIONS
     assert by_name[("suite.write", "quorum.assemble")][0] == OPERATIONS
-    assert by_name[("suite.write", "2pc.prepare")][0] == OPERATIONS
+    assert ("suite.write", "2pc.prepare") not in by_name
     assert by_name[("suite.write", "2pc.commit")][0] == OPERATIONS
 
     # Phases nest inside the root: a child's mean cannot exceed the
-    # operation's, and prepare+commit fit within the write.
+    # operation's, and assembly + staging + commit fit within the write.
     write_mean = by_name[("suite.write", "suite.write")][1]
-    prepare_mean = by_name[("suite.write", "2pc.prepare")][1]
+    assemble_mean = by_name[("suite.write", "quorum.assemble")][1]
     commit_mean = by_name[("suite.write", "2pc.commit")][1]
-    assert prepare_mean + commit_mean <= write_mean + 1e-9
+    assert assemble_mean + commit_mean <= write_mean + 1e-9
     for root in read_roots + write_roots:
         for span in traces[root.trace_id]:
             if span.finished and span.parent_id is not None:

@@ -188,8 +188,13 @@ def message_cost(config: SuiteConfiguration) -> Dict[str, int]:
       piggyback target stale or reply truncated): the same messages
       plus one dedicated data request + reply.
     * **write** — an exclusive inquiry to every voting representative,
-      data staged at the cheapest write quorum, then two-phase commit:
-      phase 1 to every participant, phase 2 to the quorum that staged.
+      then the data staged at the cheapest write quorum by calls that
+      carry the vote request (a suite ``write()`` stages once per
+      representative, so its stage is its phase 1), a release to each
+      polled representative left out of the quorum, and phase 2 to the
+      quorum that staged.  A ``write_in`` inside a caller's
+      transaction stages without voting; that transaction's commit
+      then runs phase 1 as a round of its own, to every participant.
     * **refresh** — per representative brought current in the
       background from data the operation already held: one one-phase
       install call and its reply.
@@ -203,7 +208,9 @@ def message_cost(config: SuiteConfiguration) -> Dict[str, int]:
     quorum = len(cheapest_quorum(config.voting, config.write_quorum))
     read = 2 * total
     read_fallback = read + 2
-    write = 2 * voting + 2 * quorum + 2 * voting + 2 * quorum
+    inquiry, stage_and_vote = 2 * voting, 2 * quorum
+    release, commit = 2 * (voting - quorum), 2 * quorum
+    write = inquiry + stage_and_vote + release + commit
     return {"read": read, "read_fallback": read_fallback, "write": write,
             "refresh": 2}
 

@@ -255,7 +255,7 @@ class FileSuiteClient:
             size=len(data))
         try:
             result = yield from self._with_retries(self._write_once, data,
-                                                   span=span)
+                                                   span=span, prepare=True)
         except BaseException as exc:
             span.end(error=f"{type(exc).__name__}: {exc}")
             raise
@@ -419,8 +419,13 @@ class FileSuiteClient:
                                     for rep, stat
                                     in gathered.successes.items()})
 
-    def _write_once(self, txn: Transaction,
-                    data: bytes) -> Generator[Any, Any, WriteResult]:
+    def _write_once(self, txn: Transaction, data: bytes,
+                    prepare: bool = False,
+                    ) -> Generator[Any, Any, WriteResult]:
+        """One write attempt.  ``prepare`` is set by :meth:`write`
+        alone, whose transaction asks nothing more of a representative
+        once it has staged there: every stage then carries the vote
+        request (see :mod:`repro.txn.coordinator`)."""
         config = self.config
         gathered = yield from self._inquire(
             txn, config.write_quorum, mode=EXCLUSIVE, include_weak=False)
@@ -434,7 +439,7 @@ class FileSuiteClient:
         stage_calls = [
             txn.call(rep.server, "txn.stage_write", name=config.file_name,
                      data=data, version=new_version,
-                     timeout=self.data_timeout)
+                     timeout=self.data_timeout, prepare=prepare)
             for rep in quorum
         ]
         # Every staging must succeed; a failure aborts this attempt.
@@ -874,7 +879,8 @@ def install_suite(manager: TransactionManager, config: SuiteConfiguration,
             calls = [
                 txn.call(rep.server, "txn.stage_write",
                          name=config.file_name, data=initial_data,
-                         version=1, properties=properties, create=True)
+                         version=1, properties=properties, create=True,
+                         prepare=True)
                 for rep in config.representatives
             ]
             yield manager.sim.all_of(calls)

@@ -232,7 +232,13 @@ class RpcEndpoint:
                     self._count("rpc.requests_served")
                 except ReproError as exc:
                     reply = Reply.failure(request.call_id, exc)
-            self._remember(identity, reply)
+            if not request.args.get("release"):
+                # A releasing call leaves no state behind, so running a
+                # late duplicate of it again is harmless (its reply is
+                # dropped as any late reply is): only calls that do
+                # leave state need their replies kept, and a read's
+                # reply can be the whole file.
+                self._remember(identity, reply)
             self.host.send(request.source, reply)
         finally:
             self._in_progress.discard(identity)

@@ -3,13 +3,13 @@ shadow-paging file system → timed storage servers.
 """
 
 from .files import (END_OF_CHAIN, ROOT_PAGE, FileStat, FileSystem, FsOp,
-                    IoStep, Put, drive)
+                    IntentionRow, IoStep, Put, drive)
 from .pages import PAGE_SIZE, PageStore
 from .server import StorageServer
 from .stable import CarefulStore, StableStore
 
 __all__ = [
     "CarefulStore", "END_OF_CHAIN", "FileStat", "FileSystem", "FsOp",
-    "IoStep", "PAGE_SIZE", "PageStore", "Put", "ROOT_PAGE", "StableStore",
+    "IntentionRow", "IoStep", "PAGE_SIZE", "PageStore", "Put", "ROOT_PAGE", "StableStore",
     "StorageServer", "drive",
 ]

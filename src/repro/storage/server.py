@@ -21,7 +21,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
 from ..errors import ServerDownError
 from ..sim.network import Host
 from ..sim.queues import Resource
-from .files import FileSystem, FsOp, FileStat, Put
+from .files import FileStat, FileSystem, FsOp, IntentionRow, Put
 from .stable import StableStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -159,6 +159,19 @@ class StorageServer:
         """Timed :meth:`FileSystem.update`: many files, one root flip."""
         self._require_up()
         yield from self.execute(self.fs.update(puts, deletes))
+
+    def intend(self, txn: str, puts: Sequence[Put] = (),
+               deletes: Sequence[str] = ()) -> Generator[Any, Any, None]:
+        """Timed :meth:`FileSystem.intend`: shadow chains + rows, one flip."""
+        self._require_up()
+        yield from self.execute(self.fs.intend(txn, puts, deletes))
+
+    def resolve(self, txn: str, install: bool,
+                ) -> Generator[Any, Any, List[IntentionRow]]:
+        """Timed :meth:`FileSystem.resolve`: the rows it resolved."""
+        self._require_up()
+        rows = yield from self.execute(self.fs.resolve(txn, install))
+        return rows
 
     def create_file(self, name: str,
                     properties: Optional[Dict[str, Any]] = None

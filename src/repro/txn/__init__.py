@@ -10,8 +10,7 @@ from .coordinator import (ABORTED, ACTIVE, COMMITTED, COMMITTING,
                           Transaction, TransactionManager)
 from .ids import TransactionId, TransactionIdGenerator
 from .locks import EXCLUSIVE, SHARED, LockManager, compatible
-from .log import (Intention, TransactionRecord, is_record_file,
-                  record_file_name)
+from .log import Intention
 from .participant import (VOTE_PREPARED, VOTE_READ_ONLY,
                           TransactionParticipant)
 
@@ -19,6 +18,6 @@ __all__ = [
     "ABORTED", "ACTIVE", "COMMITTED", "COMMITTING", "EXCLUSIVE",
     "Intention", "LockManager", "SHARED", "Transaction",
     "TransactionId", "TransactionIdGenerator", "TransactionManager",
-    "TransactionParticipant", "TransactionRecord", "VOTE_PREPARED",
-    "VOTE_READ_ONLY", "compatible", "is_record_file", "record_file_name",
+    "TransactionParticipant", "VOTE_PREPARED", "VOTE_READ_ONLY",
+    "compatible",
 ]

@@ -5,9 +5,18 @@ against participants over RPC (each call tagged with the transaction
 id), then calls :meth:`Transaction.commit`, which drives two-phase
 commit:
 
-* **Phase 1** — ``prepare`` in parallel to every touched participant.
-  Any refusal, timeout, or unreachable participant aborts the whole
-  transaction (best-effort aborts are sent to the rest).
+* **Phase 1** — ``prepare`` in parallel to every touched participant
+  that has not voted yet, naming how many of the transaction's calls
+  that participant has answered (one that remembers fewer has
+  restarted since and refuses).  Any refusal, timeout, or unreachable
+  participant aborts the whole transaction (best-effort aborts are
+  sent to the rest).  A participant has voted already when the stage
+  it was sent carried ``prepare=True`` — the client's statement that
+  this is the last thing the transaction asks of that server, made by
+  a suite ``write()`` and by ``install_suite``, which stage exactly
+  once per server — and answered ``"prepared"``; when every stager
+  has, there is no phase 1 left: the participants that only hold
+  locks are released without waiting and the decision goes out.
 * **Phase 2** — once all votes are in, the decision is final: ``commit``
   is sent to every participant that voted *prepared* (read-only voters
   already released).  Participants that cannot be reached are retried by
@@ -32,7 +41,8 @@ layer above never depends on more.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Optional, Set,
+                    Tuple)
 
 from ..errors import ReproError, TransactionAborted
 from ..obs.spans import NOOP_SPAN, TraceContext
@@ -88,6 +98,12 @@ class Transaction:
         #: Empty set ⇒ read-only transaction, whose commit is a pure
         #: lock release and need not be awaited.
         self.staged: Set[str] = set()
+        #: Servers whose ``prepare=True`` stage answered ``"prepared"``:
+        #: they have voted yes and are sent no ``txn.prepare``.
+        self.voted: Set[str] = set()
+        #: Calls answered so far, by server — what a vote request says
+        #: the participant must remember.
+        self.answered: Dict[str, int] = {}
         self._after_commit: List[Any] = []
         self.state = ACTIVE
         #: Observability: the span RPCs issued through :meth:`call`
@@ -116,13 +132,15 @@ class Transaction:
 
     def call(self, server: str, method: str, timeout: Optional[float] = None,
              release: bool = False, one_phase: bool = False,
-             **args: Any):
+             prepare: bool = False, **args: Any):
         """RPC to a participant, tagged with this transaction's id.
 
         ``release`` and ``one_phase`` mark the call as self-terminating
         (see the module docstring): the flag travels in the request —
         only when set, so every other request keeps its size — and the
-        server is not enrolled for commit/abort.
+        server is not enrolled for commit/abort.  ``prepare`` makes a
+        stage carry the vote request; a ``"prepared"`` reply is
+        recorded in :attr:`voted`.
         """
         if self.state != ACTIVE:
             raise TransactionAborted(self.txn_id,
@@ -131,6 +149,11 @@ class Transaction:
             args["release"] = True
         if one_phase:
             args["one_phase"] = True
+        if prepare:
+            args["prepare"] = True
+            answered = self.answered.get(server)
+            if answered:
+                args["answered"] = answered
         effective = timeout if timeout is not None \
             else self.manager.call_timeout
         event = self.manager.endpoint.call(
@@ -149,6 +172,9 @@ class Transaction:
         def confirm(settled, server=server):
             if settled.triggered:
                 self.participants.add(server)
+                self.answered[server] = self.answered.get(server, 0) + 1
+                if prepare and settled.value == VOTE_PREPARED:
+                    self.voted.add(server)
 
         event.add_callback(confirm)
         return event
@@ -258,38 +284,23 @@ class TransactionManager:
             txn._run_commit_hooks()
             return
 
-        prepare_span = self._phase_span(txn, "2pc.prepare")
-        prepare_started = self.sim.now
-        votes = yield from self._gather_votes(
-            txn, trace=self._phase_ctx(prepare_span, txn),
-            span=prepare_span)
-        if self.profiler is not None:
-            self.profiler.observe("2pc.prepare",
-                                  self.sim.now - prepare_started)
-        failures = [(server, outcome) for server, ok, outcome in votes
-                    if not ok]
-        if failures:
-            server, error = failures[0]
-            prepare_span.end(error=f"prepare failed at {server}: {error}")
-            # Abort everywhere, including participants whose vote was
-            # lost in transit — they may have durably prepared and will
-            # otherwise stay in-doubt forever.
-            to_abort = [srv for srv, ok, outcome in votes
-                        if not ok or outcome == VOTE_PREPARED]
-            self._spawn_aborts(txn.txn_id, to_abort,
-                               trace=txn.span.context if txn.span else None)
-            txn.state = ABORTED
-            self.aborts += 1
-            self._record_flight_outcome(txn, "abort",
-                                        prepare_failed_at=server)
-            raise TransactionAborted(
-                txn.txn_id, f"prepare failed at {server}: {error}")
-        prepare_span.set_attr("votes", len(votes))
-        prepare_span.end()
+        to_commit = sorted(txn.voted)
+        unvoted = sorted(txn.participants - txn.voted)
+        if txn.staged <= txn.voted:
+            # Every stager voted with its stage (a suite ``write()``):
+            # phase 1 is over.  Whoever else is enrolled only holds
+            # locks — the representatives polled but left out of the
+            # write quorum — and is released without waiting, like the
+            # participants of a read-only transaction above.
+            release_trace = txn.span.context if txn.span else None
+            for server in unvoted:
+                self._spawn_retry(txn.txn_id, server, "txn.prepare",
+                                  trace=release_trace)
+        else:
+            prepared = yield from self._prepare_round(txn, unvoted)
+            to_commit = sorted(to_commit + prepared)
 
         # Decision point: everyone voted yes.  Read-only voters are done.
-        to_commit = [server for server, _ok, outcome in votes
-                     if outcome == VOTE_PREPARED]
         commit_span = self._phase_span(txn, "2pc.commit")
         commit_trace = self._phase_ctx(commit_span, txn)
         commit_started = self.sim.now
@@ -310,6 +321,42 @@ class TransactionManager:
         self._record_flight_outcome(txn, "commit",
                                     stragglers=len(stragglers))
         txn._run_commit_hooks()
+
+    def _prepare_round(self, txn: Transaction, servers: List[str],
+                       ) -> Generator[Any, Any, List[str]]:
+        """Phase 1 proper: ask ``servers`` to vote; returns those that
+        voted *prepared*, or aborts everywhere and raises."""
+        prepare_span = self._phase_span(txn, "2pc.prepare")
+        prepare_started = self.sim.now
+        votes = yield from self._broadcast(
+            txn.txn_id, "txn.prepare", servers,
+            trace=self._phase_ctx(prepare_span, txn), span=prepare_span,
+            answered=txn.answered)
+        if self.profiler is not None:
+            self.profiler.observe("2pc.prepare",
+                                  self.sim.now - prepare_started)
+        failures = [(server, outcome) for server, ok, outcome in votes
+                    if not ok]
+        if failures:
+            server, error = failures[0]
+            prepare_span.end(error=f"prepare failed at {server}: {error}")
+            # Abort everywhere, including participants whose vote was
+            # lost in transit — they may have durably prepared and will
+            # otherwise stay in-doubt forever.
+            to_abort = [srv for srv, ok, outcome in votes
+                        if not ok or outcome == VOTE_PREPARED]
+            self._spawn_aborts(txn.txn_id, sorted({*to_abort, *txn.voted}),
+                               trace=txn.span.context if txn.span else None)
+            txn.state = ABORTED
+            self.aborts += 1
+            self._record_flight_outcome(txn, "abort",
+                                        prepare_failed_at=server)
+            raise TransactionAborted(
+                txn.txn_id, f"prepare failed at {server}: {error}")
+        prepare_span.set_attr("votes", len(votes))
+        prepare_span.end()
+        return [server for server, _ok, outcome in votes
+                if outcome == VOTE_PREPARED]
 
     def _record_flight_outcome(self, txn: Transaction, outcome: str,
                                **extra: Any) -> None:
@@ -358,19 +405,10 @@ class TransactionManager:
     # Internals
     # ------------------------------------------------------------------
 
-    def _gather_votes(self, txn: Transaction,
-                      trace: Optional[TraceContext] = None,
-                      span=None,
-                      ) -> Generator[Any, Any,
-                                     List[Tuple[str, bool, Any]]]:
-        return (yield from self._broadcast(
-            txn.txn_id, "txn.prepare", sorted(txn.participants),
-            trace=trace, span=span))
-
     def _broadcast(self, txn_id: TransactionId, method: str,
                    servers: List[str],
                    trace: Optional[TraceContext] = None,
-                   span=None,
+                   span=None, answered: Optional[Dict[str, int]] = None,
                    ) -> Generator[Any, Any, List[Tuple[str, bool, Any]]]:
         """Call ``method`` on every server in parallel; never raises.
 
@@ -378,16 +416,19 @@ class TransactionManager:
         the reply value or the exception.  With a live ``span``, each
         reply stamps a ``2pc.reply`` event as it arrives — since the
         phase blocks on *all* participants, the last such event marks
-        the phase's critical participant.
+        the phase's critical participant.  ``answered`` (vote requests
+        only) tells each server how many calls it has answered.
         """
         started = self.sim.now
 
         def one(server: str):
+            extra = {} if answered is None \
+                else {"answered": answered.get(server, 0)}
             try:
                 value = yield self.endpoint.call(
                     server, method, timeout=self.call_timeout,
                     attempts=self.transport_attempts, trace=trace,
-                    txn=str(txn_id))
+                    txn=str(txn_id), **extra)
                 if span:
                     span.event("2pc.reply", server=server, ok=True,
                                at=self.sim.now,

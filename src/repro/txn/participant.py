@@ -11,32 +11,45 @@ file system, with strict two-phase locking for concurrency control:
   and dropped again as the handler returns: nothing is left for a
   prepare, commit or abort to clean up;
 * ``stage_write`` / ``stage_delete`` take **exclusive** locks and buffer
-  the write as an in-memory intention (no disk I/O until prepare);
+  the write as an in-memory intention (no disk I/O until the vote);
   ``stage_write(one_phase=True)`` stages **and** commits in the same
   call — one-phase commit, legal because the transaction has this one
   participant and this one intention, so there is no vote to collect
-  and no record to write;
-* ``prepare`` makes the intentions list durable (one crash-atomic file
-  write) and votes;
-* ``commit`` installs every intention *and* removes the record in one
-  :meth:`~repro.storage.files.FileSystem.update` — a single root flip,
-  which is the commit point — then releases locks;
-* ``abort`` discards everything.
+  and nothing to record; ``stage_write(prepare=True)`` stages **and**
+  votes in the same call — the client's promise that this is the last
+  thing its transaction asks of this server;
+* ``prepare`` — or that voting stage — makes the intentions durable
+  with :meth:`~repro.storage.files.FileSystem.intend` (the data goes
+  into shadow pages, a row per file into the file's directory bucket,
+  one root flip) and votes;
+* ``commit`` re-points the files at those pages *and* removes the rows
+  in one :meth:`~repro.storage.files.FileSystem.resolve` — a single
+  root flip, which is the commit point, and no data written — then
+  releases locks;
+* ``abort`` discards everything (the rows and their pages, if any).
+
+A vote request says how many earlier calls of the transaction this
+server has answered.  A participant that remembers fewer has restarted
+since — the locks and intentions of the calls it forgot are gone — and
+refuses, so a transaction can never commit the part of itself that
+came after a restart.
 
 Crash/recovery: volatile state (locks, unprepared transactions)
-vanishes on a crash.  A record file found at restart can only mean
+vanishes on a crash.  Intention rows found at restart can only mean
 *prepared, decision unknown* (a crash before the commit flip leaves
-record and old files; after it the record is gone with the new files
-in place), so :meth:`recover` makes every record **in-doubt**: its
-files are re-locked exclusively and the participant waits for the
-coordinator's decision — its ``txn.commit`` retry finishes the job —
-which is the (blocking) behaviour of textbook two-phase commit.
+rows and old files; after it the rows are gone with the new files in
+place), so :meth:`recover` makes every transaction with rows
+**in-doubt**: its files are re-locked exclusively and the participant
+waits for the coordinator's decision — its ``txn.commit`` retry
+finishes the job — which is the (blocking) behaviour of textbook
+two-phase commit.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterable, List,
+                    Optional, Set, Tuple)
 
 from ..errors import (InvalidTransactionState, NoSuchFileError,
                       TransactionAborted)
@@ -45,8 +58,7 @@ from ..storage.files import Put
 from ..storage.server import StorageServer
 from .ids import TransactionId
 from .locks import EXCLUSIVE, SHARED, LockManager
-from .log import (Intention, TransactionRecord, is_record_file,
-                  record_file_name)
+from .log import Intention
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.simulator import Simulator
@@ -56,14 +68,21 @@ VOTE_PREPARED = "prepared"
 VOTE_READ_ONLY = "read-only"
 
 
+def _put(intention: Intention) -> Put:
+    return Put(intention.name, intention.data, intention.version,
+               intention.properties)
+
+
 class _Scratch:
     """Volatile per-transaction state."""
 
-    __slots__ = ("intentions", "prepared", "last_touched")
+    __slots__ = ("intentions", "prepared", "handled", "last_touched")
 
     def __init__(self, now: float = 0.0) -> None:
         self.intentions: Dict[str, Intention] = {}
         self.prepared = False
+        #: Calls of the transaction handled since this entry was made.
+        self.handled = 0
         self.last_touched = now
 
 
@@ -84,13 +103,13 @@ class TransactionParticipant:
         #: replies (``read_data=True``): whatever limit the client
         #: requests is additionally clamped to this, so a transport
         #: with a hard frame size (the live runtime's length-prefixed
-        #: JSON frames) can never be asked to encode an oversized
-        #: reply.  ``None`` means no server-side ceiling.
+        #: frames) can never be asked to encode an oversized reply.
+        #: ``None`` means no server-side ceiling.
         self.max_stat_bytes = max_stat_bytes
         self.locks = LockManager(server.sim, name=server.name,
                                  default_timeout=lock_timeout)
         self._active: Dict[TransactionId, _Scratch] = {}
-        self._indoubt: Dict[TransactionId, TransactionRecord] = {}
+        self._indoubt: Set[TransactionId] = set()
         # Tombstones for finished transactions: a *late retransmission*
         # of an operation (first delivery of a resent request, so the
         # endpoint's duplicate suppression cannot catch it) must not
@@ -245,9 +264,10 @@ class TransactionParticipant:
     def stage_write(self, txn: str, name: str, data: bytes, version: int,
                     properties: Optional[Dict[str, Any]] = None,
                     create: bool = False, only_if_newer: bool = False,
-                    one_phase: bool = False,
+                    one_phase: bool = False, prepare: bool = False,
+                    answered: int = 0,
                     ) -> Generator[Any, Any, str]:
-        """Buffer a write under an exclusive lock; durable at prepare.
+        """Buffer a write under an exclusive lock; durable at the vote.
 
         With ``only_if_newer`` the write is skipped (returning
         ``"skipped"``) unless ``version`` exceeds the representative's
@@ -257,24 +277,36 @@ class TransactionParticipant:
         without ever moving a version number backwards.
 
         With ``one_phase`` the call is the whole transaction: the
-        intention is installed by the same single-flip
-        :meth:`~repro.storage.files.FileSystem.update` that
-        :meth:`commit` uses, with no prepare record (a crash leaves the
-        old file or the new one, never an in-doubt transaction), and
-        the transaction is finished — lock released, tombstoned — as
-        the handler returns, installed (``"committed"``), skipped or
-        failed.  That is only sound when this participant and this
-        intention are all the transaction has, so a transaction that
-        already staged something here is refused.
+        intention is installed by one single-flip
+        :meth:`~repro.storage.files.FileSystem.update`, with nothing
+        recorded first (a crash leaves the old file or the new one,
+        never an in-doubt transaction), and the transaction is
+        finished — lock released, tombstoned — as the handler returns,
+        installed (``"committed"``), skipped or failed.  That is only
+        sound when this participant and this intention are all the
+        transaction has, so a transaction that already staged
+        something here is refused.
+
+        With ``prepare`` the call is the last one the transaction makes
+        here and carries the vote request (``answered`` as in
+        :meth:`prepare`): the intention is staged, made durable and
+        voted for in one go, and the reply is ``"prepared"``.  The
+        coordinator takes exactly that reply for a yes — a lost one is
+        a no, and its abort takes the row back.  Refused like
+        ``one_phase`` when the transaction already holds an intention
+        here: the stage that votes is the only one.
         """
         txn_id = TransactionId.parse(txn)
+        if prepare:
+            self._require_remembered(txn_id, answered)
         scratch = self._scratch(txn_id)
         if scratch.prepared:
             raise InvalidTransactionState(
                 f"{txn_id} already prepared on {self.name}")
-        if one_phase and scratch.intentions:
+        if (one_phase or prepare) and scratch.intentions:
             raise InvalidTransactionState(
-                f"one-phase commit of {txn_id} on {self.name}: it holds "
+                f"{'one-phase commit' if one_phase else 'voting stage'} "
+                f"of {txn_id} on {self.name}: it holds "
                 f"{len(scratch.intentions)} other intention(s)")
         try:
             yield self.locks.acquire(txn_id, name, EXCLUSIVE)
@@ -305,12 +337,16 @@ class TransactionParticipant:
                 name=name, data=bytes(data), version=version,
                 properties=dict(properties) if properties is not None
                 else None)
-            if not one_phase:
-                scratch.intentions[name] = intention
+            if one_phase:
+                yield from self.server.update([_put(intention)])
+                self._caught_up([name])
+                self.commits += 1
+                return "committed"
+            scratch.intentions[name] = intention
+            if not prepare:
                 return "staged"
-            yield from self._apply([intention])
-            self.commits += 1
-            return "committed"
+            yield from self._intend(txn_id, scratch)
+            return VOTE_PREPARED
         finally:
             if one_phase:
                 self._forget(txn_id)
@@ -330,36 +366,38 @@ class TransactionParticipant:
     # Two-phase commit (RPC handlers)
     # ------------------------------------------------------------------
 
-    def prepare(self, txn: str) -> Generator[Any, Any, str]:
-        """Phase 1: durably record intentions and vote."""
+    def prepare(self, txn: str, answered: int = 0,
+                ) -> Generator[Any, Any, str]:
+        """Phase 1: durably record intentions and vote.
+
+        ``answered`` is how many calls of the transaction the
+        coordinator has had answered by this server; being asked to
+        vote at all implies one.
+        """
         txn_id = TransactionId.parse(txn)
-        scratch = self._active.get(txn_id)
-        if scratch is None:
-            # We lost this transaction's state (crash since it started):
-            # its locks and intentions are gone, so we must refuse.
-            raise TransactionAborted(txn_id,
-                                     f"unknown at participant {self.name}")
+        self._require_remembered(txn_id, max(answered, 1))
+        scratch = self._active[txn_id]
         if not scratch.intentions:
             # Read-only participant: release locks now, skip phase 2.
             self._release(txn_id)
             return VOTE_READ_ONLY
-            yield  # pragma: no cover - makes this a generator
-        record = TransactionRecord(
-            txn_id=txn_id, intentions=list(scratch.intentions.values()))
-        yield from self.server.write_file(
-            record.record_file, record.encode(), version=0, create=True)
-        scratch.prepared = True
+        if not scratch.prepared:
+            yield from self._intend(txn_id, scratch)
         return VOTE_PREPARED
 
     def commit(self, txn: str) -> Generator[Any, Any, str]:
-        """Phase 2: apply the intentions and drop the record in one
-        file-system update, whose root flip is the commit point."""
+        """Phase 2: install the intentions and drop their rows in one
+        file-system flip, which is the commit point."""
         txn_id = TransactionId.parse(txn)
-        record = self._committable_record(txn_id)
-        if record is None:
-            return "ack"  # already finished: idempotent
-            yield  # pragma: no cover
-        yield from self._apply(record.intentions, record.record_file)
+        if txn_id not in self._indoubt:
+            scratch = self._active.get(txn_id)
+            if scratch is None:
+                return "ack"  # already finished: idempotent
+            if not scratch.prepared:
+                raise InvalidTransactionState(
+                    f"commit of unprepared {txn_id} on {self.name}")
+        rows = yield from self.server.resolve(str(txn_id), install=True)
+        self._caught_up(row.name for row in rows if not row.delete)
         self._forget(txn_id)
         self.commits += 1
         return "ack"
@@ -368,47 +406,51 @@ class TransactionParticipant:
         """Discard the transaction; idempotent."""
         txn_id = TransactionId.parse(txn)
         scratch = self._active.get(txn_id)
-        had_record = ((scratch is not None and scratch.prepared)
-                      or txn_id in self._indoubt)
-        if had_record and self.server.fs.exists(record_file_name(txn_id)):
-            yield from self.server.delete_file(record_file_name(txn_id))
+        if (scratch is not None and scratch.prepared) \
+                or txn_id in self._indoubt:
+            yield from self.server.resolve(str(txn_id), install=False)
         self._forget(txn_id)
         self.aborts += 1
         return "ack"
 
-    def _committable_record(self, txn_id: TransactionId
-                            ) -> Optional[TransactionRecord]:
-        indoubt = self._indoubt.get(txn_id)
-        if indoubt is not None:
-            return indoubt
+    def _require_remembered(self, txn_id: TransactionId,
+                            answered: int) -> None:
+        """Refuse a vote request when this server has handled fewer
+        calls of ``txn_id`` than the coordinator has had answered by
+        it: we lost this transaction's state (crash since it started)
+        — all of it or, when the client kept calling after the
+        restart, its earlier part — so the locks and intentions of the
+        calls we forgot are gone."""
         scratch = self._active.get(txn_id)
-        if scratch is None:
-            return None
-        if not scratch.prepared:
-            raise InvalidTransactionState(
-                f"commit of unprepared {txn_id} on {self.name}")
-        return TransactionRecord(txn_id=txn_id,
-                                 intentions=list(scratch.intentions.values()))
+        handled = scratch.handled if scratch is not None else 0
+        if handled < answered:
+            raise TransactionAborted(
+                txn_id, f"unknown at participant {self.name}: it "
+                f"remembers {handled} of {answered} answered call(s)")
 
-    def _apply(self, intentions: List[Intention],
-               record_file: Optional[str] = None,
-               ) -> Generator[Any, Any, None]:
-        """Install ``intentions`` — and drop ``record_file``, when the
-        transaction prepared one — in one file-system update."""
-        fs = self.server.fs
-        puts = [Put(i.name, i.data, i.version, i.properties)
-                for i in intentions if not i.delete]
-        deletes = [i.name for i in intentions
-                   if i.delete and fs.exists(i.name)]
-        if record_file is not None:
-            deletes.append(record_file)
-        yield from self.server.update(puts, deletes)
+    def _intend(self, txn_id: TransactionId, scratch: _Scratch,
+                ) -> Generator[Any, Any, None]:
+        """Make ``scratch``'s intentions durable: the transaction is
+        prepared when this returns."""
+        staged = list(scratch.intentions.values())
+        yield from self.server.intend(
+            str(txn_id), [_put(i) for i in staged if not i.delete],
+            [i.name for i in staged if i.delete])
+        if self._active.get(txn_id) is not scratch:
+            # Aborted while the disk was busy (the client gave up on a
+            # slow vote): nobody will resolve these rows, take them back.
+            yield from self.server.resolve(str(txn_id), install=False)
+            raise TransactionAborted(
+                txn_id, f"aborted at {self.name} while it was voting")
+        scratch.prepared = True
+
+    def _caught_up(self, names: Iterable[str]) -> None:
+        """These copies just reached the version their transaction
+        told us about."""
         if self.metrics is not None:
-            for put in puts:
-                # The copy just caught up to the version this
-                # transaction told us about.
+            for name in names:
                 self.metrics.gauge(
-                    f"rep.version_lag[file={put.name},"
+                    f"rep.version_lag[file={name},"
                     f"server={self.name}]").set(0.0)
 
     def _release(self, txn_id: TransactionId) -> None:
@@ -424,7 +466,7 @@ class TransactionParticipant:
 
     def _forget(self, txn_id: TransactionId) -> None:
         self._active.pop(txn_id, None)
-        self._indoubt.pop(txn_id, None)
+        self._indoubt.discard(txn_id)
         self.locks.release_all(txn_id)
         self._finished[txn_id] = None
         while len(self._finished) > self._finished_capacity:
@@ -441,18 +483,14 @@ class TransactionParticipant:
 
     def recover(self) -> None:
         """Re-adopt prepared transactions after a restart (in-doubt)."""
-        fs = self.server.fs
-        for name in fs.list_files():
-            if not is_record_file(name):
-                continue
-            blob, _version = fs.read_file_sync(name)
-            record = TransactionRecord.decode(blob)
+        for txn, rows in self.server.fs.intentions().items():
+            txn_id = TransactionId.parse(txn)
             # Hold exclusive locks until the coordinator resolves us
             # (blocking 2PC semantics).
-            self._indoubt[record.txn_id] = record
-            for intention in record.intentions:
-                self.locks.acquire(record.txn_id, intention.name,
-                                   EXCLUSIVE, timeout=None)
+            self._indoubt.add(txn_id)
+            for row in rows:
+                self.locks.acquire(txn_id, row.name, EXCLUSIVE,
+                                   timeout=None)
 
     def in_doubt(self) -> List[TransactionId]:
         """Transactions prepared before a crash, awaiting a decision."""
@@ -463,14 +501,15 @@ class TransactionParticipant:
     # ------------------------------------------------------------------
 
     def _scratch(self, txn_id: TransactionId) -> _Scratch:
-        if txn_id in self._finished:
+        if txn_id in self._finished or txn_id in self._indoubt:
             raise TransactionAborted(
-                txn_id, f"already finished at {self.name} "
+                txn_id, f"already finished or in doubt at {self.name} "
                 "(late retransmission)")
         scratch = self._active.get(txn_id)
         if scratch is None:
             scratch = _Scratch(now=self.sim.now)
             self._active[txn_id] = scratch
+        scratch.handled += 1
         scratch.last_touched = self.sim.now
         return scratch
 

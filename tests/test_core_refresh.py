@@ -110,7 +110,7 @@ class TestOneCallInstall:
         bed.run(suite.write(b"v2"))
         bed.settle()
         assert bed.network.messages_sent - before == \
-            costs["write"] + costs["refresh"] == 22
+            costs["write"] + costs["refresh"] == 18
         assert set(versions(bed).values()) == {2}
         assert bed.metrics.counter("refresh.transactions").value == 1
         participant = bed.servers["s3"].participant
@@ -189,15 +189,21 @@ class TestOneCallInstall:
         writer.refresher.delay = 500.0
         bed.run(writer.write(b"v2"))           # a's refresh of s3 pending
         applied = []
-        participant = bed.servers["s3"].participant
-        apply = participant._apply
+        node = bed.servers["s3"].server
+        update, resolve = node.update, node.resolve
 
-        def tapped(intentions, record_file=None):
-            applied.extend((i.version, i.properties["stamp"])
-                           for i in intentions)
-            return apply(intentions, record_file)
+        def tapped_update(puts=(), deletes=()):
+            applied.extend((put.version, put.properties["stamp"])
+                           for put in puts)
+            return update(puts, deletes)
 
-        participant._apply = tapped
+        def tapped_resolve(txn, install):
+            rows = yield from resolve(txn, install)
+            applied.extend((row.version, row.properties["stamp"])
+                           for row in rows if install)
+            return rows
+
+        node.update, node.resolve = tapped_update, tapped_resolve
         reweighted = triple_config(votes=(2, 1, 1), r=2, w=3)
         bed.run(change_configuration(other, reweighted))
         bed.settle()

@@ -2,8 +2,8 @@
 
 import pytest
 
-from tests.helpers import triple_config
-from repro.core.suite import FileSuiteClient
+from tests.helpers import triple_config, watch_requests
+from repro.core.suite import FileSuiteClient, install_suite
 from repro.errors import QuorumUnavailableError, TransactionAborted
 from repro.rpc import Reply, Request, RpcEndpoint
 from repro.sim import Network, RandomStreams, Simulator
@@ -45,6 +45,84 @@ class TestReplyCacheEviction:
         sim.run_process(flow())
         sim.run()
         assert len(server._completed) <= 5
+
+
+    def test_releasing_calls_are_not_remembered(self):
+        """A ``release=True`` call leaves nothing behind, so its reply
+        — possibly the whole file — is not kept for duplicates."""
+        bed = Testbed(servers=["s1"], seed=3)
+        manager = bed.clients["client"].manager
+        server = bed.servers["s1"].endpoint
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stage_write", name="f",
+                           data=b"x" * 4_000, version=1, create=True,
+                           prepare=True)
+            yield from txn.commit()
+            server._completed.clear()
+            for _ in range(2_000):
+                stat = yield manager.begin().call(
+                    "s1", "txn.stat", name="f", read_data=True,
+                    release=True)
+                assert len(stat["data"]) == 4_000
+
+        bed.run(flow())
+        assert len(server._completed) == 0
+        assert not server._in_progress
+
+    def test_duplicate_of_a_finished_releasing_call_runs_again_harmlessly(
+            self):
+        bed = Testbed(servers=["s1"], seed=3)
+        manager = bed.clients["client"].manager
+        node = bed.servers["s1"]
+        bed.run(install_suite(manager, triple_config_on("s1"), b"v1"))
+        requests = watch_requests(bed)
+
+        def flow():
+            txn = manager.begin()
+            first = yield txn.call("s1", "txn.stat", name="suite:db",
+                                   release=True)
+            served = node.endpoint.requests_served
+            # The datagram again, after its handler has finished.
+            bed.network.send("client", *requests[0])
+            yield bed.sim.timeout(50.0)
+            return first, node.endpoint.requests_served - served
+
+        first, reruns = bed.run(flow())
+        assert first["version"] == 1 and reruns == 1
+        assert not node.participant._active
+        assert node.participant.locks.holders_of("suite:db") == {}
+
+    def test_duplicate_of_a_staging_request_is_answered_from_the_cache(
+            self):
+        bed = Testbed(servers=["s1"], seed=3)
+        manager = bed.clients["client"].manager
+        node = bed.servers["s1"]
+        requests = watch_requests(bed)
+
+        def flow():
+            txn = manager.begin()
+            vote = yield txn.call("s1", "txn.stage_write", name="f",
+                                  data=b"x", version=1, create=True,
+                                  prepare=True)
+            served = node.endpoint.requests_served
+            writes = node.server.stable.primary.pages.writes
+            bed.network.send("client", *requests[0])
+            yield bed.sim.timeout(50.0)
+            assert node.endpoint.requests_served == served
+            assert node.server.stable.primary.pages.writes == writes
+            assert node.endpoint.duplicates_suppressed == 1
+            yield from txn.commit()
+            return vote
+
+        assert bed.run(flow()) == "prepared"
+        assert node.server.fs.read_file_sync("f") == (b"x", 1)
+
+
+def triple_config_on(server):
+    from repro.core import make_configuration
+    return make_configuration("db", [(server, 1)], 1, 1)
 
 
 class TestSuiteEdges:

@@ -9,7 +9,7 @@ shows up as a test failure, not a silent 2× latency regression.
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import triple_config, watch_requests
 from repro.core.analysis import message_cost
 from repro.sim.network import estimate_size
 from repro.testbed import Testbed
@@ -117,10 +117,11 @@ class TestWriteCosts:
         suite = bed.install(triple_config(), b"x" * 1000)
         delta, result = message_delta(bed, suite.write(b"y" * 1000))
         assert len(result.quorum) == 2
-        # 3 stats + 3 replies, 2 stages + 2 replies, prepare/commit
-        # rounds to 3 participants (one read-only): phase 1 = 3+3,
-        # phase 2 to the 2 writers = 2+2 → total 20.
-        assert delta == message_cost(suite.config)["write"] == 20
+        # 3 stats + 3 replies, 2 voting stages + 2 "prepared" replies
+        # (phase 1 rides them), 1 release to the representative polled
+        # but left out + its reply, phase 2 to the 2 writers = 2+2
+        # → total 16.
+        assert delta == message_cost(suite.config)["write"] == 16
 
     def test_data_moves_only_to_the_write_quorum(self, quiet_bed):
         bed = quiet_bed
@@ -142,3 +143,94 @@ class TestWriteCosts:
             suite.config.representative(rep_id).server
             for rep_id in result.quorum}
         assert bulk_targets == quorum_servers
+
+
+def requests_sent(bed, operation):
+    """Run ``operation``; the ``(destination, method, args)`` of every
+    request put on the wire meanwhile."""
+    seen = watch_requests(bed)
+    bed.run(operation)
+    bed.settle(5_000.0)
+    return [(destination, request.method, request.args)
+            for destination, request in seen]
+
+
+class TestWhoVotesWithItsStage:
+    """Only a transaction that owns its single write lets the stage
+    carry the vote; everything else keeps the explicit prepare round."""
+
+    def test_suite_write_sends_one_release_and_no_vote_request(
+            self, quiet_bed):
+        suite = quiet_bed.install(triple_config(), b"v1")
+        sent = requests_sent(quiet_bed, suite.write(b"v2"))
+        stages = [args for _server, method, args in sent
+                  if method == "txn.stage_write"]
+        assert [(args["prepare"], args["answered"]) for args in stages] \
+            == [(True, 1), (True, 1)]
+        prepares = [(server, args) for server, method, args in sent
+                    if method == "txn.prepare"]
+        # The representative polled but left out: a release, not a vote.
+        assert [server for server, _args in prepares] == ["s3"]
+        assert "answered" not in prepares[0][1]
+
+    def test_install_votes_with_its_stage(self, quiet_bed):
+        sent = requests_sent(
+            quiet_bed, _installing(quiet_bed, triple_config("fresh")))
+        methods = sorted(method for _server, method, _args in sent)
+        assert methods == ["txn.commit"] * 3 + ["txn.stage_write"] * 3
+
+    def test_transact_keeps_the_explicit_prepare_round(self, quiet_bed):
+        suite = quiet_bed.install(triple_config(), b"v1")
+
+        def bump(txn):
+            current = yield from suite.read_in(txn)
+            return (yield from suite.write_in(txn, current.data + b"+"))
+
+        sent = requests_sent(quiet_bed, suite.transact(bump))
+        assert not any(args.get("prepare") for _s, _m, args in sent)
+        prepares = {server: args["answered"]
+                    for server, method, args in sent
+                    if method == "txn.prepare"}
+        # Every participant is asked, with the calls it has answered:
+        # shared + exclusive inquiry everywhere, a stage at the quorum.
+        assert prepares == {"s1": 3, "s2": 3, "s3": 2}
+        assert quiet_bed.run(suite.read()).data == b"v1+"
+
+    def test_violet_two_suite_transaction_keeps_it_too(self):
+        from repro.core import make_configuration
+        from repro.violet import MeetingScheduler, empty_calendar_data
+        bed = Testbed(servers=["s1", "s2", "s3"], seed=17,
+                      refresh_enabled=False)
+        calendars = {
+            user: bed.install(make_configuration(
+                f"cal-{user}", [("s1", 1), ("s2", 1), ("s3", 1)], 2, 2),
+                empty_calendar_data())
+            for user in ("alice", "bob")}
+        scheduler = MeetingScheduler(bed.clients["client"].manager,
+                                     calendars)
+        sent = requests_sent(bed, scheduler.schedule(
+            "alice", ["bob"], "kickoff", 9.0, 10.0))
+        assert not any(args.get("prepare") for _s, _m, args in sent)
+        prepared = sorted(server for server, method, _args in sent
+                          if method == "txn.prepare")
+        assert prepared == ["s1", "s2", "s3"]
+        staged = [server for server, method, _args in sent
+                  if method == "txn.stage_write"]
+        assert len(staged) == 4         # two suites, a quorum of two each
+
+    def test_write_cost_formula(self):
+        from repro.core import make_configuration
+        five = make_configuration(
+            "five", [(f"s{i}", 1) for i in range(1, 6)], 3, 3)
+        # inquiry 2·5 + stage-and-vote 2·3 + release 2·(5 − 3) + commit 2·3
+        assert message_cost(five)["write"] == 10 + 6 + 4 + 6
+        bed = Testbed(servers=[f"s{i}" for i in range(1, 6)], seed=7,
+                      refresh_enabled=False)
+        suite = bed.install(five, b"v1")
+        delta, _ = message_delta(bed, suite.write(b"v2"))
+        assert delta == 26
+
+
+def _installing(bed, config):
+    from repro.core.suite import install_suite
+    return install_suite(bed.clients["client"].manager, config, b"data")

@@ -344,8 +344,10 @@ class TestTestbedTracing:
         members = [span for span in spans
                    if span.trace_id == root.trace_id]
         names = {span.name for span in members}
-        assert {"suite.write", "quorum.assemble", "2pc.prepare",
-                "2pc.commit"} <= names
+        assert {"suite.write", "quorum.assemble", "2pc.commit"} <= names
+        # The stages carried the votes: there was no prepare phase to
+        # span (``test_transact_trace_has_both_phases`` has one).
+        assert "2pc.prepare" not in names
 
         # Parent links: every non-root member resolves inside the trace.
         ids = {span.span_id for span in members}
@@ -374,6 +376,30 @@ class TestTestbedTracing:
                    for event in qspan.events)
         assert any(event.name == "quorum.satisfied"
                    for event in qspan.events)
+
+    def test_transact_trace_has_both_phases(self):
+        """A caller's transaction stages without voting, so its commit
+        runs — and spans — the prepare round."""
+        bed = Testbed(servers=["s1", "s2", "s3"], obs=True)
+        suite = bed.install(make_config(), b"v1")
+        bed.collector.ring.clear()
+        root = bed.collector.start_trace("app.bump")
+
+        def bump(txn):
+            txn.span = root
+            return (yield from suite.write_in(txn, b"v2"))
+
+        bed.run(suite.transact(bump))
+        members = [span for span in bed.collector.spans()
+                   if span.trace_id == root.trace_id]
+        phases = {span.name: span for span in members
+                  if span.name.startswith("2pc.")}
+        assert set(phases) == {"2pc.prepare", "2pc.commit"}
+        assert phases["2pc.prepare"].attrs["votes"] == 3
+        asked = [span.attrs["destination"] for span in members
+                 if span.kind == "client"
+                 and span.name == "rpc.txn.prepare"]
+        assert sorted(asked) == ["s1", "s2", "s3"]
 
     def test_obs_disabled_by_default_and_costless(self):
         bed = Testbed(servers=["s1", "s2", "s3"])
@@ -483,9 +509,11 @@ class TestLiveTracing:
                           if rep.rep_id in write.quorum}
         assert quorum_servers <= server_origins
 
-        # Both 2PC phases, with resolvable parent links throughout.
+        # Quorum assembly and the decision round (the votes rode the
+        # stages), with resolvable parent links throughout.
         names = {span.name for span in members}
-        assert {"quorum.assemble", "2pc.prepare", "2pc.commit"} <= names
+        assert {"quorum.assemble", "2pc.commit"} <= names
+        assert "2pc.prepare" not in names
         ids = {span.span_id for span in members}
         for span in members:
             if span is not root:
@@ -577,13 +605,14 @@ class TestTimelineAndCli:
                         if summary.root_name == "suite.write")
         text = render_trace(traces[write_id])
         assert "suite.write" in text
-        assert "2pc.prepare" in text
+        assert "2pc.commit" in text and "2pc.prepare" not in text
         assert "quorum.satisfied" in text
 
     def test_breakdown_feeds_bench_rows(self):
         bed = self._traced_bed()
         rows = breakdown(bed.collector.spans())
-        assert rows["2pc.prepare"][0] == 1
+        assert rows["2pc.commit"][0] == 1 and "2pc.prepare" not in rows
+        assert rows["rpc.txn.prepare"][0] == 2  # the release, both ends
         assert rows["quorum.assemble"][0] == 2  # one read, one write
         for _name, (count, mean) in rows.items():
             assert count >= 1 and mean >= 0.0

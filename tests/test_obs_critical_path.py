@@ -119,8 +119,21 @@ class TestTraceExtraction:
         for index in range(3):
             bed.run(suite.write(b"cp:w%d" % index))
         laggards = extract_phase_laggards(bed.collector.spans())
-        # prepare + commit per write, always gated by the slow server.
-        assert laggards == {"s2": 6}
+        # One commit round per write, always gated by the slow server;
+        # a suite write has no prepare round to lag in.
+        assert laggards == {"s2": 3}
+
+    def test_phase_laggards_of_a_callers_transaction_count_both_rounds(
+            self):
+        bed, suite = traced_bed(slow_server="s2")
+        root = bed.collector.start_trace("app.bump")
+
+        def bump(txn):
+            txn.span = root
+            return (yield from suite.write_in(txn, b"cp:w"))
+
+        bed.run(suite.transact(bump))
+        assert extract_phase_laggards(bed.collector.spans()) == {"s2": 2}
 
     def test_deterministic_across_reruns(self):
         def run():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FileExistsError_, NoSuchFileError, StorageError
-from repro.storage import ROOT_PAGE, FileSystem, Put, StableStore, drive
-from repro.storage.files import MAX_BUCKETS
+from repro.storage import (ROOT_PAGE, FileSystem, IntentionRow, Put,
+                           StableStore, drive)
+from repro.storage.files import MAX_BUCKETS, ROOT_FORMAT
+from tests.helpers import assert_pages_balanced
 
 
 def fresh_fs(num_pages=256, page_size=512):
@@ -27,12 +29,6 @@ def snapshot(fs):
     """Every file's ``(data, version, properties)``, by name."""
     return {name: (*fs.read_file_sync(name), fs.stat(name).properties)
             for name in fs.list_files()}
-
-
-def reachable_pages(fs):
-    """Pages the directory accounts for: root, bucket and data chains."""
-    return (1 + sum(len(pages) for pages in fs._bucket_pages)
-            + sum(len(pages) for pages in fs._file_pages.values()))
 
 
 def names_in_distinct_buckets(fs, count):
@@ -227,8 +223,7 @@ class TestCrashAtomicity:
             else:
                 assert recovered.list_files() == []
                 outcomes.add("deleted")
-            assert (recovered.free_pages + reachable_pages(recovered)
-                    == store.num_pages)
+            assert_pages_balanced(recovered)
         assert outcomes == {"old", "deleted"}
 
     def test_decay_after_crash_still_recovers(self):
@@ -283,8 +278,7 @@ class TestMultiFileUpdate:
             assert state in (old, new), f"mixed state after {kill_after}"
             seen_old |= state == old
             seen_new |= state == new
-            assert (recovered.free_pages + reachable_pages(recovered)
-                    == store.num_pages)
+            assert_pages_balanced(recovered)
         assert seen_old and seen_new
 
     def test_update_touches_only_its_buckets(self):
@@ -325,6 +319,205 @@ class TestMultiFileUpdate:
         assert fs.list_files() == []
 
 
+class TestIntentions:
+    """``intend`` / ``resolve``: a transaction's shadow pages and the
+    rows that record them in the files' own buckets."""
+
+    TXN = "client#7"
+
+    def build(self, page_size=512):
+        store = StableStore.create(256, page_size)
+        fs = FileSystem(store)
+        fs.format()
+        fs.write_file_sync("a", b"OLD-A" * 40, version=1, create=True,
+                           properties={"stamp": 1})
+        fs.write_file_sync("c", b"OLD-C" * 90, version=5, create=True)
+        return store, fs
+
+    def intend(self, fs):
+        """A put over an existing file, a create and a delete."""
+        return fs.intend(self.TXN,
+                         [Put("a", b"NEW-A" * 70, 2),
+                          Put("b", b"NEW-B" * 10, 1, {"stamp": 9})],
+                         deletes=["c"])
+
+    OLD = {"a": (b"OLD-A" * 40, 1, {"stamp": 1}),
+           "c": (b"OLD-C" * 90, 5, {})}
+    NEW = {"a": (b"NEW-A" * 70, 2, {"stamp": 1}),
+           "b": (b"NEW-B" * 10, 1, {"stamp": 9})}
+
+    def assert_prepared(self, fs):
+        """Files old, rows readable, shadow chains hold the new data."""
+        assert snapshot(fs) == self.OLD
+        rows = fs.intentions()
+        assert list(rows) == [self.TXN]
+        a, b, c = rows[self.TXN]
+        assert (a.name, a.version, a.length, a.properties, a.delete) == \
+            ("a", 2, 350, None, False)
+        assert (b.name, b.version, b.length, b.properties, b.delete) == \
+            ("b", 1, 50, {"stamp": 9}, False)
+        assert (c.name, c.delete, c.head) == ("c", True, -1)
+        chunks, pages = fs._walk_chain_sync(a.head)
+        assert b"".join(chunks) == b"NEW-A" * 70
+        assert pages == fs._intent_pages[self.TXN, "a"]
+
+    @pytest.mark.parametrize("page_size", [128, 512])
+    def test_intend_is_old_or_prepared_at_every_step(self, page_size):
+        store, fs = self.build(page_size)
+        total_steps = sum(1 for _ in self.intend(fs))
+        self.assert_prepared(fs)
+        seen = set()
+        for kill_after in range(total_steps + 1):
+            store, fs = self.build(page_size)
+            operation = self.intend(fs)
+            for _ in range(kill_after):
+                next(operation)
+            recovered = remount(store)
+            assert_pages_balanced(recovered)
+            if recovered.intentions():
+                self.assert_prepared(recovered)
+                seen.add("prepared")
+            else:
+                assert snapshot(recovered) == self.OLD
+                seen.add("old")
+        assert seen == {"old", "prepared"}
+
+    @pytest.mark.parametrize("page_size", [128, 512])
+    @pytest.mark.parametrize("install", [True, False])
+    def test_resolve_is_prepared_or_decided_at_every_step(self, page_size,
+                                                          install):
+        decided = self.NEW if install else self.OLD
+
+        def prepared():
+            store, fs = self.build(page_size)
+            drive(self.intend(fs))
+            return store, fs
+
+        store, fs = prepared()
+        data_writes = fs.store.primary.pages.writes
+        rows = drive(fs.resolve(self.TXN, install))
+        assert [row.name for row in rows] == ["a", "b", "c"]
+        total_steps = 2 * (fs.store.primary.pages.writes - data_writes)
+        # Bucket chains and the root only: resolving writes no data.
+        assert total_steps <= 2 * (3 * 2 + 1)
+        assert snapshot(fs) == decided and fs.intentions() == {}
+        assert_pages_balanced(fs)
+        seen = set()
+        for kill_after in range(total_steps + 1):
+            store, fs = prepared()
+            operation = fs.resolve(self.TXN, install)
+            for _ in range(kill_after):
+                next(operation)
+            recovered = remount(store)
+            assert_pages_balanced(recovered)
+            if recovered.intentions():
+                self.assert_prepared(recovered)
+                seen.add("prepared")
+                # Whoever decided asks again.
+                drive(recovered.resolve(self.TXN, install))
+                assert_pages_balanced(recovered)
+            else:
+                seen.add("decided")
+            assert snapshot(recovered) == decided
+            assert recovered.intentions() == {}
+            assert_pages_balanced(remount(store))
+        assert seen == {"prepared", "decided"}
+
+    def test_rows_live_in_the_bucket_of_the_file_they_name(self):
+        store, fs = self.build()
+        drive(self.intend(fs))
+        for name in ("a", "b", "c"):
+            rows = fs._buckets[fs._bucket_of(name)].rows
+            assert [row.name for row in rows] == [name]
+
+    def test_update_keeps_another_transactions_row(self):
+        fs = fresh_fs()
+        names = [name for name in (f"file-{i}" for i in range(2_000))
+                 if fs._bucket_of(name) == fs._bucket_of("file-0")][:2]
+        x, y = names
+        fs.write_file_sync(x, b"x1", version=1, create=True)
+        drive(fs.intend("t#1", [Put(y, b"y-new", 1)]))
+        fs.write_file_sync(x, b"x2", version=2)
+        fs.delete_file_sync(x)
+        recovered = remount(fs.store)
+        for image in (fs, recovered):
+            (row,) = image.intentions()["t#1"]
+            assert (row.name, row.version, row.length) == (y, 1, 5)
+            assert image.list_files() == []
+            assert_pages_balanced(image)
+        drive(recovered.resolve("t#1", install=True))
+        assert recovered.read_file_sync(y) == (b"y-new", 1)
+
+    def test_abort_of_a_prepared_create_frees_its_chain(self):
+        fs = fresh_fs()
+        free_before = fs.free_pages
+        drive(fs.intend("t#1", [Put("new", b"n" * 2_000, 1)]))
+        assert fs.free_pages <= free_before - 5
+        assert not fs.exists("new")
+        drive(fs.resolve("t#1", install=False))
+        assert fs.free_pages == free_before
+        assert fs.list_files() == [] and fs.intentions() == {}
+        assert remount(fs.store).free_pages == free_before
+
+    def test_install_releases_the_replaced_chain(self):
+        fs = fresh_fs()
+        fs.write_file_sync("f", b"o" * 2_000, version=1, create=True)
+        free_before = fs.free_pages
+        drive(fs.intend("t#1", [Put("f", b"n" * 2_000, 2)]))
+        drive(fs.resolve("t#1", install=True))
+        assert fs.read_file_sync("f") == (b"n" * 2_000, 2)
+        assert fs.free_pages == free_before
+        assert_pages_balanced(fs)
+
+    def test_resolving_twice_or_a_stranger_costs_nothing(self):
+        fs = fresh_fs()
+        drive(fs.intend("t#1", [Put("f", b"x", 1)]))
+        drive(fs.resolve("t#1", install=True))
+        writes = fs.store.primary.pages.writes
+        assert drive(fs.resolve("t#1", install=True)) == []
+        assert drive(fs.resolve("t#2", install=False)) == []
+        assert fs.store.primary.pages.writes == writes
+        assert fs.read_file_sync("f") == (b"x", 1)
+
+    def test_one_intention_list_per_transaction_and_distinct_names(self):
+        fs = fresh_fs()
+        drive(fs.intend("t#1", [Put("f", b"x", 1)]))
+        with pytest.raises(ValueError, match="already recorded"):
+            fs.intend("t#1", [Put("g", b"y", 1)])
+        with pytest.raises(ValueError, match="twice"):
+            fs.intend("t#2", [Put("g", b"y", 1)], deletes=["g"])
+
+    def test_delete_of_a_missing_file_resolves_to_nothing(self):
+        fs = fresh_fs()
+        drive(fs.intend("t#1", deletes=["ghost"]))
+        assert [row.name for row in fs.intentions()["t#1"]] == ["ghost"]
+        drive(fs.resolve("t#1", install=True))
+        assert fs.list_files() == [] and fs.intentions() == {}
+        assert_pages_balanced(fs)
+
+    def test_failed_intend_reclaims_every_new_page(self):
+        fs = fresh_fs(num_pages=16)
+        free_before = fs.free_pages
+        with pytest.raises(StorageError, match="out of pages"):
+            drive(fs.intend("t#1", [Put("small", b"x" * 100, 1),
+                                    Put("huge", b"x" * 100_000, 1)]))
+        assert fs.free_pages == free_before
+        assert fs.intentions() == {}
+        # The bucket chain is what does not fit.
+        fs = fresh_fs(num_pages=4, page_size=128)
+        free_before = fs.free_pages
+        with pytest.raises(StorageError, match="out of pages"):
+            drive(fs.intend("t#1", [Put("f", b"x" * 300, 1)]))
+        assert fs.free_pages == free_before
+        assert_pages_balanced(fs)
+
+    def test_row_shape_on_disk(self):
+        row = IntentionRow("c#9", "f", 4, 7, 12, {"stamp": 2})
+        assert row.to_json() == ["c#9", "f", 4, 7, 12, {"stamp": 2}, False]
+        assert IntentionRow.from_json(
+            json.loads(json.dumps(row.to_json()))) == row
+
+
 class TestOnDiskFormat:
     @pytest.mark.parametrize("page_size, buckets",
                              [(64, 11), (128, 27), (256, 59), (512, 64)])
@@ -349,6 +542,18 @@ class TestOnDiskFormat:
         with pytest.raises(StorageError, match="format"):
             FileSystem(store).mount()
 
+    def test_record_file_format_root_refused(self):
+        """Format 2 (prepared transactions in ``__txn__/`` record files)
+        is refused by name, not mis-read."""
+        fs = fresh_fs(num_pages=32)
+        root = bytearray(fs.store.read(ROOT_PAGE))
+        assert root[0] == ROOT_FORMAT == 3
+        root[0] = 2
+        fs.store.write(ROOT_PAGE, bytes(root))
+        with pytest.raises(StorageError,
+                           match=r"b'\\x02', expected format byte 3"):
+            FileSystem(fs.store).mount()
+
     def test_root_from_other_page_geometry_refused(self):
         small = fresh_fs(num_pages=32, page_size=128)
         root = small.store.read(ROOT_PAGE)
@@ -372,6 +577,11 @@ class TestModel:
                   st.dictionaries(st.sampled_from(NAMES),
                                   st.binary(max_size=300), max_size=3),
                   st.sets(st.sampled_from(NAMES), max_size=2)),
+        st.tuples(st.just("intend"),
+                  st.dictionaries(st.sampled_from(NAMES),
+                                  st.binary(max_size=300), max_size=3),
+                  st.sets(st.sampled_from(NAMES), max_size=2)),
+        st.tuples(st.just("resolve"), st.booleans()),
         st.tuples(st.just("remount")),
     ), min_size=1, max_size=25)
 
@@ -382,8 +592,32 @@ class TestModel:
         fs = FileSystem(store)
         fs.format()
         model = {}
+        pending = {}    # txn -> (puts, deletes), oldest first
         for version, (kind, *args) in enumerate(operations, start=1):
-            if kind == "create":
+            if kind == "intend":
+                puts, deletes = args
+                deletes = sorted(deletes - set(puts))
+                if not puts and not deletes:
+                    with pytest.raises(ValueError, match="nothing"):
+                        fs.intend(f"t#{version}")
+                    continue
+                drive(fs.intend(f"t#{version}",
+                                [Put(name, data, version)
+                                 for name, data in sorted(puts.items())],
+                                deletes))
+                pending[f"t#{version}"] = (
+                    {name: (data, version) for name, data in puts.items()},
+                    deletes)
+            elif kind == "resolve":
+                if pending:
+                    txn = next(iter(pending))
+                    puts, deletes = pending.pop(txn)
+                    drive(fs.resolve(txn, args[0]))
+                    if args[0]:
+                        for name in deletes:
+                            model.pop(name, None)
+                        model.update(puts)
+            elif kind == "create":
                 if args[0] in model:
                     with pytest.raises(FileExistsError_):
                         fs.create_file(args[0])
@@ -415,7 +649,8 @@ class TestModel:
                 fs = remount(store)
             assert {name: fs.read_file_sync(name)
                     for name in fs.list_files()} == model
-            assert fs.free_pages + reachable_pages(fs) == store.num_pages
+            assert sorted(fs.intentions()) == sorted(pending)
+            assert_pages_balanced(fs)
 
 
 class TestPropertyBased:

@@ -188,3 +188,51 @@ class TestAbortPaths:
         bed.settle(10_000.0)
         # s2 must not keep any transaction state.
         assert len(bed.servers["s2"].participant._active) == 0
+
+
+class TestParticipantRestartInMidTransaction:
+    """A member that restarts between a ``read_in`` and its
+    ``write_in`` answers both but remembers only the second: the vote
+    request says how many calls it answered, and it refuses."""
+
+    def test_restart_between_read_in_and_write_in_aborts(self):
+        from tests.helpers import triple_config
+        bed = Testbed(servers=["s1", "s2", "s3"], seed=3)
+        suite = bed.install(triple_config(), b"v1")
+        manager = bed.clients["client"].manager
+
+        def flow():
+            txn = manager.begin()
+            yield from suite.read_in(txn)
+            bed.crash("s1")         # its shared lock is gone ...
+            bed.restart("s1")
+            yield from suite.write_in(txn, b"v2")
+            assert txn.answered["s1"] == 3  # stat, stat, stage
+            with pytest.raises(TransactionAborted,
+                               match="prepare failed at s1.*2 of 3"):
+                yield from txn.commit()
+
+        bed.run(flow())
+        bed.settle(10_000.0)
+        for node in bed.servers.values():
+            assert node.server.fs.read_file_sync("suite:db") == (b"v1", 1)
+            assert node.server.fs.intentions() == {}
+            assert not node.participant._active
+
+    def test_transact_retries_past_the_refusal(self):
+        from tests.helpers import triple_config
+        bed = Testbed(servers=["s1", "s2", "s3"], seed=3)
+        suite = bed.install(triple_config(), b"v1")
+        restarts = []
+
+        def bump(txn):
+            current = yield from suite.read_in(txn)
+            if not restarts:
+                restarts.append(bed.sim.now)
+                bed.crash("s1")
+                bed.restart("s1")
+            return (yield from suite.write_in(txn, current.data + b"+"))
+
+        result = bed.run(suite.transact(bump))
+        assert result.attempts == 2 and result.version == 2
+        assert bed.run(suite.read()).data == b"v1+"

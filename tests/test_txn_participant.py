@@ -3,11 +3,10 @@
 import pytest
 
 from repro.errors import (InvalidTransactionState, LockTimeoutError,
-                          NoSuchFileError, TransactionAborted)
+                          NoSuchFileError, RpcTimeout, TransactionAborted)
 from repro.testbed import Testbed
-from repro.txn import (EXCLUSIVE, VOTE_PREPARED, VOTE_READ_ONLY, Intention,
-                       TransactionRecord)
-from repro.txn.log import is_record_file, record_file_name
+from repro.txn import EXCLUSIVE, VOTE_PREPARED, VOTE_READ_ONLY
+from tests.helpers import assert_pages_balanced, watch_requests
 
 
 @pytest.fixture
@@ -24,25 +23,44 @@ def files_on(bed, server="s1"):
     return {name: fs.read_file_sync(name) for name in fs.list_files()}
 
 
-def time_the_update(bed, process, expected, server="s1"):
+def rows_on(bed, server="s1"):
+    """Intention rows on disk, as ``{txn: [(name, version, delete)]}``."""
+    return {txn: [(row.name, row.version, row.delete) for row in rows]
+            for txn, rows
+            in bed.servers[server].server.fs.intentions().items()}
+
+
+def time_the_update(bed, process, expected, server="s1", tap="update",
+                    through=None):
     """Dry run of a crash loop: let ``process`` finish and report when
-    the participant's file-system update started and how many page
-    steps it took."""
+    the participant's file-system operation ``tap`` (``update``,
+    ``intend`` or ``resolve``) started and how many page steps were
+    taken from there to the end of the operation ``through`` (the
+    same one, unless given)."""
     node = bed.servers[server].server
     stores = (node.stable.primary.pages, node.stable.shadow.pages)
     seen = {}
-    update = node.update
 
-    def tapped(puts=(), deletes=()):
-        seen["start"] = bed.sim.now
-        seen["writes"] = sum(store.writes for store in stores)
-        return update(puts, deletes)
+    def page_writes():
+        return sum(store.writes for store in stores)
 
-    node.update = tapped
+    def tapping(name):
+        operation = getattr(node, name)
+
+        def tapped(*args, **kwargs):
+            seen.setdefault("start", bed.sim.now)
+            seen.setdefault("writes", page_writes())
+            result = yield from operation(*args, **kwargs)
+            seen["end"] = page_writes()
+            return result
+
+        setattr(node, name, tapped)
+
+    for name in {tap, through or tap}:
+        tapping(name)
     bed.settle()
     assert process.triggered and files_on(bed, server) == expected
-    steps = sum(store.writes for store in stores) - seen["writes"]
-    return seen["start"], steps
+    return seen["start"], seen["end"] - seen["writes"]
 
 
 class TestDataOperations:
@@ -190,8 +208,32 @@ class TestVotes:
 
         vote, txn_text = bed.run(flow())
         assert vote == VOTE_PREPARED
+        # Durable as one row in the file's own bucket, pointing at the
+        # shadow chain that already holds the data; the file itself is
+        # not there yet, and no record file stands in for it.
         fs = bed.servers["s1"].server.fs
-        assert any(name.startswith("__txn__/") for name in fs.list_files())
+        (row,) = fs.intentions()[txn_text]
+        assert (row.name, row.version, row.length, row.delete) == \
+            ("f", 1, 1, False)
+        assert row in fs._buckets[fs._bucket_of("f")].rows
+        assert fs._walk_chain_sync(row.head)[0] == [b"x"]
+        assert fs.list_files() == []
+        assert_pages_balanced(fs)
+
+    def test_second_prepare_votes_again_without_writing(self, bed):
+        manager = manager_of(bed)
+        pages = bed.servers["s1"].server.stable.primary.pages
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stage_write", name="f", data=b"x",
+                           version=1, create=True)
+            yield txn.call("s1", "txn.prepare")
+            writes = pages.writes
+            vote = yield txn.call("s1", "txn.prepare")
+            return vote, pages.writes - writes
+
+        assert bed.run(flow()) == (VOTE_PREPARED, 0)
 
     def test_prepare_unknown_transaction_refused(self, bed):
         manager = manager_of(bed)
@@ -279,16 +321,14 @@ class TestRecovery:
 
 
 class TestCommitCrashAtEveryStep:
-    """The commit's root flip is the commit point: kill the participant
-    after every page step of ``txn.commit`` and restart it."""
+    """The vote's root flip makes the transaction prepared, the
+    commit's root flip is the commit point: kill the participant after
+    every page step of ``txn.prepare`` and of ``txn.commit`` and
+    restart it."""
 
     OLD = {"a": (b"old-a" * 30, 1), "c": (b"old-c" * 30, 1)}
     NEW = {"a": (b"new-a" * 50, 2), "b": (b"new-b" * 10, 1)}
-    INTENTIONS = [
-        Intention(name="a", data=b"new-a" * 50, version=2),
-        Intention(name="b", data=b"new-b" * 10, version=1),
-        Intention(name="c", data=b"", version=0, delete=True),
-    ]
+    ROWS = [("a", 2, False), ("b", 1, False), ("c", 0, True)]
 
     def start(self, page_size):
         """A bed with the old state installed and the transaction's
@@ -311,50 +351,507 @@ class TestCommitCrashAtEveryStep:
                 yield txn.call("s1", "txn.stage_write", name=name,
                                data=data, version=version, create=True)
             yield txn.call("s1", "txn.stage_delete", name="c")
-            yield from txn.commit()
+            try:
+                yield from txn.commit()
+            except TransactionAborted:
+                return "aborted"
+            return "committed"
 
         bed.run(setup())
         return bed, bed.sim.spawn(flow()), holder
 
-    def measure(self, page_size):
-        """Dry run: when the participant's commit starts and how many
-        page steps it takes."""
+    def measure(self, page_size, tap):
+        """Dry run: when the participant's ``tap`` operation starts and
+        how many page steps it takes."""
         bed, process, _holder = self.start(page_size)
-        return time_the_update(bed, process, self.NEW)
+        return time_the_update(bed, process, self.NEW, tap=tap)
+
+    def crashed(self, page_size, at):
+        """The flow run to virtual time ``at``, then s1 killed and
+        restarted; pages must balance whatever was on disk."""
+        bed, process, holder = self.start(page_size)
+        bed.sim.run(until=at)
+        bed.crash("s1")
+        bed.restart("s1")
+        assert_pages_balanced(bed.servers["s1"].server.fs)
+        return bed, process, holder["txn"].txn_id
+
+    def assert_in_doubt(self, bed, txn_id):
+        participant = bed.servers["s1"].participant
+        assert participant.in_doubt() == [txn_id]
+        assert files_on(bed) == self.OLD
+        assert rows_on(bed) == {str(txn_id): self.ROWS}
+        for name in "abc":
+            assert participant.locks.holds(txn_id, name, EXCLUSIVE)
+
+    def assert_finished(self, bed, txn_id, files):
+        participant = bed.servers["s1"].participant
+        assert files_on(bed) == files and rows_on(bed) == {}
+        assert participant.in_doubt() == []
+        assert participant.locks.locked_resources(txn_id) == set()
+        assert_pages_balanced(bed.servers["s1"].server.fs)
 
     @pytest.mark.parametrize("page_size", [128, 512])
     def test_in_doubt_or_applied_then_retry_converges(self, page_size):
-        start, steps = self.measure(page_size)
-        assert steps >= 6  # two data chains, a bucket or more, the root
+        start, steps = self.measure(page_size, "resolve")
+        # Bucket chains and the root, primary + shadow: no data page.
+        assert 4 <= steps <= 2 * (3 * 2 + 1)
         in_doubt_runs = applied_runs = 0
         for done in range(steps + 1):
-            bed, process, holder = self.start(page_size)
             # Step j's page write lands at start + j: stop between
             # write ``done - 1`` and write ``done``.
-            bed.sim.run(until=start + done - 0.5)
-            bed.crash("s1")
-            bed.restart("s1")
-            txn_id = holder["txn"].txn_id
-            participant = bed.servers["s1"].participant
-            if participant.in_doubt():
+            bed, process, txn_id = self.crashed(page_size,
+                                                start + done - 0.5)
+            if bed.servers["s1"].participant.in_doubt():
                 in_doubt_runs += 1
-                assert participant.in_doubt() == [txn_id]
-                files = files_on(bed)
-                blob, _version = files.pop(record_file_name(txn_id))
-                assert (TransactionRecord.decode(blob).intentions
-                        == self.INTENTIONS)
-                assert files == self.OLD
-                assert participant.locks.holds(txn_id, "a", EXCLUSIVE)
+                self.assert_in_doubt(bed, txn_id)
             else:
                 applied_runs += 1
                 assert files_on(bed) == self.NEW
             # The coordinator keeps re-sending its decision.
             bed.settle(30_000.0)
-            assert process.triggered
-            assert files_on(bed) == self.NEW
-            assert participant.in_doubt() == []
-            assert participant.locks.locked_resources(txn_id) == set()
+            assert process.value == "committed"
+            self.assert_finished(bed, txn_id, self.NEW)
         assert in_doubt_runs and applied_runs
+
+    @pytest.mark.parametrize("page_size", [128, 512])
+    def test_vote_lost_in_a_crash_aborts_and_frees_the_shadow_pages(
+            self, page_size):
+        start, steps = self.measure(page_size, "intend")
+        assert steps >= 8  # two data chains, their buckets, the root
+        in_doubt_runs = old_runs = 0
+        for done in range(steps + 1):
+            bed, process, txn_id = self.crashed(page_size,
+                                                start + done - 0.5)
+            if bed.servers["s1"].participant.in_doubt():
+                in_doubt_runs += 1
+                self.assert_in_doubt(bed, txn_id)
+            else:
+                old_runs += 1
+                assert files_on(bed) == self.OLD and rows_on(bed) == {}
+            # The vote never arrived: the retransmitted request finds
+            # a participant that has forgotten the stages, is refused,
+            # and the coordinator's abort takes the rows back.
+            bed.settle(30_000.0)
+            assert process.value == "aborted"
+            self.assert_finished(bed, txn_id, self.OLD)
+        assert in_doubt_runs and old_runs
+
+
+class TestVotingStage:
+    """``stage_write(prepare=True)``: stage and vote in one call."""
+
+    def install(self, bed, name="f", data=b"old", version=1):
+        TestReleasingCalls.install(self, bed, name, data, version)
+
+    def test_stages_records_and_votes_and_commit_skips_phase_one(
+            self, bed):
+        self.install(bed)
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stat", name="f", mode=EXCLUSIVE)
+            vote = yield txn.call("s1", "txn.stage_write", name="f",
+                                  data=b"new", version=2, prepare=True)
+            assert rows_on(bed) == {str(txn.txn_id): [("f", 2, False)]}
+            assert participant._active[txn.txn_id].prepared
+            assert files_on(bed) == {"f": (b"old", 1)}
+            sent = bed.network.messages_sent
+            yield from txn.commit()
+            return txn, vote, bed.network.messages_sent - sent
+
+        txn, vote, commit_messages = bed.run(flow())
+        assert vote == VOTE_PREPARED
+        assert txn.voted == txn.staged == txn.participants == {"s1"}
+        assert txn.answered == {"s1": 2}
+        assert commit_messages == 2     # txn.commit and its ack
+        assert files_on(bed) == {"f": (b"new", 2)} and rows_on(bed) == {}
+        assert_nothing_left(participant, txn.txn_id)
+
+    def test_lock_holders_are_released_without_being_waited_for(self):
+        bed = Testbed(servers=["s1", "s2"], seed=3)
+        manager = manager_of(bed)
+        bed.network.set_latency("client", "s2", 40.0)
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s2", "txn.stat", name="g", mode=EXCLUSIVE)
+            yield txn.call("s1", "txn.stage_write", name="f", data=b"x",
+                           version=1, create=True, prepare=True)
+            started, sent = bed.sim.now, bed.network.messages_sent
+            yield from txn.commit()
+            return txn, bed.sim.now - started, sent
+
+        def make_g():
+            txn = manager.begin()
+            yield txn.call("s2", "txn.stage_write", name="g", data=b"g",
+                           version=1, create=True)
+            yield from txn.commit()
+
+        bed.run(make_g())
+        txn, took, sent = bed.run(flow())
+        assert took < 10.0              # one round to s1, none to s2
+        bed.settle(5_000.0)
+        # commit + ack at s1, release-prepare + read-only vote at s2.
+        assert bed.network.messages_sent - sent == 4
+        assert_nothing_left(bed.servers["s2"].participant, txn.txn_id)
+
+    def test_explicit_round_covers_whoever_has_not_voted(self):
+        """A transaction that mixes a voting stage with a plain one
+        still asks the plain stager for its vote, and commits both."""
+        bed = Testbed(servers=["s1", "s2"], seed=3)
+        manager = manager_of(bed)
+        requests = watch_requests(bed)
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stage_write", name="f", data=b"1",
+                           version=1, create=True, prepare=True)
+            yield txn.call("s2", "txn.stage_write", name="f", data=b"2",
+                           version=1, create=True)
+            yield from txn.commit()
+            return txn
+
+        txn = bed.run(flow())
+        asked = [(server, request.args["answered"])
+                 for server, request in requests
+                 if request.method == "txn.prepare"]
+        assert txn.voted == {"s1"} and asked == [("s2", 1)]
+        assert files_on(bed, "s1") == {"f": (b"1", 1)}
+        assert files_on(bed, "s2") == {"f": (b"2", 1)}
+
+    def test_refused_when_already_prepared_or_holding_another_intention(
+            self, bed):
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            voted = manager.begin()
+            yield voted.call("s1", "txn.stage_write", name="a", data=b"a",
+                             version=1, create=True, prepare=True)
+            with pytest.raises(InvalidTransactionState,
+                               match="already prepared"):
+                yield voted.call("s1", "txn.stage_write", name="b",
+                                 data=b"b", version=1, create=True,
+                                 prepare=True)
+            holding = manager.begin()
+            yield holding.call("s1", "txn.stage_write", name="c",
+                               data=b"c", version=1, create=True)
+            with pytest.raises(InvalidTransactionState,
+                               match="voting stage"):
+                yield holding.call("s1", "txn.stage_write", name="d",
+                                   data=b"d", version=1, create=True,
+                                   prepare=True)
+            # Neither refusal touched anything.
+            assert not participant.locks.holds(voted.txn_id, "b")
+            assert not participant.locks.holds(holding.txn_id, "d")
+            assert rows_on(bed) == {str(voted.txn_id): [("a", 1, False)]}
+            yield from voted.commit()
+            yield from holding.commit()
+
+        bed.run(flow())
+        assert sorted(files_on(bed)) == ["a", "c"]
+
+    def test_skipped_stage_does_not_vote(self, bed):
+        self.install(bed, version=5)
+        manager = manager_of(bed)
+
+        def flow():
+            txn = manager.begin()
+            outcome = yield txn.call(
+                "s1", "txn.stage_write", name="f", data=b"v3", version=3,
+                only_if_newer=True, prepare=True)
+            voted = set(txn.voted)
+            yield from txn.commit()
+            return outcome, voted
+
+        assert bed.run(flow()) == ("skipped", set())
+        assert rows_on(bed) == {} and files_on(bed) == {"f": (b"old", 5)}
+
+    def test_lost_prepared_reply_is_a_no_and_abort_takes_the_row_back(
+            self):
+        bed = Testbed(servers=["s1"], seed=3, call_timeout=200.0,
+                      page_io_time=1.0)
+        self.install(bed)
+        manager = manager_of(bed)
+        manager.transport_attempts = 1
+        participant = bed.servers["s1"].participant
+        fs = bed.servers["s1"].server.fs
+        free_before = fs.free_pages
+
+        def cut_the_reply():
+            yield bed.sim.timeout(1.5)      # the request has arrived
+            bed.network.set_link_down("s1", "client")
+            yield bed.sim.timeout(100.0)
+            assert rows_on(bed)             # ... and been voted for
+            bed.network.set_link_up("s1", "client")
+
+        def flow():
+            txn = manager.begin()
+            bed.sim.spawn(cut_the_reply())
+            try:
+                yield txn.call("s1", "txn.stage_write", name="f",
+                               data=b"new", version=2, prepare=True)
+            except RpcTimeout:
+                assert txn.voted == set() and txn.attempted == {"s1"}
+                yield from txn.abort()
+                return txn
+            raise AssertionError("the reply got through")
+
+        txn = bed.run(flow())
+        bed.settle(5_000.0)
+        assert rows_on(bed) == {} and files_on(bed) == {"f": (b"old", 1)}
+        assert fs.free_pages == free_before
+        assert_nothing_left(participant, txn.txn_id)
+        assert_pages_balanced(fs)
+
+    def test_abort_overtaking_a_slow_vote_leaves_no_row(self):
+        """The client gives up while the disk is still writing the
+        vote: the handler finds itself aborted and takes the row back."""
+        bed = Testbed(servers=["s1"], seed=3, page_io_time=20.0,
+                      idle_abort_after=None)
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            txn = manager.begin()
+            vote = txn.call("s1", "txn.stage_write", name="f", data=b"x",
+                            version=1, create=True, prepare=True)
+            yield bed.sim.timeout(30.0)     # mid-intend
+            yield manager.endpoint.call("s1", "txn.abort", timeout=1_000.0,
+                                        txn=str(txn.txn_id))
+            with pytest.raises(TransactionAborted, match="while it was"):
+                yield vote
+            return txn
+
+        txn = bed.run(flow())
+        assert rows_on(bed) == {} and files_on(bed) == {}
+        assert_nothing_left(participant, txn.txn_id)
+        assert_pages_balanced(bed.servers["s1"].server.fs)
+
+    def test_late_first_delivery_after_recovery_is_refused(self, bed):
+        """A resent voting stage (new call id) reaching a participant
+        that already holds the transaction in doubt changes nothing."""
+        self.install(bed)
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+        request = dict(name="f", data=b"new", version=2, prepare=True,
+                       answered=1)
+
+        def vote():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stat", name="f", mode=EXCLUSIVE)
+            yield txn.call("s1", "txn.stage_write", **{
+                key: value for key, value in request.items()
+                if key != "answered"})
+            return txn
+
+        txn = bed.run(vote())
+        bed.crash("s1")
+        bed.restart("s1")
+        assert participant.in_doubt() == [txn.txn_id]
+
+        def late():
+            for answered in (1, 0):
+                with pytest.raises(TransactionAborted):
+                    yield manager.endpoint.call(
+                        "s1", "txn.stage_write", timeout=1_000.0,
+                        txn=str(txn.txn_id),
+                        **dict(request, answered=answered))
+
+        bed.run(late())
+        assert participant.in_doubt() == [txn.txn_id]
+        assert txn.txn_id not in participant._active
+        assert rows_on(bed) == {str(txn.txn_id): [("f", 2, False)]}
+        assert participant.locks.holds(txn.txn_id, "f", EXCLUSIVE)
+        assert files_on(bed) == {"f": (b"old", 1)}
+        bed.run(txn.commit())
+        assert files_on(bed) == {"f": (b"new", 2)}
+
+
+class TestVotingStageCrashAtEveryStep:
+    """Kill the participant after every page step from the start of a
+    voting stage's ``intend`` to the end of the commit's ``resolve``,
+    with the coordinator carrying on (abort when the vote was lost,
+    commit retries once it has decided)."""
+
+    OLD = {"f": (b"old-f" * 30, 1)}
+    NEW = {"f": (b"new-f" * 50, 2)}
+
+    def start(self, page_size):
+        bed = Testbed(servers=["s1"], seed=3, page_io_time=1.0,
+                      page_size=page_size, idle_abort_after=None)
+        manager = manager_of(bed)
+        holder = {}
+
+        def setup():
+            txn = manager.begin()
+            data, version = self.OLD["f"]
+            yield txn.call("s1", "txn.stage_write", name="f", data=data,
+                           version=version, create=True, prepare=True)
+            yield from txn.commit()
+
+        def flow():
+            txn = holder["txn"] = manager.begin()
+            data, version = self.NEW["f"]
+            try:
+                yield txn.call("s1", "txn.stat", name="f", mode=EXCLUSIVE)
+                yield txn.call("s1", "txn.stage_write", name="f",
+                               data=data, version=version, prepare=True)
+                yield from txn.commit()
+            except (TransactionAborted, RpcTimeout):
+                yield from txn.abort()
+                return "aborted"
+            return "committed"
+
+        bed.run(setup())
+        assert files_on(bed) == self.OLD
+        return bed, bed.sim.spawn(flow()), holder
+
+    @pytest.mark.parametrize("page_size", [128, 512])
+    def test_old_in_doubt_or_new_and_the_coordinator_converges(
+            self, page_size):
+        bed, process, _holder = self.start(page_size)
+        start, steps = time_the_update(bed, process, self.NEW,
+                                       tap="intend", through="resolve")
+        assert steps >= 10  # data, bucket, root; bucket, root; twice
+        seen = set()
+        # Two message delays sit between the vote and the commit.
+        for tick in range(steps + 4):
+            bed, process, holder = self.start(page_size)
+            bed.sim.run(until=start + tick - 0.5)
+            bed.crash("s1")
+            bed.restart("s1")
+            txn_id = holder["txn"].txn_id
+            participant = bed.servers["s1"].participant
+            fs = bed.servers["s1"].server.fs
+            assert_pages_balanced(fs)
+            if participant.in_doubt():
+                assert participant.in_doubt() == [txn_id]
+                assert files_on(bed) == self.OLD
+                assert rows_on(bed) == {str(txn_id): [("f", 2, False)]}
+                assert participant.locks.holds(txn_id, "f", EXCLUSIVE)
+                state = "in-doubt"
+            else:
+                assert rows_on(bed) == {}
+                state = "old" if files_on(bed) == self.OLD else "new"
+                assert files_on(bed) in (self.OLD, self.NEW)
+            bed.settle(60_000.0)
+            outcome = process.value
+            seen.add((state, outcome))
+            assert files_on(bed) == (self.NEW if outcome == "committed"
+                                     else self.OLD)
+            assert participant.in_doubt() == [] and rows_on(bed) == {}
+            assert participant.locks.locked_resources(txn_id) == set()
+            assert_pages_balanced(fs)
+            assert_pages_balanced(bed.servers["s1"].server.fs)
+        # A crash before the vote is out aborts (from old or from in
+        # doubt); after it the decision is commit (from in doubt or
+        # already new); old never ends committed, new never aborted.
+        assert seen == {("old", "aborted"), ("in-doubt", "aborted"),
+                        ("in-doubt", "committed"), ("new", "committed")}
+
+
+class TestRestartInMidTransaction:
+    """A participant that restarts between two calls of one transaction
+    has lost the first call's lock and intention.  The vote request
+    names how many calls it answered, so it refuses instead of voting
+    for what is left."""
+
+    def one_server(self):
+        return Testbed(servers=["s1"], seed=3, idle_abort_after=None)
+
+    def test_partial_commit_is_refused(self):
+        bed = self.one_server()
+        manager = manager_of(bed)
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stage_write", name="a", data=b"a",
+                           version=1, create=True)
+            bed.crash("s1")
+            bed.restart("s1")
+            yield txn.call("s1", "txn.stage_write", name="b", data=b"b",
+                           version=1, create=True)
+            assert txn.answered == {"s1": 2}
+            with pytest.raises(TransactionAborted, match="1 of 2"):
+                yield from txn.commit()
+            return txn
+
+        txn = bed.run(flow())
+        bed.settle(5_000.0)
+        assert txn.state == "aborted"
+        assert files_on(bed) == {} and rows_on(bed) == {}
+        assert_nothing_left(bed.servers["s1"].participant, txn.txn_id)
+
+    def test_restart_between_the_stages_of_a_larger_transaction(self):
+        crash_flow = TestCommitCrashAtEveryStep()
+        bed = Testbed(servers=["s1"], seed=3, idle_abort_after=None)
+        manager = manager_of(bed)
+
+        def setup():
+            txn = manager.begin()
+            for name, (data, version) in crash_flow.OLD.items():
+                yield txn.call("s1", "txn.stage_write", name=name,
+                               data=data, version=version, create=True)
+            yield from txn.commit()
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stage_write", name="a",
+                           data=b"new-a" * 50, version=2)
+            bed.crash("s1")
+            bed.restart("s1")
+            yield txn.call("s1", "txn.stage_write", name="b",
+                           data=b"new-b" * 10, version=1, create=True)
+            yield txn.call("s1", "txn.stage_delete", name="c")
+            with pytest.raises(TransactionAborted):
+                yield from txn.commit()
+
+        bed.run(setup())
+        bed.run(flow())
+        bed.settle(5_000.0)
+        assert files_on(bed) == crash_flow.OLD      # not a-old, b, no c
+
+    def test_voting_stage_after_a_restart_is_refused(self):
+        bed = self.one_server()
+        TestReleasingCalls.install(self, bed)
+        manager = manager_of(bed)
+        participant = bed.servers["s1"].participant
+
+        def flow():
+            txn = manager.begin()
+            yield txn.call("s1", "txn.stat", name="f", mode=EXCLUSIVE)
+            bed.crash("s1")
+            bed.restart("s1")
+            with pytest.raises(TransactionAborted, match="0 of 1"):
+                yield txn.call("s1", "txn.stage_write", name="f",
+                               data=b"new", version=2, prepare=True)
+            # Refused before anything was touched.
+            assert txn.txn_id not in participant._active
+            assert participant.locks.holders_of("f") == {}
+            yield from txn.abort()
+
+        bed.run(flow())
+        assert files_on(bed) == {"f": (b"x" * 40, 1)} and rows_on(bed) == {}
+
+    def test_first_call_of_a_transaction_may_vote(self):
+        """``answered`` 0 (``install_suite``): nothing to have forgotten."""
+        bed = self.one_server()
+        manager = manager_of(bed)
+
+        def flow():
+            txn = manager.begin()
+            vote = yield txn.call("s1", "txn.stage_write", name="f",
+                                  data=b"x", version=1, create=True,
+                                  prepare=True)
+            yield from txn.commit()
+            return vote
+
+        assert bed.run(flow()) == VOTE_PREPARED
+        assert files_on(bed) == {"f": (b"x", 1)}
 
 
 def assert_nothing_left(participant, txn_id):
@@ -504,7 +1001,7 @@ class TestOnePhaseStage:
         assert outcome == "committed"
         assert fs.read_file_sync("f") == (b"v1", 1)
         assert fs.stat("f").properties == {"stamp": 3}
-        assert not any(is_record_file(name) for name in fs.list_files())
+        assert fs.list_files() == ["f"] and fs.intentions() == {}
         assert_nothing_left(participant, txn.txn_id)
         assert txn.txn_id in participant._finished
         assert participant.commits == 1 and participant.in_doubt() == []
@@ -646,8 +1143,9 @@ class TestOnePhaseCrashAtEveryStep:
             participant = bed.servers["s1"].participant
             assert participant.in_doubt() == []
             assert participant.locks.holders_of("f") == {}
-            files = files_on(bed)      # no record file among them
-            assert files in (self.OLD, self.NEW)
+            files = files_on(bed)
+            assert files in (self.OLD, self.NEW) and rows_on(bed) == {}
+            assert_pages_balanced(bed.servers["s1"].server.fs)
             if files == self.OLD:
                 old_runs += 1
             else:

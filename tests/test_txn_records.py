@@ -1,9 +1,9 @@
-"""Transaction ids and durable record serialization."""
+"""Transaction ids and the durable form of an intentions list."""
 
 import pytest
 
-from repro.txn import (Intention, TransactionId, TransactionIdGenerator,
-                       TransactionRecord, is_record_file, record_file_name)
+from repro.storage import FileSystem, Put, StableStore, drive
+from repro.txn import TransactionId, TransactionIdGenerator
 
 
 class TestTransactionId:
@@ -36,28 +36,48 @@ class TestTransactionId:
 
 
 class TestRecords:
-    def test_round_trip(self):
-        record = TransactionRecord(
-            txn_id=TransactionId("c", 9),
-            intentions=[
-                Intention(name="f", data=b"\x00\xffbinary", version=4,
-                          properties={"stamp": 2}),
-                Intention(name="g", data=b"", version=0, delete=True),
-            ])
-        decoded = TransactionRecord.decode(record.encode())
-        assert decoded.txn_id == record.txn_id
-        assert decoded.intentions == record.intentions
+    """Intention rows survive a remount exactly as ``intend`` wrote
+    them, keyed by the transaction id's string form."""
 
-    def test_record_file_naming(self):
-        txn = TransactionId("host", 5)
-        name = record_file_name(txn)
-        assert is_record_file(name)
-        assert not is_record_file("suite:db")
-        assert str(txn) in name
+    def remounted(self, txn, puts=(), deletes=()):
+        store = StableStore.create(64)
+        fs = FileSystem(store)
+        fs.format()
+        drive(fs.intend(str(txn), puts, deletes))
+        recovered = FileSystem(store)
+        recovered.mount()
+        return recovered
+
+    def test_round_trip(self):
+        txn = TransactionId("c", 9)
+        fs = self.remounted(
+            txn, [Put("f", b"\x00\xffbinary", 4, {"stamp": 2})],
+            deletes=["g"])
+        (recorded, rows), = fs.intentions().items()
+        assert TransactionId.parse(recorded) == txn
+        f, g = rows
+        assert (f.txn, f.name, f.version, f.length, f.properties,
+                f.delete) == (str(txn), "f", 4, 8, {"stamp": 2}, False)
+        chunks, _pages = fs._walk_chain_sync(f.head)
+        assert b"".join(chunks) == b"\x00\xffbinary"
+        assert (g.name, g.delete, g.head, g.properties) == \
+            ("g", True, -1, None)
 
     def test_properties_none_preserved(self):
-        record = TransactionRecord(
-            TransactionId("c", 2),
-            intentions=[Intention(name="f", data=b"d", version=1)])
-        decoded = TransactionRecord.decode(record.encode())
-        assert decoded.intentions[0].properties is None
+        fs = self.remounted(TransactionId("c", 2), [Put("f", b"d", 1)])
+        (row,), = fs.intentions().values()
+        assert row.properties is None
+
+    def test_transactions_are_kept_apart(self):
+        store = StableStore.create(64)
+        fs = FileSystem(store)
+        fs.format()
+        first, second = TransactionId("we#ird", 7), TransactionId("c", 8)
+        drive(fs.intend(str(first), [Put("f", b"1", 1)]))
+        drive(fs.intend(str(second), [Put("g", b"2", 1)], deletes=["h"]))
+        recovered = FileSystem(store)
+        recovered.mount()
+        rows = recovered.intentions()
+        assert {TransactionId.parse(txn) for txn in rows} == {first, second}
+        assert [row.name for row in rows[str(first)]] == ["f"]
+        assert [row.name for row in rows[str(second)]] == ["g", "h"]

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tests.helpers import triple_config
 from repro.chaos.policy import ChaosPolicy, ChaosVerdict
-from repro.errors import ReproError
+from repro.errors import ReproError, TransactionAborted
 from repro.testbed import Testbed
 from repro.verification import (HistoryRecorder, Operation, check_history)
 
@@ -199,9 +199,9 @@ class TestNoNewOldInversion:
     is prepared or applied, so a later read quorum meets a member that
     blocks it or shows it the new version."""
 
-    #: On the writer's link to s2, a write sends stat, stage, prepare
-    #: and then the commit.
-    COMMIT = 4
+    #: On the writer's link to s2, a write sends stat, the stage that
+    #: carries the vote request, and then the commit.
+    COMMIT = 3
 
     def deploy(self, verdict):
         bed = Testbed(servers=["s1", "s2", "s3"],
@@ -225,6 +225,7 @@ class TestNoNewOldInversion:
         while fs["s1"].stat("suite:db").version < 2:
             assert bed.sim.step()
         # Decided and applied at s1; s2 prepared, its commit not there.
+        assert bed.network.chaos.seen == self.COMMIT
         assert fs["s2"].stat("suite:db").version == 1
         assert not write.triggered
         return bed, history, first, second, write
@@ -322,13 +323,38 @@ class TestConcurrentMixUnderFaults:
 
         recorders = [HistoryRecorder(suites[name], name, history)
                      for name in self.CLIENTS]
+        forgotten = self.watch_for_forgotten_calls(bed)
         processes = [bed.sim.spawn(client_loop(recorder))
                      for recorder in recorders]
         bed.sim.run_until(bed.sim.all_of(processes))
         bed.network.chaos = None
         bed.settle(20_000.0)
+        # Nobody restarted, so no participant may claim it has.
+        assert forgotten == []
         final = bed.run(recorders[0].read())
         return history, increments, final
+
+    @staticmethod
+    def watch_for_forgotten_calls(bed):
+        """Vote requests refused because the participant remembered
+        *some* but not all of the calls it answered — which only a
+        restart in mid-transaction can cause."""
+        forgotten = []
+        for name, node in bed.servers.items():
+            participant = node.participant
+            check = participant._require_remembered
+
+            def watching(txn_id, answered, participant=participant,
+                         check=check, name=name):
+                try:
+                    check(txn_id, answered)
+                except TransactionAborted:
+                    if txn_id in participant._active:
+                        forgotten.append((name, txn_id, answered))
+                    raise
+
+            participant._require_remembered = watching
+        return forgotten
 
     @pytest.mark.parametrize("seed", [201, 202, 203, 204, 205, 206])
     def test_no_violation_and_no_lost_update(self, seed):
