@@ -5,7 +5,8 @@ enabled, then derives a per-phase latency breakdown from the span tree
 instead of from ad-hoc stopwatches: quorum assembly (version-inquiry
 gather), the two-phase-commit decision round (a suite write votes with
 its stages, so it has no prepare round to span), and the individual
-RPCs underneath them.  Each row is also emitted as a JSON object so
+RPCs underneath them — each RPC twice: ``rpc.M`` is the caller's round
+trip, ``rpc.M@server`` the handler that served it.  Each row is also emitted as a JSON object so
 downstream tooling (plots, regression dashboards) can consume the
 breakdown without re-parsing the pretty table.
 
@@ -37,6 +38,8 @@ def run_traced_operations(example=EXAMPLE, operations=OPERATIONS):
         bed.run(suite.read())
         bed.run(suite.write(example_data(b"%d" % (index % 10))))
     bed.settle()
+    # A wrapped ring buffer would silently average only the newest spans.
+    assert bed.collector.dropped == 0
     return bed.collector.spans()
 
 
@@ -95,6 +98,11 @@ def test_span_latency_breakdown(benchmark):
     assemble_mean = by_name[("suite.write", "quorum.assemble")][1]
     commit_mean = by_name[("suite.write", "2pc.commit")][1]
     assert assemble_mean + commit_mean <= write_mean + 1e-9
+    # A handler runs inside its caller's round trip.
+    for (operation, name), (_count, mean) in by_name.items():
+        if name.endswith("@server"):
+            caller_mean = by_name[(operation, name[:-len("@server")])][1]
+            assert mean <= caller_mean + 1e-9
     for root in read_roots + write_roots:
         for span in traces[root.trace_id]:
             if span.finished and span.parent_id is not None:

@@ -19,7 +19,7 @@ Subcommands::
     python -m repro top --cluster obs.json     # live fleet dashboard
     python -m repro doctor --delay-server n2   # one-shot health report
     python -m repro perf compare old.json new.json   # regression gate
-    python -m repro perf profile --runtime live      # hot-path phases
+    python -m repro perf profile --runtime live      # span breakdown
 
 Analytic and simulated subcommands run in simulated time and finish in
 seconds; ``serve`` and ``live-demo`` use the asyncio runtime on real
@@ -1150,72 +1150,81 @@ def cmd_perf_compare(args: argparse.Namespace) -> int:
     return 1 if report.failed else 0
 
 
-def _profile_sim(args: argparse.Namespace):
-    """Seeded read/write workload on the simulated runtime."""
-    import time
-
-    bed = Testbed(servers=["s1", "s2", "s3"], seed=args.seed,
-                  profile=True)
+def _profile_workload(args: argparse.Namespace):
+    """The suite and the operations ``perf profile`` drives (70% reads)."""
     config = make_configuration(
         "perf", [("s1", 1), ("s2", 1), ("s3", 1)], 2, 2,
         latency_hints={"s1": 10.0, "s2": 20.0, "s3": 30.0})
+    ops = [None if index % 10 < 7 else b"profile payload %d" % index
+           for index in range(args.ops)]
+    return config, ops
+
+
+def _profile_sim(args: argparse.Namespace):
+    """Seeded read/write workload on the simulated runtime."""
+    config, ops = _profile_workload(args)
+    bed = Testbed(servers=["s1", "s2", "s3"], seed=args.seed, obs=True)
     suite = bed.install(config, b"profile payload")
-    start = time.monotonic()
-    for index in range(args.ops):
-        if index % 10 < 7:                # 70% reads
-            bed.run(suite.read())
-        else:
-            bed.run(suite.write(b"profile payload %d" % index))
+    for data in ops:
+        bed.run(suite.read() if data is None else suite.write(data))
     bed.settle()
-    # Phase durations are virtual milliseconds, but the overhead budget
-    # is about *wall* cost — so the window the profiler is judged
-    # against is the real time the workload took to simulate.
-    return bed.profiler, (time.monotonic() - start) * 1000.0
+    return bed.collector.spans(), bed.collector.dropped
 
 
 def _profile_live(args: argparse.Namespace):
     """Seeded read/write workload on the live loopback runtime."""
     import tempfile
-    import time
 
     from .live import LoopbackCluster
 
+    config, ops = _profile_workload(args)
+
     async def scenario(cluster):
         async with cluster:
-            config = make_configuration(
-                "perf", [("s1", 1), ("s2", 1), ("s3", 1)], 2, 2,
-                latency_hints={"s1": 10.0, "s2": 20.0, "s3": 30.0})
             suite = await cluster.install(config, b"profile payload")
-            start = time.monotonic()
-            for index in range(args.ops):
-                if index % 10 < 7:
+            for data in ops:
+                if data is None:
                     await cluster.read(suite)
                 else:
-                    await cluster.write(suite,
-                                        b"profile payload %d" % index)
-            return (time.monotonic() - start) * 1000.0
+                    await cluster.write(suite, data)
+            collectors = [cluster.client.collector] + [
+                server.collector for server in cluster.servers.values()]
+            return (cluster.merged_spans(),
+                    sum(collector.dropped for collector in collectors))
 
     with tempfile.TemporaryDirectory() as data_root:
-        # On-disk stable stores so "storage.page_write" is a real phase.
-        cluster = LoopbackCluster(["s1", "s2", "s3"], seed=args.seed,
-                                  obs=False, data_root=data_root,
-                                  profile=True)
-        elapsed_ms = asyncio.run(scenario(cluster))
-    return cluster.profiler, elapsed_ms
+        return asyncio.run(scenario(LoopbackCluster(
+            ["s1", "s2", "s3"], seed=args.seed, data_root=data_root)))
 
 
 def cmd_perf_profile(args: argparse.Namespace) -> int:
-    """Print a top-N hot-path phase breakdown for a seeded workload."""
-    profiler, elapsed_ms = (_profile_sim(args) if args.runtime == "sim"
-                            else _profile_live(args))
+    """Per-span-name latency breakdown of a seeded workload."""
+    from .obs import breakdown
+
+    spans, dropped = (_profile_sim(args) if args.runtime == "sim"
+                      else _profile_live(args))
     unit = "sim ms" if args.runtime == "sim" else "ms"
-    print(f"phase breakdown — {args.ops} ops on the {args.runtime} "
+    rows = sorted(breakdown(spans).items(),
+                  key=lambda row: row[1][0] * row[1][1],
+                  reverse=True)[:args.top]
+    print(f"span breakdown — {args.ops} ops on the {args.runtime} "
           f"runtime (seed {args.seed}):")
-    print(profiler.render(top_n=args.top, unit=unit))
-    overhead = profiler.overhead_fraction(elapsed_ms / 1000.0)
-    print(f"\nprofiler: {profiler.samples} samples, self-measured "
-          f"overhead {overhead:.3%} of the "
-          f"{elapsed_ms / 1000.0:.2f}s window")
+    width = max([len("span")] + [len(name) for name, _ in rows])
+    print(f"{'span':<{width}}  {'count':>7}  {'total':>10}  {'mean':>9}"
+          f"  ({unit})")
+    for name, (count, mean) in rows:
+        print(f"{name:<{width}}  {count:>7}  {count * mean:>10.3f}  "
+              f"{mean:>9.4f}")
+    print("rpc.M is the caller's round trip, rpc.M@server the handler "
+          "that served it")
+    print(f"spans: {len(spans)} kept, {dropped} dropped")
+    print("exclusive time per layer (codec, transport, storage): "
+          "python3 bench/run.py --workload W --trace 1")
+    if dropped:
+        print(f"repro perf profile: {dropped} spans fell out of a full "
+              f"trace buffer, so the means above cover only the newest; "
+              f"rerun with fewer --ops", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -1643,14 +1652,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = perf_sub.add_parser(
         "profile",
-        help="hot-path phase breakdown for a seeded workload")
+        help="per-span latency breakdown of a seeded workload")
     profile.add_argument("--runtime", choices=("sim", "live"),
                          default="sim")
     profile.add_argument("--ops", type=int, default=200,
                          help="operations to drive (70%% reads)")
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--top", type=int, default=10,
-                         help="phases to print, heaviest first")
+    profile.add_argument("--top", type=int, default=20,
+                         help="span names to print, heaviest first")
     profile.set_defaults(handler=cmd_perf_profile)
 
     return parser

@@ -168,8 +168,8 @@ def join_server(state: ClusterState, server: str,
 class SimCluster:
     """A sharded multi-suite deployment on the simulated testbed.
 
-    Obs, chaos and perf ride through unchanged: ``obs=True`` /
-    ``profile=True`` reach the underlying :class:`Testbed`, and a
+    Obs and chaos ride through unchanged: ``obs=True`` reaches the
+    underlying :class:`Testbed`, and a
     :class:`~repro.chaos.policy.ChaosPolicy` assigned to
     ``cluster.bed.network.chaos`` applies to every link.
     """

@@ -209,7 +209,4 @@ class BackgroundRefresher:
         except ReproError:
             return None
         self.metrics.counter("refresh.transactions").increment()
-        suite.tracer.record(f"suite:{config.suite_name}", "refresh",
-                            version=version,
-                            targets=",".join(sorted(rep_ids)))
         return version

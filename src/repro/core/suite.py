@@ -69,7 +69,6 @@ from ..obs.collector import TraceCollector
 from ..obs.spans import NOOP_SPAN
 from ..sim.metrics import MetricsRegistry
 from ..sim.rng import RandomStreams
-from ..sim.trace import Tracer
 from ..txn.coordinator import Transaction, TransactionManager
 from ..txn.locks import EXCLUSIVE, SHARED
 from .gather import GatherResult, gather_until
@@ -140,10 +139,8 @@ class FileSuiteClient:
                  refresher: Optional["BackgroundRefresher"] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  streams: Optional[RandomStreams] = None,
-                 tracer: Optional[Tracer] = None,
                  collector: Optional[TraceCollector] = None,
                  health: Optional[Any] = None,
-                 profiler: Optional[Any] = None,
                  flight: Optional[Any] = None) -> None:
         self.manager = manager
         self.sim = manager.sim
@@ -172,7 +169,6 @@ class FileSuiteClient:
         self.read_max_bytes = read_max_bytes
         self.refresher = refresher
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or Tracer(manager.sim, enabled=False)
         #: Causal tracing: operation root spans, quorum-assembly child
         #: spans, and (via :attr:`Transaction.span`) every RPC the
         #: operation issues.  The disabled default makes every span a
@@ -185,9 +181,6 @@ class FileSuiteClient:
         #: :class:`QuorumUnattainableError` when the admitted votes
         #: cannot reach the threshold.
         self.health = health
-        #: Optional :class:`~repro.perf.PhaseProfiler`; when wired it
-        #: aggregates quorum-assembly durations under "quorum.assemble".
-        self.profiler = profiler
         #: Optional :class:`~repro.obs.flight.FlightRecorder`: the
         #: black-box journal.  Every finished quorum gather — satisfied
         #: or not — appends one ``quorum`` record carrying the votes,
@@ -333,7 +326,6 @@ class FileSuiteClient:
         whose transaction holds nothing but this read: every call then
         drops its lock with its reply (see the module docstring)."""
         config = self.config
-        started = self.sim.now
         if for_update:
             threshold = max(config.read_quorum, config.write_quorum)
             mode = EXCLUSIVE
@@ -361,7 +353,7 @@ class FileSuiteClient:
             # needs to move at all.
             data = cached[1]
             served_by = "client-cache"
-            self._observe_read_path("cached", started)
+            self.metrics.counter("suite.read_cached").increment()
         if data is None and fastpath:
             bearing = sorted(
                 (rep for rep, stat in gathered.successes.items()
@@ -374,7 +366,7 @@ class FileSuiteClient:
                 served_by = rep.rep_id
                 if rep.weak:
                     self.metrics.counter("suite.weak_reads").increment()
-                self._observe_read_path("fastpath", started)
+                self.metrics.counter("suite.read_fastpath").increment()
             elif any(stat.get("truncated")
                      for stat in gathered.successes.values()):
                 self.metrics.counter("suite.read_truncated").increment()
@@ -401,19 +393,14 @@ class FileSuiteClient:
                 break
             if data is None:
                 raise QuorumUnavailableError("read-data", 1, 0)
-            self._observe_read_path("fallback", started)
+            self.metrics.counter("suite.read_fallback").increment()
 
         stale = [rep for rep, stat in gathered.successes.items()
                  if stat["version"] < current]
         self._schedule_refresh(stale, current, data)
-        quorum_ids = [rep.rep_id for rep in gathered.successes
-                      if rep.votes > 0]
-        self.tracer.record(f"suite:{config.suite_name}", "read",
-                           version=current, served_by=served_by,
-                           quorum=",".join(sorted(quorum_ids)),
-                           stale=len(stale))
         return ReadResult(data=data, version=current, served_by=served_by,
-                          quorum=quorum_ids,
+                          quorum=[rep.rep_id for rep in gathered.successes
+                                  if rep.votes > 0],
                           stale=[rep.rep_id for rep in stale],
                           observed={rep.rep_id: stat["version"]
                                     for rep, stat
@@ -453,12 +440,6 @@ class FileSuiteClient:
         # but only if the commit actually happens.
         txn.after_commit(
             lambda: self._schedule_refresh(left_behind, new_version, data))
-        txn.after_commit(
-            lambda: self.tracer.record(
-                f"suite:{config.suite_name}", "write",
-                version=new_version,
-                quorum=",".join(sorted(quorum_ids)),
-                left_behind=len(left_behind)))
         return WriteResult(version=new_version,
                            quorum=sorted(quorum_ids),
                            stale=[rep.rep_id for rep in left_behind],
@@ -477,12 +458,6 @@ class FileSuiteClient:
         *miss* still completes in the same single round trip.
         """
         return None
-
-    def _observe_read_path(self, path: str, started: float) -> None:
-        """Count which read path served, and time it when profiling."""
-        self.metrics.counter(f"suite.read_{path}").increment()
-        if self.profiler is not None:
-            self.profiler.observe(f"read.{path}", self.sim.now - started)
 
     def _inquire(self, txn: Transaction, threshold: int, mode: str,
                  include_weak: bool, read_data: bool = False,
@@ -611,8 +586,6 @@ class FileSuiteClient:
             waited_total = self.sim.now - started
             self.metrics.histogram("suite.quorum_wait").observe(
                 waited_total)
-            if self.profiler is not None:
-                self.profiler.observe("quorum.assemble", waited_total)
             votes = sum(rep.votes for rep in gathered.successes)
             if qspan:
                 # Replies in arrival order, each stamped with when it

@@ -4,27 +4,21 @@ The live counterpart of :class:`~repro.testbed.Testbed`: boots storage
 servers on ephemeral loopback TCP ports, wires a client runtime to
 them, and exposes the same install/read/write/crash surface — but every
 call crosses real sockets in wall-clock time.  Used by the parity
-tests, the throughput benchmark and the ``live-demo`` CLI.
+tests, the ``bench/`` workloads and the ``live-demo`` and ``perf
+profile`` CLIs.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.suite import FileSuiteClient
 from ..core.votes import SuiteConfiguration
 from ..obs.collector import JsonlSink, dump_jsonl
 from ..obs.spans import Span
-from ..perf.profiler import PhaseProfiler
 from .runtime import LiveRuntime
 from .server import LiveStorageServer
-
-
-def _wall_ms() -> float:
-    """Wall clock in milliseconds — the live kernels' time unit."""
-    return time.monotonic() * 1000.0
 
 
 class LoopbackCluster:
@@ -49,7 +43,6 @@ class LoopbackCluster:
                  chaos: Optional[Any] = None,
                  lock_timeout: Optional[float] = 5_000.0,
                  idle_abort_after: Optional[float] = 60_000.0,
-                 profile: bool = False,
                  flight: Optional[Any] = None) -> None:
         self._server_names = list(servers)
         self._obs = obs
@@ -70,12 +63,6 @@ class LoopbackCluster:
         #: to the client runtime at :meth:`start` (the client is the
         #: coordinator — it owns every journaled decision point).
         self.flight = flight
-        #: One shared :class:`~repro.perf.PhaseProfiler` across the
-        #: whole cluster (``profile=True``).  Durations are clock
-        #: differences, so mixing the client's and each server's kernel
-        #: epochs is sound; the clock is wall time in milliseconds.
-        self.profiler: Optional[PhaseProfiler] = (
-            PhaseProfiler(clock=_wall_ms) if profile else None)
         self.servers: Dict[str, LiveStorageServer] = {}
         self.client: Optional[LiveRuntime] = None
 
@@ -89,15 +76,14 @@ class LoopbackCluster:
                 name, data_dir=data_dir, num_pages=self._num_pages,
                 page_size=self._page_size, obs=self._obs,
                 lock_timeout=self._lock_timeout,
-                idle_abort_after=self._idle_abort_after,
-                profiler=self.profiler)
+                idle_abort_after=self._idle_abort_after)
             server.transport.chaos = self.chaos
             await server.start(obs_port=0 if self._obs else None)
             self.servers[name] = server
         self.client = LiveRuntime(
             self._client_name, call_timeout=self._call_timeout,
             transport_attempts=self._transport_attempts, seed=self._seed,
-            obs=self._obs, profiler=self.profiler, flight=self.flight)
+            obs=self._obs, flight=self.flight)
         self.client.transport.chaos = self.chaos
         for name, server in self.servers.items():
             host, port = server.address  # type: ignore[misc]
@@ -120,7 +106,7 @@ class LoopbackCluster:
         """Boot one more storage daemon into the running cluster.
 
         The cluster-scale join operation: the new server starts with
-        the same page/lock/chaos/profiler wiring as its boot-time
+        the same page/lock/chaos wiring as its boot-time
         peers, and the client transport learns its address immediately.
         Returns the new daemon's listening address.
         """
@@ -132,8 +118,7 @@ class LoopbackCluster:
             name, data_dir=data_dir, num_pages=self._num_pages,
             page_size=self._page_size, obs=self._obs,
             lock_timeout=self._lock_timeout,
-            idle_abort_after=self._idle_abort_after,
-            profiler=self.profiler)
+            idle_abort_after=self._idle_abort_after)
         server.transport.chaos = self.chaos
         await server.start(obs_port=0 if self._obs else None)
         self.servers[name] = server

@@ -257,8 +257,9 @@ class LiveRuntime:
     :class:`RpcEndpoint` (at-most-once, retransmitting), a
     :class:`TransactionManager` and a :class:`BackgroundRefresher` —
     the same composition :class:`~repro.testbed.Testbed` performs for
-    the sim.  Payload deep-copying is off: JSON serialisation at the
-    transport boundary already isolates sender from receiver.
+    the sim.  Payload deep-copying is off: the transport encodes every
+    message into its fixed binary layout, which already isolates sender
+    from receiver.
     """
 
     def __init__(self, name: Optional[str] = None,
@@ -268,7 +269,6 @@ class LiveRuntime:
                  metrics: Optional[MetricsRegistry] = None,
                  obs: bool = True,
                  loop: Optional[asyncio.AbstractEventLoop] = None,
-                 profiler: Optional[Any] = None,
                  flight: Optional[Any] = None) -> None:
         if name is None:
             # Servers key at-most-once dedup state and transaction ids
@@ -288,12 +288,7 @@ class LiveRuntime:
         #: another process's.
         self.collector = TraceCollector(clock=lambda: self.kernel.now,
                                         origin=name, enabled=obs)
-        #: Optional shared :class:`~repro.perf.PhaseProfiler`.  Phase
-        #: durations are clock *differences*, so a profiler built on a
-        #: different kernel's epoch still aggregates correctly here.
-        self.profiler = profiler
         self.transport = TransportNode(name, self._on_message)
-        self.transport.profiler = profiler
         self.host = LiveHost(self.kernel, name, self.transport)
         self.streams = RandomStreams(seed=seed)
         #: Circuit breakers for the servers this client talks to.  The
@@ -305,15 +300,13 @@ class LiveRuntime:
                                     collector=self.collector,
                                     metrics=self.metrics,
                                     streams=self.streams,
-                                    health=self.health,
-                                    profiler=profiler)
+                                    health=self.health)
         self.host.dispatch = self.endpoint.dispatch_message
         self.manager = TransactionManager(
             self.kernel, self.endpoint, call_timeout=call_timeout,
             transport_attempts=transport_attempts,
             collector=self.collector,
-            streams=self.streams,
-            profiler=profiler)
+            streams=self.streams)
         self.refresher = BackgroundRefresher(self.manager,
                                              metrics=self.metrics)
         #: Optional :class:`~repro.obs.flight.FlightRecorder`: the live
@@ -354,7 +347,6 @@ class LiveRuntime:
         kwargs.setdefault("streams", self.streams)
         kwargs.setdefault("collector", self.collector)
         kwargs.setdefault("health", self.health)
-        kwargs.setdefault("profiler", self.profiler)
         kwargs.setdefault("flight", self.flight)
         return FileSuiteClient(self.manager, config, **kwargs)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..chaos.health import HealthTracker
 from ..errors import StorageError
@@ -58,15 +58,10 @@ class FilePageStore(PageStore):
     """
 
     def __init__(self, path: str, num_pages: int, page_size: int = 512,
-                 name: str = "disk", fsync: bool = False,
-                 profiler: Optional[Any] = None) -> None:
+                 name: str = "disk", fsync: bool = False) -> None:
         super().__init__(num_pages, page_size, name)
         self.path = path
         self.fsync = fsync
-        #: Optional :class:`~repro.perf.PhaseProfiler` timing each
-        #: write-through ("storage.page_write") — the disk half of the
-        #: live hot path.
-        self.profiler = profiler
         self._slot_size = _SLOT_HEADER + page_size
         existed = os.path.exists(path)
         self._file = open(path, "r+b" if existed else "w+b")
@@ -94,8 +89,6 @@ class FilePageStore(PageStore):
     def write(self, address: int, data: bytes) -> None:
         if self._file.closed:
             raise StorageError(f"{self.name}: write to closed page store")
-        token = (self.profiler.start() if self.profiler is not None
-                 else None)
         super().write(address, data)
         # Ask the file object, not a saved descriptor: after close()
         # the OS may hand the same number to another file.
@@ -104,8 +97,6 @@ class FilePageStore(PageStore):
                   address * self._slot_size)
         if self.fsync:
             os.fsync(descriptor)
-        if token is not None:
-            self.profiler.stop("storage.page_write", token)
 
     def close(self) -> None:
         if not self._file.closed:
@@ -114,9 +105,7 @@ class FilePageStore(PageStore):
 
 def make_stable_store(directory: str, num_pages: int,
                       page_size: int = 512, name: str = "disk",
-                      fsync: bool = False,
-                      profiler: Optional[Any] = None,
-                      ) -> Tuple[StableStore, bool]:
+                      fsync: bool = False) -> Tuple[StableStore, bool]:
     """A file-backed stable store under ``directory``.
 
     Returns ``(store, fresh)`` where ``fresh`` says whether the backing
@@ -129,11 +118,9 @@ def make_stable_store(directory: str, num_pages: int,
     fresh = not (os.path.exists(primary_path)
                  and os.path.exists(shadow_path))
     primary = FilePageStore(primary_path, num_pages, page_size,
-                            name=f"{name}.primary", fsync=fsync,
-                            profiler=profiler)
+                            name=f"{name}.primary", fsync=fsync)
     shadow = FilePageStore(shadow_path, num_pages, page_size,
-                           name=f"{name}.shadow", fsync=fsync,
-                           profiler=profiler)
+                           name=f"{name}.shadow", fsync=fsync)
     return StableStore(CarefulStore(primary), CarefulStore(shadow)), fresh
 
 
@@ -152,31 +139,23 @@ class LiveStorageServer:
                  idle_abort_after: Optional[float] = 60_000.0,
                  fsync: bool = False,
                  obs: bool = True,
-                 loop: Optional[asyncio.AbstractEventLoop] = None,
-                 profiler: Optional[Any] = None) -> None:
+                 loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         self.name = name
         self.data_dir = data_dir
         self.kernel = LiveKernel(loop=loop)
         self.metrics = MetricsRegistry()
-        #: Optional shared :class:`~repro.perf.PhaseProfiler`: wired
-        #: through the transport (encode/decode), the endpoint
-        #: (serve/retransmit) and the page stores (write-through), and
-        #: mirrored into ``/metrics`` by :meth:`_render_metrics`.
-        self.profiler = profiler
         #: Server-side spans (rpc.* handlers) carry the trace context the
         #: coordinator put on the wire, so a scrape of every process's
         #: span export stitches into one tree per client operation.
         self.collector = TraceCollector(clock=lambda: self.kernel.now,
                                         origin=name, enabled=obs)
         self.transport = TransportNode(name, self._on_message)
-        self.transport.profiler = profiler
         self.host = LiveHost(self.kernel, name, self.transport)
         stable = None
         fresh = True
         if data_dir is not None:
             stable, fresh = make_stable_store(
-                data_dir, num_pages, page_size, name=name, fsync=fsync,
-                profiler=profiler)
+                data_dir, num_pages, page_size, name=name, fsync=fsync)
         self.server = StorageServer(self.kernel, self.host,
                                     num_pages=num_pages,
                                     page_size=page_size,
@@ -190,8 +169,7 @@ class LiveStorageServer:
                                     copy_payloads=False,
                                     collector=self.collector,
                                     metrics=self.metrics,
-                                    health=self.health,
-                                    profiler=profiler)
+                                    health=self.health)
         self.host.dispatch = self.endpoint.dispatch_message
         self.participant = TransactionParticipant(
             self.server, lock_timeout=lock_timeout,
@@ -238,8 +216,6 @@ class LiveStorageServer:
             "transport.messages_batched":
                 float(transport.messages_batched),
         })
-        if self.profiler is not None:
-            self.profiler.publish(self.metrics)
         return prom.CONTENT_TYPE, prom.render_registry(self.metrics,
                                                        extra=extra)
 

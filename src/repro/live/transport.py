@@ -162,14 +162,8 @@ class _Connection(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         node = self.node
-        profiler = node.profiler
         try:
-            if profiler is not None:
-                token = profiler.start()
-                messages = self._parser.feed(data)
-                profiler.stop("frame.decode", token)
-            else:
-                messages = self._parser.feed(data)
+            messages = self._parser.feed(data)
         except FrameError as exc:
             logger.warning("%s: dropping connection: %s", node.name, exc)
             self._drop()
@@ -256,8 +250,6 @@ class _Connection(asyncio.Protocol):
         if not self.alive or self._transport is None or not self._out:
             return
         node = self.node
-        profiler = node.profiler
-        token = profiler.start() if profiler is not None else None
         binary = node.binary and self.peer_binary
         bodies: List[bytes] = []
         for message in self._out:
@@ -297,8 +289,6 @@ class _Connection(asyncio.Protocol):
         else:
             for body in bodies:
                 frames.append(len(body).to_bytes(4, "big") + body)
-        if profiler is not None:
-            profiler.stop("frame.encode", token)
         if not frames:
             return
         node.frames_sent += len(frames)
@@ -352,11 +342,6 @@ class TransportNode:
         #: :class:`~repro.sim.network.Network`, so the same policy
         #: object fault-injects either runtime.
         self.chaos: Optional[Any] = None
-        #: Optional :class:`~repro.perf.PhaseProfiler` timing frame
-        #: encode ("frame.encode") and decode ("frame.decode") on this
-        #: node's hot path.  Attribute, not constructor arg, so the
-        #: harness can attach one profiler across a whole cluster.
-        self.profiler: Optional[Any] = None
         #: Message-level counters: a "frame" in the drop/delay/duplicate
         #: counters is one protocol message (the datagram the contract
         #: is written in terms of), regardless of how it was packed.

@@ -37,9 +37,10 @@ class RingBufferSink:
     """Keeps the last ``capacity`` finished spans; counts what it drops.
 
     The in-memory counterpart of a tracing backend: oldest spans are
-    evicted first, and — unlike the historical silent
-    :class:`~repro.sim.trace.Tracer` cap — every eviction is counted so
-    a truncated buffer can never masquerade as a complete record.
+    evicted first, and every eviction is counted so a truncated buffer
+    can never masquerade as a complete record — anything that
+    aggregates the buffer (``repro perf profile``, the O1 bench)
+    checks ``dropped`` is 0 first.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -167,8 +168,7 @@ class TraceCollector:
 
     ``enabled=False`` makes every factory return the shared
     :data:`~repro.obs.spans.NOOP_SPAN`, so an untraced deployment pays
-    one predicate check per would-be span and allocates nothing — the
-    same discipline as :class:`~repro.sim.trace.Tracer`.
+    one predicate check per would-be span and allocates nothing.
     """
 
     def __init__(self, clock: Callable[[], float], origin: str = "",

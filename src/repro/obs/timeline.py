@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .spans import Span
+from .spans import SERVER, Span
 
 
 class TraceSummary:
@@ -130,15 +130,19 @@ def render_trace(spans: List[Span], events: bool = True) -> str:
 def breakdown(spans: Iterable[Span]) -> Dict[str, Tuple[int, float]]:
     """Per-span-name ``(count, mean duration)`` across finished spans.
 
-    The bench harness uses this to turn a traced run into a latency
-    breakdown row: how much of an operation went to quorum assembly vs
-    two-phase commit vs raw RPC.
+    The bench harness and ``repro perf profile`` use this to turn a
+    traced run into a latency breakdown: how much of an operation went
+    to quorum assembly vs two-phase commit vs raw RPC.  An RPC is two
+    spans of one name — the caller's round trip and the handler that
+    served it — so server-kind spans are keyed ``name@server``: a round
+    trip is never averaged with the serve time it contains.
     """
     totals: Dict[str, Tuple[int, float]] = {}
     for span in spans:
         if not span.finished:
             continue
-        count, total = totals.get(span.name, (0, 0.0))
-        totals[span.name] = (count + 1, total + span.duration)
+        key = f"{span.name}@server" if span.kind == SERVER else span.name
+        count, total = totals.get(key, (0, 0.0))
+        totals[key] = (count + 1, total + span.duration)
     return {name: (count, total / count)
             for name, (count, total) in sorted(totals.items())}

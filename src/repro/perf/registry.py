@@ -1,6 +1,6 @@
 """Reading and writing ``BENCH_<area>.json`` result files.
 
-One file per benchmark *area* (tables, figs, live, obs) at the repo
+One file per benchmark *area* (tables, figs, obs) at the repo
 root, each a versioned envelope of :class:`~repro.perf.result.BenchResult`
 records sorted by identity key — so regenerating a baseline with the
 same seeds produces a byte-identical ``results`` list and a clean diff.

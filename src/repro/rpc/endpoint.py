@@ -104,8 +104,7 @@ class RpcEndpoint:
                  metrics: Optional["MetricsRegistry"] = None,
                  streams: Optional[RandomStreams] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 health: Optional["HealthTracker"] = None,
-                 profiler: Optional[Any] = None) -> None:
+                 health: Optional["HealthTracker"] = None) -> None:
         self.sim = sim
         self.host = host
         self.copy_payloads = copy_payloads
@@ -128,13 +127,6 @@ class RpcEndpoint:
         #: server-side handler latency.
         self.collector = collector
         self.metrics = metrics
-        #: Optional :class:`~repro.perf.PhaseProfiler`.  When wired it
-        #: aggregates "rpc.roundtrip" (call sent → reply settled),
-        #: "rpc.serve" (request received → reply sent) and counts
-        #: "rpc.retransmit".  ``_call_started`` only fills while a
-        #: profiler is attached, so unprofiled runs pay nothing.
-        self.profiler = profiler
-        self._call_started: Dict[int, float] = {}
         self.default_call_timeout = (
             self.DEFAULT_CALL_TIMEOUT if default_call_timeout is None
             else default_call_timeout)
@@ -288,8 +280,6 @@ class RpcEndpoint:
             if self.metrics is not None:
                 self.metrics.histogram("rpc.server_latency").observe(
                     self.sim.now - started)
-            if self.profiler is not None:
-                self.profiler.observe("rpc.serve", self.sim.now - started)
             if reply is None:
                 span.end(error="handler killed before replying")
             elif reply.ok:
@@ -337,8 +327,6 @@ class RpcEndpoint:
         event = self.sim.event(name=f"call:{method}->{destination}")
         self._pending[call_id] = event
         self._call_destinations[call_id] = destination
-        if self.profiler is not None:
-            self._call_started[call_id] = self.sim.now
         self.calls_sent += 1
         self._count("rpc.calls_sent")
         wire_trace: Optional[Dict[str, str]] = None
@@ -389,8 +377,6 @@ class RpcEndpoint:
             return
         self.retransmissions += 1
         self._count("rpc.retransmissions")
-        if self.profiler is not None:
-            self.profiler.count("rpc.retransmit")
         self.host.send(destination, request)
         self._arm_retransmit(request, destination, timeout, remaining - 1)
 
@@ -427,7 +413,6 @@ class RpcEndpoint:
     def _expire(self, call_id: int, method: str, destination: str) -> None:
         self._disarm_retransmit(call_id)
         self._call_destinations.pop(call_id, None)
-        self._call_started.pop(call_id, None)
         event = self._pending.pop(call_id, None)
         if event is not None and event.pending:
             self._count("rpc.timeouts")
@@ -440,14 +425,8 @@ class RpcEndpoint:
         destination = self._call_destinations.pop(reply.call_id, None)
         event = self._pending.pop(reply.call_id, None)
         if event is None or not event.pending:
-            self._call_started.pop(reply.call_id, None)
             return  # late reply after timeout: drop
         self._disarm_retransmit(reply.call_id)
-        if self.profiler is not None:
-            sent_at = self._call_started.pop(reply.call_id, None)
-            if sent_at is not None:
-                self.profiler.observe("rpc.roundtrip",
-                                      self.sim.now - sent_at)
         if self.health is not None and destination is not None:
             # Any reply — even a failure reply — proves the peer alive.
             self.health.record_success(destination)
@@ -473,7 +452,6 @@ class RpcEndpoint:
         # A local crash says nothing about peers' health: drop the
         # attributions rather than charge breakers for our own outage.
         self._call_destinations.clear()
-        self._call_started.clear()
         pending, self._pending = self._pending, {}
         for event in pending.values():
             if event.pending:

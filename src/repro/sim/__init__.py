@@ -17,7 +17,6 @@ from .process import Process
 from .queues import Queue, QueueClosed, Resource
 from .rng import RandomStreams
 from .simulator import Simulator
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf", "AnyOf", "Constant", "Counter", "Distribution", "Event",
@@ -25,6 +24,6 @@ __all__ = [
     "Lognormal", "MarkovFailureProcess", "MetricsRegistry", "Network",
     "Process", "Queue", "QueueClosed", "RandomStreams", "Resource",
     "SharedMedium",
-    "Simulator", "Timeout", "TraceRecord", "Tracer", "Uniform", "all_of",
+    "Simulator", "Timeout", "Uniform", "all_of",
     "as_distribution", "bernoulli_outages", "estimate_size", "first_of",
 ]

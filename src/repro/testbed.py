@@ -28,14 +28,12 @@ from .core.refresh import BackgroundRefresher
 from .core.suite import FileSuiteClient, install_suite
 from .core.votes import SuiteConfiguration
 from .obs.collector import TraceCollector
-from .perf.profiler import PhaseProfiler
 from .rpc.endpoint import RpcEndpoint
 from .sim.distributions import Distribution
 from .sim.metrics import MetricsRegistry
 from .sim.network import Host, Network
 from .sim.rng import RandomStreams
 from .sim.simulator import Simulator
-from .sim.trace import Tracer
 from .storage.server import StorageServer
 from .txn.coordinator import TransactionManager
 from .txn.participant import TransactionParticipant
@@ -80,16 +78,13 @@ class Testbed:
                  refresh_delay: float = 0.0,
                  refresh_enabled: bool = True,
                  loss_probability: float = 0.0,
-                 trace: bool = False,
-                 obs: bool = False,
-                 profile: bool = False) -> None:
+                 obs: bool = False) -> None:
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
         self.network = Network(self.sim, self.streams,
                                default_latency=default_latency,
                                loss_probability=loss_probability)
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(self.sim, enabled=trace)
         #: Causal tracing (``obs=True``).  Deliberately opt-in: trace
         #: context rides inside RPC requests, whose estimated byte size
         #: feeds the latency model — enabling it perturbs simulated
@@ -98,14 +93,6 @@ class Testbed:
         #: so client and server spans land stitched in one buffer.
         self.collector = TraceCollector(clock=lambda: self.sim.now,
                                         origin="sim", enabled=obs)
-        #: Phase profiling (``profile=True``).  One profiler spans the
-        #: whole testbed (it is one process): quorum assembly, RPC
-        #: roundtrip/serve, 2PC phases — all in virtual milliseconds.
-        #: ``None`` when off, so instrumented code pays one ``is not
-        #: None`` test and profiling cannot perturb unprofiled runs.
-        self.profiler: Optional[PhaseProfiler] = (
-            PhaseProfiler(clock=lambda: self.sim.now) if profile
-            else None)
         #: Optional flight recorder (:class:`~repro.obs.flight.
         #: FlightRecorder`).  Assign one before creating suites and
         #: every suite client, transaction manager and health tracker
@@ -137,8 +124,7 @@ class Testbed:
                                page_size=page_size,
                                page_io_time=page_io_time)
         endpoint = RpcEndpoint(self.sim, host, collector=self.collector,
-                               metrics=self.metrics,
-                               profiler=self.profiler)
+                               metrics=self.metrics)
         participant = TransactionParticipant(
             server, lock_timeout=lock_timeout,
             idle_abort_after=idle_abort_after, metrics=self.metrics)
@@ -152,12 +138,10 @@ class Testbed:
                    refresh_enabled: bool = True) -> ClientNode:
         host = self.network.add_host(name)
         endpoint = RpcEndpoint(self.sim, host, collector=self.collector,
-                               metrics=self.metrics,
-                               profiler=self.profiler)
+                               metrics=self.metrics)
         manager = TransactionManager(self.sim, endpoint,
                                      call_timeout=self.call_timeout,
-                                     collector=self.collector,
-                                     profiler=self.profiler)
+                                     collector=self.collector)
         refresher = BackgroundRefresher(manager, delay=refresh_delay,
                                         metrics=self.metrics,
                                         enabled=refresh_enabled)
@@ -177,9 +161,7 @@ class Testbed:
         kwargs.setdefault("refresher", node.refresher)
         kwargs.setdefault("metrics", self.metrics)
         kwargs.setdefault("streams", self.streams)
-        kwargs.setdefault("tracer", self.tracer)
         kwargs.setdefault("collector", self.collector)
-        kwargs.setdefault("profiler", self.profiler)
         kwargs.setdefault("flight", self.flight)
         if self.flight is not None:
             node.manager.flight = self.flight

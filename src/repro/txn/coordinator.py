@@ -201,17 +201,12 @@ class TransactionManager:
                  transport_attempts: int = 3,
                  collector: Optional["TraceCollector"] = None,
                  retry_policy: Optional["RetryPolicy"] = None,
-                 streams: Optional["RandomStreams"] = None,
-                 profiler: Optional[Any] = None) -> None:
+                 streams: Optional["RandomStreams"] = None) -> None:
         self.sim = sim
         self.endpoint = endpoint
         #: Optional observability: with a collector, each staged commit
         #: records one span per 2PC phase under the transaction's span.
         self.collector = collector
-        #: Optional :class:`~repro.perf.PhaseProfiler`; when wired, a
-        #: staged commit records "2pc.prepare" and "2pc.commit" phase
-        #: durations.
-        self.profiler = profiler
         #: Optional :class:`~repro.obs.flight.FlightRecorder`: every
         #: transaction termination appends one ``txn`` record with the
         #: 2PC outcome (runtimes wire it after construction).
@@ -303,13 +298,9 @@ class TransactionManager:
         # Decision point: everyone voted yes.  Read-only voters are done.
         commit_span = self._phase_span(txn, "2pc.commit")
         commit_trace = self._phase_ctx(commit_span, txn)
-        commit_started = self.sim.now
         stragglers = yield from self._send_decision(
             txn.txn_id, to_commit, trace=commit_trace,
             span=commit_span)
-        if self.profiler is not None:
-            self.profiler.observe("2pc.commit",
-                                  self.sim.now - commit_started)
         for server in stragglers:
             self._spawn_retry(txn.txn_id, server, "txn.commit",
                               trace=commit_trace)
@@ -327,14 +318,10 @@ class TransactionManager:
         """Phase 1 proper: ask ``servers`` to vote; returns those that
         voted *prepared*, or aborts everywhere and raises."""
         prepare_span = self._phase_span(txn, "2pc.prepare")
-        prepare_started = self.sim.now
         votes = yield from self._broadcast(
             txn.txn_id, "txn.prepare", servers,
             trace=self._phase_ctx(prepare_span, txn), span=prepare_span,
             answered=txn.answered)
-        if self.profiler is not None:
-            self.profiler.observe("2pc.prepare",
-                                  self.sim.now - prepare_started)
         failures = [(server, outcome) for server, ok, outcome in votes
                     if not ok]
         if failures:

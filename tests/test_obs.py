@@ -26,8 +26,6 @@ from repro.obs import (NOOP_SPAN, JsonlSink, RingBufferSink,
                        load_jsonl, parse_exposition, render_registry,
                        render_trace, split_labels, summarize)
 from repro.sim.metrics import Histogram, MetricsRegistry
-from repro.sim.simulator import Simulator
-from repro.sim.trace import Tracer
 from repro.testbed import Testbed
 
 
@@ -192,19 +190,6 @@ class TestProm:
 
 
 class TestSatellites:
-    def test_tracer_counts_capacity_drops(self, ):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True, capacity=2)
-        for index in range(5):
-            tracer.record("c", "e", i=index)
-        assert len(tracer.records) == 2
-        assert tracer.dropped == 3
-        assert tracer.stats() == {"records": 2, "dropped": 3,
-                                  "capacity": 2}
-        assert "3 record(s) dropped" in tracer.dump()
-        tracer.clear()
-        assert tracer.dropped == 0
-
     def test_snapshot_includes_gauge_maximum(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("inflight")
@@ -612,7 +597,10 @@ class TestTimelineAndCli:
         bed = self._traced_bed()
         rows = breakdown(bed.collector.spans())
         assert rows["2pc.commit"][0] == 1 and "2pc.prepare" not in rows
-        assert rows["rpc.txn.prepare"][0] == 2  # the release, both ends
+        # The release, caller and handler on separate rows.
+        assert rows["rpc.txn.prepare"][0] == 1
+        assert rows["rpc.txn.prepare@server"][0] == 1
+        assert rows["rpc.txn.stat"][0] == rows["rpc.txn.stat@server"][0]
         assert rows["quorum.assemble"][0] == 2  # one read, one write
         for _name, (count, mean) in rows.items():
             assert count >= 1 and mean >= 0.0

@@ -1,11 +1,12 @@
 """The perf subsystem: result schema, registry files, regression
-comparison, and the hot-path phase profiler.
+comparison, and the span breakdown behind ``repro perf profile``.
 
-Acceptance scenarios from the issue are exercised directly: a result
-file compared against itself exits clean, an injected 2x latency
-regression makes the comparator fail, advisory (``gate=False``) live
-numbers never fail a compare, and ``repro perf profile`` produces a
-phase breakdown on both runtimes with self-measured overhead.
+A result file compared against itself exits clean, an injected 2x
+latency regression makes the comparator fail, advisory (``gate=False``)
+live numbers never fail a compare, and ``repro perf profile`` prints a
+per-span breakdown on both runtimes — with the caller's and the
+handler's side of each RPC as separate rows — and refuses a run whose
+trace buffer overflowed.
 """
 
 import json
@@ -14,14 +15,13 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
+from repro.obs import TraceCollector, breakdown
 from repro.perf import (DEFAULT_TOLERANCE, RUNTIMES, SCHEMA_VERSION,
                         BenchRegistry, BenchResult, MetricRule,
-                        PhaseProfiler, SchemaError, bench_path,
-                        compare_results, current_git_sha, discover,
-                        infer_direction, load_results, validate_result,
-                        write_results)
-from repro.sim.metrics import MetricsRegistry
-from repro.testbed import Testbed, example_data, example_testbed
+                        SchemaError, bench_path, compare_results,
+                        current_git_sha, discover, infer_direction,
+                        load_results, validate_result, write_results)
+from repro.testbed import example_data, example_testbed
 
 
 def make_result(**overrides):
@@ -338,92 +338,37 @@ class TestCompare:
 
 
 # ---------------------------------------------------------------------------
-# Phase profiler
+# Span breakdown (what ``repro perf profile`` prints)
 # ---------------------------------------------------------------------------
 
-class TestProfiler:
-    def _ticking(self):
-        clock = iter(range(0, 10000, 5))
-        return PhaseProfiler(clock=lambda: float(next(clock)))
+def assert_hot_path_rows(rows):
+    """Both runtimes' breakdowns name the same phases of the protocol."""
+    assert {"quorum.assemble", "2pc.commit", "rpc.txn.stat",
+            "rpc.txn.stat@server"} <= set(rows)
+    # A suite write votes with its stages: no prepare phase to time.
+    assert "2pc.prepare" not in rows
 
-    def test_start_stop_and_observe(self):
-        profiler = self._ticking()
-        token = profiler.start()
-        profiler.stop("rpc.serve", token)            # 5ms tick
-        profiler.observe("rpc.serve", 15.0)
-        profiler.count("rpc.retransmit")
-        stats = profiler.stats()
-        assert stats["rpc.serve"].count == 2
-        assert stats["rpc.serve"].total == 20.0
-        assert stats["rpc.serve"].mean == 10.0
-        assert stats["rpc.serve"].minimum == 5.0
-        assert stats["rpc.serve"].maximum == 15.0
-        assert stats["rpc.retransmit"].count == 1
-        assert profiler.samples == 3
 
-    def test_measure_context_manager_records_on_error(self):
-        profiler = self._ticking()
-        with pytest.raises(RuntimeError):
-            with profiler.measure("2pc.prepare"):
-                raise RuntimeError("abort")
-        assert profiler.stats()["2pc.prepare"].count == 1
-
-    def test_disabled_profiler_records_nothing(self):
-        profiler = PhaseProfiler(clock=lambda: 0.0, enabled=False)
-        profiler.observe("x", 1.0)
-        profiler.stop("x", profiler.start())
-        assert profiler.stats() == {}
-        assert profiler.samples == 0
-
-    def test_top_and_render(self):
-        profiler = self._ticking()
-        profiler.observe("small", 1.0)
-        profiler.observe("big", 100.0)
-        assert [name for name, _ in profiler.top(1)] == ["big"]
-        text = profiler.render(top_n=2, unit="sim ms")
-        assert "big" in text and "small" in text and "sim ms" in text
-        profiler.reset()
-        assert profiler.render() == "(no phases recorded)"
-        assert profiler.samples == 0
-
-    def test_publish_mirrors_into_metrics(self):
-        profiler = self._ticking()
-        profiler.observe("quorum.assemble", 30.0)
-        registry = MetricsRegistry()
-        profiler.publish(registry)
-        assert registry.gauge(
-            "perf.phase.quorum.assemble.count").value == 1.0
-        assert registry.gauge(
-            "perf.phase.quorum.assemble.mean").value == 30.0
-
-    def test_calibration_and_overhead_fraction(self):
-        profiler = PhaseProfiler(clock=lambda: 0.0)
-        cost = profiler.calibrate(iterations=2000)
-        assert cost > 0.0
-        # Calibration never leaks a phase or inflates the sample count.
-        assert "__calibration__" not in profiler.stats()
-        assert profiler.samples == 0
-        profiler.observe("x", 1.0)
-        assert profiler.overhead_fraction(1.0) == pytest.approx(cost)
-        assert profiler.overhead_fraction(0.0) == 0.0
-
-    def test_testbed_profile_captures_hot_path_phases(self):
-        bed, config = example_testbed(1, profile=True)
+class TestSpanBreakdown:
+    def test_testbed_spans_cover_hot_path_phases(self):
+        bed, config = example_testbed(1, obs=True)
         suite = bed.install(config, example_data())
         for _ in range(3):
             bed.run(suite.read())
             bed.run(suite.write(example_data(b"2")))
         bed.settle()
-        stats = bed.profiler.stats()
-        assert {"quorum.assemble", "2pc.commit", "rpc.roundtrip",
-                "rpc.serve"} <= set(stats)
-        assert stats["2pc.commit"].count >= 3
-        # A suite write votes with its stages: no prepare phase to time.
-        assert "2pc.prepare" not in stats
-        # Phase durations are virtual milliseconds of the sim clock.
-        assert stats["quorum.assemble"].total > 0.0
-        # The profiler stays off unless asked for.
-        assert Testbed(servers=["s1"]).profiler is None
+        assert bed.collector.dropped == 0
+        rows = breakdown(bed.collector.spans())
+        assert_hot_path_rows(rows)
+        assert rows["2pc.commit"][0] == 3
+        # A round trip contains the handler it waited for, and the two
+        # are separate rows: three reads poll all three representatives,
+        # three writes the one that votes.
+        assert rows["rpc.txn.stat"][0] == rows["rpc.txn.stat@server"][0] \
+            == 12
+        assert rows["rpc.txn.stat"][1] > rows["rpc.txn.stat@server"][1]
+        # Durations are virtual milliseconds of the sim clock.
+        assert rows["quorum.assemble"][1] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +411,34 @@ class TestPerfCli:
         assert cli_main(["perf", "compare", path, missing]) == 2
         assert "repro perf compare" in capsys.readouterr().err
 
+    @staticmethod
+    def _printed_rows(out):
+        """Span names of the breakdown table ``perf profile`` printed."""
+        return {fields[0] for fields in map(str.split, out.splitlines())
+                if len(fields) == 4 and fields[1].isdigit()}
+
     def test_profile_sim_runtime(self, capsys):
         assert cli_main(["perf", "profile", "--runtime", "sim",
                          "--ops", "20", "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert "phase breakdown" in out
-        assert "quorum.assemble" in out
-        assert "2pc.commit" in out and "2pc.prepare" not in out
-        assert "overhead" in out
+        assert "span breakdown" in out
+        assert_hot_path_rows(self._printed_rows(out))
+        assert "0 dropped" in out
 
     def test_profile_live_runtime(self, capsys):
         assert cli_main(["perf", "profile", "--runtime", "live",
                          "--ops", "8", "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert "frame.encode" in out
-        assert "frame.decode" in out
-        assert "storage.page_write" in out
+        assert_hot_path_rows(self._printed_rows(out))
+        assert "0 dropped" in out
+        assert "bench/run.py" in out
+
+    def test_profile_refuses_a_truncated_trace(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "repro.testbed.TraceCollector",
+            lambda **kwargs: TraceCollector(capacity=50, **kwargs))
+        assert cli_main(["perf", "profile", "--runtime", "sim",
+                         "--ops", "20"]) == 1
+        captured = capsys.readouterr()
+        assert "50 kept" in captured.out
+        assert "fewer --ops" in captured.err

@@ -44,7 +44,7 @@ def fresh_bed(**kwargs):
 class TestFastPath:
     def test_default_read_is_single_round_trip(self):
         """Acceptance: one data-bearing trip — no txn.read at all."""
-        bed = fresh_bed(profile=True)
+        bed = fresh_bed()
         suite = bed.install(triple_config(), b"payload")
         methods = record_methods(bed)
         result = bed.run(suite.read())
@@ -54,9 +54,6 @@ class TestFastPath:
         assert methods.count("txn.read") == 0
         assert bed.metrics.counter("suite.read_fastpath").value == 1
         assert bed.metrics.counter("suite.read_fallback").value == 0
-        phases = bed.profiler.stats()
-        assert phases["read.fastpath"].count == 1
-        assert "read.fallback" not in phases
 
     def test_data_served_by_cheapest_current_rep(self):
         bed = fresh_bed()
@@ -90,7 +87,7 @@ class TestFastPath:
             assert fast.observed[rep_id] == version
 
     def test_oversized_file_truncates_and_falls_back(self):
-        bed = fresh_bed(profile=True)
+        bed = fresh_bed()
         data = b"z" * 1_000
         suite = bed.install(triple_config(), data, read_max_bytes=100)
         methods = record_methods(bed)
@@ -100,9 +97,6 @@ class TestFastPath:
         assert bed.metrics.counter("suite.read_truncated").value == 1
         assert bed.metrics.counter("suite.read_fallback").value == 1
         assert bed.metrics.counter("suite.read_fastpath").value == 0
-        phases = bed.profiler.stats()
-        assert phases["read.fallback"].count == 1
-        assert "read.fastpath" not in phases
 
     def test_stale_piggyback_target_falls_back(self):
         bed = fresh_bed()

@@ -1,4 +1,4 @@
-"""RNG streams, distributions, metrics, tracing, failure processes."""
+"""RNG streams, distributions, metrics, failure processes."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim import (Constant, Exponential, Histogram, Lognormal,
                        MarkovFailureProcess, MetricsRegistry, Network,
-                       RandomStreams, Simulator, Tracer, Uniform,
+                       RandomStreams, Simulator, Uniform,
                        as_distribution, bernoulli_outages)
 from repro.sim.failures import FailureSchedule
 
@@ -167,36 +167,6 @@ class TestMetrics:
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"a": 1}
         assert snapshot["histograms"]["h"]["count"] == 1.0
-
-
-class TestTracer:
-    def test_disabled_records_nothing(self, sim):
-        tracer = Tracer(sim, enabled=False)
-        tracer.record("suite", "read", version=1)
-        assert tracer.records == []
-
-    def test_enabled_records_with_time(self, sim):
-        tracer = Tracer(sim, enabled=True)
-        sim.schedule(4.0, tracer.record, "suite", "read")
-        sim.run()
-        record = tracer.records[0]
-        assert record.time == 4.0
-        assert record.component == "suite"
-
-    def test_filtering_and_count(self, sim):
-        tracer = Tracer(sim, enabled=True)
-        tracer.record("a", "x")
-        tracer.record("a", "y")
-        tracer.record("b", "x")
-        assert tracer.count(component="a") == 2
-        assert tracer.count(event="x") == 2
-        assert tracer.count(component="b", event="x") == 1
-
-    def test_capacity_cap(self, sim):
-        tracer = Tracer(sim, enabled=True, capacity=2)
-        for i in range(5):
-            tracer.record("c", "e", i=i)
-        assert len(tracer.records) == 2
 
 
 class TestFailureProcesses:
