@@ -14,7 +14,9 @@ quorum's critical path from the span tree and answers two questions:
   attribution is that it is free at serving time; this benchmark
   self-measures ``analyze_quorum_paths`` wall time against the wall
   time of the workload that produced the spans and asserts the
-  overhead stays under 5%.
+  overhead stays under 5%.  Both are the best of ``ROUNDS`` timings:
+  one scheduler pause inside a single ~40 ms run would otherwise
+  decide the verdict.
 
 Attribution milligrams are virtual-time deterministic, so they gate
 like any latency; the overhead row is wall clock and advisory.
@@ -36,6 +38,7 @@ SEED = 3
 SLOW_SERVER = "s3"
 SLOW_DELAY_MS = 25.0
 OVERHEAD_BUDGET = 0.05
+ROUNDS = 5
 
 
 def run_traced_workload():
@@ -61,14 +64,24 @@ def run_traced_workload():
     return bed, workload_s
 
 
-def test_bench_critical_path_attribution(benchmark):
-    bed, workload_s = benchmark.pedantic(run_traced_workload,
-                                         rounds=1, iterations=1)
-    spans = bed.collector.spans()
-
+def timed_analysis(spans):
+    """Analyse ``spans``; return (report, wall seconds)."""
     started = time.monotonic()
     report = analyze_quorum_paths(spans)
-    analysis_s = time.monotonic() - started
+    return report, time.monotonic() - started
+
+
+def test_bench_critical_path_attribution(benchmark):
+    runs = benchmark.pedantic(
+        lambda: [run_traced_workload() for _ in range(ROUNDS)],
+        rounds=1, iterations=1)
+    bed = runs[0][0]
+    workload_s = min(seconds for _bed, seconds in runs)
+    spans = bed.collector.spans()
+
+    analyses = [timed_analysis(spans) for _ in range(ROUNDS)]
+    report = analyses[0][0]
+    analysis_s = min(seconds for _report, seconds in analyses)
     overhead = analysis_s / workload_s if workload_s > 0 else 0.0
 
     share = report.blocking_share()
@@ -80,7 +93,8 @@ def test_bench_critical_path_attribution(benchmark):
         ["representative", "blocked ms", "share %", "closes"], rows)
     print(f"analysis: {len(report.paths)} paths from {len(spans)} spans "
           f"in {analysis_s * 1000.0:.1f} ms wall "
-          f"({overhead:.2%} of the {workload_s:.2f}s workload)")
+          f"({overhead:.2%} of the {workload_s:.2f}s workload; best of "
+          f"{ROUNDS} each)")
 
     # The slowed server dominates the attributed wait, offline...
     top_rep, top_blocked, _closes = report.top_blockers(1)[0]

@@ -15,7 +15,7 @@ is the whole trick of this module:
   the sim's time unit).  Every event, timeout, process, queue and
   resource then runs unmodified in wall-clock time.
 * :class:`LiveHost` implements the simulated
-  :class:`~repro.sim.network.Host` surface (``send`` / ``receive`` /
+  :class:`~repro.sim.network.Host` surface (``send`` / ``dispatch`` /
   ``crash`` / ``restart``) over a :class:`~repro.live.transport.TransportNode`,
   so ``RpcEndpoint`` — timeouts, retransmission, at-most-once dedup and
   all — *is* the live RPC layer, not a re-implementation of it.
@@ -43,7 +43,6 @@ from ..core.votes import SuiteConfiguration
 from ..obs.collector import TraceCollector
 from ..rpc.endpoint import RpcEndpoint
 from ..sim.metrics import MetricsRegistry
-from ..sim.queues import Queue
 from ..sim.rng import RandomStreams
 from ..sim.simulator import Simulator
 from ..txn.coordinator import TransactionManager
@@ -86,7 +85,7 @@ class LiveKernel(Simulator):
         return (self.loop.time() - self._epoch) * 1000.0
 
     def schedule(self, delay: float, callback: Callable[..., None],
-                 *args: Any) -> Optional[asyncio.TimerHandle]:
+                 *args: Any) -> None:
         if delay <= 0.0:
             # Batch all zero-delay callbacks of one loop pass behind a
             # single call_soon handle: the protocol machinery settles
@@ -96,10 +95,8 @@ class LiveKernel(Simulator):
             if not self._pump_scheduled:
                 self._pump_scheduled = True
                 self.loop.call_soon(self._run_due)
-            return None
-        # Returning the handle lets callers (the RPC endpoint) cancel
-        # timers that will never need to fire.
-        return self.loop.call_later(delay / 1000.0, callback, *args)
+            return
+        self.loop.call_later(delay / 1000.0, callback, *args)
 
     #: Zero-delay callbacks drained per pump before yielding the loop —
     #: a backstop against a pathological zero-delay cycle starving I/O,
@@ -147,11 +144,12 @@ class LiveKernel(Simulator):
 
     # -- orphan failures ---------------------------------------------------
 
-    def _note_orphan_failure(self, process, exception) -> None:
-        logger.error("unhandled failure in live process %r",
-                     process.name, exc_info=exception)
+    def note_orphan_failure(self, name: str,
+                            exception: BaseException) -> None:
+        logger.error("unhandled failure in live process %r", name,
+                     exc_info=exception)
         if len(self.orphan_failures) < 64:
-            self.orphan_failures.append((process.name, exception))
+            self.orphan_failures.append((name, exception))
 
     def wrap_awaitable(self, event) -> "asyncio.Future[Any]":
         """An asyncio future that settles when ``event`` does."""
@@ -172,12 +170,12 @@ class LiveKernel(Simulator):
 class LiveHost:
     """The simulated ``Host`` surface over a real TCP transport.
 
-    ``send`` is fire-and-forget into the transport; inbound frames land
-    in the same event-based inbox :class:`~repro.sim.queues.Queue` the
-    sim uses, so ``RpcEndpoint``'s server loop is byte-for-byte the same
-    code.  ``crash``/``restart`` keep the sim's semantics: a down host
-    drops everything in both directions and loses volatile state via
-    its crash listeners.
+    ``send`` is fire-and-forget into the transport; an inbound frame is
+    handed to ``dispatch`` — the endpoint's ``dispatch_message``, which
+    the endpoint installs — from the socket callback, exactly as the
+    sim's network hands it over on delivery.  ``crash``/``restart`` keep
+    the sim's semantics: a down host drops everything in both
+    directions and loses volatile state via its crash listeners.
     """
 
     def __init__(self, kernel: LiveKernel, name: str,
@@ -185,10 +183,7 @@ class LiveHost:
         self.kernel = kernel
         self.name = name
         self.transport = transport
-        self.inbox: Queue = Queue(kernel, name=f"{name}.inbox")
-        #: Optional fast path: when set (to the endpoint's
-        #: ``dispatch_message``), inbound frames skip the inbox queue
-        #: and the RPC server loop entirely.
+        #: Where inbound messages go; set by the host's ``RpcEndpoint``.
         self.dispatch: Optional[Callable[[Any], None]] = None
         self._up = True
         self._crash_listeners: List[Callable[[], None]] = []
@@ -209,17 +204,13 @@ class LiveHost:
             return
         self.transport.send(destination, payload)
 
-    def receive(self):
-        return self.inbox.get()
-
     def deliver(self, message: Any) -> None:
-        """Transport callback: a frame arrived for this host."""
-        if not self._up:
-            return  # crashed hosts drop inbound traffic
-        if self.dispatch is not None:
+        """Transport callback: a frame arrived for this host.
+
+        Crashed hosts drop inbound traffic.
+        """
+        if self._up and self.dispatch is not None:
             self.dispatch(message)
-        else:
-            self.inbox.put(message)
 
     # -- failure injection -------------------------------------------------
 
@@ -227,7 +218,6 @@ class LiveHost:
         if not self._up:
             return
         self._up = False
-        self.inbox.close()
         for listener in list(self._crash_listeners):
             listener()
 
@@ -235,7 +225,6 @@ class LiveHost:
         if self._up:
             return
         self._up = True
-        self.inbox.reopen()
         for listener in list(self._restart_listeners):
             listener()
 
@@ -301,7 +290,6 @@ class LiveRuntime:
                                     metrics=self.metrics,
                                     streams=self.streams,
                                     health=self.health)
-        self.host.dispatch = self.endpoint.dispatch_message
         self.manager = TransactionManager(
             self.kernel, self.endpoint, call_timeout=call_timeout,
             transport_attempts=transport_attempts,

@@ -170,7 +170,6 @@ class LiveStorageServer:
                                     collector=self.collector,
                                     metrics=self.metrics,
                                     health=self.health)
-        self.host.dispatch = self.endpoint.dispatch_message
         self.participant = TransactionParticipant(
             self.server, lock_timeout=lock_timeout,
             idle_abort_after=idle_abort_after, metrics=self.metrics,

@@ -2,19 +2,23 @@
 
 An :class:`RpcEndpoint` gives a host both roles:
 
-* **server** — ``register(method, handler)``; handlers may be plain
-  functions or generator functions (simulation processes), so a handler
-  can perform timed disk I/O or nested RPCs.
+* **server** — ``register(method, handler)``; a handler is a plain
+  function or a generator function that may wait on events (timed disk
+  I/O, a lock, a nested RPC).  It runs inline as its request arrives
+  and replies as it returns; only one that waits on a pending event
+  becomes a process.
 * **client** — ``call(destination, method, timeout=..., **args)``
   returns an event that triggers with the reply value or fails with a
   typed error (:class:`~repro.errors.RpcTimeout`,
-  :class:`~repro.errors.RemoteError`, ...).
+  :class:`~repro.errors.RemoteError`, ...).  One kernel timer per
+  endpoint, armed at the earliest pending deadline, retransmits and
+  expires calls.
 
 Failure semantics mirror real datagram RPC: requests and replies to
 down or partitioned hosts vanish, and the *client-side timeout* is the
-only way silence is detected.  A host crash kills the endpoint's server
-loop and every in-flight handler process (volatile state is gone), and
-fails that host's own outstanding client calls.
+only way silence is detected.  A host crash kills every handler process
+(volatile state is gone), and fails that host's own outstanding client
+calls.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import copy
 import inspect
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Mapping,
                     Optional, Tuple)
 
@@ -31,8 +36,7 @@ from ..errors import (HostUnreachableError, InvalidRequestError,
 from ..obs.spans import NOOP_SPAN, TraceContext
 from ..sim.events import Event
 from ..sim.network import Host
-from ..sim.process import Process
-from ..sim.queues import QueueClosed
+from ..sim.process import Process, step_until_pending
 from ..sim.rng import RandomStreams
 from .messages import Reply, Request
 
@@ -89,6 +93,29 @@ def reconstruct_error(reply: Reply) -> BaseException:
     return RemoteError(reply.error_type or "unknown", reply.error_detail or "")
 
 
+@dataclass(slots=True)
+class _Call:
+    """An outstanding client call and when it next times out."""
+
+    event: Event
+    request: Request
+    destination: str
+    timeout: float
+    remaining: int  # retransmissions left before the call expires
+    deadline: float
+    span: Any  # NOOP_SPAN when the call is not traced
+
+
+def _settle(call: _Call, value: Any = None,
+            error: Optional[BaseException] = None) -> None:
+    """End ``call``'s span and settle its event."""
+    call.span.end(error=error)
+    if error is None:
+        call.event.trigger(value)
+    else:
+        call.event.fail(error)
+
+
 class RpcEndpoint:
     """Client+server RPC node bound to one host."""
 
@@ -133,15 +160,13 @@ class RpcEndpoint:
         #: method -> (handler, its signature).
         self._handlers: Dict[str, Tuple[Callable[..., Any],
                                         Optional[inspect.Signature]]] = {}
-        self._pending: Dict[int, Event] = {}
-        #: Destination by call id, for attributing outcomes to breakers.
-        self._call_destinations: Dict[int, str] = {}
-        #: Cancellable retransmission-timer handles by call id (only
-        #: populated when the kernel's ``schedule`` returns handles).
-        self._retransmit_timers: Dict[int, Any] = {}
+        self._pending: Dict[int, _Call] = {}
+        #: When the armed deadline sweep fires; None while none is armed.
+        #: Never later than the earliest pending deadline.
+        self._sweep_at: Optional[float] = None
         self._next_call_id = 0
-        self._handler_processes: Dict[int, Process] = {}
-        self._next_handler_key = 0
+        #: Handlers that suspended, by request identity.
+        self._handler_processes: Dict[Tuple[str, int], Process] = {}
         # At-most-once execution: remember recent (source, call_id)s.
         # A duplicate of an in-flight request is dropped (the original
         # will reply); a duplicate of a completed one gets the cached
@@ -152,21 +177,20 @@ class RpcEndpoint:
         self._completed_capacity = 1024
         self.duplicates_suppressed = 0
         self.retransmissions = 0
-        self._loop: Optional[Process] = None
         self.requests_served = 0
         self.calls_sent = 0
+        self._host_up: Callable[[], bool] = lambda: host.up
         host.on_crash(self._on_crash)
-        host.on_restart(self._on_restart)
-        self._start_loop()
+        host.dispatch = self.dispatch_message
 
     # -- server side -----------------------------------------------------
 
     def register(self, method: str, handler: Callable[..., Any]) -> None:
         """Register ``handler(**args)`` for ``method``.
 
-        Generator-function handlers run as processes; their return value
-        becomes the reply.  Library exceptions become failure replies,
-        and so does a request whose arguments do not bind to the
+        A generator-function handler may wait on events; its return
+        value becomes the reply.  Library exceptions become failure
+        replies, and so does a request whose arguments do not bind to the
         handler's signature (:class:`InvalidRequestError`: the call is
         refused before any handler code runs).  The signature is
         inspected here, once; it is consulted only for a call that
@@ -176,48 +200,26 @@ class RpcEndpoint:
             raise ValueError(f"duplicate handler for {method!r}")
         self._handlers[method] = (handler, _signature(handler))
 
-    def _start_loop(self) -> None:
-        self._loop = self.sim.spawn(self._serve(),
-                                    name=f"rpc-loop:{self.host.name}")
-
     def dispatch_message(self, message: Any) -> None:
-        """Dispatch one inbound message without the server-loop hop.
+        """Dispatch one inbound message; the host's delivery calls this.
 
-        Live transports call this straight from their socket callbacks.
-        It is equivalent to one iteration of ``_serve`` and safe to run
-        outside a process: every downstream effect (handler spawn,
-        reply-event trigger) defers through ``sim.schedule``, so nothing
-        resumes a generator re-entrantly — and each frame saves a queue
-        put, an event trigger and a loop resume.
+        A request's handler runs right here (see
+        :meth:`_dispatch_request`); a reply settles its call's event.
+        Anything else on the wire is noise and is dropped.
         """
         if isinstance(message, Request):
             self._dispatch_request(message)
         elif isinstance(message, Reply):
             self._dispatch_reply(message)
 
-    def _serve(self):
-        while True:
-            try:
-                message = yield self.host.receive()
-            except QueueClosed:
-                return
-            if isinstance(message, Request):
-                self._dispatch_request(message)
-            elif isinstance(message, Reply):
-                self._dispatch_reply(message)
-            # Anything else on the wire is noise; drop it.
-
     def _dispatch_request(self, request: Request) -> None:
         identity = (request.source, request.call_id)
-        if identity in self._in_progress:
-            self.duplicates_suppressed += 1
-            self._count("rpc.duplicates_suppressed")
-            return
         cached = self._completed.get(identity)
-        if cached is not None:
+        if cached is not None or identity in self._in_progress:
             self.duplicates_suppressed += 1
             self._count("rpc.duplicates_suppressed")
-            self.host.send(request.source, cached)
+            if cached is not None:
+                self.host.send(request.source, cached)
             return
         self._in_progress.add(identity)
         span = NOOP_SPAN
@@ -227,14 +229,30 @@ class RpcEndpoint:
                 parent=TraceContext.from_wire(request.trace),
                 kind="server", source=request.source,
                 call_id=request.call_id)
-        key = self._next_handler_key
-        self._next_handler_key += 1
-        process = self.sim.spawn(
-            self._handle(request, key, span),
-            name=f"rpc:{self.host.name}:{request.method}#{request.call_id}")
-        self._handler_processes[key] = process
+        # Drive the handler right here; it becomes a process only when
+        # it has to wait.
+        handler = self._handle(request, span)
+        try:
+            target = step_until_pending(self.sim, handler, None, None,
+                                        self._host_up)
+        except StopIteration:
+            return
+        except BaseException as exc:  # noqa: BLE001 - the handler's bug
+            # Surfaced by the kernel, as from a process nobody joins.
+            handler.close()
+            self.sim.note_orphan_failure(self._name(request), exc)
+            return
+        if target is None:
+            handler.close()  # the step crashed the host: never resume
+        else:
+            self._handler_processes[identity] = Process(
+                self.sim, handler, name=self._name(request),
+                waiting_on=target)
 
-    def _handle(self, request: Request, key: int, span=NOOP_SPAN):
+    def _name(self, request: Request) -> str:
+        return f"rpc:{self.host.name}:{request.method}#{request.call_id}"
+
+    def _handle(self, request: Request, span=NOOP_SPAN):
         identity = (request.source, request.call_id)
         started = self.sim.now
         reply: Optional[Reply] = None
@@ -272,11 +290,13 @@ class RpcEndpoint:
                 # dropped as any late reply is): only calls that do
                 # leave state need their replies kept, and a read's
                 # reply can be the whole file.
-                self._remember(identity, reply)
+                self._completed[identity] = reply
+                while len(self._completed) > self._completed_capacity:
+                    self._completed.popitem(last=False)
             self.host.send(request.source, reply)
         finally:
             self._in_progress.discard(identity)
-            self._handler_processes.pop(key, None)
+            self._handler_processes.pop(identity, None)
             if self.metrics is not None:
                 self.metrics.histogram("rpc.server_latency").observe(
                     self.sim.now - started)
@@ -286,11 +306,6 @@ class RpcEndpoint:
                 span.end()
             else:
                 span.end(error=f"{reply.error_type}: {reply.error_detail}")
-
-    def _remember(self, identity: Tuple[str, int], reply: Reply) -> None:
-        self._completed[identity] = reply
-        while len(self._completed) > self._completed_capacity:
-            self._completed.popitem(last=False)
 
     # -- client side -------------------------------------------------------
 
@@ -313,10 +328,10 @@ class RpcEndpoint:
         failed call.
 
         ``trace`` parents this call into a caller's span: the endpoint
-        opens an ``rpc.client`` span (ended when the reply event
-        settles) and ships the span's context in the request, so the
-        server's handler span joins the same trace.  Retransmissions
-        reuse the request and therefore the same span.
+        opens an ``rpc.client`` span (ended when the call settles) and
+        ships the span's context in the request, so the server's
+        handler span joins the same trace.  Retransmissions reuse the
+        request and therefore the same span.
         """
         if attempts < 1:
             raise ValueError("attempts must be >= 1")
@@ -325,60 +340,50 @@ class RpcEndpoint:
         call_id = self._next_call_id
         self._next_call_id += 1
         event = self.sim.event(name=f"call:{method}->{destination}")
-        self._pending[call_id] = event
-        self._call_destinations[call_id] = destination
         self.calls_sent += 1
         self._count("rpc.calls_sent")
         wire_trace: Optional[Dict[str, str]] = None
+        span = NOOP_SPAN
         if trace is not None:
-            span = NOOP_SPAN
             if self.collector is not None:
                 span = self.collector.start_span(
                     f"rpc.{method}", parent=trace, kind="client",
                     destination=destination, call_id=call_id)
             context = span.context if span else trace
             wire_trace = context.to_wire()
-            if span:
-                event.add_callback(
-                    lambda settled, span=span: span.end(
-                        error=settled.value if settled.failed else None))
         request = Request(call_id=call_id, source=self.host.name,
                           method=method, args=self._copy(args),
                           trace=wire_trace)
+        deadline = self.sim.now + timeout
+        self._pending[call_id] = _Call(event, request, destination, timeout,
+                                       attempts - 1, deadline, span)
         self.host.send(destination, request)
-        self._arm_retransmit(request, destination, timeout, attempts - 1)
+        if self._sweep_at is None or deadline < self._sweep_at:
+            self._sweep_at = deadline
+            self.sim.schedule(timeout, self._sweep, deadline)
         return event
 
-    def _arm_retransmit(self, request: Request, destination: str,
-                        timeout: float, remaining: int) -> None:
-        # ``schedule`` may return a cancellable handle (the live kernel
-        # does; the sim returns None).  Kept so an answered call can
-        # cancel its timer instead of leaving it to fire as a no-op —
-        # at live throughput those dead timers are real overhead.
-        handle = self.sim.schedule(timeout, self._retransmit_or_expire,
-                                   request, destination, timeout,
-                                   remaining)
-        if handle is not None:
-            self._retransmit_timers[request.call_id] = handle
-
-    def _disarm_retransmit(self, call_id: int) -> None:
-        handle = self._retransmit_timers.pop(call_id, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _retransmit_or_expire(self, request: Request, destination: str,
-                              timeout: float, remaining: int) -> None:
-        self._retransmit_timers.pop(request.call_id, None)
-        event = self._pending.get(request.call_id)
-        if event is None or not event.pending:
-            return  # answered meanwhile
-        if remaining <= 0 or not self.host.up:
-            self._expire(request.call_id, request.method, destination)
-            return
-        self.retransmissions += 1
-        self._count("rpc.retransmissions")
-        self.host.send(destination, request)
-        self._arm_retransmit(request, destination, timeout, remaining - 1)
+    def _sweep(self, at: float) -> None:
+        """Retransmit or expire every call whose deadline is ``at`` or
+        earlier, then re-arm at the earliest deadline left, if any."""
+        if at != self._sweep_at:
+            return  # superseded by an earlier sweep, or by a crash
+        self._sweep_at = None
+        for call_id, call in [item for item in self._pending.items()
+                              if item[1].deadline <= at]:
+            if call.remaining <= 0 or not self.host.up:
+                self._expire(call_id, call)
+                continue
+            call.remaining -= 1
+            call.deadline = at + call.timeout
+            self.retransmissions += 1
+            self._count("rpc.retransmissions")
+            self.host.send(call.destination, call.request)
+        if self._pending:
+            deadline = min(call.deadline for call in self._pending.values())
+            self._sweep_at = deadline
+            self.sim.schedule(max(0.0, deadline - self.sim.now),
+                              self._sweep, deadline)
 
     def call_with_retries(self, destination: str, method: str,
                           timeout: float, attempts: int = 3,
@@ -410,56 +415,41 @@ class RpcEndpoint:
                         yield self.sim.timeout(delay)
         raise last_error or RpcTimeout(f"{method} -> {destination}")
 
-    def _expire(self, call_id: int, method: str, destination: str) -> None:
-        self._disarm_retransmit(call_id)
-        self._call_destinations.pop(call_id, None)
-        event = self._pending.pop(call_id, None)
-        if event is not None and event.pending:
-            self._count("rpc.timeouts")
-            if self.health is not None:
-                self.health.record_failure(destination)
-            event.fail(RpcTimeout(
-                f"{method} -> {destination}: no reply"))
+    def _expire(self, call_id: int, call: _Call) -> None:
+        del self._pending[call_id]
+        self._count("rpc.timeouts")
+        if self.health is not None:
+            self.health.record_failure(call.destination)
+        _settle(call, error=RpcTimeout(
+            f"{call.request.method} -> {call.destination}: no reply"))
 
     def _dispatch_reply(self, reply: Reply) -> None:
-        destination = self._call_destinations.pop(reply.call_id, None)
-        event = self._pending.pop(reply.call_id, None)
-        if event is None or not event.pending:
+        call = self._pending.pop(reply.call_id, None)
+        if call is None:
             return  # late reply after timeout: drop
-        self._disarm_retransmit(reply.call_id)
-        if self.health is not None and destination is not None:
+        if self.health is not None:
             # Any reply — even a failure reply — proves the peer alive.
-            self.health.record_success(destination)
+            self.health.record_success(call.destination)
         if reply.ok:
-            event.trigger(reply.value)
+            _settle(call, reply.value)
         else:
-            event.fail(reconstruct_error(reply))
+            _settle(call, error=reconstruct_error(reply))
 
     # -- crash plumbing ------------------------------------------------------
 
     def _on_crash(self) -> None:
-        if self._loop is not None:
-            self._loop.kill()
-            self._loop = None
         for process in list(self._handler_processes.values()):
             process.kill()
         self._handler_processes.clear()
         self._in_progress.clear()
         self._completed.clear()
-        timers, self._retransmit_timers = self._retransmit_timers, {}
-        for handle in timers.values():
-            handle.cancel()
-        # A local crash says nothing about peers' health: drop the
-        # attributions rather than charge breakers for our own outage.
-        self._call_destinations.clear()
+        # A local crash says nothing about peers' health: fail the calls
+        # without charging any breaker for our own outage.
         pending, self._pending = self._pending, {}
-        for event in pending.values():
-            if event.pending:
-                event.fail(HostUnreachableError(
-                    f"local host {self.host.name} crashed mid-call"))
-
-    def _on_restart(self) -> None:
-        self._start_loop()
+        self._sweep_at = None
+        for call in pending.values():
+            _settle(call, error=HostUnreachableError(
+                f"local host {self.host.name} crashed mid-call"))
 
     # -- internals -------------------------------------------------------------
 

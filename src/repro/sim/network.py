@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .distributions import Distribution, as_distribution
-from .queues import Queue, Resource
+from .queues import Resource
 from .rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,13 +59,22 @@ def estimate_size(payload: Any, depth: int = 0) -> int:
     return 16
 
 
+def _discard(message: Any) -> None:
+    """Where a host's messages go until something listens."""
+
+
 class Host:
-    """A network endpoint with an inbox queue and up/down state."""
+    """A network endpoint with up/down state.
+
+    Each delivered message is handed to ``dispatch``, which whatever
+    serves the host (an RPC endpoint) installs; until then messages are
+    dropped on arrival.
+    """
 
     def __init__(self, network: "Network", name: str) -> None:
         self.network = network
         self.name = name
-        self.inbox: Queue = Queue(network.sim, name=f"{name}.inbox")
+        self.dispatch: Callable[[Any], None] = _discard
         self._up = True
         self._crash_listeners: List[Callable[[], None]] = []
         self._restart_listeners: List[Callable[[], None]] = []
@@ -84,30 +93,24 @@ class Host:
         """Fire-and-forget datagram to ``destination``."""
         self.network.send(self.name, destination, payload)
 
-    def receive(self):
-        """Event that triggers with the next inbound message."""
-        return self.inbox.get()
-
     # -- failure injection ---------------------------------------------------
 
     def crash(self) -> None:
-        """Take the host down: inbox drops, listeners fire.
+        """Take the host down: inbound messages drop, listeners fire.
 
         Idempotent; crashing a crashed host is a no-op.
         """
         if not self._up:
             return
         self._up = False
-        self.inbox.close()
         for listener in list(self._crash_listeners):
             listener()
 
     def restart(self) -> None:
-        """Bring the host back up with an empty inbox."""
+        """Bring the host back up."""
         if self._up:
             return
         self._up = True
-        self.inbox.reopen()
         for listener in list(self._restart_listeners):
             listener()
 
@@ -368,4 +371,4 @@ class Network:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        host.inbox.put(payload)
+        host.dispatch(payload)

@@ -14,7 +14,7 @@ join it" just ``result = yield child``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..errors import Interrupt, ProcessKilled
 from .events import FAILED, PENDING, Event
@@ -23,6 +23,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
 
 ProcessGenerator = Generator[Event, Any, Any]
+
+
+def step_until_pending(sim: "Simulator", generator: ProcessGenerator,
+                       value: Any, error: Optional[BaseException],
+                       running: Callable[[], bool]) -> Optional[Event]:
+    """Advance ``generator`` to its next wait; return the awaited event.
+
+    The generator is sent ``value``, or has ``error`` thrown into it.
+    When the kernel resumes eagerly (``Simulator.eager_resume``) a
+    yield of an already-settled event is answered at once and the
+    generator runs on; otherwise its first yield is returned whatever
+    the event's state.  Returns None when ``running()`` turns false
+    after a step: the step stopped the generator's owner (a host crash
+    from inside a handler), which must not be resumed.  The generator's
+    return (``StopIteration``) and its exceptions propagate, and so
+    does a yield of anything but an event, as ``TypeError``.
+    """
+    eager = sim.eager_resume
+    while True:
+        if error is not None:
+            target = generator.throw(error)
+        else:
+            target = generator.send(value)
+        if not running():
+            return None
+        if not isinstance(target, Event):
+            raise TypeError(f"yielded {target!r}; processes may only "
+                            "yield Event instances")
+        state = target._state
+        if state is PENDING or not eager:
+            return target
+        if state is FAILED:
+            value, error = None, target._value
+        else:
+            value, error = target._value, None
 
 
 class Process(Event):
@@ -34,7 +69,7 @@ class Process(Event):
     __slots__ = ("generator", "_waiting_on", "_alive")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
-                 name: str = "") -> None:
+                 name: str = "", waiting_on: Optional[Event] = None) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(
                 f"spawn() needs a generator, got {type(generator).__name__}; "
@@ -44,8 +79,14 @@ class Process(Event):
         self.generator = generator
         self._waiting_on: Optional[Event] = None
         self._alive = True
-        # Start the process at the current simulation time.
-        sim.schedule(0.0, self._resume, None)
+        if waiting_on is None:
+            # Start the process at the current simulation time.
+            sim.schedule(0.0, self._resume, None)
+        else:
+            # Adopt a generator someone else started: it is parked on
+            # ``waiting_on`` and resumes when that settles.
+            self._waiting_on = waiting_on
+            waiting_on.add_callback(self._resume)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -110,44 +151,22 @@ class Process(Event):
         the kernel allows it (see ``Simulator.eager_resume``)."""
         if not self._alive:
             return
-        eager = self.sim.eager_resume
-        while True:
-            throwing, exception = exception, None
-            try:
-                if throwing is not None:
-                    target = self.generator.throw(throwing)
-                else:
-                    target = self.generator.send(value)
-            except StopIteration as stop:
-                self._finish(stop.value)
+        try:
+            target = step_until_pending(self.sim, self.generator, value,
+                                        exception, lambda: self._alive)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        except BaseException as exc:  # noqa: BLE001 - capture crash
+            if exc is exception and isinstance(exc, Interrupt):
+                # Uncaught interrupt simply terminates the process.
+                self._finish(None)
                 return
-            except BaseException as exc:  # noqa: BLE001 - capture crash
-                if (throwing is not None and exc is throwing
-                        and isinstance(exc, Interrupt)):
-                    # Uncaught interrupt simply terminates the process.
-                    self._finish(None)
-                    return
-                self._crash(exc)
-                return
-            if not self._alive:
-                # The step we just ran killed this process (host crash
-                # from inside a handler); the generator is closed.
-                return
-            if not isinstance(target, Event):
-                self._crash(TypeError(
-                    f"process {self.name!r} yielded {target!r}; "
-                    "processes may only yield Event instances"
-                ))
-                return
-            if eager and target._state is not PENDING:
-                if target._state is FAILED:
-                    value, exception = None, target._value
-                else:
-                    value = target._value
-                continue
+            self._crash(exc)
+            return
+        if target is not None:  # None: the step killed this process
             self._waiting_on = target
             target.add_callback(self._resume)
-            return
 
     def _finish(self, value: Any) -> None:
         self._alive = False
@@ -162,7 +181,7 @@ class Process(Event):
             if not had_waiters:
                 # Nobody is joining this process; surface the failure at
                 # Simulator.run() instead of losing it silently.
-                self.sim._note_orphan_failure(self, exception)
+                self.sim.note_orphan_failure(self.name, exception)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else self._state

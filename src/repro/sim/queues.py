@@ -1,9 +1,8 @@
 """Inter-process communication primitives: FIFO queues and resources.
 
-:class:`Queue` is the mailbox used throughout the stack — a network host's
-inbox, a server's request queue.  ``get()`` returns an event that triggers
-when an item is available, preserving FIFO order among both items and
-waiters.
+:class:`Queue` is a mailbox between processes.  ``get()`` returns an event
+that triggers when an item is available, preserving FIFO order among both
+items and waiters.
 
 :class:`Resource` models a unit-capacity (or k-capacity) resource such as
 a disk arm: processes ``acquire()`` it, do timed work, and ``release()``.
@@ -21,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class QueueClosed(Exception):
-    """Raised to getters when a queue is closed (e.g. host crashed)."""
+    """Raised to getters when a queue is closed."""
 
 
 class Queue:
@@ -29,8 +28,7 @@ class Queue:
 
     ``put`` never blocks.  ``get`` returns an :class:`Event`; yield it
     from a process to receive the next item.  Closing the queue fails
-    all pending and future getters with :class:`QueueClosed` — used to
-    tear down server loops on crash.
+    all pending and future getters with :class:`QueueClosed`.
     """
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:

@@ -54,7 +54,7 @@ class Simulator:
         self._now = 0.0
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._sequence = 0
-        self._orphan_failures: list[tuple[Process, BaseException]] = []
+        self._orphan_failures: list[tuple[str, BaseException]] = []
         self._running = False
 
     # -- time --------------------------------------------------------------
@@ -131,10 +131,9 @@ class Simulator:
                 self.step()
                 steps += 1
                 if self._orphan_failures:
-                    process, exc = self._orphan_failures[0]
+                    name, exc = self._orphan_failures[0]
                     raise RuntimeError(
-                        f"unhandled failure in process {process.name!r}"
-                    ) from exc
+                        f"unhandled failure in process {name!r}") from exc
         finally:
             self._running = False
         return self._now
@@ -157,10 +156,9 @@ class Simulator:
                     "run_until: event queue drained but event never settled"
                 )
             if self._orphan_failures:
-                process, exc = self._orphan_failures[0]
+                name, exc = self._orphan_failures[0]
                 raise RuntimeError(
-                    f"unhandled failure in process {process.name!r}"
-                ) from exc
+                    f"unhandled failure in process {name!r}") from exc
         if event.failed:
             raise event.value
         return event.value
@@ -170,11 +168,13 @@ class Simulator:
         """Spawn ``generator`` and run until it finishes; return its result."""
         return self.run_until(self.spawn(generator), limit=limit)
 
-    # -- internals ---------------------------------------------------------
+    # -- orphan failures ---------------------------------------------------
 
-    def _note_orphan_failure(self, process: Process,
-                             exception: BaseException) -> None:
-        self._orphan_failures.append((process, exception))
+    def note_orphan_failure(self, name: str,
+                            exception: BaseException) -> None:
+        """An exception escaped process ``name`` and nobody joins it:
+        :meth:`run` raises it rather than let a bug vanish."""
+        self._orphan_failures.append((name, exception))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.3f} queued={len(self._queue)}>"

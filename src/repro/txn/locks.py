@@ -6,7 +6,8 @@ control.  Representatives are locked in **shared** mode by version
 inquiries and reads, and **exclusive** mode by writes, under strict
 two-phase locking (locks released only at commit/abort).
 
-Blocking requests return events.  Before a request blocks, the manager
+Requests return events; every grant made at once is the manager's one
+already-triggered event.  Before a request blocks, the manager
 checks the local waits-for graph and fails the request with
 :class:`~repro.errors.DeadlockError` if waiting would close a cycle.
 Distributed deadlocks (cycles spanning servers) are broken by lock
@@ -19,9 +20,9 @@ on a crash.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Set
 
 from ..errors import DeadlockError, LockTimeoutError, TransactionAborted
 from ..sim.events import Event
@@ -32,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 SHARED = "S"
 EXCLUSIVE = "X"
+
+_NOTHING: frozenset = frozenset()
 
 
 def compatible(held: str, requested: str) -> bool:
@@ -46,20 +49,6 @@ class _Waiter:
     event: Event
 
 
-class _ResourceLock:
-    """Lock state for a single resource."""
-
-    __slots__ = ("holders", "queue")
-
-    def __init__(self) -> None:
-        # Insertion order matters for upgrade bookkeeping and debugging.
-        self.holders: "OrderedDict[TransactionId, str]" = OrderedDict()
-        self.queue: Deque[_Waiter] = deque()
-
-    def mode_of(self, txn: TransactionId) -> Optional[str]:
-        return self.holders.get(txn)
-
-
 class LockManager:
     """Strict two-phase locking for one server."""
 
@@ -68,7 +57,11 @@ class LockManager:
         self.sim = sim
         self.name = name
         self.default_timeout = default_timeout
-        self._locks: Dict[str, _ResourceLock] = {}
+        #: resource -> its holders and the mode each holds.
+        self._holders: Dict[str, Dict[TransactionId, str]] = {}
+        #: resource -> requests queued on it, oldest first; only resources
+        #: with a queue have an entry, and they always have holders.
+        self._queues: Dict[str, Deque[_Waiter]] = {}
         self._held_by_txn: Dict[TransactionId, Set[str]] = {}
         # All resources each transaction currently has *queued* requests
         # on.  A set, not a scalar: one transaction can have several
@@ -77,15 +70,14 @@ class LockManager:
         self._waiting_on: Dict[TransactionId, Set[str]] = {}
         self.deadlocks_detected = 0
         self.lock_timeouts = 0
+        #: What every immediate grant returns.
+        self._granted = sim.event(name=f"lock:{name}:granted").trigger()
 
     # -- queries -------------------------------------------------------------
 
     def holds(self, txn: TransactionId, resource: str,
               mode: Optional[str] = None) -> bool:
-        lock = self._locks.get(resource)
-        if lock is None:
-            return False
-        held = lock.mode_of(txn)
+        held = self._holders.get(resource, {}).get(txn)
         if held is None:
             return False
         if mode is None:
@@ -93,8 +85,7 @@ class LockManager:
         return held == mode or (held == EXCLUSIVE and mode == SHARED)
 
     def holders_of(self, resource: str) -> Dict[TransactionId, str]:
-        lock = self._locks.get(resource)
-        return dict(lock.holders) if lock else {}
+        return dict(self._holders.get(resource, {}))
 
     def locked_resources(self, txn: TransactionId) -> Set[str]:
         return set(self._held_by_txn.get(txn, set()))
@@ -105,41 +96,47 @@ class LockManager:
                 timeout: Optional[float] = None) -> Event:
         """Request ``mode`` on ``resource``; returns a grant event.
 
-        The event triggers when granted, or fails with
+        An immediate grant — re-acquiring a mode already covered is one
+        — returns the manager's shared triggered event.  Otherwise the
+        event triggers when granted, or fails with
         :class:`DeadlockError` (local cycle) or
         :class:`LockTimeoutError` (``timeout`` elapsed, default from the
-        manager).  Re-acquiring a mode already covered is an immediate
-        grant; S→X upgrade is supported and waits for other holders to
-        drain, taking priority over queued fresh requests.
+        manager).  S→X upgrade waits for other holders to drain, taking
+        priority over queued fresh requests.
         """
         if mode not in (SHARED, EXCLUSIVE):
             raise ValueError(f"unknown lock mode {mode!r}")
+        holders = self._holders.get(resource)
+        if holders is None:
+            holders = self._holders[resource] = {}
+        else:
+            held = holders.get(txn)
+            if held == EXCLUSIVE or held == mode:
+                return self._granted  # already covered
+            if not self._grantable(holders, txn, mode,
+                                   self._queues.get(resource, ())):
+                return self._wait(txn, resource, mode, held, timeout)
+        holders[txn] = mode
+        self._held_by_txn.setdefault(txn, set()).add(resource)
+        return self._granted
+
+    def _wait(self, txn: TransactionId, resource: str, mode: str,
+              held: Optional[str], timeout: Optional[float]) -> Event:
+        """Queue a request that cannot be granted now — unless waiting
+        would close a cycle in the local waits-for graph."""
         event = self.sim.event(name=f"lock:{resource}:{mode}")
-        lock = self._locks.setdefault(resource, _ResourceLock())
-        held = lock.mode_of(txn)
-
-        if held == EXCLUSIVE or held == mode:
-            event.trigger(mode)  # already covered
-            return event
-
-        if self._grantable(lock, txn, mode):
-            self._grant(lock, txn, resource, mode)
-            event.trigger(mode)
-            return event
-
-        # Must wait: deadlock check first.
         if self._would_deadlock(txn, resource, mode):
             self.deadlocks_detected += 1
             event.fail(DeadlockError(
                 f"{self.name}: waiting for {mode} on {resource!r} "
                 f"would deadlock {txn}"))
             return event
-
         waiter = _Waiter(txn=txn, mode=mode, event=event)
+        queue = self._queues.setdefault(resource, deque())
         if held == SHARED and mode == EXCLUSIVE:
-            lock.queue.appendleft(waiter)  # upgrades jump the queue
+            queue.appendleft(waiter)  # upgrades jump the queue
         else:
-            lock.queue.append(waiter)
+            queue.append(waiter)
         self._waiting_on.setdefault(txn, set()).add(resource)
         effective_timeout = timeout if timeout is not None \
             else self.default_timeout
@@ -148,29 +145,16 @@ class LockManager:
                               resource)
         return event
 
-    def _grantable(self, lock: _ResourceLock, txn: TransactionId,
-                   mode: str) -> bool:
-        other_holders = [m for t, m in lock.holders.items() if t != txn]
-        if any(not compatible(m, mode) for m in other_holders):
-            return False
-        if mode == EXCLUSIVE and other_holders:
-            return False
+    @staticmethod
+    def _grantable(holders: Dict[TransactionId, str], txn: TransactionId,
+                   mode: str, ahead: Iterable[_Waiter]) -> bool:
+        """May ``txn`` take ``mode`` now, queued behind ``ahead``?"""
+        for holder, held in holders.items():
+            if holder != txn and not compatible(held, mode):
+                return False
         # Fairness: a fresh shared request must not overtake a queued
         # exclusive request (starvation control).  Upgrades are exempt.
-        if lock.mode_of(txn) is None:
-            if any(w.mode == EXCLUSIVE for w in lock.queue):
-                return False
-        return True
-
-    def _grant(self, lock: _ResourceLock, txn: TransactionId,
-               resource: str, mode: str) -> None:
-        lock.holders[txn] = mode
-        self._held_by_txn.setdefault(txn, set()).add(resource)
-        waited = self._waiting_on.get(txn)
-        if waited is not None:
-            waited.discard(resource)
-            if not waited:
-                del self._waiting_on[txn]
+        return txn in holders or all(w.mode != EXCLUSIVE for w in ahead)
 
     # -- release ---------------------------------------------------------------
 
@@ -183,63 +167,63 @@ class LockManager:
         now instead of sitting out the lock timer — it is not a
         timeout and is not counted as one.
         """
-        resources = self._held_by_txn.pop(txn, set())
-        waited = self._waiting_on.pop(txn, set())
-        resources = resources | set(waited)
-        for resource in resources:
-            lock = self._locks.get(resource)
-            if lock is None:
+        resources = self._held_by_txn.pop(txn, _NOTHING)
+        waited = self._waiting_on.pop(txn, None)
+        for resource in resources | waited if waited else resources:
+            holders = self._holders.get(resource)
+            if holders is None:
                 continue
-            lock.holders.pop(txn, None)
-            for waiter in lock.queue:
+            holders.pop(txn, None)
+            queue = self._queues.get(resource)
+            if queue is None:
+                if not holders:
+                    del self._holders[resource]
+                continue
+            for waiter in queue:
                 if waiter.txn == txn and waiter.event.pending:
                     waiter.event.fail(TransactionAborted(
                         txn, f"finished at {self.name} while waiting "
                         f"for {waiter.mode} on {resource!r}"))
-            lock.queue = deque(w for w in lock.queue if w.txn != txn)
-            self._promote(lock, resource)
-            if not lock.holders and not lock.queue:
-                del self._locks[resource]
+            self._queues[resource] = deque(w for w in queue if w.txn != txn)
+            self._promote(resource)
 
-    def _promote(self, lock: _ResourceLock, resource: str) -> None:
-        """Grant queued requests that have become compatible, in order."""
-        progressed = True
-        while progressed and lock.queue:
-            progressed = False
-            head = lock.queue[0]
-            if not head.event.pending:
-                lock.queue.popleft()  # timed out or failed while queued
-                progressed = True
-                continue
-            if self._grantable_waiter(lock, head):
-                lock.queue.popleft()
-                self._grant(lock, head.txn, resource, head.mode)
+    def _promote(self, resource: str) -> None:
+        """Grant queued requests that have become compatible, in order;
+        forget the resource's queue, and the resource, once empty."""
+        holders, queue = self._holders[resource], self._queues[resource]
+        while queue:
+            head = queue[0]
+            if head.event.pending:  # else timed out or failed while queued
+                if not self._grantable(holders, head.txn, head.mode, ()):
+                    break
+                holders[head.txn] = head.mode
+                self._held_by_txn.setdefault(head.txn, set()).add(resource)
+                self._stop_waiting(head.txn, resource)
                 head.event.trigger(head.mode)
-                progressed = True
+            queue.popleft()
+        if not queue:
+            del self._queues[resource]
+            if not holders:
+                del self._holders[resource]
 
-    def _grantable_waiter(self, lock: _ResourceLock, waiter: _Waiter) -> bool:
-        other_holders = [m for t, m in lock.holders.items()
-                         if t != waiter.txn]
-        if any(not compatible(m, waiter.mode) for m in other_holders):
-            return False
-        if waiter.mode == EXCLUSIVE and other_holders:
-            return False
-        return True
+    def _stop_waiting(self, txn: TransactionId, resource: str) -> None:
+        waited = self._waiting_on.get(txn)
+        if waited is not None:
+            waited.discard(resource)
+            if not waited:
+                del self._waiting_on[txn]
 
     # -- failure handling --------------------------------------------------------
 
     def _expire(self, waiter: _Waiter, resource: str) -> None:
         if not waiter.event.pending:
             return
-        lock = self._locks.get(resource)
-        if lock is not None:
-            lock.queue = deque(w for w in lock.queue if w is not waiter)
-            self._promote(lock, resource)
-        waited = self._waiting_on.get(waiter.txn)
-        if waited is not None:
-            waited.discard(resource)
-            if not waited:
-                del self._waiting_on[waiter.txn]
+        queue = self._queues.get(resource)
+        if queue is not None:
+            self._queues[resource] = deque(w for w in queue
+                                           if w is not waiter)
+            self._promote(resource)
+        self._stop_waiting(waiter.txn, resource)
         self.lock_timeouts += 1
         waiter.event.fail(LockTimeoutError(
             f"{self.name}: {waiter.txn} timed out waiting for "
@@ -247,12 +231,13 @@ class LockManager:
 
     def clear(self) -> None:
         """Crash: drop the whole lock table; fail queued waiters."""
-        for resource, lock in list(self._locks.items()):
-            for waiter in lock.queue:
+        for queue in self._queues.values():
+            for waiter in queue:
                 if waiter.event.pending:
                     waiter.event.fail(LockTimeoutError(
                         f"{self.name}: server crashed"))
-        self._locks.clear()
+        self._holders.clear()
+        self._queues.clear()
         self._held_by_txn.clear()
         self._waiting_on.clear()
 
@@ -279,30 +264,22 @@ class LockManager:
         return False
 
     def _queued_mode(self, txn: TransactionId, resource: str) -> str:
-        lock = self._locks.get(resource)
-        if lock is not None:
-            for waiter in lock.queue:
-                if waiter.txn == txn:
-                    return waiter.mode
+        for waiter in self._queues.get(resource, ()):
+            if waiter.txn == txn:
+                return waiter.mode
         return EXCLUSIVE  # conservative
 
     def _blockers(self, resource: str, txn: TransactionId,
                   mode: str) -> Set[TransactionId]:
         """Transactions ``txn`` would wait behind on ``resource``."""
-        lock = self._locks.get(resource)
-        if lock is None:
-            return set()
-        blockers = {t for t, m in lock.holders.items()
+        holders = self._holders.get(resource, {})
+        blockers = {t for t, m in holders.items()
                     if t != txn and not compatible(m, mode)}
-        if mode == EXCLUSIVE:
-            blockers |= {t for t in lock.holders if t != txn}
         # Queued conflicting requests ahead of us also block us — except
         # for an upgrade (we already hold the resource): upgrades jump
         # the queue, so only current holders can block them.
-        if lock.mode_of(txn) is None:
-            for waiter in lock.queue:
-                if waiter.txn != txn and (not compatible(waiter.mode, mode)
-                                          or waiter.mode == EXCLUSIVE
-                                          or mode == EXCLUSIVE):
+        if txn not in holders:
+            for waiter in self._queues.get(resource, ()):
+                if waiter.txn != txn and not compatible(waiter.mode, mode):
                     blockers.add(waiter.txn)
         return blockers

@@ -187,6 +187,55 @@ class TestLoopbackCluster:
 
         asyncio.run(scenario())
 
+    def test_uncontended_stat_is_served_without_a_process(self,
+                                                          monkeypatch):
+        from repro.sim.process import Process
+        kernels = []
+        adopt = Process.__init__
+
+        def counting(process, sim, *args, **kwargs):
+            kernels.append(sim)
+            adopt(process, sim, *args, **kwargs)
+
+        async def scenario():
+            async with LoopbackCluster(["s1"]) as cluster:
+                config = make_config("inline", servers=("s1",), r=1, w=1)
+                await cluster.install(config, b"v1")
+                client, server = cluster.client, cluster.servers["s1"]
+                monkeypatch.setattr(Process, "__init__", counting)
+                reply = await client.kernel.wrap_awaitable(
+                    client.endpoint.call(
+                        "s1", "txn.stat", txn=f"{client.name}#99",
+                        name=config.file_name, release=True))
+                monkeypatch.undo()
+                assert reply["version"] == 1
+                assert not any(kernel is server.kernel
+                               for kernel in kernels)
+                assert server.endpoint._handler_processes == {}
+                assert server.participant.locks.holders_of(
+                    config.file_name) == {}
+
+        asyncio.run(scenario())
+
+    def test_handler_bug_is_an_orphan_failure(self):
+        # The live twin of the sim's "unhandled failure": the bug stays
+        # on the server kernel instead of escaping into the socket
+        # callback, and the request is no longer in progress.
+        async def scenario():
+            async with LoopbackCluster(["s1"]) as cluster:
+                client, server = cluster.client, cluster.servers["s1"]
+                server.endpoint.register("concat", lambda x: x + "!")
+                with pytest.raises(RpcTimeout):
+                    await client.kernel.wrap_awaitable(client.endpoint.call(
+                        "s1", "concat", timeout=200.0, x=1))
+                ((name, error),) = server.kernel.orphan_failures
+                assert name.startswith("rpc:s1:concat#")
+                assert isinstance(error, TypeError)
+                assert server.endpoint._in_progress == set()
+                assert server.endpoint.requests_served == 0
+
+        asyncio.run(scenario())
+
     def test_daemon_survives_hostile_frames(self):
         # Bodies nested past the recursion limit used to escape the
         # parser as RecursionError; now each poisons only its own

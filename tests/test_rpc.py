@@ -6,9 +6,12 @@ from repro.chaos.health import HealthTracker
 from repro.errors import (HostUnreachableError, InvalidRequestError,
                           NoSuchFileError, NoSuchMethodError, RemoteError,
                           RpcTimeout)
+from repro.obs.collector import TraceCollector
 from repro.rpc import RpcEndpoint, Reply, Request
 from repro.rpc.endpoint import reconstruct_error
 from repro.sim import Network, RandomStreams, Simulator
+from repro.txn.ids import TransactionId
+from repro.txn.locks import EXCLUSIVE, SHARED, LockManager
 
 
 @pytest.fixture
@@ -204,6 +207,120 @@ class TestTimeoutsAndRetries:
         assert client._pending == {}
 
 
+def sweeps_armed(sim, endpoint):
+    """Record the fire time of every deadline sweep ``endpoint`` arms."""
+    armed = []
+    schedule = sim.schedule
+
+    def counting(delay, callback, *args):
+        if callback == endpoint._sweep:
+            armed.append(sim.now + delay)
+        return schedule(delay, callback, *args)
+
+    sim.schedule = counting
+    return armed
+
+
+class TestDeadlineSweep:
+    """One kernel timer per endpoint, armed at the earliest deadline."""
+
+    def test_many_calls_share_the_timers(self, sim, pair):
+        client, server = pair
+        server.host.crash()
+        armed = sweeps_armed(sim, client)
+        failed_at = []
+
+        def one():
+            try:
+                yield client.call("server", "ping", timeout=30.0,
+                                  attempts=2)
+            except RpcTimeout:
+                failed_at.append(sim.now)
+
+        for _ in range(50):
+            sim.spawn(one())
+        sim.run()
+        assert failed_at == [60.0] * 50     # attempts × timeout, exactly
+        assert armed == [30.0, 60.0]
+        assert client.retransmissions == 50
+        assert client._pending == {} and client._sweep_at is None
+
+    def test_short_call_after_a_long_one_expires_on_time(self, sim, pair):
+        client, server = pair
+        server.host.crash()
+        expired = {}
+
+        def one(tag, timeout):
+            try:
+                yield client.call("server", "ping", timeout=timeout)
+            except RpcTimeout:
+                expired[tag] = sim.now
+
+        sim.spawn(one("long", 500.0))
+        sim.schedule(10.0, lambda: sim.spawn(one("short", 20.0)))
+        sim.run()
+        assert expired == {"short": 30.0, "long": 500.0}
+
+    def test_retransmission_restarts_the_deadline(self, sim, network, pair):
+        client, server = pair
+        server.host.crash()
+        sent = []
+        send = network.send
+
+        def watching_send(source, destination, payload):
+            if source == "client":
+                sent.append((sim.now, payload.call_id))
+            send(source, destination, payload)
+
+        network.send = watching_send
+        expired = {}
+
+        def one(timeout, attempts):
+            event = client.call("server", "ping", timeout=timeout,
+                                attempts=attempts)
+            try:
+                yield event
+            except RpcTimeout:
+                expired[timeout] = sim.now
+
+        sim.spawn(one(40.0, 3))
+        sim.schedule(25.0, lambda: sim.spawn(one(50.0, 2)))
+        sim.run()
+        # Each deadline counts from that call's latest transmission.
+        assert sent == [(0.0, 0), (25.0, 1), (40.0, 0), (75.0, 1),
+                        (80.0, 0)]
+        assert expired == {40.0: 120.0, 50.0: 125.0}
+
+    def test_no_sweep_rearmed_once_every_call_is_answered(self, sim, pair):
+        client, server = pair
+        server.register("ping", lambda: "pong")
+        armed = sweeps_armed(sim, client)
+
+        def flow():
+            for _ in range(5):
+                assert (yield client.call("server", "ping",
+                                          timeout=100.0)) == "pong"
+
+        sim.run_process(flow())
+        sim.run()
+        assert armed == [100.0]          # the first call's; nothing since
+        assert client._pending == {} and client._sweep_at is None
+        assert client.retransmissions == 0
+
+    def test_crash_clears_calls_and_sweep(self, sim, pair):
+        client, server = pair
+        server.host.crash()
+        events = [client.call("server", "ping", timeout=50.0, attempts=3)
+                  for _ in range(3)]
+        client.host.crash()
+        assert client._pending == {} and client._sweep_at is None
+        assert all(isinstance(event.value, HostUnreachableError)
+                   for event in events)
+        client.host.restart()
+        sim.run()                        # the stale sweep fires, idle
+        assert client.retransmissions == 0 and client._pending == {}
+
+
 class TestCrashBehaviour:
     def test_client_crash_fails_its_pending_calls(self, sim, pair):
         client, server = pair
@@ -247,6 +364,57 @@ class TestCrashBehaviour:
         assert len(server._handler_processes) == 0
         sim.run()
         assert progress == ["start"]  # handler never resumed
+
+    def test_crash_inside_an_inline_step_stops_the_handler(self, sim,
+                                                           pair):
+        client, server = pair
+        progress = []
+
+        def suicidal():
+            progress.append("start")
+            server.host.crash()
+            yield sim.timeout(1.0)
+            progress.append("resumed")
+
+        server.register("suicidal", suicidal)
+        client.call("server", "suicidal", timeout=50.0)
+        sim.run()
+        assert progress == ["start"]     # closed, never adopted
+        assert server._handler_processes == {}
+        assert server._in_progress == set()
+
+    def test_handler_parked_on_a_lock_is_adopted_then_killed(self, sim,
+                                                             network):
+        collector = TraceCollector(clock=lambda: sim.now)
+        client = RpcEndpoint(sim, network.add_host("client"),
+                             collector=collector)
+        server = RpcEndpoint(sim, network.add_host("server"),
+                             collector=collector)
+        locks = LockManager(sim)
+        locks.acquire(TransactionId("other", 1), "f", EXCLUSIVE)
+        progress = []
+
+        def guarded():
+            progress.append("start")
+            yield locks.acquire(TransactionId("client", 1), "f", SHARED)
+            progress.append("granted")
+
+        server.register("guarded", guarded)
+        root = collector.start_trace("op")
+        event = client.call("server", "guarded", timeout=50.0,
+                            trace=root.context)
+        sim.run(until=10.0)
+        assert progress == ["start"]     # ran inline, then parked
+        (process,) = server._handler_processes.values()
+        assert process.alive
+        server.host.crash()
+        assert not process.alive and server._handler_processes == {}
+        with pytest.raises(RpcTimeout):
+            sim.run_until(event)
+        assert progress == ["start"]     # never resumed
+        (span,) = [span for span in collector.spans()
+                   if span.kind == "server"]
+        assert span.error == "handler killed before replying"
 
     def test_server_restarts_and_serves_again(self, sim, pair):
         client, server = pair

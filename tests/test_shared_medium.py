@@ -7,16 +7,11 @@ from repro.sim import Network, RandomStreams, SharedMedium, Simulator
 from repro.testbed import Testbed
 
 
-def receive_times(sim, host, count):
+def receive_times(sim, host):
+    """The arrival time of every message delivered to ``host``."""
     times = []
-
-    def receiver():
-        for _ in range(count):
-            yield host.receive()
-            times.append(sim.now)
-
-    process = sim.spawn(receiver())
-    return times, process
+    host.dispatch = lambda message: times.append(sim.now)
+    return times
 
 
 class TestSharedMedium:
@@ -26,14 +21,13 @@ class TestSharedMedium:
         network.medium = SharedMedium(sim, byte_time=0.01)
         a = network.add_host("a")
         b = network.add_host("b")
-        times, process = receive_times(sim, b, 2)
+        times = receive_times(sim, b)
         # Two 1000-byte frames sent at once: the second must wait for
         # the first to clear the wire (10ms each).
         a.send("b", b"x" * 1000)
         a.send("b", b"y" * 1000)
-        sim.run_until(process)
-        assert times[0] == pytest.approx(10.0 + 1.0)
-        assert times[1] == pytest.approx(20.0 + 1.0)
+        sim.run()
+        assert times == [pytest.approx(10.0 + 1.0), pytest.approx(20.0 + 1.0)]
 
     def test_cross_pair_contention(self):
         """Transfers between *different* host pairs share the wire."""
@@ -41,12 +35,11 @@ class TestSharedMedium:
         network = Network(sim, RandomStreams(0), default_latency=0.0)
         network.medium = SharedMedium(sim, byte_time=0.01)
         hosts = [network.add_host(name) for name in "abcd"]
-        times_b, process_b = receive_times(sim, hosts[1], 1)
-        times_d, process_d = receive_times(sim, hosts[3], 1)
+        times_b = receive_times(sim, hosts[1])
+        times_d = receive_times(sim, hosts[3])
         hosts[0].send("b", b"x" * 1000)
         hosts[2].send("d", b"y" * 1000)
-        sim.run_until(process_b)
-        sim.run_until(process_d)
+        sim.run()
         deliveries = sorted(times_b + times_d)
         assert deliveries == [pytest.approx(10.0), pytest.approx(20.0)]
 
@@ -55,10 +48,10 @@ class TestSharedMedium:
         network = Network(sim, RandomStreams(0), default_latency=0.0)
         network.medium = SharedMedium(sim, byte_time=1.0)
         a = network.add_host("a")
-        times, process = receive_times(sim, a, 1)
+        times = receive_times(sim, a)
         a.send("a", b"local" * 100)
-        sim.run_until(process)
-        assert times[0] == 0.0
+        sim.run()
+        assert times == [0.0]
         assert network.medium.transmissions == 0
 
     def test_utilization_accounting(self):

@@ -6,32 +6,37 @@ from repro.sim import Constant, Network, RandomStreams, Simulator
 from repro.sim.network import estimate_size
 
 
-def echo_once(host):
-    message = yield host.receive()
-    return (host.sim.now, message)
+def arrivals(host):
+    """Every message delivered to ``host``, with its arrival time."""
+    received = []
+    host.dispatch = lambda message: received.append((host.sim.now, message))
+    return received
 
 
 class TestDelivery:
     def test_default_latency_applies(self, sim, network):
         a = network.add_host("a")
         b = network.add_host("b")
-        process = sim.spawn(echo_once(b))
+        received = arrivals(b)
         a.send("b", "hello")
-        assert sim.run_until(process) == (1.0, "hello")
+        sim.run()
+        assert received == [(1.0, "hello")]
 
     def test_per_link_latency_override(self, sim, network):
         a = network.add_host("a")
         b = network.add_host("b")
         network.set_latency("a", "b", 7.5)
-        process = sim.spawn(echo_once(b))
+        received = arrivals(b)
         a.send("b", "hi")
-        assert sim.run_until(process)[0] == 7.5
+        sim.run()
+        assert received[0][0] == 7.5
 
     def test_loopback_is_free_by_default(self, sim, network):
         a = network.add_host("a")
-        process = sim.spawn(echo_once(a))
+        received = arrivals(a)
         a.send("a", "self")
-        assert sim.run_until(process)[0] == 0.0
+        sim.run()
+        assert received[0][0] == 0.0
 
     def test_unknown_destination_rejected(self, sim, network):
         a = network.add_host("a")
@@ -45,8 +50,7 @@ class TestDelivery:
 
     def test_message_counters(self, sim, network):
         a = network.add_host("a")
-        b = network.add_host("b")
-        sim.spawn(echo_once(b))
+        network.add_host("b")
         a.send("b", 1)
         sim.run()
         assert network.messages_sent == 1
@@ -59,18 +63,20 @@ class TestBandwidth:
         a = network.add_host("a")
         b = network.add_host("b")
         network.set_byte_time("a", "b", 0.01)
-        process = sim.spawn(echo_once(b))
+        received = arrivals(b)
         a.send("b", b"x" * 1000)
-        time, _ = sim.run_until(process)
+        sim.run()
+        ((time, _),) = received
         assert time == pytest.approx(1.0 + 10.0)
 
     def test_small_message_nearly_free(self, sim, network):
         a = network.add_host("a")
         b = network.add_host("b")
         network.set_byte_time("a", "b", 0.01)
-        process = sim.spawn(echo_once(b))
+        received = arrivals(b)
         a.send("b", 42)
-        time, _ = sim.run_until(process)
+        sim.run()
+        ((time, _),) = received
         assert time < 1.2
 
     def test_estimate_size_bytes(self):
@@ -128,9 +134,10 @@ class TestCrash:
         b = network.add_host("b")
         b.crash()
         b.restart()
-        process = sim.spawn(echo_once(b))
+        received = arrivals(b)
         a.send("b", "back")
-        assert sim.run_until(process)[1] == "back"
+        sim.run()
+        assert received == [(1.0, "back")]
 
     def test_crash_listeners_fire_once(self, sim, network):
         a = network.add_host("a")
@@ -175,9 +182,10 @@ class TestPartition:
         a, b, c = self.make(sim, network)
         network.partition([["a"], ["b", "c"]])
         network.heal()
-        process = sim.spawn(echo_once(b))
+        received = arrivals(b)
         a.send("b", "healed")
-        assert sim.run_until(process)[1] == "healed"
+        sim.run()
+        assert received == [(1.0, "healed")]
 
     def test_unknown_host_in_partition_rejected(self, sim, network):
         self.make(sim, network)

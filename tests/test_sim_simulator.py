@@ -104,18 +104,13 @@ class TestDeterminism:
         a = network.add_host("a")
         b = network.add_host("b")
         received = []
-
-        def receiver(host):
-            while True:
-                message = yield host.receive()
-                received.append((sim.now, message))
+        b.dispatch = lambda message: received.append((sim.now, message))
 
         def sender(host):
             for i in range(50):
                 host.send("b", i)
                 yield sim.timeout(1.0)
 
-        sim.spawn(receiver(b))
         sim.spawn(sender(a))
         sim.run(until=100.0)
         return received
