@@ -43,13 +43,13 @@ from .errors import (InvalidConfigurationError, QuorumUnavailableError,
                      TransactionAborted)
 from .testbed import Testbed, example_data, example_testbed
 from .txn import Transaction, TransactionManager
-from .verification import HistoryRecorder, Operation, check_history
+from .verification import HistoryRecorder, OpRecord, check_history
 
 __version__ = "1.0.0"
 
 __all__ = [
     "BackgroundRefresher", "FileSuiteClient", "HistoryRecorder",
-    "Operation", "check_history", "InvalidConfigurationError",
+    "OpRecord", "check_history", "InvalidConfigurationError",
     "QuorumUnavailableError", "ReadResult", "Representative", "ReproError",
     "StaleConfigurationError", "SuiteAnalysis", "SuiteConfiguration",
     "Testbed", "Transaction", "TransactionAborted", "TransactionManager",

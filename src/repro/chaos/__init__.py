@@ -20,19 +20,14 @@ input to both runtimes:
   (closed → open → half-open) that quorum assembly consults to route
   around dead representatives and fail fast when a quorum is provably
   unattainable.
-* :mod:`~repro.chaos.invariants` — a history-recording checker for the
-  paper's safety claims (version monotonicity, unique commit versions,
-  reads returning the latest committed version).
 
 :mod:`~repro.chaos.soak` (imported on demand — it pulls in the live
-runtime) runs a seeded soak of N operations under the nemesis on either
-runtime and checks the recorded history.
+runtime) runs a seeded soak of N operations under these faults on either
+runtime, one suite or a sharded namespace, and judges every recorded
+history with :func:`repro.verification.check_history`.
 """
 
 from .health import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, HealthTracker
-from .invariants import (InvariantReport, OpRecord, Violation,
-                         check_history, history_from_json,
-                         history_to_json)
 from .nemesis import (LiveClusterAdapter, NemesisScript, NemesisStep,
                       TestbedAdapter, markov_nemesis, random_nemesis,
                       run_live_nemesis, schedule_on_sim)
@@ -46,18 +41,12 @@ __all__ = [
     "CircuitBreaker",
     "HALF_OPEN",
     "HealthTracker",
-    "InvariantReport",
     "LiveClusterAdapter",
     "NemesisScript",
     "NemesisStep",
     "OPEN",
-    "OpRecord",
     "RetryPolicy",
     "TestbedAdapter",
-    "Violation",
-    "check_history",
-    "history_from_json",
-    "history_to_json",
     "markov_nemesis",
     "random_nemesis",
     "run_live_nemesis",

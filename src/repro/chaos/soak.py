@@ -1,25 +1,41 @@
-"""Invariant-checked soak runs under the nemesis, on either runtime.
+"""Invariant-checked soak runs under chaos, on either runtime.
 
-One seeded :class:`SoakConfig` determines everything: the chaos policy's
-per-link faults, the nemesis schedule, and the operation mix a
-sequential client issues.  :func:`run_sim_soak` executes it on a
-:class:`~repro.testbed.Testbed` in virtual time; :func:`run_live_soak`
-executes it on a :class:`~repro.live.harness.LoopbackCluster` over real
-sockets.  Both record the same :class:`~repro.chaos.invariants.OpRecord`
-history and hand it to the same checker, so the ``repro chaos`` CLI can
-replay a live soak's exact fault script on the simulator and compare
-verdicts.
+One seeded config determines everything: the chaos policy's per-link
+faults, the fault schedule, and the operation mix a sequential client
+issues.  Two topologies share one driver:
 
-The op driver is one generator shared verbatim by both runtimes — the
-same property that lets the whole protocol stack run on either kernel.
-Failed operations are recorded, not fatal: under a nemesis that never
-downs more representatives than the quorum tolerates, most operations
-ride through on retries, breakers route around dead representatives,
-and an operation that still fails must fail *cleanly* (a failed write is
-provably uncommitted).  After the nemesis ends and the policy is
+* **one suite** (:class:`SoakConfig`) on N representatives under the
+  crash / restart / partition nemesis.  :func:`run_sim_soak` executes
+  it on a :class:`~repro.testbed.Testbed` in virtual time;
+  :func:`run_live_soak` executes it on a
+  :class:`~repro.live.harness.LoopbackCluster` over real sockets, so the
+  ``repro chaos`` CLI can replay a live soak's exact fault script on the
+  simulator and compare verdicts;
+* **a sharded namespace** (:class:`ClusterSoakConfig`): ops spread over
+  every suite of a :class:`~repro.cluster.harness.SimCluster`, and
+  halfway through a new storage server *joins the fleet* and the
+  harness rebalances every affected suite onto it via the paper's
+  reconfiguration machinery, chaos still running (simulator only).
+
+The op driver is one set of generators shared verbatim by both
+runtimes and both topologies.  Every operation goes through a
+:class:`~repro.verification.HistoryRecorder`, and each suite's history
+is judged by :func:`~repro.verification.check_history`.  Failed
+operations are recorded, not fatal: under faults that never down more
+representatives than the quorum tolerates, most operations ride through
+on retries, breakers route around dead representatives, and an
+operation that still fails must fail *cleanly* (a failed write is
+provably uncommitted).  After the faults end and the policy is
 disabled, a handful of convergence reads on the healed cluster must
 observe the latest committed version — the soak's proof that degraded
 service, not corrupted state, was the worst that happened.
+
+One bookkeeping wrinkle: a reconfiguration — an autopilot reassignment
+or a join's rebalance move — *is a committed write* (it re-stages the
+current payload at ``version = current + 1`` with the new configuration
+in the property map), but it does not go through ``suite.write``, so
+the driver records a synthetic committed write for it.  Failed writes
+never commit, so "current" is the latest version the driver saw commit.
 
 This module imports the live runtime, so :mod:`repro.chaos` does not
 import it eagerly; reach it as ``repro.chaos.soak``.
@@ -29,29 +45,38 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Union
 
 from ..autonomy.controller import WeightAutopilot
 from ..autonomy.policy import AutopilotPolicy
+from ..cluster.harness import ClusterSpec, SimCluster, join_server
+from ..cluster.placement import RebalancePlan
 from ..core.votes import Representative, SuiteConfiguration
 from ..errors import ReproError
+from ..obs.critical_path import CriticalPathReport, analyze_quorum_paths
 from ..obs.flight import FlightHistory, FlightRecorder
 from ..sim.rng import RandomStreams
+from ..verification import (HistoryRecorder, InvariantReport, OpRecord,
+                            check_history)
 from .health import HealthTracker
-from .invariants import InvariantReport, OpRecord, check_history
 from .nemesis import (NemesisScript, markov_nemesis, random_nemesis,
                       run_live_nemesis, schedule_on_sim)
 from .policy import ChaosPolicy
 
-#: Payload installed at version 1.
+#: Payload installed at version 1 of the one-suite soak.
 INITIAL_TAG = "soak-init"
 
 
 @dataclass
-class SoakConfig:
-    """Everything a soak run needs, fully determined by ``seed``."""
+class _SoakFields:
+    """What every soak is made of, fully determined by ``seed``.
 
-    reps: int = 5
+    The defaults are the one-suite soak's; :class:`ClusterSoakConfig`
+    overrides a few.  Each topology adds ``server_names``,
+    ``majority`` (of one suite's votes) and ``initial_tags()`` (each
+    suite's name and install payload).
+    """
+
     ops: int = 500
     seed: int = 1
     read_fraction: float = 0.7
@@ -64,18 +89,10 @@ class SoakConfig:
     delay_max: float = 15.0
     duplicate_probability: float = 0.02
 
-    # Nemesis (crash / restart / partition schedule).
-    nemesis_kind: str = "random"         # "random" | "markov" | "none"
-    horizon: Optional[float] = None      # ms; default derived from ops
-    mean_interval: float = 1_000.0
-    max_down: Optional[int] = None       # default (reps - 1) // 2
-    markov_availability: float = 0.9
-    markov_mttr: float = 1_500.0
-
-    # Vote autopilot: step the controller from the op driver every
-    # ``autopilot_interval_ops`` operations (sequential with the ops,
-    # so each reassignment lands at a well-defined point of the
-    # history and the invariant checker covers it exactly).
+    # Vote autopilot: one controller per suite, stepped round-robin
+    # from the op driver every ``autopilot_interval_ops`` operations
+    # (sequential with the ops, so each reassignment lands at a
+    # well-defined point of the history and the checker covers it).
     autopilot: bool = False
     autopilot_interval_ops: int = 10
     autopilot_restore_rounds: int = 12
@@ -92,19 +109,11 @@ class SoakConfig:
     degrade_delay_ms: float = 600.0
     degrade_heal_at: Optional[int] = None
 
-    # Read fast path: on by default (the production default); a soak
-    # may turn it off to exercise the legacy two-trip path, or set
-    # ``read_max_bytes`` below the payload size so every piggyback is
-    # truncated and the fallback runs under chaos.
-    read_fastpath: bool = True
-    read_max_bytes: Optional[int] = None   # None → the suite default
-
     # Client aggressiveness.  Short timeouts keep a loopback soak brisk;
     # generous attempt counts let operations ride out crash windows.
     call_timeout: float = 300.0
     inquiry_timeout: float = 250.0
     data_timeout: float = 500.0
-    transport_attempts: int = 2
     max_attempts: int = 8
     retry_backoff: float = 40.0
 
@@ -114,6 +123,64 @@ class SoakConfig:
     idle_abort_after: float = 2_000.0
 
     def __post_init__(self) -> None:
+        if self.degrade_server is not None \
+                and self.degrade_server not in self.server_names:
+            raise ValueError(
+                f"degrade server {self.degrade_server!r} not in the "
+                "cluster")
+
+    def chaos_policy(self, streams: RandomStreams) -> ChaosPolicy:
+        return ChaosPolicy(streams=streams,
+                           drop_probability=self.loss,
+                           delay_probability=self.delay_probability,
+                           delay_min=self.delay_min,
+                           delay_max=self.delay_max,
+                           duplicate_probability=self.duplicate_probability)
+
+    def degrade_heal_index(self) -> Optional[int]:
+        if self.degrade_server is None:
+            return None
+        if self.degrade_heal_at is not None:
+            return self.degrade_heal_at
+        return self.ops // 2
+
+    def autopilot_policy(self) -> AutopilotPolicy:
+        """Soak tuning: the survivability floor is a majority of each
+        suite's voting representatives, so even repeated demotions can
+        never leave a suite unable to lose one more server."""
+        return AutopilotPolicy(min_voting_reps=self.majority)
+
+    def suite_kwargs(self) -> Dict[str, Any]:
+        return {"inquiry_timeout": self.inquiry_timeout,
+                "data_timeout": self.data_timeout,
+                "max_attempts": self.max_attempts,
+                "retry_backoff": self.retry_backoff}
+
+
+@dataclass
+class SoakConfig(_SoakFields):
+    """One suite with one vote per representative under the nemesis."""
+
+    reps: int = 5
+
+    # Nemesis (crash / restart / partition schedule).
+    nemesis_kind: str = "random"         # "random" | "markov" | "none"
+    horizon: Optional[float] = None      # ms; default derived from ops
+    mean_interval: float = 1_000.0
+    max_down: Optional[int] = None       # default (reps - 1) // 2
+    markov_availability: float = 0.9
+    markov_mttr: float = 1_500.0
+
+    # Read fast path: on by default (the production default); a soak
+    # may turn it off to exercise the legacy two-trip path, or set
+    # ``read_max_bytes`` below the payload size so every piggyback is
+    # truncated and the fallback runs under chaos.
+    read_fastpath: bool = True
+    read_max_bytes: Optional[int] = None   # None → the suite default
+
+    transport_attempts: int = 2
+
+    def __post_init__(self) -> None:
         if self.reps < 3:
             raise ValueError("need at least 3 representatives")
         if self.ops < 1:
@@ -121,11 +188,7 @@ class SoakConfig:
         if self.nemesis_kind not in ("random", "markov", "none"):
             raise ValueError(
                 f"unknown nemesis kind {self.nemesis_kind!r}")
-        if self.degrade_server is not None \
-                and self.degrade_server not in self.server_names:
-            raise ValueError(
-                f"degrade server {self.degrade_server!r} not in the "
-                "cluster")
+        super().__post_init__()
 
     @property
     def server_names(self) -> List[str]:
@@ -134,6 +197,9 @@ class SoakConfig:
     @property
     def majority(self) -> int:
         return self.reps // 2 + 1
+
+    def initial_tags(self) -> Dict[str, str]:
+        return {self.suite_configuration().suite_name: INITIAL_TAG}
 
     def nemesis_horizon(self) -> float:
         if self.horizon is not None:
@@ -153,14 +219,6 @@ class SoakConfig:
                                   read_quorum=self.majority,
                                   write_quorum=self.majority)
 
-    def chaos_policy(self, streams: RandomStreams) -> ChaosPolicy:
-        return ChaosPolicy(streams=streams,
-                           drop_probability=self.loss,
-                           delay_probability=self.delay_probability,
-                           delay_min=self.delay_min,
-                           delay_max=self.delay_max,
-                           duplicate_probability=self.duplicate_probability)
-
     def nemesis(self, streams: RandomStreams) -> NemesisScript:
         if self.nemesis_kind == "none":
             return NemesisScript(steps=[], horizon=0.0)
@@ -175,247 +233,356 @@ class SoakConfig:
                               mean_interval=self.mean_interval,
                               max_down=self.max_down)
 
-    def degrade_heal_index(self) -> Optional[int]:
-        if self.degrade_server is None:
-            return None
-        if self.degrade_heal_at is not None:
-            return self.degrade_heal_at
-        return self.ops // 2
+    def suite_kwargs(self) -> Dict[str, Any]:
+        kwargs = dict(super().suite_kwargs(),
+                      read_fastpath=self.read_fastpath)
+        if self.read_max_bytes is not None:
+            kwargs["read_max_bytes"] = self.read_max_bytes
+        return kwargs
 
-    def autopilot_policy(self) -> AutopilotPolicy:
-        """Soak tuning: the survivability floor is a full majority of
-        voting representatives, so even repeated demotions can never
-        leave the suite unable to lose one more server."""
-        return AutopilotPolicy(min_voting_reps=self.majority)
+
+@dataclass
+class ClusterSoakConfig(_SoakFields):
+    """A sharded namespace under chaos, with a server joining mid-run."""
+
+    servers: int = 5
+    suites: int = 6
+    directory_shards: int = 2
+    replication: int = 3
+    #: Fraction of the op budget issued before the new server joins.
+    join_at: float = 0.5
+
+    ops: int = 160
+    seed: int = 11
+    final_reads: int = 2
+    loss: float = 0.02
+    delay_probability: float = 0.2
+    delay_max: float = 10.0
+    duplicate_probability: float = 0.01
+
+    def __post_init__(self) -> None:
+        if self.ops < 2:
+            raise ValueError("need at least two operations")
+        if not 0.0 < self.join_at < 1.0:
+            raise ValueError("join_at must fall inside the run")
+        super().__post_init__()
+
+    @property
+    def server_names(self) -> List[str]:
+        return self.spec().server_names
+
+    @property
+    def majority(self) -> int:
+        return self.replication // 2 + 1
+
+    def initial_tags(self) -> Dict[str, str]:
+        spec = self.spec()
+        return {name: spec.initial_data(name).decode()
+                for name in spec.suite_names}
+
+    def spec(self) -> ClusterSpec:
+        return ClusterSpec(servers=self.servers, suites=self.suites,
+                           directory_shards=self.directory_shards,
+                           replication=self.replication, seed=self.seed)
+
+
+AnySoakConfig = Union[SoakConfig, ClusterSoakConfig]
 
 
 @dataclass
 class SoakReport:
-    """Everything a soak run produced."""
+    """Everything a soak run produced, per suite."""
 
-    runtime: str                         # "sim" | "live"
-    config: SoakConfig
-    report: InvariantReport
-    history: List[OpRecord]
+    runtime: str                         # "sim" | "live" | "cluster-sim"
+    config: AnySoakConfig
+    reports: Dict[str, InvariantReport]
+    histories: Dict[str, List[OpRecord]]
     chaos_stats: Dict[str, int]
-    nemesis_steps: int
+    nemesis_steps: int = 0
     breakers: Dict[str, Any] = field(default_factory=dict)
     elapsed_ms: float = 0.0
-    #: :meth:`WeightAutopilot.state` at the end of the run, when the
-    #: autopilot was enabled.
-    autopilot: Optional[Dict[str, Any]] = None
+    #: Per-suite :meth:`WeightAutopilot.state` at the end of the run,
+    #: when the autopilot was enabled.
+    autopilots: Optional[Dict[str, Dict[str, Any]]] = None
+    #: The mid-run join's rebalance plan (namespace soak).
+    plan: Optional[RebalancePlan] = None
+    #: Quorum blocking attribution reconstructed from the soak's trace
+    #: (namespace soak: who actually gated the gathers while chaos ran).
+    critical_path: Optional[CriticalPathReport] = None
 
     @property
     def ok(self) -> bool:
-        return self.report.ok
+        return all(report.ok for report in self.reports.values())
+
+    # The one-suite soak's report, history and autopilot state.
+
+    @property
+    def report(self) -> InvariantReport:
+        (report,) = self.reports.values()
+        return report
+
+    @property
+    def history(self) -> List[OpRecord]:
+        (history,) = self.histories.values()
+        return history
+
+    @property
+    def autopilot(self) -> Optional[Dict[str, Any]]:
+        if self.autopilots is None:
+            return None
+        (state,) = self.autopilots.values()
+        return state
 
     @property
     def verdict(self) -> str:
         """Runtime-independent outcome, for sim/live comparison."""
-        return "OK" if self.report.ok else "VIOLATIONS:" + ",".join(
-            sorted({violation.rule
-                    for violation in self.report.violations}))
+        rules = sorted({violation.rule
+                        for report in self.reports.values()
+                        for violation in report.violations})
+        return "VIOLATIONS:" + ",".join(rules) if rules else "OK"
 
     def summary(self) -> str:
+        if len(self.reports) == 1:
+            outcome = self.report.summary()
+        else:
+            bad = sorted(name for name, report in self.reports.items()
+                         if not report.ok)
+            ops = sum(report.ops for report in self.reports.values())
+            outcome = ("OK" if not bad else
+                       f"VIOLATIONS in {', '.join(bad)}") + \
+                f": {ops} ops over {len(self.reports)} suites"
         chaos = ", ".join(f"{name}={count}" for name, count
                           in sorted(self.chaos_stats.items()))
-        autopilot = ""
-        if self.autopilot is not None:
-            autopilot = (
-                f" | autopilot: {self.autopilot['applied']} applied, "
-                f"{self.autopilot['rejected_gate']} gate-rejected, "
-                f"{'at' if self.autopilot['at_seed_weights'] else 'OFF'}"
-                " seed weights")
-        return (f"[{self.runtime}] seed={self.config.seed} "
-                f"{self.report.summary()} | nemesis steps: "
-                f"{self.nemesis_steps} | {chaos} | "
-                f"{self.elapsed_ms:.0f}ms{autopilot}")
+        text = (f"[{self.runtime}] seed={self.config.seed} {outcome} | "
+                f"nemesis steps: {self.nemesis_steps} | {chaos} | "
+                f"{self.elapsed_ms:.0f}ms")
+        if self.plan is not None:
+            text += f" | join: {self.plan.summary()}"
+        if self.critical_path is not None:
+            top = self.critical_path.top_blockers(1)
+            if top:
+                rep = top[0][0]
+                share = self.critical_path.blocking_share().get(rep, 0.0)
+                text += (f" | top blocker: {rep} "
+                         f"({share:.0%} of quorum wait)")
+        if self.autopilots is not None:
+            states = self.autopilots.values()
+            off_seed = sorted(name for name, state
+                              in self.autopilots.items()
+                              if not state["at_seed_weights"])
+            text += (
+                f" | autopilot: {sum(s['applied'] for s in states)} "
+                f"applied, {sum(s['rejected_gate'] for s in states)} "
+                "gate-rejected, "
+                + ("at seed weights" if not off_seed else
+                   f"OFF seed weights: {', '.join(off_seed)}"))
+        return text
 
 
 # ---------------------------------------------------------------------------
-# The shared op driver (one generator, both runtimes)
+# The driver (one set of generators, both runtimes, both topologies)
 # ---------------------------------------------------------------------------
 
-def _drive_ops(suite, clock, config: SoakConfig, rng,
-               autopilot: Optional[WeightAutopilot] = None,
-               policy: Optional[ChaosPolicy] = None,
-               history: Optional[List[OpRecord]] = None,
-               ) -> Generator[Any, Any, List[OpRecord]]:
-    """Issue the seeded op mix sequentially; record every outcome.
+class _SoakRun:
+    """One soak in flight: the suites under test, their histories, and
+    the latest committed ``(version, tag)`` of each suite, from which
+    reconfigurations are numbered.
 
-    With an ``autopilot``, the controller is stepped every
-    ``autopilot_interval_ops`` operations *between* ops — sequential
-    with the workload, so every reassignment lands at a well-defined
-    point of the history and is covered by the invariant checker (a
-    reconfiguration is a committed write; see
-    :func:`_autopilot_step`).  With a ``policy`` and a configured
-    ``degrade_server``, the planted slowdown is injected before the
-    first op and healed at ``degrade_heal_index()``.
-
-    ``history`` lets the runner supply the record list — a
-    :class:`~repro.obs.flight.FlightHistory` journals every append as
-    an ``op`` event without the driver knowing.
+    With a ``cluster`` (the namespace topology) each op goes to a
+    seeded choice of suite and the new server joins at op
+    ``ops * join_at``.  A ``recorder`` journals every history append
+    as an ``op`` event, tagged with its suite in a namespace.
     """
-    if history is None:
-        history = []
-    heal_at = config.degrade_heal_index()
-    for index in range(config.ops):
-        if policy is not None and config.degrade_server is not None:
-            if index == 0:
-                policy.slow_host(config.degrade_server,
-                                 config.degrade_delay_ms)
-            elif index == heal_at:
-                policy.clear_slow_hosts()
-        if rng.random() < config.read_fraction:
-            yield from _one_read(suite, clock, index, history)
-        else:
-            yield from _one_write(suite, clock, index, history,
-                                  tag=f"soak-{index}")
-        if autopilot is not None and config.autopilot_interval_ops > 0 \
-                and (index + 1) % config.autopilot_interval_ops == 0:
-            yield from _autopilot_step(autopilot, clock, index, history)
-    return history
 
+    def __init__(self, config: AnySoakConfig, handles: Dict[str, Any],
+                 health: Optional[HealthTracker], policy: ChaosPolicy,
+                 rng, recorder: Optional[FlightRecorder] = None,
+                 cluster: Optional[SimCluster] = None) -> None:
+        self.config = config
+        self.handles = handles
+        self.policy = policy
+        self.rng = rng
+        self.cluster = cluster
+        self.initial_tags = config.initial_tags()
+        self.latest = {name: (1, tag)
+                       for name, tag in self.initial_tags.items()}
+        self.histories: Dict[str, List[OpRecord]] = {
+            name: FlightHistory(recorder, suite=name if cluster else None)
+            if recorder is not None else [] for name in handles}
+        self.recorders = {name: HistoryRecorder(handle,
+                                                self.histories[name])
+                          for name, handle in handles.items()}
+        self.autopilots: Dict[str, WeightAutopilot] = {
+            name: WeightAutopilot(handle, health=health,
+                                  policy=config.autopilot_policy())
+            for name, handle in handles.items()} if config.autopilot \
+            else {}
+        self.plan: Optional[RebalancePlan] = None
 
-def _latest_commit(history: List[OpRecord]) -> "tuple[int, str]":
-    """The checker's latest committed ``(version, tag)`` so far.
+    def ops(self) -> Generator[Any, Any, None]:
+        """Issue the seeded op mix sequentially; record every outcome.
 
-    The driver is sequential and failed writes are provably
-    uncommitted, so the highest committed write version *is* the
-    current version a reconfiguration bumps from.
-    """
-    version, tag = 1, INITIAL_TAG
-    for record in history:
-        if record.kind == "write" and record.ok \
-                and record.version is not None \
-                and record.version > version:
-            version, tag = record.version, record.tag
-    return version, tag
+        The autopilots are stepped round-robin every
+        ``autopilot_interval_ops`` operations *between* ops.  With a
+        configured ``degrade_server``, the planted slowdown is injected
+        before the first op and healed at ``degrade_heal_index()``.
+        """
+        config = self.config
+        names = list(self.handles)
+        heal_at = config.degrade_heal_index()
+        join_at = (max(1, int(config.ops * config.join_at))
+                   if self.cluster is not None else None)
+        rotation = sorted(self.autopilots)
+        interval = config.autopilot_interval_ops
+        for index in range(config.ops):
+            if config.degrade_server is not None:
+                if index == 0:
+                    self.policy.slow_host(config.degrade_server,
+                                          config.degrade_delay_ms)
+                elif index == heal_at:
+                    self.policy.clear_slow_hosts()
+            if index == join_at:
+                yield from self._join(index)
+            name = (self.rng.choice(names) if self.cluster is not None
+                    else names[0])
+            if self.rng.random() < config.read_fraction:
+                yield from self._read(name, index)
+            else:
+                yield from self._write(name, index)
+            if rotation and interval > 0 and (index + 1) % interval == 0:
+                rounds = (index + 1) // interval - 1
+                yield from self._autopilot_round(
+                    rotation[rounds % len(rotation)], index)
 
+    def restore(self) -> Generator[Any, Any, None]:
+        """Post-fault restoration rounds for every autopilot.
 
-def _autopilot_step(autopilot: WeightAutopilot, clock, index: int,
-                    history: List[OpRecord],
-                    ) -> Generator[Any, Any, None]:
-    """One control round, with the reconfiguration made visible to the
-    invariant checker: an applied reassignment re-stages the current
-    payload at ``version = current + 1``, i.e. it *is* a committed
-    write, so a synthetic committed-write record is appended (the same
-    bookkeeping as the cluster soak's mid-run join)."""
-    record = yield from autopilot.step()
-    if record is not None and record.applied:
-        version, tag = _latest_commit(history)
-        now = clock()
-        history.append(OpRecord(
+        The healed cluster no longer fails foreground traffic, but a
+        demoted representative only proves itself through fresh
+        evidence — each round issues one read (whose weak-representative
+        polling probes the breaker and drains staleness), then steps the
+        controller.  A suite stops once its votes are back at seed."""
+        for name, autopilot in sorted(self.autopilots.items()):
+            index = self._next_index(name)
+            for round_ in range(self.config.autopilot_restore_rounds):
+                if autopilot.at_seed_weights():
+                    break
+                yield from self._read(name, index + round_)
+                yield from self._autopilot_round(name, index + round_)
+                yield self.handles[name].sim.timeout(
+                    autopilot.policy.interval_ms)
+
+    def final_reads(self) -> Generator[Any, Any, None]:
+        """Convergence reads on the healed, chaos-free cluster."""
+        for name in self.handles:
+            index = self._next_index(name)
+            for offset in range(self.config.final_reads):
+                yield from self._read(name, index + offset)
+
+    def report(self, runtime: str, elapsed_ms: float,
+               nemesis_steps: int = 0,
+               breakers: Optional[Dict[str, Any]] = None,
+               critical_path: Optional[CriticalPathReport] = None,
+               ) -> SoakReport:
+        return SoakReport(
+            runtime=runtime, config=self.config,
+            reports={name: check_history(
+                history, initial_tag=self.initial_tags[name])
+                for name, history in self.histories.items()},
+            histories=self.histories, chaos_stats=self.policy.stats(),
+            nemesis_steps=nemesis_steps, breakers=breakers or {},
+            elapsed_ms=elapsed_ms,
+            autopilots={name: pilot.state()
+                        for name, pilot in self.autopilots.items()}
+            if self.config.autopilot else None,
+            plan=self.plan, critical_path=critical_path)
+
+    def _next_index(self, name: str) -> int:
+        """Ops after the op loop are numbered past the budget and past
+        whatever the suite's history already holds."""
+        history = self.histories[name]
+        return max(self.config.ops, history[-1].index + 1 if history else 0)
+
+    def _read(self, name: str, index: int) -> Generator[Any, Any, None]:
+        try:
+            yield from self.recorders[name].read(index)
+        except ReproError:
+            pass                         # recorded as failed
+
+    def _write(self, name: str, index: int) -> Generator[Any, Any, None]:
+        tag = f"soak-{index}"
+        try:
+            result = yield from self.recorders[name].write(
+                tag.encode("utf-8"), index)
+        except ReproError:
+            return                       # recorded; never committed
+        if result.version > self.latest[name][0]:
+            self.latest[name] = (result.version, tag)
+
+    def _autopilot_round(self, name: str,
+                         index: int) -> Generator[Any, Any, None]:
+        record = yield from self.autopilots[name].step()
+        if record is not None and record.applied:
+            self._reconfigured(name, index)
+
+    def _join(self, index: int) -> Generator[Any, Any, None]:
+        """Grow the fleet by one server, chaos still enabled."""
+        cluster = self.cluster
+        server = f"{cluster.spec.server_prefix}{cluster.spec.servers + 1}"
+        cluster.bed.add_server(server)
+        cluster.ring.add_server(server)
+        self.plan = yield from join_server(cluster.state, server)
+        for name in sorted(self.plan.moves):
+            self._reconfigured(name, index)
+
+    def _reconfigured(self, name: str, index: int) -> None:
+        """Record a reconfiguration as the committed write it is."""
+        version, tag = self.latest[name]
+        self.latest[name] = (version + 1, tag)
+        now = self.handles[name].sim.now
+        self.histories[name].append(OpRecord(
             index=index, kind="write", ok=True, started=now,
             finished=now, version=version + 1, tag=tag))
-
-
-def _drive_autopilot_restore(suite, autopilot: WeightAutopilot, clock,
-                             config: SoakConfig,
-                             history: List[OpRecord],
-                             ) -> Generator[Any, Any, None]:
-    """Post-nemesis restoration rounds, appending to ``history``.
-
-    The healed cluster no longer fails foreground traffic, but the
-    demoted representative only proves itself through fresh evidence —
-    each round issues one read (whose weak-representative polling
-    probes the breaker and drains staleness), then steps the
-    controller.  Stops early once the vote vector is back at seed."""
-    index = history[-1].index + 1 if history else 0
-    for round_ in range(config.autopilot_restore_rounds):
-        if autopilot.at_seed_weights():
-            return
-        yield from _one_read(suite, clock, index + round_, history)
-        yield from _autopilot_step(autopilot, clock, index + round_,
-                                   history)
-        yield suite.sim.timeout(autopilot.policy.interval_ms)
-
-
-def _final_reads(suite, clock, config: SoakConfig, start_index: int,
-                 history: Optional[List[OpRecord]] = None,
-                 ) -> Generator[Any, Any, List[OpRecord]]:
-    """Convergence reads on the healed, chaos-free cluster.
-
-    Appends into ``history`` when the caller passes its run-long
-    record list (so a journaling history captures these too); returns
-    the list either way.
-    """
-    if history is None:
-        history = []
-    for offset in range(config.final_reads):
-        yield from _one_read(suite, clock, start_index + offset, history)
-    return history
-
-
-def _one_read(suite, clock, index: int,
-              history: List[OpRecord]) -> Generator[Any, Any, None]:
-    started = clock()
-    try:
-        result = yield from suite.read()
-    except ReproError as exc:
-        history.append(OpRecord(
-            index=index, kind="read", ok=False, started=started,
-            finished=clock(), error=type(exc).__name__))
-        return
-    history.append(OpRecord(
-        index=index, kind="read", ok=True, started=started,
-        finished=clock(), version=result.version,
-        tag=result.data.decode("utf-8", errors="replace"),
-        served_by=result.served_by, quorum=list(result.quorum),
-        observed=dict(result.observed), attempts=result.attempts))
-
-
-def _one_write(suite, clock, index: int, history: List[OpRecord],
-               tag: str) -> Generator[Any, Any, None]:
-    started = clock()
-    try:
-        result = yield from suite.write(tag.encode("utf-8"))
-    except ReproError as exc:
-        history.append(OpRecord(
-            index=index, kind="write", ok=False, started=started,
-            finished=clock(), tag=tag, error=type(exc).__name__))
-        return
-    history.append(OpRecord(
-        index=index, kind="write", ok=True, started=started,
-        finished=clock(), version=result.version, tag=tag,
-        quorum=list(result.quorum), observed=dict(result.observed),
-        attempts=result.attempts))
-
-
-def _suite_kwargs(config: SoakConfig) -> Dict[str, Any]:
-    kwargs = {"inquiry_timeout": config.inquiry_timeout,
-              "data_timeout": config.data_timeout,
-              "max_attempts": config.max_attempts,
-              "retry_backoff": config.retry_backoff,
-              "read_fastpath": config.read_fastpath}
-    if config.read_max_bytes is not None:
-        kwargs["read_max_bytes"] = config.read_max_bytes
-    return kwargs
 
 
 # ---------------------------------------------------------------------------
 # Runtime-specific runners
 # ---------------------------------------------------------------------------
 
-def _flight_blocking_snapshot(metrics: Any) -> Dict[str, float]:
-    """The ``quorum.blocking.*`` plane as plain data, for the journal.
-
-    Recorded as the journal's final ``metrics`` event so ``repro
-    replay --verify`` can cross-check the attribution it re-derives
-    from ``quorum`` events against what the live counters actually
-    said — any disagreement means one plane lied.
-    """
-    snapshot: Dict[str, float] = {}
-    for name, value in metrics.counters().items():
-        if name.startswith("quorum.blocking."):
-            snapshot[name] = float(value)
-    for name, gauge in sorted(metrics._gauges.items()):
-        if name.startswith("quorum.blocking."):
-            snapshot[name] = float(gauge.value)
-    return snapshot
+def _open_flight(flight_dir: Optional[str], clock, runtime: str,
+                 config: AnySoakConfig,
+                 policy: ChaosPolicy) -> Optional[FlightRecorder]:
+    """The run's flight recorder, meta record emitted, or ``None``."""
+    if flight_dir is None:
+        return None
+    recorder = FlightRecorder(flight_dir, clock=clock)
+    tags = ({"initial_tags": config.initial_tags()}
+            if runtime == "cluster-sim" else {"initial_tag": INITIAL_TAG})
+    recorder.emit("meta", runtime=runtime, seed=config.seed,
+                  config=asdict(config), **tags)
+    policy.flight = recorder
+    return recorder
 
 
-def run_sim_soak(config: SoakConfig,
+def _close_flight(recorder: Optional[FlightRecorder], metrics: Any,
+                  policy: ChaosPolicy) -> None:
+    """Close the journal with the ``quorum.blocking.*`` plane as plain
+    data, so ``repro replay --verify`` can cross-check the attribution
+    it re-derives from ``quorum`` events against what the live counters
+    actually said — any disagreement means one plane lied."""
+    if recorder is None:
+        return
+    snapshot = metrics.snapshot()
+    values = dict(snapshot["counters"])
+    values.update((name, gauge["value"])
+                  for name, gauge in snapshot["gauges"].items())
+    recorder.emit("metrics", chaos=policy.stats(), blocking={
+        name: float(value) for name, value in values.items()
+        if name.startswith("quorum.blocking.")})
+    recorder.close()
+
+
+def run_sim_soak(config: AnySoakConfig,
                  flight_dir: Optional[str] = None) -> SoakReport:
     """The soak on a simulated testbed, in virtual time.
 
@@ -426,78 +593,79 @@ def run_sim_soak(config: SoakConfig,
     """
     from ..testbed import Testbed
 
+    namespace = isinstance(config, ClusterSoakConfig)
+    runtime = "cluster-sim" if namespace else "sim"
     streams = RandomStreams(seed=config.seed)
     policy = config.chaos_policy(streams)
     policy.enabled = False               # clean install first
-    script = config.nemesis(streams)
+    script = None if namespace else config.nemesis(streams)
 
-    bed = Testbed(config.server_names, seed=config.seed,
-                  call_timeout=config.call_timeout,
-                  lock_timeout=config.lock_timeout,
-                  idle_abort_after=config.idle_abort_after, obs=True)
+    # Breakers route the one-suite soak around crashed representatives;
+    # the namespace soak runs them only to feed its autopilots.
+    health = (HealthTracker(clock=lambda: bed.sim.now)
+              if config.autopilot or not namespace else None)
+    suite_kwargs = dict(config.suite_kwargs(), health=health)
+    bed_kwargs = dict(call_timeout=config.call_timeout,
+                      lock_timeout=config.lock_timeout,
+                      idle_abort_after=config.idle_abort_after, obs=True)
+    cluster = None
+    if namespace:
+        cluster = SimCluster(config.spec(), suite_kwargs=suite_kwargs,
+                             **bed_kwargs)
+        bed = cluster.bed
+    else:
+        bed = Testbed(config.server_names, seed=config.seed, **bed_kwargs)
+        bed.clients["client"].manager.transport_attempts = \
+            config.transport_attempts
     bed.network.chaos = policy
-    client = bed.clients["client"]
-    client.manager.transport_attempts = config.transport_attempts
-    health = HealthTracker(clock=lambda: bed.sim.now,
-                           metrics=bed.metrics)
-    client.endpoint.health = health
+    if health is not None:
+        health.metrics = bed.metrics
+        bed.clients["client"].endpoint.health = health
 
-    recorder = None
-    if flight_dir is not None:
-        recorder = FlightRecorder(flight_dir,
-                                  clock=lambda: bed.sim.now)
-        recorder.emit("meta", runtime="sim", seed=config.seed,
-                      initial_tag=INITIAL_TAG, config=asdict(config))
+    recorder = _open_flight(flight_dir, lambda: bed.sim.now, runtime,
+                            config, policy)
+    if recorder is not None:
         bed.flight = recorder            # before install: suites inherit
-        policy.flight = recorder
-        health.flight = recorder
+        if health is not None:
+            health.flight = recorder
 
-    suite = bed.install(config.suite_configuration(),
-                        INITIAL_TAG.encode("utf-8"),
-                        health=health, **_suite_kwargs(config))
+    if namespace:
+        handles = cluster.start().handles
+    else:
+        (name,) = config.initial_tags()
+        handles = {name: bed.install(config.suite_configuration(),
+                                     INITIAL_TAG.encode("utf-8"),
+                                     **suite_kwargs)}
+    run = _SoakRun(config, handles, health, policy,
+                   streams.stream("cluster-soak:ops" if namespace
+                                  else "soak:ops"),
+                   recorder, cluster)
     started = bed.sim.now
-    autopilot = None
-    if config.autopilot:
-        autopilot = WeightAutopilot(suite, health=health,
-                                    policy=config.autopilot_policy())
+    if namespace:
+        # Attribution covers the soak proper, not the clean bootstrap.
+        bed.collector.ring.clear()
 
     policy.enabled = True
-    adapter = schedule_on_sim(bed, script, policy, disable_at_end=False)
-    ops_rng = streams.stream("soak:ops")
-    history: List[OpRecord] = FlightHistory(recorder) \
-        if recorder is not None else []
-    bed.run(_drive_ops(suite, lambda: bed.sim.now, config,
-                       ops_rng, autopilot=autopilot,
-                       policy=policy, history=history))
-
-    # Let the nemesis script finish (heal + restart-all), then verify
-    # convergence on the healed cluster without message-level faults.
-    remaining = script.horizon - bed.sim.now
-    bed.settle(grace=max(1_000.0, remaining + 1_000.0))
+    adapter = (schedule_on_sim(bed, script, policy, disable_at_end=False)
+               if script is not None else None)
+    bed.run(run.ops())
+    if script is not None:
+        # Let the nemesis script finish (heal + restart-all).
+        remaining = script.horizon - bed.sim.now
+        bed.settle(grace=max(1_000.0, remaining + 1_000.0))
+    # Verify convergence without message-level faults.
     policy.enabled = False
-    if autopilot is not None:
-        bed.run(_drive_autopilot_restore(suite, autopilot,
-                                         lambda: bed.sim.now, config,
-                                         history))
-    bed.run(_final_reads(suite, lambda: bed.sim.now, config,
-                         start_index=history[-1].index + 1
-                         if history else config.ops,
-                         history=history))
+    if run.autopilots:
+        bed.run(run.restore())
+    bed.run(run.final_reads())
+    _close_flight(recorder, bed.metrics, policy)
 
-    if recorder is not None:
-        recorder.emit("metrics",
-                      blocking=_flight_blocking_snapshot(bed.metrics),
-                      chaos=policy.stats())
-        recorder.close()
-
-    return SoakReport(
-        runtime="sim", config=config,
-        report=check_history(history, initial_tag=INITIAL_TAG),
-        history=history, chaos_stats=policy.stats(),
-        nemesis_steps=len(adapter.applied),
-        breakers=health.snapshot(),
-        elapsed_ms=bed.sim.now - started,
-        autopilot=autopilot.state() if autopilot is not None else None)
+    return run.report(
+        runtime, bed.sim.now - started,
+        nemesis_steps=len(adapter.applied) if adapter is not None else 0,
+        breakers=health.snapshot() if health is not None else None,
+        critical_path=analyze_quorum_paths(bed.collector.spans())
+        if namespace else None)
 
 
 #: Default size cap for soak trace exports (bytes per file); keeps a
@@ -509,7 +677,7 @@ async def run_live_soak(config: SoakConfig,
                         data_root: Optional[str] = None,
                         trace_path: Optional[str] = None,
                         flight_dir: Optional[str] = None) -> SoakReport:
-    """The soak on a live loopback cluster, over real sockets.
+    """The one-suite soak on a live loopback cluster, over real sockets.
 
     With ``flight_dir``, the client runtime journals its decisions
     there.  Live journals are *not* byte-reproducible (wall clock,
@@ -522,15 +690,10 @@ async def run_live_soak(config: SoakConfig,
     policy = config.chaos_policy(streams)
     policy.enabled = False               # clean install first
     script = config.nemesis(streams)
-
-    recorder = None
-    if flight_dir is not None:
-        # Clock is rebound to the live kernel once the cluster is up;
-        # only the meta record (emitted below) sees the placeholder.
-        recorder = FlightRecorder(flight_dir, clock=lambda: 0.0)
-        recorder.emit("meta", runtime="live", seed=config.seed,
-                      initial_tag=INITIAL_TAG, config=asdict(config))
-        policy.flight = recorder
+    # The clock is rebound to the live kernel once the cluster is up;
+    # only the meta record sees the placeholder.
+    recorder = _open_flight(flight_dir, lambda: 0.0, "live", config,
+                            policy)
 
     async with LoopbackCluster(
             config.server_names, chaos=policy,
@@ -543,57 +706,34 @@ async def run_live_soak(config: SoakConfig,
         kernel = cluster.client.kernel
         if recorder is not None:
             recorder.clock = lambda: kernel.now
+        (name,) = config.initial_tags()
         suite = await cluster.install(config.suite_configuration(),
                                       INITIAL_TAG.encode("utf-8"),
-                                      **_suite_kwargs(config))
+                                      **config.suite_kwargs())
         started = kernel.now
-        autopilot = None
-        if config.autopilot:
-            autopilot = WeightAutopilot(
-                suite, health=cluster.client.health,
-                policy=config.autopilot_policy())
+        run = _SoakRun(config, {name: suite}, cluster.client.health,
+                       policy, streams.stream("soak:ops"), recorder)
 
         policy.enabled = True
         nemesis_task = asyncio.ensure_future(
             run_live_nemesis(cluster, script, policy,
                              disable_at_end=False))
-        ops_rng = streams.stream("soak:ops")
-        history: List[OpRecord] = FlightHistory(recorder) \
-            if recorder is not None else []
         try:
-            await cluster.run(
-                _drive_ops(suite, lambda: kernel.now, config, ops_rng,
-                           autopilot=autopilot, policy=policy,
-                           history=history))
+            await cluster.run(run.ops())
         finally:
             # The op run never outlives this scope with servers down:
             # the script's tail heals and restarts everything.
             adapter = await nemesis_task
         policy.enabled = False
-        if autopilot is not None:
-            await cluster.run(
-                _drive_autopilot_restore(suite, autopilot,
-                                         lambda: kernel.now, config,
-                                         history))
-        await cluster.run(
-            _final_reads(suite, lambda: kernel.now, config,
-                         start_index=history[-1].index + 1
-                         if history else config.ops,
-                         history=history))
+        if run.autopilots:
+            await cluster.run(run.restore())
+        await cluster.run(run.final_reads())
         elapsed = kernel.now - started
         breakers = cluster.client.health.snapshot()
-        if recorder is not None:
-            recorder.emit("metrics", blocking=_flight_blocking_snapshot(
-                cluster.client.metrics), chaos=policy.stats())
-            recorder.close()
+        _close_flight(recorder, cluster.client.metrics, policy)
         if trace_path is not None:
             cluster.export_trace_jsonl(
                 trace_path, max_bytes=DEFAULT_TRACE_MAX_BYTES)
 
-    return SoakReport(
-        runtime="live", config=config,
-        report=check_history(history, initial_tag=INITIAL_TAG),
-        history=history, chaos_stats=policy.stats(),
-        nemesis_steps=len(adapter.applied),
-        breakers=breakers, elapsed_ms=elapsed,
-        autopilot=autopilot.state() if autopilot is not None else None)
+    return run.report("live", elapsed, nemesis_steps=len(adapter.applied),
+                      breakers=breakers)

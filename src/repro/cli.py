@@ -385,8 +385,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .chaos.invariants import history_to_json
     from .chaos.soak import SoakConfig, run_live_soak, run_sim_soak
+    from .verification import history_to_json
 
     try:
         config = SoakConfig(reps=args.reps, ops=args.ops, seed=args.seed,

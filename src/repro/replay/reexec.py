@@ -130,8 +130,7 @@ def re_execute(directory: str, out_dir: str) -> ReexecReport:
     byte-for-byte when the original was recorded on the simulator,
     committed-version chains when it was recorded live.
     """
-    from ..chaos.soak import SoakConfig, run_sim_soak
-    from ..cluster.soak import ClusterSoakConfig, run_cluster_sim_soak
+    from ..chaos.soak import ClusterSoakConfig, SoakConfig, run_sim_soak
 
     records, stats = load_flight_journal(directory)
     meta = _meta(records)
@@ -144,8 +143,7 @@ def re_execute(directory: str, out_dir: str) -> ReexecReport:
     if runtime in _CHAOS_RUNTIMES:
         run_sim_soak(SoakConfig(**config_raw), flight_dir=out_dir)
     elif runtime == "cluster-sim":
-        run_cluster_sim_soak(ClusterSoakConfig(**config_raw),
-                             flight_dir=out_dir)
+        run_sim_soak(ClusterSoakConfig(**config_raw), flight_dir=out_dir)
     else:
         raise ValueError(f"journal runtime {runtime!r} has no "
                          "re-execution engine")

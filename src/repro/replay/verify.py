@@ -3,10 +3,10 @@
 Three independent cross-checks over the same artifact:
 
 1. **Invariants** — the ``op`` records are the complete history the
-   soak driver saw, so :func:`~repro.chaos.invariants.check_history`
+   soak driver saw, so :func:`~repro.verification.check_history`
    runs over them exactly as it runs over an in-process soak: unique
-   versions, monotonic commits, fresh reads, representative
-   monotonicity.  This is what lets the checker audit a *live* run
+   versions, version-payload binding, no phantom reads, real-time
+   order, representative monotonicity.  This is what lets the checker audit a *live* run
    after the fact.
 2. **Plane agreement** — every finished gather left both a ``quorum``
    record in the journal and an increment in the run's own
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..chaos.invariants import InvariantReport, OpRecord, check_history
+from ..verification import InvariantReport, OpRecord, check_history
 from ..obs.flight import JournalStats, load_flight_journal
 from ..obs.slo import (SLOEvaluator, SLOStatus, read_latency_slo,
                        success_rate_slo)

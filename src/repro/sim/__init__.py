@@ -14,7 +14,7 @@ from .failures import (FailureSchedule, MarkovFailureProcess,
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .network import Host, Network, SharedMedium, estimate_size
 from .process import Process
-from .queues import Queue, QueueClosed, Resource
+from .queues import Resource
 from .rng import RandomStreams
 from .simulator import Simulator
 
@@ -22,7 +22,7 @@ __all__ = [
     "AllOf", "AnyOf", "Constant", "Counter", "Distribution", "Event",
     "Exponential", "FailureSchedule", "Gauge", "Histogram", "Host",
     "Lognormal", "MarkovFailureProcess", "MetricsRegistry", "Network",
-    "Process", "Queue", "QueueClosed", "RandomStreams", "Resource",
+    "Process", "RandomStreams", "Resource",
     "SharedMedium",
     "Simulator", "Timeout", "Uniform", "all_of",
     "as_distribution", "bernoulli_outages", "estimate_size", "first_of",

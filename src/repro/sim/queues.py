@@ -1,8 +1,4 @@
-"""Inter-process communication primitives: FIFO queues and resources.
-
-:class:`Queue` is a mailbox between processes.  ``get()`` returns an event
-that triggers when an item is available, preserving FIFO order among both
-items and waiters.
+"""Shared resources between processes.
 
 :class:`Resource` models a unit-capacity (or k-capacity) resource such as
 a disk arm: processes ``acquire()`` it, do timed work, and ``release()``.
@@ -11,74 +7,12 @@ a disk arm: processes ``acquire()`` it, do timed work, and ``release()``.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque
+from typing import TYPE_CHECKING, Deque
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
-
-
-class QueueClosed(Exception):
-    """Raised to getters when a queue is closed."""
-
-
-class Queue:
-    """Unbounded FIFO queue with event-based ``get``.
-
-    ``put`` never blocks.  ``get`` returns an :class:`Event`; yield it
-    from a process to receive the next item.  Closing the queue fails
-    all pending and future getters with :class:`QueueClosed`.
-    """
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._closed = False
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter if any."""
-        if self._closed:
-            return  # dropping on the floor: host is down
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.pending:
-                getter.trigger(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next item."""
-        event = self.sim.event(name=f"{self.name}.get")
-        if self._closed:
-            event.fail(QueueClosed(self.name))
-        elif self._items:
-            event.trigger(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def close(self) -> None:
-        """Discard items and fail all pending getters."""
-        self._closed = True
-        self._items.clear()
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.pending:
-                getter.fail(QueueClosed(self.name))
-
-    def reopen(self) -> None:
-        """Re-enable the queue after a close (server restart)."""
-        self._closed = False
 
 
 class Resource:
@@ -138,4 +72,4 @@ class Resource:
         while self._waiters:
             waiter = self._waiters.popleft()
             if waiter.pending:
-                waiter.fail(QueueClosed(self.name))
+                waiter.fail(RuntimeError(f"resource {self.name!r} reset"))

@@ -5,8 +5,8 @@ import asyncio
 
 import pytest
 
-from repro.chaos.soak import SoakConfig, run_live_soak, run_sim_soak
-from repro.cluster.soak import ClusterSoakConfig, run_cluster_sim_soak
+from repro.chaos.soak import (ClusterSoakConfig, SoakConfig, run_live_soak,
+                              run_sim_soak)
 
 
 def _applied(state):
@@ -125,19 +125,19 @@ class TestClusterAutopilot:
                                degrade_server="n2")
 
     def test_namespace_wide_rollout_holds_invariants(self):
-        report = run_cluster_sim_soak(self.CONFIG)
+        report = run_sim_soak(self.CONFIG)
         assert report.ok, report.summary()
         # One controller per suite, every one reported.
-        assert set(report.autopilot) == \
+        assert set(report.autopilots) == \
             set(self.CONFIG.spec().suite_names)
         applied = sum(state["applied"]
-                      for state in report.autopilot.values())
+                      for state in report.autopilots.values())
         assert applied > 0
         assert "autopilot" in report.summary()
 
     def test_every_suite_restores_to_seed(self):
-        report = run_cluster_sim_soak(self.CONFIG)
-        for name, state in report.autopilot.items():
+        report = run_sim_soak(self.CONFIG)
+        for name, state in report.autopilots.items():
             assert state["at_seed_weights"], (name, state["weights"])
             floor = self.CONFIG.autopilot_policy().min_voting_reps
             _assert_feasible(state, self.CONFIG.replication // 2 + 1,

@@ -7,6 +7,7 @@ import pytest
 from repro.chaos import (ChaosPolicy, NemesisScript, NemesisStep,
                          markov_nemesis, random_nemesis)
 from repro.chaos.soak import SoakConfig, run_live_soak, run_sim_soak
+from repro.core.suite import FileSuiteClient
 from repro.sim.rng import RandomStreams
 
 
@@ -125,6 +126,24 @@ class TestSimSoak:
         assert all(op.kind == "read" and op.ok for op in tail)
         assert {op.version for op in tail} == \
             {report.report.final_version}
+
+    def test_planted_version_reuse_is_caught(self, monkeypatch):
+        """A write path that numbers its version ``max`` instead of
+        ``max + 1`` commits a number already taken; the same seed is
+        clean without the mutation."""
+        config = SoakConfig(ops=100, seed=4)
+        assert run_sim_soak(config).ok
+        numbered = FileSuiteClient._current_version_from
+
+        def reuse(self, gathered, threshold=None, kind="read"):
+            current = numbered(self, gathered, threshold, kind)
+            return current - 1 if kind == "write" else current
+
+        monkeypatch.setattr(FileSuiteClient, "_current_version_from",
+                            reuse)
+        report = run_sim_soak(config)
+        assert not report.ok
+        assert "unique-version" in report.verdict
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

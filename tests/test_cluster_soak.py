@@ -1,9 +1,9 @@
-"""The invariant-checked cluster soak with a mid-run server join."""
+"""The invariant-checked namespace soak with a mid-run server join."""
 
 import pytest
 
-from repro.cluster.soak import (ClusterSoakConfig, ClusterSoakReport,
-                                run_cluster_sim_soak)
+from repro.chaos.soak import ClusterSoakConfig, run_sim_soak
+from repro.verification import check_history
 
 
 class TestConfig:
@@ -25,7 +25,7 @@ class TestConfig:
 class TestClusterSoak:
     def test_soak_with_join_passes_invariants(self):
         config = ClusterSoakConfig(seed=11)
-        report = run_cluster_sim_soak(config)
+        report = run_sim_soak(config)
         assert report.ok, report.summary()
         # The chaos policy actually interfered...
         assert report.chaos_stats["dropped"] > 0
@@ -38,7 +38,7 @@ class TestClusterSoak:
 
     def test_every_suite_served_and_converged(self):
         config = ClusterSoakConfig(seed=11)
-        report = run_cluster_sim_soak(config)
+        report = run_sim_soak(config)
         assert set(report.reports) == set(config.spec().suite_names)
         for name, suite_report in report.reports.items():
             # Convergence reads ran on every suite after healing.
@@ -49,8 +49,8 @@ class TestClusterSoak:
         assert "write" in kinds
 
     def test_deterministic_per_seed(self):
-        one = run_cluster_sim_soak(ClusterSoakConfig(seed=7))
-        two = run_cluster_sim_soak(ClusterSoakConfig(seed=7))
+        one = run_sim_soak(ClusterSoakConfig(seed=7))
+        two = run_sim_soak(ClusterSoakConfig(seed=7))
         assert one.ok and two.ok
         assert one.chaos_stats == two.chaos_stats
         assert one.elapsed_ms == two.elapsed_ms
@@ -58,7 +58,7 @@ class TestClusterSoak:
             {n: r.summary() for n, r in two.reports.items()}
 
     def test_soak_attributes_quorum_blocking(self):
-        report = run_cluster_sim_soak(ClusterSoakConfig(seed=11))
+        report = run_sim_soak(ClusterSoakConfig(seed=11))
         assert report.critical_path is not None
         assert report.critical_path.paths
         top = report.critical_path.top_blockers(1)
@@ -68,13 +68,12 @@ class TestClusterSoak:
     def test_checker_catches_seeded_corruption(self):
         """The invariant checker is live, not decorative: corrupt one
         recorded read and the verdict flips."""
-        report = run_cluster_sim_soak(ClusterSoakConfig(seed=2))
+        report = run_sim_soak(ClusterSoakConfig(seed=2))
         assert report.ok
         name = sorted(report.histories)[0]
         reads = [op for op in report.histories[name]
                  if op.kind == "read" and op.ok]
         reads[-1].version = 999
-        from repro.chaos.invariants import check_history
         damaged = check_history(
             report.histories[name],
             initial_tag=f"{name}:v1")

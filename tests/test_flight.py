@@ -23,9 +23,9 @@ import zlib
 
 import pytest
 
-from repro.chaos.soak import SoakConfig, run_live_soak, run_sim_soak
+from repro.chaos.soak import (ClusterSoakConfig, SoakConfig, run_live_soak,
+                              run_sim_soak)
 from repro.cli import main as cli_main
-from repro.cluster.soak import ClusterSoakConfig, run_cluster_sim_soak
 from repro.obs.flight import (FlightHistory, FlightJournalError,
                               FlightRecorder, load_flight_journal,
                               read_journal_bytes)
@@ -240,8 +240,8 @@ class TestVerify:
 
     def test_cluster_journal_verifies_clean(self, tmp_path):
         directory = str(tmp_path / "j")
-        run_cluster_sim_soak(ClusterSoakConfig(ops=50, seed=11),
-                             flight_dir=directory)
+        run_sim_soak(ClusterSoakConfig(ops=50, seed=11),
+                     flight_dir=directory)
         verdict = verify_journal(directory)
         assert verdict.ok, verdict.findings()
         assert len(verdict.reports) == 6  # one per data suite
@@ -310,8 +310,8 @@ class TestReexecute:
 
     def test_cluster_incident_reproduces(self, tmp_path):
         original = str(tmp_path / "orig")
-        run_cluster_sim_soak(ClusterSoakConfig(ops=50, seed=11),
-                             flight_dir=original)
+        run_sim_soak(ClusterSoakConfig(ops=50, seed=11),
+                     flight_dir=original)
         report = re_execute(original, str(tmp_path / "replay"))
         assert report.ok and report.identical
 

@@ -1,76 +1,8 @@
-"""Queues and resources."""
+"""Resources."""
 
 import pytest
 
-from repro.sim import Queue, QueueClosed, Resource
-
-
-class TestQueue:
-    def test_put_then_get(self, sim):
-        queue = Queue(sim)
-        queue.put("a")
-        queue.put("b")
-        assert sim.run_until(queue.get()) == "a"
-        assert sim.run_until(queue.get()) == "b"
-
-    def test_get_blocks_until_put(self, sim):
-        queue = Queue(sim)
-
-        def consumer():
-            item = yield queue.get()
-            return (sim.now, item)
-
-        sim.schedule(5.0, queue.put, "late")
-        assert sim.run_process(consumer()) == (5.0, "late")
-
-    def test_fifo_among_waiters(self, sim):
-        queue = Queue(sim)
-        order = []
-
-        def consumer(tag):
-            item = yield queue.get()
-            order.append((tag, item))
-
-        sim.spawn(consumer("first"))
-        sim.spawn(consumer("second"))
-        sim.schedule(1.0, queue.put, "x")
-        sim.schedule(2.0, queue.put, "y")
-        sim.run()
-        assert order == [("first", "x"), ("second", "y")]
-
-    def test_close_fails_waiters(self, sim):
-        queue = Queue(sim, name="inbox")
-
-        def consumer():
-            try:
-                yield queue.get()
-            except QueueClosed:
-                return "closed"
-
-        sim.schedule(1.0, queue.close)
-        assert sim.run_process(consumer()) == "closed"
-
-    def test_close_drops_items_and_future_puts(self, sim):
-        queue = Queue(sim)
-        queue.put("lost")
-        queue.close()
-        queue.put("also lost")
-        assert len(queue) == 0
-        with pytest.raises(QueueClosed):
-            sim.run_until(queue.get())
-
-    def test_reopen_after_close(self, sim):
-        queue = Queue(sim)
-        queue.close()
-        queue.reopen()
-        queue.put("back")
-        assert sim.run_until(queue.get()) == "back"
-
-    def test_len_counts_buffered(self, sim):
-        queue = Queue(sim)
-        for i in range(3):
-            queue.put(i)
-        assert len(queue) == 3
+from repro.sim import Resource
 
 
 class TestResource:

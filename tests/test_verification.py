@@ -7,76 +7,261 @@ from tests.helpers import triple_config
 from repro.chaos.policy import ChaosPolicy, ChaosVerdict
 from repro.errors import ReproError, TransactionAborted
 from repro.testbed import Testbed
-from repro.verification import (HistoryRecorder, Operation, check_history)
+from repro.verification import (HistoryRecorder, OpRecord, check_history,
+                                history_from_json, history_to_json)
 
 
-def op(client, kind, start, end, version, data=b""):
-    return Operation(client=client, kind=kind, start=start, end=end,
-                     version=version, data=data)
+def op(index, kind, start, end, version, tag=""):
+    return OpRecord(index=index, kind=kind, ok=True, started=start,
+                    finished=end, version=version, tag=tag)
+
+
+def read(index, version, tag=None, observed=None, ok=True):
+    return OpRecord(index=index, kind="read", ok=ok, started=float(index),
+                    finished=float(index) + 1.0, version=version, tag=tag,
+                    observed=observed or {})
+
+
+def write(index, version, tag=None, observed=None, ok=True):
+    return OpRecord(index=index, kind="write", ok=ok,
+                    started=float(index), finished=float(index) + 1.0,
+                    version=version, tag=tag, observed=observed or {})
+
+
+def rules(history, **kwargs):
+    return {v.rule for v in check_history(history, **kwargs).violations}
 
 
 class TestCheckerOnSyntheticHistories:
     def test_empty_history_valid(self):
-        assert check_history([]) == []
+        assert check_history([]).ok
 
     def test_simple_valid_history(self):
         history = [
-            op("a", "write", 0, 1, 2, b"x"),
-            op("b", "read", 2, 3, 2, b"x"),
+            op(0, "write", 0, 1, 2, "x"),
+            op(1, "read", 2, 3, 2, "x"),
         ]
-        assert check_history(history) == []
+        assert check_history(history).violations == []
 
     def test_duplicate_write_versions_flagged(self):
         history = [
-            op("a", "write", 0, 1, 2, b"x"),
-            op("b", "write", 0, 1, 2, b"y"),
+            op(0, "write", 0, 1, 2, "x"),
+            op(1, "write", 0, 1, 2, "y"),
         ]
-        violations = check_history(history)
-        assert any(v.rule == "W1" for v in violations)
+        assert "unique-version" in rules(history)
 
     def test_read_of_wrong_data_flagged(self):
         history = [
-            op("a", "write", 0, 1, 2, b"right"),
-            op("b", "read", 2, 3, 2, b"wrong"),
+            op(0, "write", 0, 1, 2, "right"),
+            op(1, "read", 2, 3, 2, "wrong"),
         ]
-        assert any(v.rule == "W2" for v in check_history(history))
+        assert "version-payload" in rules(history)
 
     def test_read_of_phantom_version_flagged(self):
-        history = [op("b", "read", 0, 1, 7, b"ghost")]
-        assert any(v.rule == "R2" for v in check_history(history))
+        history = [op(0, "read", 0, 1, 7, "ghost")]
+        assert "phantom-read" in rules(history)
 
     def test_stale_read_after_write_flagged(self):
         history = [
-            op("a", "write", 0, 1, 2, b"new"),
-            op("b", "read", 5, 6, 1, b""),  # reads the install version
+            op(0, "write", 0, 1, 2, "new"),
+            op(1, "read", 5, 6, 1, ""),  # reads the install version
         ]
-        assert any(v.rule == "R1" for v in check_history(history))
+        assert "real-time" in rules(history)
 
     def test_version_regression_between_writes_flagged(self):
         history = [
-            op("a", "write", 0, 1, 3, b"x"),
-            op("b", "write", 5, 6, 2, b"y"),
+            op(0, "write", 0, 1, 3, "x"),
+            op(1, "write", 5, 6, 2, "y"),
         ]
-        assert any(v.rule == "R1" for v in check_history(history))
+        assert "real-time" in rules(history)
 
     def test_concurrent_operations_unconstrained(self):
         # b starts before a ends: any version order is acceptable.
         history = [
-            op("a", "write", 0, 10, 3, b"x"),
-            op("b", "read", 5, 6, 1, b""),
+            op(0, "write", 0, 10, 3, "x"),
+            op(1, "read", 5, 6, 1, ""),
         ]
-        assert check_history(history) == []
+        assert check_history(history).violations == []
 
     def test_install_data_respected(self):
-        history = [op("b", "read", 0, 1, 1, b"seed")]
-        assert check_history(history, install_data=b"seed") == []
-        assert check_history(history, install_data=b"other") != []
+        history = [op(0, "read", 0, 1, 1, "seed")]
+        assert check_history(history, initial_tag="seed").ok
+        assert not check_history(history, initial_tag="other").ok
 
     def test_operation_validation(self):
         with pytest.raises(ValueError):
-            op("a", "mystery", 0, 1, 1)
+            op(0, "mystery", 0, 1, 1)
         with pytest.raises(ValueError):
-            op("a", "read", 5, 1, 1)
+            op(0, "read", 5, 1, 1)
+        with pytest.raises(ValueError):
+            op(0, "read", 0, 1, None)
+
+
+class TestCheckHistory:
+    """One sequential client's history: every rule trips on the
+    histories it should."""
+
+    def test_clean_history_is_ok(self):
+        history = [
+            read(0, 1, tag="init"),
+            write(1, 2, tag="a", observed={"rep-1": 1, "rep-2": 1}),
+            read(2, 2, tag="a", observed={"rep-1": 2, "rep-3": 1}),
+            write(3, 3, tag="b"),
+            read(4, 3, tag="b"),
+        ]
+        report = check_history(history, initial_version=1,
+                               initial_tag="init")
+        assert report.ok
+        assert report.committed_writes == 2
+        assert report.successful_reads == 3
+        assert report.final_version == 3
+
+    def test_stale_read_is_flagged(self):
+        history = [write(0, 2, tag="a"), read(1, 1, tag="init")]
+        report = check_history(history)
+        assert not report.ok
+        assert report.violations[0].rule == "real-time"
+
+    def test_wrong_payload_at_right_version_is_flagged(self):
+        history = [write(0, 2, tag="a"), read(1, 2, tag="zzz")]
+        report = check_history(history)
+        assert [v.rule for v in report.violations] == ["version-payload"]
+
+    def test_duplicate_committed_version_is_flagged(self):
+        history = [write(0, 2, tag="a"), write(1, 2, tag="b")]
+        report = check_history(history)
+        rules = {v.rule for v in report.violations}
+        assert "unique-version" in rules and "real-time" in rules
+
+    def test_version_going_backwards_is_flagged(self):
+        history = [write(0, 5, tag="a"), write(1, 3, tag="b")]
+        report = check_history(history)
+        assert any(v.rule == "real-time"
+                   for v in report.violations)
+
+    def test_rep_version_regression_is_flagged_even_on_failed_ops(self):
+        history = [
+            read(0, 1, observed={"rep-1": 4}),
+            read(1, None, ok=False, observed={"rep-1": 2}),
+        ]
+        report = check_history(history, initial_version=1)
+        violations = [v for v in report.violations
+                      if v.rule == "rep-monotonic"]
+        assert len(violations) == 1 and violations[0].index == 1
+
+    def test_failed_ops_are_counted_but_not_judged(self):
+        history = [
+            write(0, None, tag="lost", ok=False),
+            read(1, 1, tag="init"),
+        ]
+        report = check_history(history, initial_version=1,
+                               initial_tag="init")
+        assert report.ok
+        assert report.failed_ops == 1
+
+    def test_initial_version_collision_is_flagged(self):
+        # install_suite leaves version 1; a "committed" write claiming
+        # version 1 again must trip unique-version.
+        report = check_history([write(0, 1, tag="a")], initial_version=1)
+        assert any(v.rule == "unique-version"
+                   for v in report.violations)
+
+    def test_summary_mentions_violations(self):
+        report = check_history([write(0, 2), write(1, 2)])
+        assert "VIOLATION" in report.summary()
+        assert check_history([]).summary().startswith("OK")
+
+
+class TestHistorySerialisation:
+    def test_round_trip(self):
+        history = [
+            write(0, 2, tag="a", observed={"rep-1": 1}),
+            read(1, 2, tag="a"),
+            OpRecord(index=2, kind="read", ok=False, started=2.0,
+                     finished=3.0, error="RpcTimeout", attempts=4),
+        ]
+        restored = history_from_json(history_to_json(history))
+        assert restored == history
+
+
+def pairwise_flags(history, initial_version=1):
+    """The real-time and rep-monotonic rules straight from their
+    definition, over every ordered pair of operations."""
+
+    def precedes(a, b, pa, pb):
+        if a.finished > b.started:
+            return False
+        if a.started == a.finished == b.started == b.finished:
+            return pa < pb      # two instants at one time: record order
+        return True
+
+    flagged = set()
+    for pb, b in enumerate(history):
+        if b.ok and (b.version < initial_version or (
+                b.kind == "write" and b.version == initial_version)):
+            flagged.add((b.index, "real-time"))
+        for pa, a in enumerate(history):
+            if pa == pb or not precedes(a, b, pa, pb):
+                continue
+            if a.ok and b.ok and (b.version < a.version or (
+                    b.kind == "write" and b.version == a.version)):
+                flagged.add((b.index, "real-time"))
+            if any(b.observed.get(rep, seen) < seen
+                   for rep, seen in a.observed.items()):
+                flagged.add((b.index, "rep-monotonic"))
+    return flagged
+
+
+@st.composite
+def concurrent_histories(draw):
+    """Small clocks and versions, so ties, instants and overlaps are
+    common; some operations fail."""
+    history = []
+    for index in range(draw(st.integers(min_value=0, max_value=24))):
+        started = float(draw(st.integers(min_value=0, max_value=12)))
+        ok = draw(st.integers(min_value=0, max_value=4)) > 0
+        history.append(OpRecord(
+            index=index,
+            kind=draw(st.sampled_from(["read", "write"])), ok=ok,
+            started=started,
+            finished=started + draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+            version=draw(st.integers(min_value=0, max_value=5))
+            if ok else None,
+            observed=draw(st.dictionaries(
+                st.sampled_from(["rep-1", "rep-2", "rep-3"]),
+                st.integers(min_value=0, max_value=5), max_size=3))))
+    return history
+
+
+class TestRealTimeSweep:
+    """The checker orders operations by one sort-and-sweep; it must flag
+    exactly the operations the pairwise definition flags."""
+
+    @given(concurrent_histories())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_the_pairwise_definition(self, history):
+        swept = {(v.index, v.rule)
+                 for v in check_history(history).violations
+                 if v.rule in ("real-time", "rep-monotonic")}
+        assert swept == pairwise_flags(history)
+
+    def test_five_thousand_overlapping_operations(self):
+        """Each op overlaps the next; reads return the newest write so
+        far.  Pairwise, this history is ~12.5 M comparisons."""
+        history, version = [], 1
+        for index in range(5_000):
+            kind = "write" if index % 3 == 0 else "read"
+            version += kind == "write"
+            history.append(op(index, kind, float(index), index + 1.5,
+                              version, f"v{version}"))
+        assert check_history(history, initial_tag="v1").ok
+        stale = history[4_000]
+        history[4_000] = op(stale.index, "read", stale.started,
+                            stale.finished, stale.version - 10,
+                            f"v{stale.version - 10}")
+        report = check_history(history, initial_tag="v1")
+        assert [(v.index, v.rule) for v in report.violations] == \
+            [(4_000, "real-time")]
 
 
 class TestProtocolUnderChecker:
@@ -87,28 +272,25 @@ class TestProtocolUnderChecker:
                       seed=seed)
         config = triple_config()
         history = []
-        recorders = []
-        first = True
+        recorders = {}
         for name in names:
-            if first:
+            if not recorders:
                 suite = bed.install(config, b"seed", client=name)
-                first = False
             else:
                 suite = bed.suite(config, client=name)
             suite.retry_backoff = 120.0
-            recorders.append(HistoryRecorder(suite, name, history))
+            recorders[name] = HistoryRecorder(suite, history)
 
-        def client_loop(recorder, index):
-            rng = bed.streams.stream(f"verify:{recorder.client}")
+        def client_loop(name, recorder):
+            rng = bed.streams.stream(f"verify:{name}")
             for i in range(ops_per_client):
                 try:
                     if rng.random() < 0.5:
                         yield from recorder.read()
                     else:
-                        yield from recorder.write(
-                            f"{recorder.client}-{i}".encode())
+                        yield from recorder.write(f"{name}-{i}".encode())
                 except ReproError:
-                    pass  # blocked ops record nothing: fine
+                    pass  # blocked ops are recorded as failed: fine
                 yield bed.sim.timeout(rng.uniform(0, 40.0))
 
         def chaos():
@@ -117,9 +299,10 @@ class TestProtocolUnderChecker:
             yield bed.sim.timeout(300.0)
             bed.restart("s2")
 
-        processes = [bed.sim.spawn(client_loop(recorder, i),
+        processes = [bed.sim.spawn(client_loop(name, recorder),
                                    name=f"verify-{i}")
-                     for i, recorder in enumerate(recorders)]
+                     for i, (name, recorder)
+                     in enumerate(recorders.items())]
         if crash:
             bed.sim.spawn(chaos(), name="chaos")
         bed.sim.run_until(bed.sim.all_of(processes))
@@ -127,13 +310,13 @@ class TestProtocolUnderChecker:
 
     def test_concurrent_clients_strictly_serializable(self):
         history = self.run_workload(seed=101)
-        assert len(history) > 10
-        assert check_history(history, install_data=b"seed") == []
+        assert sum(op.ok for op in history) > 10
+        assert check_history(history, initial_tag="seed").violations == []
 
     def test_still_serializable_under_crashes(self):
         history = self.run_workload(seed=102, crash=True)
-        violations = check_history(history, install_data=b"seed")
-        assert violations == []
+        report = check_history(history, initial_tag="seed")
+        assert report.violations == []
 
     @given(st.integers(min_value=0, max_value=2 ** 16))
     @settings(max_examples=10, deadline=None,
@@ -141,12 +324,12 @@ class TestProtocolUnderChecker:
     def test_random_seeds_always_serializable(self, seed):
         history = self.run_workload(seed=seed, clients=2,
                                     ops_per_client=6)
-        assert check_history(history, install_data=b"seed") == []
+        assert check_history(history, initial_tag="seed").violations == []
 
     def test_checker_catches_a_broken_protocol(self):
         """Sanity check of the checker itself against a protocol we
         know is broken: the single-representative inquiry client from
-        the anomaly suite produces R1 violations."""
+        the anomaly suite produces real-time violations."""
         from tests.test_anomalies import SingleRepInquiryClient
 
         bed = Testbed(servers=["s1", "s2", "s3"], seed=103,
@@ -154,18 +337,18 @@ class TestProtocolUnderChecker:
         config = triple_config()
         good = bed.install(config, b"seed")
         history = []
-        good_recorder = HistoryRecorder(good, "good", history)
+        good_recorder = HistoryRecorder(good, history)
         bed.run(good_recorder.write(b"v2"))     # quorum {s1, s2}
 
         broken = SingleRepInquiryClient(
             bed.clients["client"].manager, config, max_attempts=1,
             inquiry_timeout=100.0)
-        broken_recorder = HistoryRecorder(broken, "broken", history)
+        broken_recorder = HistoryRecorder(broken, history)
         bed.crash("s1")
         bed.crash("s2")
         bed.run(broken_recorder.read())         # stale read, recorded
-        violations = check_history(history, install_data=b"seed")
-        assert any(v.rule == "R1" for v in violations)
+        violations = check_history(history, initial_tag="seed").violations
+        assert any(v.rule == "real-time" for v in violations)
 
 
 class NthMessage:
@@ -210,12 +393,11 @@ class TestNoNewOldInversion:
         config = triple_config()
         history = []
         writer = HistoryRecorder(bed.install(config, b"old", client="w"),
-                                 "w", history)
-        first = HistoryRecorder(bed.suite(config, client="r1"),
-                                "r1", history)
+                                 history)
+        first = HistoryRecorder(bed.suite(config, client="r1"), history)
         second = HistoryRecorder(
             bed.suite(config, client="r2", inquiry_timeout=500.0),
-            "r2", history)
+            history)
         # The second reader cannot reach the fast member: its quorum
         # has to be s2 + s3, the slow member and the one left behind.
         bed.network.set_link_down("r2", "s1")
@@ -242,7 +424,7 @@ class TestNoNewOldInversion:
         assert "rep-2" in late.quorum and "rep-1" not in late.quorum
         assert bed.sim.now - started > 300.0   # sat out the prepared lock
         bed.sim.run_until(write)
-        assert check_history(history, install_data=b"old") == []
+        assert check_history(history, initial_tag="old").violations == []
 
     def test_member_crashed_and_recovered_in_doubt(self):
         bed, history, first, second, write = self.deploy(
@@ -258,7 +440,7 @@ class TestNoNewOldInversion:
         assert "rep-2" in late.quorum
         assert participant.in_doubt() == []        # the retry landed
         bed.sim.run_until(write)
-        assert check_history(history, install_data=b"old") == []
+        assert check_history(history, initial_tag="old").violations == []
 
 
 class TestConcurrentMixUnderFaults:
@@ -300,15 +482,16 @@ class TestConcurrentMixUnderFaults:
                 return (yield from suite.write_in(txn, seen["data"]))
 
             written = yield from suite.transact(operation)
-            end = bed.sim.now
-            history.append(Operation(recorder.client, "write", start, end,
-                                     written.version, seen["data"]))
+            history.append(OpRecord(
+                index=len(history), kind="write", ok=True, started=start,
+                finished=bed.sim.now, version=written.version,
+                tag=seen["data"].decode("latin-1")))
             increments.append((seen["read"].version, written.version))
 
-        def client_loop(recorder):
-            rng = bed.streams.stream(f"mix:{recorder.client}")
+        def client_loop(name, recorder):
+            rng = bed.streams.stream(f"mix:{name}")
             for i in range(ops_per_client):
-                tag = f"{recorder.client}-{i}"
+                tag = f"{name}-{i}"
                 draw = rng.random()
                 try:
                     if draw < 0.4:
@@ -318,20 +501,20 @@ class TestConcurrentMixUnderFaults:
                     else:
                         yield from increment(recorder, tag)
                 except ReproError:
-                    pass  # gave up: nothing committed, nothing recorded
+                    pass  # gave up: nothing committed
                 yield bed.sim.timeout(rng.uniform(0, 30.0))
 
-        recorders = [HistoryRecorder(suites[name], name, history)
-                     for name in self.CLIENTS]
+        recorders = {name: HistoryRecorder(suites[name], history)
+                     for name in self.CLIENTS}
         forgotten = self.watch_for_forgotten_calls(bed)
-        processes = [bed.sim.spawn(client_loop(recorder))
-                     for recorder in recorders]
+        processes = [bed.sim.spawn(client_loop(name, recorder))
+                     for name, recorder in recorders.items()]
         bed.sim.run_until(bed.sim.all_of(processes))
         bed.network.chaos = None
         bed.settle(20_000.0)
         # Nobody restarted, so no participant may claim it has.
         assert forgotten == []
-        final = bed.run(recorders[0].read())
+        final = bed.run(recorders[self.CLIENTS[0]].read())
         return history, increments, final
 
     @staticmethod
@@ -359,8 +542,8 @@ class TestConcurrentMixUnderFaults:
     @pytest.mark.parametrize("seed", [201, 202, 203, 204, 205, 206])
     def test_no_violation_and_no_lost_update(self, seed):
         history, increments, final = self.run_mix(seed)
-        assert len(history) > 12
-        assert check_history(history, install_data=b"0|seed") == []
+        assert sum(op.ok for op in history) > 12
+        assert check_history(history, initial_tag="0|seed").violations == []
         # An increment writes the version right after the one it read:
         # nobody slipped in between its read and its write.
         assert increments
@@ -369,14 +552,15 @@ class TestConcurrentMixUnderFaults:
         # counter, an increment adds one.  Every payload, and what the
         # suite finally holds, must agree with that.
         count, expected = 0, {}
-        writes = sorted((op for op in history if op.kind == "write"),
+        writes = sorted((op for op in history
+                         if op.kind == "write" and op.ok),
                         key=lambda op: op.version)
         assert [op.version for op in writes] == \
             list(range(2, 2 + len(writes)))
         for op in writes:
-            blind = op.data.startswith(b"0|")
+            blind = op.tag.startswith("0|")
             count = 0 if blind else count + 1
-            assert int(op.data.split(b"|")[0]) == count
+            assert int(op.tag.split("|")[0]) == count
         assert final.version == 1 + len(writes)
         assert int(final.data.split(b"|")[0]) == count
 
@@ -513,9 +697,8 @@ class TestFallbackReadReportsWhatItFetched:
         config = triple_config()
         history = []
         writer = HistoryRecorder(bed.install(config, b"one", client="w"),
-                                 "w", history)
-        reader = HistoryRecorder(bed.suite(config, client="r"), "r",
                                  history)
+        reader = HistoryRecorder(bed.suite(config, client="r"), history)
         bed.crash("s1")
         bed.run(writer.write(b"two"))          # s2 + s3; s1 stays at v1
         bed.restart("s1")
@@ -537,4 +720,4 @@ class TestFallbackReadReportsWhatItFetched:
         assert (result.version, result.data) == (3, b"three")
         assert set(result.stale) == {"rep-1", "rep-2", "rep-3"}
         assert bed.metrics.counter("suite.read_fallback").value == 1
-        assert check_history(history, install_data=b"one") == []
+        assert check_history(history, initial_tag="one").violations == []
