@@ -9,10 +9,8 @@ steps.  Scripts come from three places:
   crashed or cut off than the quorum can tolerate), so a soak under it
   is expected to make progress;
 * :func:`markov_nemesis` — per-server alternating exponential up/down
-  periods, the live-runtime analogue of
-  :class:`~repro.sim.failures.MarkovFailureProcess`, pre-sampled into a
-  script so the identical failure timeline can be replayed on either
-  runtime.
+  periods, pre-sampled into a script so the identical failure timeline
+  can be replayed on either runtime.
 
 Because the steps are data, the *same script* drives the simulator
 (:func:`schedule_on_sim` via :class:`TestbedAdapter`) and a live
@@ -159,12 +157,10 @@ def markov_nemesis(servers: Sequence[str], availability: float,
                    ) -> NemesisScript:
     """Per-server exponential up/down periods, pre-sampled into a script.
 
-    ``mtbf = mttr * availability / (1 - availability)`` — the same
-    parameterisation as
-    :meth:`~repro.sim.failures.MarkovFailureProcess.with_availability`,
-    and the same per-server stream names, so the sampled timeline for a
-    given seed matches the simulator's failure process family.  Servers
-    down at the horizon are restarted there.
+    ``mtbf = mttr * availability / (1 - availability)``; each server
+    draws from its own ``failures:<name>`` stream, so the sampled
+    timeline is a function of the seed alone.  Servers down at the
+    horizon are restarted there.
     """
     if not 0.0 < availability < 1.0:
         raise ValueError("availability must be in (0, 1)")

@@ -380,74 +380,52 @@ def _check_autopilot_expectations(runtime: str, state: "Optional[Dict]",
     return failed
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Invariant-checked soak under deterministic fault injection."""
+def _run_soaks(args: argparse.Namespace, config, label: str,
+               scenario: str, export_dir: "Optional[str]" = None,
+               dump_history: bool = False) -> "Tuple[Dict, bool]":
+    """Soak ``config`` on each runtime ``--runtime`` names, printing one
+    block per run.  Returns the reports by runtime and whether a
+    ``--expect-*`` known answer was missed.
+
+    ``export_dir`` receives the live trace and the op histories;
+    ``dump_history`` writes a history even without it when a soak
+    violates an invariant (a failed soak must leave evidence behind).
+    """
     import json
     import os
 
-    from .chaos.soak import SoakConfig, run_live_soak, run_sim_soak
+    from .chaos.soak import run_live_soak, run_sim_soak
     from .verification import history_to_json
-
-    try:
-        config = SoakConfig(reps=args.reps, ops=args.ops, seed=args.seed,
-                            read_fraction=args.read_fraction,
-                            loss=args.loss, horizon=args.horizon,
-                            nemesis_kind=args.nemesis,
-                            autopilot=args.autopilot,
-                            degrade_server=args.degrade_server,
-                            degrade_delay_ms=args.degrade_delay_ms)
-    except ValueError as exc:
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return 2
-    runtimes = (["live", "sim"] if args.runtime == "both"
-                else [args.runtime])
-    export_dir = args.export_dir
-    if export_dir is not None:
-        os.makedirs(export_dir, exist_ok=True)
 
     def _artifact(name: str) -> "Optional[str]":
         if export_dir is None:
             return None
-        return os.path.join(export_dir,
-                            f"chaos-seed{args.seed}-{name}")
-
-    def _flight_dir(runtime: str) -> "Optional[str]":
-        if args.flight_dir is None:
-            return None
-        return os.path.join(args.flight_dir,
-                            f"seed{args.seed}-{runtime}")
+        return os.path.join(export_dir, f"chaos-seed{args.seed}-{name}")
 
     reports = {}
     failed_expectation = False
-    for runtime in runtimes:
-        extras = ""
-        if args.autopilot:
-            extras += " autopilot=on"
-        if args.degrade_server:
-            extras += (f" degrade={args.degrade_server}"
-                       f"(+{args.degrade_delay_ms:g}ms)")
-        print(f"soak [{runtime}] seed={args.seed} ops={args.ops} "
-              f"reps={args.reps} loss={config.loss} "
-              f"nemesis={config.nemesis_kind} "
-              f"horizon={config.nemesis_horizon():.0f}ms{extras} ...",
-              flush=True)
+    for runtime in (["live", "sim"] if args.runtime == "both"
+                    else [args.runtime]):
+        print(f"{label} [{runtime}] seed={args.seed} ops={args.ops} "
+              f"reps={args.reps} {scenario} ...", flush=True)
+        flight_dir = None
+        if args.flight_dir is not None:
+            flight_dir = os.path.join(args.flight_dir,
+                                      f"seed{args.seed}-{runtime}")
         if runtime == "live":
             report = asyncio.run(run_live_soak(
                 config, trace_path=_artifact("live-trace.jsonl"),
-                flight_dir=_flight_dir(runtime)))
+                flight_dir=flight_dir))
         else:
-            report = run_sim_soak(config,
-                                  flight_dir=_flight_dir(runtime))
+            report = run_sim_soak(config, flight_dir=flight_dir)
         reports[runtime] = report
         print(report.summary())
-        if _flight_dir(runtime) is not None:
-            print(f"  flight journal -> {_flight_dir(runtime)}")
+        if flight_dir is not None:
+            print(f"  flight journal -> {flight_dir}")
         if report.autopilot is not None:
             _render_autopilot_state(report.autopilot)
         history_path = _artifact(f"{runtime}-history.json")
-        if history_path is not None or not report.ok:
-            # Always dump the history on a violation, even without
-            # --export-dir: a failed soak must leave evidence behind.
+        if history_path is not None or (dump_history and not report.ok):
             history_path = (history_path
                             or f"chaos-seed{args.seed}-{runtime}"
                                f"-history.json")
@@ -467,6 +445,38 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             failed_expectation |= _check_autopilot_expectations(
                 runtime, report.autopilot, args.expect_shift,
                 args.expect_restore)
+    return reports, failed_expectation
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
+    """Invariant-checked soak under deterministic fault injection."""
+    import os
+
+    from .chaos.soak import SoakConfig
+
+    try:
+        config = SoakConfig(reps=args.reps, ops=args.ops, seed=args.seed,
+                            read_fraction=args.read_fraction,
+                            loss=args.loss, horizon=args.horizon,
+                            nemesis_kind=args.nemesis,
+                            autopilot=args.autopilot,
+                            degrade_server=args.degrade_server,
+                            degrade_delay_ms=args.degrade_delay_ms)
+    except ValueError as exc:
+        print(f"repro chaos: {exc}", file=sys.stderr)
+        return 2
+    if args.export_dir is not None:
+        os.makedirs(args.export_dir, exist_ok=True)
+    scenario = (f"loss={config.loss} nemesis={config.nemesis_kind} "
+                f"horizon={config.nemesis_horizon():.0f}ms")
+    if args.autopilot:
+        scenario += " autopilot=on"
+    if args.degrade_server:
+        scenario += (f" degrade={args.degrade_server}"
+                     f"(+{args.degrade_delay_ms:g}ms)")
+    reports, failed_expectation = _run_soaks(
+        args, config, "soak", scenario, export_dir=args.export_dir,
+        dump_history=True)
 
     if len(reports) == 2:
         live, sim = reports["live"], reports["sim"]
@@ -484,9 +494,8 @@ def cmd_autopilot(args: argparse.Namespace) -> int:
     """Vote autopilot scenario: degrade, watch votes shift, heal,
     watch them return — with the invariant checker over the whole run."""
     import json
-    import os
 
-    from .chaos.soak import SoakConfig, run_live_soak, run_sim_soak
+    from .chaos.soak import SoakConfig
 
     degrade = (None if args.degrade_server in (None, "none")
                else args.degrade_server)
@@ -498,46 +507,20 @@ def cmd_autopilot(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro autopilot: {exc}", file=sys.stderr)
         return 2
-    runtimes = (["live", "sim"] if args.runtime == "both"
-                else [args.runtime])
-    states: Dict[str, Dict] = {}
-    failed_expectation = False
-    all_ok = True
-    for runtime in runtimes:
-        scenario = f"nemesis={args.nemesis}"
-        if degrade:
-            scenario += (f" degrade={degrade} "
-                         f"(+{args.degrade_delay_ms:g}ms, heals at op "
-                         f"{config.degrade_heal_index()})")
-        print(f"autopilot [{runtime}] seed={args.seed} ops={args.ops} "
-              f"reps={args.reps} {scenario} ...", flush=True)
-        flight_dir = None
-        if args.flight_dir is not None:
-            flight_dir = os.path.join(args.flight_dir,
-                                      f"seed{args.seed}-{runtime}")
-        if runtime == "live":
-            report = asyncio.run(run_live_soak(config,
-                                               flight_dir=flight_dir))
-        else:
-            report = run_sim_soak(config, flight_dir=flight_dir)
-        print(report.summary())
-        if flight_dir is not None:
-            print(f"  flight journal -> {flight_dir}")
-        state = report.autopilot
-        states[runtime] = state
-        _render_autopilot_state(state)
-        all_ok &= report.ok
-        for violation in report.report.violations:
-            print(f"  VIOLATION op {violation.index} "
-                  f"[{violation.rule}]: {violation.detail}")
-        if args.expect_shift or args.expect_restore:
-            failed_expectation |= _check_autopilot_expectations(
-                runtime, state, args.expect_shift, args.expect_restore)
+    scenario = f"nemesis={args.nemesis}"
+    if degrade:
+        scenario += (f" degrade={degrade} "
+                     f"(+{args.degrade_delay_ms:g}ms, heals at op "
+                     f"{config.degrade_heal_index()})")
+    reports, failed_expectation = _run_soaks(args, config, "autopilot",
+                                             scenario)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(states, handle, indent=2)
+            json.dump({runtime: report.autopilot
+                       for runtime, report in reports.items()},
+                      handle, indent=2)
         print(f"autopilot state -> {args.json}")
-    if not all_ok:
+    if not all(report.ok for report in reports.values()):
         return 1
     return 2 if failed_expectation else 0
 

@@ -66,6 +66,7 @@ from ..errors import (DeadlockError, HostUnreachableError, LockTimeoutError,
                       RemoteError, ReproError, RpcTimeout,
                       StaleConfigurationError, TransactionAborted)
 from ..obs.collector import TraceCollector
+from ..obs.critical_path import QuorumPath
 from ..obs.spans import NOOP_SPAN
 from ..sim.metrics import MetricsRegistry
 from ..sim.rng import RandomStreams
@@ -484,12 +485,11 @@ class FileSuiteClient:
         """
         config = self.config
         started = self.sim.now
+        op = "read" if mode == SHARED else "write"
         parent = txn.span
         qspan = self.collector.start_span(
-            "quorum.assemble", parent=parent,
-            suite=config.suite_name,
-            mode="read" if mode == SHARED else "write",
-            threshold=threshold)
+            "quorum.assemble", parent=parent, suite=config.suite_name,
+            mode=op, threshold=threshold)
         if qspan:
             # Inquiry RPCs (and the detail fetch in
             # _check_configuration) parent to the assembly span.
@@ -558,9 +558,7 @@ class FileSuiteClient:
                 self.metrics.counter("suite.unattainable").increment()
                 qspan.event("quorum.unattainable", attainable=attainable,
                             threshold=threshold)
-                raise QuorumUnattainableError(
-                    "read" if mode == SHARED else "write", threshold,
-                    attainable)
+                raise QuorumUnattainableError(op, threshold, attainable)
             # One-pass fan-out contract: every inquiry is issued here,
             # before the first yield below.  The live transport batches
             # per destination on event-loop pass boundaries, so keeping
@@ -583,50 +581,35 @@ class FileSuiteClient:
                                       mode=rep_mode, timeout=timeout,
                                       release=release, **extra)
             gathered = yield from gather_until(self.sim, calls, enough)
-            waited_total = self.sim.now - started
-            self.metrics.histogram("suite.quorum_wait").observe(
-                waited_total)
-            votes = sum(rep.votes for rep in gathered.successes)
+            waited = self.sim.now - started
+            self.metrics.histogram("suite.quorum_wait").observe(waited)
+            path = QuorumPath.from_gather(config.suite_name, op, threshold,
+                                          started, gathered)
             if qspan:
-                # Replies in arrival order, each stamped with when it
-                # settled and how long the gather had been waiting: the
-                # critical-path analyzer reconstructs per-representative
-                # blocking attribution offline from exactly these attrs.
-                for rep, settled_at, ok in gathered.order:
-                    if ok:
-                        stat = gathered.successes[rep]
-                        qspan.event("version.collect", rep=rep.rep_id,
-                                    version=stat["version"],
-                                    votes=rep.votes, at=settled_at,
-                                    waited=settled_at - started)
-                    else:
-                        exc = gathered.failures[rep]
-                        qspan.event("inquiry.failed", rep=rep.rep_id,
-                                    at=settled_at,
-                                    waited=settled_at - started,
-                                    error=type(exc).__name__)
-            self._attribute_blocking(gathered, started, mode)
-            self._record_flight_quorum(gathered, started, mode, threshold)
+                path.annotate(qspan, gathered)
+            counted, waits = path.blocking()
+            for name in counted:
+                self.metrics.counter(name).increment()
+            for name, wait in waits.items():
+                self.metrics.gauge(name).add(wait)
+            if self.flight is not None and not self.flight.closed:
+                self.flight.emit("quorum", **path.to_record())
             self._observe_lags(gathered)
             yield from self._check_configuration(txn, gathered, release)
             if not gathered.satisfied:
                 self.metrics.counter("suite.quorum_failures").increment()
-                qspan.event("quorum.failed", votes=votes,
+                qspan.event("quorum.failed", votes=path.votes,
                             threshold=threshold)
                 qspan.end(error=f"quorum unavailable: "
-                                f"{votes}/{threshold} votes")
-                raise QuorumUnavailableError(
-                    "read" if mode == SHARED else "write", threshold,
-                    votes)
+                                f"{path.votes}/{threshold} votes")
+                raise QuorumUnavailableError(op, threshold, path.votes)
             self.metrics.histogram("suite.quorum_size").observe(
                 float(sum(1 for rep in gathered.successes
                           if rep.votes > 0)))
-            closer = gathered.closed_by
-            qspan.event("quorum.satisfied", votes=votes,
+            qspan.event("quorum.satisfied", votes=path.votes,
                         threshold=threshold,
-                        closed_by=closer.rep_id if closer else "",
-                        waited=waited_total)
-            qspan.set_attr("votes", votes)
+                        closed_by=path.closed_by or "", waited=waited)
+            qspan.set_attr("votes", path.votes)
             qspan.end()
             return gathered
         except BaseException as exc:
@@ -636,70 +619,6 @@ class FileSuiteClient:
         finally:
             if qspan:
                 txn.span = parent
-
-    def _attribute_blocking(self, gathered: GatherResult, started: float,
-                            mode: str) -> None:
-        """Online critical-path attribution for one finished gather.
-
-        Walk the settle order: the marginal wait of each interval
-        (settle-to-settle, starting at the inquiry send) is charged to
-        the representative whose reply ended it — that reply is what
-        the gather was actually blocked on.  The reply that satisfied
-        the predicate is additionally counted as the quorum *closer*.
-        Replies landing after the close never appear in the order, so
-        they cost nothing, matching the caller's experience.
-
-        Simultaneous settles are re-ordered by ``(time, rep_id)`` —
-        the same tie-break the offline trace analysis applies — so the
-        metrics plane and the trace plane always give one answer.
-        """
-        suite = self.config.suite_name
-        op = "read" if mode == SHARED else "write"
-        self.metrics.counter(
-            f"quorum.blocking.gathers[suite={suite},mode={op}]").increment()
-        previous = started
-        ordered = sorted(gathered.order,
-                         key=lambda item: (item[1], item[0].rep_id))
-        for rep, settled_at, _ok in ordered:
-            marginal = settled_at - previous
-            previous = settled_at
-            if marginal > 0.0:
-                self.metrics.gauge(
-                    f"quorum.blocking.wait_ms[suite={suite},"
-                    f"rep={rep.rep_id}]").add(marginal)
-        closer = gathered.closed_by
-        if closer is not None:
-            self.metrics.counter(
-                f"quorum.blocking.closed[suite={suite},"
-                f"rep={closer.rep_id}]").increment()
-
-    def _record_flight_quorum(self, gathered: GatherResult,
-                              started: float, mode: str,
-                              threshold: int) -> None:
-        """One black-box record per finished gather.
-
-        Emitted adjacent to :meth:`_attribute_blocking` from the same
-        ``GatherResult``, so the journal plane and the metrics plane
-        describe identical evidence — ``repro replay --verify``
-        re-derives the blocking attribution from these records and
-        cross-checks it against the scraped counters.
-        """
-        if self.flight is None or self.flight.closed:
-            return
-        closer = gathered.closed_by
-        self.flight.emit(
-            "quorum",
-            suite=self.config.suite_name,
-            mode="read" if mode == SHARED else "write",
-            threshold=threshold,
-            votes=sum(rep.votes for rep in gathered.successes),
-            satisfied=gathered.satisfied,
-            started=started,
-            order=[[rep.rep_id, settled_at, ok]
-                   for rep, settled_at, ok in gathered.order],
-            closed_by=closer.rep_id if closer is not None else None,
-            observed={rep.rep_id: stat["version"]
-                      for rep, stat in gathered.successes.items()})
 
     def _observe_lags(self, gathered: GatherResult) -> None:
         """Per-representative staleness gauges from the inquiry replies.

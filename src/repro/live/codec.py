@@ -11,7 +11,7 @@ has proven it can do better, and it can say any message.
 
 **Binary, fixed layout** (the fast codec) — what the protocol's own
 messages travel as.  One schema table (:data:`_ARG_FIELDS` for the
-requests of the eight :data:`~repro.rpc.messages.METHOD_IDS` methods,
+requests of the seven :data:`~repro.rpc.messages.METHOD_IDS` methods,
 :data:`_REPLY_SHAPES` for the values their handlers return) drives both
 directions.  A body is a packed header — magic, kind, method id or
 reply shape, a presence bitmap, call id, string-run length — followed,
@@ -253,7 +253,7 @@ _TRACE_BIT = 1 << 31
 # Reply shapes: the values the participant handlers return.
 _SHAPE_NONE = 1
 _SHAPE_STR = 2
-_SHAPE_INT = 3
+_SHAPE_INT = 3       # none since txn.read_version was retired
 _SHAPE_STAT = 4      # txn.stat's dict
 _SHAPE_PAIR = 5      # txn.read's (data, version)
 _SHAPE_ERROR = 6     # a failure reply

@@ -38,7 +38,7 @@ from .collector import (JsonlSink, RingBufferSink, SpanLog,
 from .flight import (FlightHistory, FlightJournalError, FlightRecorder,
                      JournalStats, load_flight_journal,
                      read_journal_bytes)
-from .critical_path import (CriticalPathReport, QuorumPath, ReplyRecord,
+from .critical_path import (CriticalPathReport, QuorumPath,
                             analyze_quorum_paths, attribution_from_samples,
                             extract_phase_laggards, extract_quorum_paths)
 from .httpd import ObsHttpServer, fetch
@@ -69,7 +69,6 @@ __all__ = [
     "OK",
     "ObsHttpServer",
     "QuorumPath",
-    "ReplyRecord",
     "RingBufferSink",
     "SERVER",
     "SLOEvaluator",

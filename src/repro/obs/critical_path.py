@@ -3,12 +3,17 @@
 A weighted-voting operation is as fast as the *last* reply it needed:
 the gather in :func:`repro.core.gather.gather_until` returns the moment
 the vote predicate is satisfied, so every interval of its wait is gated
-by exactly one representative — the one whose reply ended it.  This
-module rebuilds that attribution offline from a stitched trace export
-(``quorum.assemble`` spans carry one arrival-stamped ``version.collect``
-/ ``inquiry.failed`` event per reply, plus ``closed_by`` on
-``quorum.satisfied``) and aggregates it into the per-representative
-load signal the ROADMAP's weight-reassignment work needs:
+by exactly one representative — the one whose reply ended it.
+
+:class:`QuorumPath` is the one record of a finished gather and
+:meth:`QuorumPath.attribution` the one rule that charges its wait.
+``core.suite`` builds the record from each gather and writes the span
+events, the ``quorum.blocking.*`` counters and the flight journal's
+``quorum`` record from it; :func:`extract_quorum_paths` (spans) and
+``repro replay --verify`` (journals) parse their evidence back into it.
+:class:`CriticalPathReport` aggregates paths into the
+per-representative load signal the ROADMAP's weight-reassignment work
+needs:
 
 * **blocked time** — milliseconds of gather wait charged to each rep
   (marginal interval attribution: reply at ``t_i`` is charged
@@ -18,11 +23,9 @@ load signal the ROADMAP's weight-reassignment work needs:
 * per-suite read/write breakdowns of operation counts and mean
   assembly wait.
 
-The same attribution is available online as the ``quorum.blocking.*``
-metric families fed from ``core.suite``; :mod:`repro.obs.aggregate`
-merges those across a fleet, and this module's
-:func:`attribution_from_samples` decodes them back into a report so
-``repro doctor`` gives one answer from either source.
+:mod:`repro.obs.aggregate` merges the ``quorum.blocking.*`` families
+across a fleet, and :func:`attribution_from_samples` decodes them back
+into a report so ``repro doctor`` gives one answer from either source.
 
 2PC phases block on *all* participants, so their critical path is
 simply the slowest reply; :func:`extract_phase_laggards` counts, per
@@ -32,13 +35,13 @@ phase (from the ``2pc.reply`` events the coordinator stamps).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .spans import Span
 
 __all__ = [
     "QuorumPath",
-    "ReplyRecord",
     "CriticalPathReport",
     "extract_quorum_paths",
     "extract_phase_laggards",
@@ -47,51 +50,94 @@ __all__ = [
 ]
 
 
-class ReplyRecord:
-    """One inquiry reply inside a gather: who, when, and whether it ok'd."""
-
-    __slots__ = ("rep", "at", "waited", "ok")
-
-    def __init__(self, rep: str, at: float, waited: float, ok: bool) -> None:
-        self.rep = rep
-        self.at = at
-        self.waited = waited
-        self.ok = ok
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = "ok" if self.ok else "failed"
-        return f"ReplyRecord({self.rep}@{self.at} {flag})"
+#: The fields a journaled ``quorum`` record carries, in record order.
+_RECORD_KEYS = ("suite", "mode", "threshold", "votes", "satisfied",
+                "started", "order", "closed_by", "observed")
 
 
+@dataclass(slots=True)
 class QuorumPath:
-    """One reconstructed quorum assembly: its replies in arrival order."""
+    """One finished quorum gather, the record every plane is written
+    from or parsed into.  ``order`` holds ``(rep_id, at, ok)`` per
+    settled reply in arrival order; ``observed`` maps each successful
+    reply to its version.  Only the trace reader fills ``trace_id`` and
+    ``waited``."""
 
-    __slots__ = ("suite", "mode", "trace_id", "started", "waited",
-                 "replies", "closed_by", "satisfied")
+    suite: str
+    mode: str
+    threshold: int
+    votes: int
+    satisfied: bool
+    started: float
+    order: List[Tuple[str, float, bool]]
+    closed_by: Optional[str]
+    observed: Dict[str, int]
+    trace_id: str = ""
+    waited: float = 0.0
 
-    def __init__(self, suite: str, mode: str, trace_id: str,
-                 started: float, waited: float,
-                 replies: List[ReplyRecord],
-                 closed_by: Optional[str], satisfied: bool) -> None:
-        self.suite = suite
-        self.mode = mode
-        self.trace_id = trace_id
-        self.started = started
-        self.waited = waited
-        self.replies = replies
-        self.closed_by = closed_by
-        self.satisfied = satisfied
+    @classmethod
+    def from_gather(cls, suite: str, mode: str, threshold: int,
+                    started: float, gathered: Any) -> "QuorumPath":
+        """Record a gather whose keys carry ``rep_id`` and ``votes``."""
+        successes = gathered.successes
+        closer = gathered.closed_by
+        return cls(suite, mode, threshold,
+                   sum(rep.votes for rep in successes), gathered.satisfied,
+                   started,
+                   [(rep.rep_id, at, ok) for rep, at, ok in gathered.order],
+                   closer.rep_id if closer is not None else None,
+                   {rep.rep_id: stat["version"]
+                    for rep, stat in successes.items()})
+
+    def to_record(self) -> Dict[str, Any]:
+        """The flight journal's ``quorum`` record payload."""
+        return {key: getattr(self, key) for key in _RECORD_KEYS}
+
+    @classmethod
+    def from_record(cls, data: Mapping[str, Any]) -> "QuorumPath":
+        """Parse a journaled ``quorum`` record back into the record."""
+        fields = {key: data[key] for key in _RECORD_KEYS}
+        fields["order"] = [tuple(reply) for reply in fields["order"]]
+        return cls(**fields)
+
+    def annotate(self, span: Any, gathered: Any) -> None:
+        """One arrival-stamped event per reply on the ``quorum.assemble``
+        span — what :func:`extract_quorum_paths` reads back."""
+        for rep, at, ok in gathered.order:
+            if ok:
+                span.event("version.collect", rep=rep.rep_id,
+                           version=self.observed[rep.rep_id],
+                           votes=rep.votes, at=at, waited=at - self.started)
+            else:
+                span.event("inquiry.failed", rep=rep.rep_id, at=at,
+                           waited=at - self.started,
+                           error=type(gathered.failures[rep]).__name__)
 
     def attribution(self) -> Dict[str, float]:
-        """Marginal wait charged to the rep ending each interval."""
+        """The one blocking-attribution rule: by ``(at, rep_id)``, each
+        positive settle-to-settle interval (the first from the inquiry
+        send) is charged to the rep whose reply ended it."""
         charged: Dict[str, float] = {}
         previous = self.started
-        for reply in self.replies:
-            marginal = reply.at - previous
-            previous = reply.at
+        for rep, at, _ok in sorted(self.order,
+                                   key=lambda item: (item[1], item[0])):
+            marginal = at - previous
+            previous = at
             if marginal > 0.0:
-                charged[reply.rep] = charged.get(reply.rep, 0.0) + marginal
+                charged[rep] = charged.get(rep, 0.0) + marginal
         return charged
+
+    def blocking(self) -> Tuple[List[str], Dict[str, float]]:
+        """This gather's ``quorum.blocking.*`` increments: the counters
+        it bumps by one, and the wait gauges' deltas."""
+        suite = self.suite
+        counted = [f"quorum.blocking.gathers[suite={suite},mode={self.mode}]"]
+        if self.closed_by is not None:
+            counted.append(f"quorum.blocking.closed[suite={suite},"
+                           f"rep={self.closed_by}]")
+        return counted, {
+            f"quorum.blocking.wait_ms[suite={suite},rep={rep}]": charged
+            for rep, charged in self.attribution().items()}
 
 
 def extract_quorum_paths(spans: Iterable[Span]) -> List[QuorumPath]:
@@ -100,31 +146,31 @@ def extract_quorum_paths(spans: Iterable[Span]) -> List[QuorumPath]:
     for span in spans:
         if span.name != "quorum.assemble":
             continue
-        replies: List[ReplyRecord] = []
-        closed_by: Optional[str] = None
-        satisfied = False
-        waited: Optional[float] = None
+        attrs = span.attrs
+        path = QuorumPath(
+            str(attrs.get("suite", "?")), str(attrs.get("mode", "?")),
+            int(attrs.get("threshold", 0)), 0, False, span.start, [], None,
+            {}, trace_id=span.trace_id)
+        waited = None
         for event in span.events:
+            attrs = event.attrs
             if event.name in ("version.collect", "inquiry.failed"):
-                at = float(event.attrs.get("at", event.time))
-                replies.append(ReplyRecord(
-                    rep=str(event.attrs.get("rep", "?")), at=at,
-                    waited=float(event.attrs.get("waited",
-                                                 at - span.start)),
-                    ok=event.name == "version.collect"))
-            elif event.name == "quorum.satisfied":
-                satisfied = True
-                closed_by = str(event.attrs.get("closed_by") or "") or None
-                if "waited" in event.attrs:
-                    waited = float(event.attrs["waited"])
-        replies.sort(key=lambda reply: (reply.at, reply.rep))
-        if waited is None:
-            waited = (replies[-1].at - span.start) if replies else 0.0
-        paths.append(QuorumPath(
-            suite=str(span.attrs.get("suite", "?")),
-            mode=str(span.attrs.get("mode", "?")),
-            trace_id=span.trace_id, started=span.start, waited=waited,
-            replies=replies, closed_by=closed_by, satisfied=satisfied))
+                rep = str(attrs.get("rep", "?"))
+                ok = event.name == "version.collect"
+                path.order.append(
+                    (rep, float(attrs.get("at", event.time)), ok))
+                if ok:
+                    path.observed[rep] = attrs.get("version")
+            elif event.name in ("quorum.satisfied", "quorum.failed"):
+                path.votes = int(attrs.get("votes", 0))
+                if event.name == "quorum.satisfied":
+                    path.satisfied = True
+                    path.closed_by = str(attrs.get("closed_by") or "") or None
+                    waited = attrs.get("waited")
+        path.waited = float(waited) if waited is not None else max(
+            (at for _rep, at, _ok in path.order),
+            default=span.start) - span.start
+        paths.append(path)
     return paths
 
 
@@ -161,7 +207,6 @@ class CriticalPathReport:
         # (suite, rep) -> accumulators
         self.blocked_ms: Dict[Tuple[str, str], float] = {}
         self.closes: Dict[Tuple[str, str], int] = {}
-        self.replies: Dict[Tuple[str, str], int] = {}
         # (suite, mode) -> (operation count, total wait)
         self.operations: Dict[Tuple[str, str], int] = {}
         self.total_wait: Dict[Tuple[str, str], float] = {}
@@ -176,9 +221,6 @@ class CriticalPathReport:
         for rep, charged in path.attribution().items():
             key = (path.suite, rep)
             self.blocked_ms[key] = self.blocked_ms.get(key, 0.0) + charged
-        for reply in path.replies:
-            key = (path.suite, reply.rep)
-            self.replies[key] = self.replies.get(key, 0) + 1
         if path.closed_by is not None:
             key = (path.suite, path.closed_by)
             self.closes[key] = self.closes.get(key, 0) + 1
@@ -276,7 +318,6 @@ def attribution_from_samples(
     closed_family = prefix + "quorum_blocking_closed_total"
     gathers_family = prefix + "quorum_blocking_gathers_total"
     report = CriticalPathReport()
-    gathers = 0
     for name, labels, value in samples:
         suite = str(labels.get("suite", "?"))
         rep = str(labels.get("rep", "?"))
@@ -288,7 +329,6 @@ def attribution_from_samples(
             key = (suite, rep)
             report.closes[key] = report.closes.get(key, 0) + int(value)
         elif name == gathers_family:
-            gathers += int(value)
             mode = str(labels.get("mode", "?"))
             op_key = (suite, mode)
             report.operations[op_key] = (report.operations.get(op_key, 0)

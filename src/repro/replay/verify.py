@@ -11,9 +11,10 @@ Three independent cross-checks over the same artifact:
 2. **Plane agreement** — every finished gather left both a ``quorum``
    record in the journal and an increment in the run's own
    ``quorum.blocking.*`` counters (snapshotted as the journal's final
-   ``metrics`` record).  The verifier re-derives the attribution from
-   the ``quorum`` records with the same algorithm
-   (:meth:`~repro.core.suite.FileSuiteClient._attribute_blocking`) and
+   ``metrics`` record).  The verifier parses each ``quorum`` record
+   back into the :class:`~repro.obs.critical_path.QuorumPath` the suite
+   wrote it from, sums the increments its one attribution rule
+   (:meth:`~repro.obs.critical_path.QuorumPath.blocking`) yields, and
    demands the two planes agree; a disagreement means one of them
    dropped or invented evidence.
 3. **Ledger audit** — autopilot reassignments must conserve total
@@ -26,10 +27,12 @@ the evidence, the objectives are the reader's choice.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..verification import InvariantReport, OpRecord, check_history
+from ..obs.critical_path import QuorumPath
 from ..obs.flight import JournalStats, load_flight_journal
 from ..obs.slo import (SLOEvaluator, SLOStatus, read_latency_slo,
                        success_rate_slo)
@@ -95,13 +98,6 @@ class ReplayVerdict:
                 f"runtime={self.runtime} | {planes}")
 
 
-def _find_meta(records: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    for record in records:
-        if record.get("kind") == "meta":
-            return record.get("data", {})
-    return None
-
-
 def _rebuild_histories(records: List[Dict[str, Any]],
                        default_suite: str,
                        ) -> Dict[str, List[OpRecord]]:
@@ -113,41 +109,6 @@ def _rebuild_histories(records: List[Dict[str, Any]],
         suite = data.pop("suite", default_suite)
         histories.setdefault(suite, []).append(OpRecord.from_json(data))
     return histories
-
-
-def _derive_attribution(records: List[Dict[str, Any]],
-                        ) -> Dict[str, float]:
-    """Re-run the online attribution over the journaled gathers.
-
-    Mirrors ``FileSuiteClient._attribute_blocking`` exactly — same
-    ``(time, rep_id)`` tie-break, same positive-marginal filter — so a
-    faithful journal reproduces the run's counters to the bit (on the
-    simulator) or to float rounding (live).
-    """
-    derived: Dict[str, float] = {}
-
-    def bump(name: str, amount: float) -> None:
-        derived[name] = derived.get(name, 0.0) + amount
-
-    for record in records:
-        if record.get("kind") != "quorum":
-            continue
-        data = record["data"]
-        suite, mode = data["suite"], data["mode"]
-        bump(f"quorum.blocking.gathers[suite={suite},mode={mode}]", 1.0)
-        ordered = sorted(data["order"],
-                         key=lambda item: (item[1], item[0]))
-        previous = float(data["started"])
-        for rep_id, settled_at, _ok in ordered:
-            marginal = float(settled_at) - previous
-            previous = float(settled_at)
-            if marginal > 0.0:
-                bump(f"quorum.blocking.wait_ms[suite={suite},"
-                     f"rep={rep_id}]", marginal)
-        if data.get("closed_by") is not None:
-            bump(f"quorum.blocking.closed[suite={suite},"
-                 f"rep={data['closed_by']}]", 1.0)
-    return derived
 
 
 def _compare_planes(derived: Dict[str, float],
@@ -230,7 +191,8 @@ def verify_journal(directory: str,
     records, stats = load_flight_journal(directory)
     verdict = ReplayVerdict(directory=directory, stats=stats)
 
-    meta = _find_meta(records)
+    meta = next((record.get("data", {}) for record in records
+                 if record.get("kind") == "meta"), None)
     if meta is None:
         verdict.errors.append("journal has no meta record")
         return verdict
@@ -248,14 +210,21 @@ def verify_journal(directory: str,
             verdict.histories[name], initial_tag=tag)
 
     # -- plane agreement ----------------------------------------------
+    # Each gather's increments, summed the way the run's counters were.
     exported: Optional[Dict[str, float]] = None
+    derived: Dict[str, float] = defaultdict(float)
     for record in records:
         if record.get("kind") == "metrics":
             exported = {name: float(value) for name, value
                         in record["data"].get("blocking", {}).items()}
+        elif record.get("kind") == "quorum":
+            counted, waits = QuorumPath.from_record(record["data"]).blocking()
+            for name in counted:
+                derived[name] += 1.0
+            for name, wait in waits.items():
+                derived[name] += wait
     if exported is not None:
         verdict.plane_checked = True
-        derived = _derive_attribution(records)
         verdict.plane_mismatches = _compare_planes(derived, exported)
 
     # -- ledger + SLOs ------------------------------------------------

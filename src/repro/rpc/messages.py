@@ -20,7 +20,7 @@ from typing import Any, Dict, Optional
 #: frame's JSON section".
 METHOD_IDS: Dict[str, int] = {
     "txn.read": 1,
-    "txn.read_version": 2,
+    # 2 was txn.read_version (superseded by txn.stat): retired, never reused.
     "txn.stat": 3,
     "txn.stage_write": 4,
     "txn.stage_delete": 5,

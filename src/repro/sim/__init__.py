@@ -2,15 +2,13 @@
 
 This package is the substrate that stands in for the paper's physical
 testbed (Altos on an experimental Ethernet): virtual time, generator
-processes, a datagram network with latency/loss/partitions, failure
-injection, seeded random streams, and metrics.
+processes, a datagram network with latency/loss/partitions, host
+crash/restart, seeded random streams, and metrics.
 """
 
 from .distributions import (Constant, Distribution, Exponential, Lognormal,
                             Uniform, as_distribution)
 from .events import AllOf, AnyOf, Event, Timeout, all_of, first_of
-from .failures import (FailureSchedule, MarkovFailureProcess,
-                       bernoulli_outages)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .network import Host, Network, SharedMedium, estimate_size
 from .process import Process
@@ -20,10 +18,10 @@ from .simulator import Simulator
 
 __all__ = [
     "AllOf", "AnyOf", "Constant", "Counter", "Distribution", "Event",
-    "Exponential", "FailureSchedule", "Gauge", "Histogram", "Host",
-    "Lognormal", "MarkovFailureProcess", "MetricsRegistry", "Network",
+    "Exponential", "Gauge", "Histogram", "Host",
+    "Lognormal", "MetricsRegistry", "Network",
     "Process", "RandomStreams", "Resource",
     "SharedMedium",
     "Simulator", "Timeout", "Uniform", "all_of",
-    "as_distribution", "bernoulli_outages", "estimate_size", "first_of",
+    "as_distribution", "estimate_size", "first_of",
 ]

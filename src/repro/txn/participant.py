@@ -3,7 +3,7 @@
 Implements the server side of two-phase commit over the shadow-paging
 file system, with strict two-phase locking for concurrency control:
 
-* ``read`` / ``read_version`` / ``stat`` take **shared** locks (``stat``
+* ``read`` / ``stat`` take **shared** locks (``stat``
   exclusive ones for writers); ``read`` and ``stat`` accept
   ``release=True`` — the client's promise that this call is its
   transaction's only operation — under which the lock is taken exactly
@@ -159,19 +159,6 @@ class TransactionParticipant:
         finally:
             if release:
                 self._release(txn_id)
-
-    def read_version(self, txn: str, name: str,
-                     ) -> Generator[Any, Any, int]:
-        """Version-number inquiry under a shared lock (no data transfer)."""
-        txn_id = TransactionId.parse(txn)
-        scratch = self._scratch(txn_id)
-        staged = scratch.intentions.get(name)
-        if staged is not None:
-            if staged.delete:
-                raise NoSuchFileError(name)
-            return staged.version
-        yield self.locks.acquire(txn_id, name, SHARED)
-        return self.server.stat(name).version
 
     def stat(self, txn: str, name: str, mode: str = SHARED,
              detail: bool = False, read_data: bool = False,
@@ -526,7 +513,6 @@ class TransactionParticipant:
     def register_handlers(self, endpoint) -> None:
         """Attach the participant's RPC interface to an endpoint."""
         endpoint.register("txn.read", self.read)
-        endpoint.register("txn.read_version", self.read_version)
         endpoint.register("txn.stat", self.stat)
         endpoint.register("txn.stage_write", self.stage_write)
         endpoint.register("txn.stage_delete", self.stage_delete)

@@ -82,9 +82,8 @@ class TestNemesisScripts:
         assert all(value == "up" for value in state.values())
 
     def test_markov_nemesis_matches_failure_process_streams(self):
-        """Same seed, same per-server stream names as the sim's
-        MarkovFailureProcess family: the first crash time equals the
-        first expovariate draw from failures:<name>."""
+        """Each server draws from its own failures:<name> stream: the
+        first crash time equals the first expovariate draw from it."""
         script = markov_nemesis(["s1"], availability=0.9, mttr=1_000.0,
                                 horizon=10**9, seed=8)
         rng = RandomStreams(seed=8).stream("failures:s1")

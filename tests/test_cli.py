@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -65,6 +67,31 @@ class TestDemo:
         assert "hello, 1979" in out
         assert "with s1 crashed" in out
         assert "versions: [2, 2, 2]" in out
+
+
+class TestAutopilot:
+    def test_default_sim_run_meets_its_known_answers(self, capsys,
+                                                     tmp_path):
+        path = tmp_path / "state.json"
+        assert main(["autopilot", "--expect-shift", "s4",
+                     "--expect-restore", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "autopilot [sim] seed=1 ops=300 reps=5 nemesis=none " \
+               "degrade=s4" in out
+        assert "votes shifted off s4 DETECTED" in out
+        assert "weights restored to seed CONFIRMED" in out
+        state = json.loads(path.read_text())
+        assert list(state) == ["sim"]
+        assert state["sim"]["at_seed_weights"]
+        assert any(rec["kind"] == "demote" and rec["server"] == "s4"
+                   and rec["applied"]
+                   for rec in state["sim"]["reassignments"])
+
+    def test_missed_shift_exits_2(self, capsys):
+        assert main(["autopilot", "--degrade-server", "none",
+                     "--expect-shift", "s4"]) == 2
+        out = capsys.readouterr().out
+        assert "votes shifted off s4 MISSED" in out
 
 
 class TestParser:

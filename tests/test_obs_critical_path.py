@@ -1,11 +1,16 @@
 """Quorum critical-path reconstruction and blocking attribution."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chaos.policy import ChaosPolicy
 from repro.core import make_configuration
+from repro.core.gather import GatherResult
+from repro.core.votes import Representative
 from repro.obs.critical_path import (CriticalPathReport, QuorumPath,
-                                     ReplyRecord, analyze_quorum_paths,
+                                     analyze_quorum_paths,
                                      attribution_from_samples,
                                      extract_phase_laggards,
                                      extract_quorum_paths)
@@ -17,33 +22,29 @@ from repro.testbed import Testbed
 class TestAttributionMath:
     def test_marginal_intervals_charge_the_closing_rep(self):
         path = QuorumPath(
-            suite="s", mode="read", trace_id="t", started=2.0,
-            waited=6.0,
-            replies=[ReplyRecord("a", 5.0, 3.0, True),
-                     ReplyRecord("b", 8.0, 6.0, True)],
-            closed_by="b", satisfied=True)
+            suite="s", mode="read", threshold=2, votes=2, satisfied=True,
+            started=2.0, order=[("a", 5.0, True), ("b", 8.0, True)],
+            closed_by="b", observed={}, trace_id="t", waited=6.0)
         assert path.attribution() == {"a": 3.0, "b": 3.0}
 
     def test_zero_marginal_intervals_are_not_charged(self):
         path = QuorumPath(
-            suite="s", mode="read", trace_id="t", started=1.0,
-            waited=4.0,
-            replies=[ReplyRecord("a", 5.0, 4.0, True),
-                     ReplyRecord("b", 5.0, 4.0, True)],
-            closed_by="a", satisfied=True)
+            suite="s", mode="read", threshold=2, votes=2, satisfied=True,
+            started=1.0, order=[("a", 5.0, True), ("b", 5.0, True)],
+            closed_by="a", observed={}, trace_id="t", waited=4.0)
         # a ends the first interval; b arrives simultaneously and adds
         # no marginal wait.
         assert path.attribution() == {"a": 4.0}
 
     def test_report_folds_closes_and_shares(self):
         paths = [
-            QuorumPath("s", "read", "t1", 0.0, 10.0,
-                       [ReplyRecord("a", 4.0, 4.0, True),
-                        ReplyRecord("b", 10.0, 10.0, True)],
-                       closed_by="b", satisfied=True),
-            QuorumPath("s", "write", "t2", 0.0, 6.0,
-                       [ReplyRecord("a", 6.0, 6.0, True)],
-                       closed_by="a", satisfied=True),
+            QuorumPath("s", "read", 2, 2, True, 0.0,
+                       [("a", 4.0, True), ("b", 10.0, True)],
+                       closed_by="b", observed={}, trace_id="t1",
+                       waited=10.0),
+            QuorumPath("s", "write", 1, 1, True, 0.0, [("a", 6.0, True)],
+                       closed_by="a", observed={}, trace_id="t2",
+                       waited=6.0),
         ]
         report = CriticalPathReport(paths=paths)
         assert report.total_blocked_ms == pytest.approx(16.0)
@@ -59,12 +60,83 @@ class TestAttributionMath:
 
     def test_render_mentions_top_blocker(self):
         report = CriticalPathReport(paths=[
-            QuorumPath("s", "read", "t", 0.0, 5.0,
-                       [ReplyRecord("a", 5.0, 5.0, True)],
-                       closed_by="a", satisfied=True)])
+            QuorumPath("s", "read", 1, 1, True, 0.0, [("a", 5.0, True)],
+                       closed_by="a", observed={}, trace_id="t",
+                       waited=5.0)])
         text = report.render()
         assert "1 operations" in text
         assert "a: blocked 5.0 ms" in text
+
+
+def reference_increments(suite, mode, started, order, closed_by):
+    """Brute-force statement of the blocking rule, kept apart from the
+    implementation: a reply is charged the time from the latest earlier
+    settle — earlier by ``(at, rep_id)``, the inquiry send counting as
+    the first — when that time is positive."""
+    waits = {}
+    for rep, at, _ok in order:
+        earlier = [other_at for other, other_at, _ in order
+                   if (other_at, other) < (at, rep)]
+        charged = at - max(earlier + [started])
+        if charged > 0.0:
+            waits[f"quorum.blocking.wait_ms[suite={suite},rep={rep}]"] = \
+                charged
+    counted = [f"quorum.blocking.gathers[suite={suite},mode={mode}]"]
+    if closed_by is not None:
+        counted.append(
+            f"quorum.blocking.closed[suite={suite},rep={closed_by}]")
+    return counted, waits
+
+
+@st.composite
+def gathers(draw):
+    """A finished gather: replies in arrival order, drawn from a few
+    instants so same-instant ties are common; some fail; the gather may
+    be unsatisfied, pre-satisfied (empty order) or closed by its last
+    reply."""
+    started = float(draw(st.integers(min_value=0, max_value=4)))
+    reps = draw(st.lists(st.sampled_from("abcdef"), unique=True,
+                         max_size=6))
+    timed = [(started + draw(st.integers(min_value=0, max_value=3)),
+              draw(st.integers()), rep, draw(st.booleans()))
+             for rep in reps]
+    timed.sort(key=lambda item: (item[0], item[1]))    # random tie order
+    keys = {rep: Representative(rep, f"srv-{rep}",
+                                draw(st.integers(min_value=0,
+                                                 max_value=2)))
+            for rep in reps}
+    order = [(keys[rep], at, ok) for at, _tie, rep, ok in timed]
+    satisfied = draw(st.booleans())
+    closed_by = order[-1][0] if satisfied and order else None
+    successes = {rep: {"version": draw(st.integers(min_value=1,
+                                                   max_value=9))}
+                 for rep, _at, ok in order if ok}
+    failures = {rep: TimeoutError() for rep, _at, ok in order if not ok}
+    return started, GatherResult(successes, failures, satisfied, order,
+                                 closed_by)
+
+
+class TestOneRule:
+    @settings(max_examples=300, deadline=None)
+    @given(gathers(), st.sampled_from(["read", "write"]))
+    def test_rule_matches_reference_and_record_round_trips(self, drawn,
+                                                           mode):
+        started, gathered = drawn
+        path = QuorumPath.from_gather("s", mode, 2, started, gathered)
+        order = [(rep.rep_id, at, ok) for rep, at, ok in gathered.order]
+        closer = gathered.closed_by
+        assert path.order == order
+        assert path.votes == sum(rep.votes for rep in gathered.successes)
+        assert path.closed_by == (closer.rep_id if closer else None)
+        counted, waits = reference_increments(
+            "s", mode, started, order, path.closed_by)
+        assert path.blocking() == (counted, waits)
+        assert path.attribution() == {
+            name.split("rep=")[1][:-1]: wait
+            for name, wait in waits.items()}
+        assert QuorumPath.from_record(path.to_record()) == path
+        journaled = json.loads(json.dumps(path.to_record()))
+        assert QuorumPath.from_record(journaled) == path
 
 
 def traced_bed(slow_server=None, delay_ms=30.0, seed=5):
@@ -92,13 +164,12 @@ class TestTraceExtraction:
         for path in paths:
             assert path.satisfied
             assert path.suite == "cp"
-            assert len(path.replies) == 3
+            assert len(path.order) == 3
             # Arrival order is sorted and the closer is one of the
             # repliers.
-            ats = [reply.at for reply in path.replies]
+            ats = [at for _rep, at, _ok in path.order]
             assert ats == sorted(ats)
-            assert path.closed_by in {reply.rep
-                                      for reply in path.replies}
+            assert path.closed_by in {rep for rep, _at, _ok in path.order}
 
     def test_slowed_server_dominates_attribution(self):
         bed, suite = traced_bed(slow_server="s2")

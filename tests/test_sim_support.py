@@ -1,14 +1,12 @@
-"""RNG streams, distributions, metrics, failure processes."""
+"""RNG streams, distributions, metrics."""
 
 import math
 
 import pytest
 
 from repro.sim import (Constant, Exponential, Histogram, Lognormal,
-                       MarkovFailureProcess, MetricsRegistry, Network,
-                       RandomStreams, Simulator, Uniform,
-                       as_distribution, bernoulli_outages)
-from repro.sim.failures import FailureSchedule
+                       MetricsRegistry, RandomStreams, Uniform,
+                       as_distribution)
 
 
 class TestRandomStreams:
@@ -167,58 +165,3 @@ class TestMetrics:
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"a": 1}
         assert snapshot["histograms"]["h"]["count"] == 1.0
-
-
-class TestFailureProcesses:
-    def test_schedule_outage(self):
-        sim = Simulator()
-        network = Network(sim, RandomStreams(0))
-        host = network.add_host("h")
-        schedule = FailureSchedule(sim)
-        schedule.outage(host, start=5.0, end=10.0)
-        sim.run(until=6.0)
-        assert not host.up
-        sim.run(until=11.0)
-        assert host.up
-        assert [entry[2] for entry in schedule.log] == ["crash", "restart"]
-
-    def test_outage_validation(self):
-        sim = Simulator()
-        network = Network(sim, RandomStreams(0))
-        host = network.add_host("h")
-        with pytest.raises(ValueError):
-            FailureSchedule(sim).outage(host, 5.0, 5.0)
-
-    def test_markov_availability_configuration(self):
-        sim = Simulator()
-        network = Network(sim, RandomStreams(0))
-        host = network.add_host("h")
-        process = MarkovFailureProcess.with_availability(
-            sim, host, availability=0.9, mttr=10.0,
-            streams=RandomStreams(0))
-        assert process.availability == pytest.approx(0.9)
-        process.stop()
-
-    def test_markov_generates_outages(self):
-        sim = Simulator()
-        network = Network(sim, RandomStreams(0))
-        host = network.add_host("h")
-        process = MarkovFailureProcess(sim, host, mtbf=50.0, mttr=5.0,
-                                       streams=RandomStreams(2),
-                                       horizon=5_000.0)
-        sim.run(until=5_100.0)
-        assert process.outages > 10
-        # empirical availability near mtbf/(mtbf+mttr) ≈ 0.909
-        measured = 1.0 - process.total_downtime / 5_000.0
-        assert 0.8 < measured < 0.98
-
-    def test_bernoulli_outages_rate(self):
-        sim = Simulator()
-        network = Network(sim, RandomStreams(0))
-        host = network.add_host("h")
-        schedule = bernoulli_outages(
-            sim, [host], availability=0.8, trial_interval=10.0,
-            trials=500, streams=RandomStreams(11))
-        sim.run()
-        outages = sum(1 for entry in schedule.log if entry[2] == "crash")
-        assert 60 < outages < 140  # ~100 expected

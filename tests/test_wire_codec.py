@@ -208,7 +208,7 @@ def _capture_protocol_messages():
     install_suite, a read, a write with its refresh, a truncated read
     that falls back to ``txn.read``, a ``transact(read_in -> write_in)``
     with its explicit prepare, and direct calls whose replies cover the
-    remaining shapes (detail stat, version int, ``None``, an error)."""
+    remaining shapes (detail stat, ``None``, an error)."""
     from repro.errors import ReproError
     bed = Testbed(servers=["s1", "s2", "s3"], seed=7, obs=True)
     seen = []
@@ -238,7 +238,6 @@ def _capture_protocol_messages():
         for method, args in (
                 ("txn.stat", {"txn": "client#900", "name": name,
                               "detail": True, "release": True}),
-                ("txn.read_version", {"txn": "client#901", "name": name}),
                 ("txn.abort", {"txn": "client#901"}),
                 ("txn.stage_delete", {"txn": "client#902", "name": name}),
                 ("txn.abort", {"txn": "client#902"}),
@@ -299,13 +298,18 @@ class TestFixedLayout:
                 methods.add(message.method)
         assert methods == {"txn.stat", "txn.read", "txn.stage_write",
                            "txn.prepare", "txn.commit", "txn.abort",
-                           "txn.read_version", "txn.stage_delete"}
+                           "txn.stage_delete"}
 
     def test_every_reply_shape_is_exercised(self, protocol_messages):
         shapes = {encode_binary_body(message)[2]
                   for message in protocol_messages
                   if isinstance(message, Reply)}
-        assert shapes == {1, 2, 3, 4, 5, 6}
+        assert shapes == {1, 2, 4, 5, 6}
+        # No handler has returned a bare int since txn.read_version was
+        # retired; shape 3 still carries one in a fixed layout.
+        body = encode_binary_body(Reply.success(1, 7))
+        assert body[1:3] == bytes([KIND_FIXED_REPLY, 3])
+        assert decode_one(body) == (Reply.success(1, 7), True)
 
     def test_the_operations_send_what_they_should(self, protocol_messages):
         requests = [m for m in protocol_messages if isinstance(m, Request)]
