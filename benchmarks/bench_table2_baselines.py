@@ -39,7 +39,7 @@ def build_protocols(bed):
                                 retry_backoff=20.0)
     majority = MajorityConsensusClient.build(
         manager, "majority-obj", SERVERS, latency_hints=HINTS,
-        max_attempts=2, retry_backoff=20.0, metrics=bed.metrics)
+        max_attempts=2, retry_backoff=20.0)
     weighted = bed.suite(make_configuration(
         "weighted-obj", [("s1", 2), ("s2", 1), ("s3", 1)], 2, 3,
         latency_hints=HINTS), max_attempts=2, retry_backoff=20.0)

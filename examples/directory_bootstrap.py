@@ -80,8 +80,7 @@ def main() -> None:
     bed.run(app_flow())
 
     # Client-side weak representative: repeat reads skip the transfer.
-    cached = CachingSuiteClient(
-        bed.clients["app"].manager, sessions, metrics=bed.metrics)
+    cached = CachingSuiteClient(bed.clients["app"].manager, sessions)
 
     def cached_reads():
         for _ in range(4):

@@ -70,18 +70,17 @@ class ReassignmentRecord:
 class WeightAutopilot:
     """Autonomous vote reassignment for one suite client.
 
-    ``health`` is the :class:`HealthTracker` observing the same
-    traffic the suite client sends (normally the one wired into its
-    RPC endpoint); without one, breaker terms read closed and the
+    The breaker terms come from the suite's :attr:`~repro.core.suite.
+    FileSuiteClient.health` — the :class:`HealthTracker` its client's
+    RPC endpoint feeds; without one, breaker terms read closed and the
     autopilot steers on lag and blocking share alone.
     """
 
     def __init__(self, suite: FileSuiteClient,
-                 health: Optional["HealthTracker"] = None,
                  policy: Optional[AutopilotPolicy] = None,
                  clock: Optional[Callable[[], float]] = None) -> None:
         self.suite = suite
-        self.health = health
+        self.health: Optional["HealthTracker"] = suite.health
         self.policy = policy or AutopilotPolicy()
         self.metrics = suite.metrics
         self.clock = clock or (lambda: suite.sim.now)

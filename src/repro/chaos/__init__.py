@@ -14,8 +14,7 @@ input to both runtimes:
   restart / partition schedules, with adapters for the sim testbed and
   the live loopback cluster.
 * :mod:`~repro.chaos.retry` — exponential backoff with cap and seeded
-  jitter, threaded through the RPC endpoint, the 2PC decision retries
-  and the suite's operation retries.
+  jitter, the suite's operation retries.
 * :mod:`~repro.chaos.health` — per-representative circuit breakers
   (closed → open → half-open) that quorum assembly consults to route
   around dead representatives and fail fast when a quorum is provably

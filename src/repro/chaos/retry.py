@@ -1,9 +1,10 @@
 """Retry backoff policy: exponential, capped, with seeded jitter.
 
-One small immutable object shared by every layer that retries —
-:meth:`~repro.rpc.endpoint.RpcEndpoint.call_with_retries`, the 2PC
-coordinator's decision retries, and the suite's per-operation retry
-loop.  Jitter draws come from the caller's
+One small immutable object: the backoff between a suite operation's
+attempts (:class:`~repro.core.suite.FileSuiteClient`).  Nothing else
+retries through it — the RPC layer retransmits on a fixed per-call
+timeout and the 2PC coordinator re-sends decisions every
+``commit_retry_interval``.  Jitter draws come from the caller's
 :class:`~repro.sim.rng.RandomStreams` stream, so simulated runs stay
 bit-for-bit deterministic and live runs de-synchronise naturally.
 """
@@ -11,7 +12,7 @@ bit-for-bit deterministic and live runs de-synchronise naturally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,3 @@ class RetryPolicy:
             return raw
         factor = 1.0 - self.jitter + 2.0 * self.jitter * rng.random()
         return raw * factor
-
-    def with_base(self, base: float) -> "RetryPolicy":
-        """This policy with a different first-step delay."""
-        return replace(self, base=base)
-
-    def constant(self) -> "RetryPolicy":
-        """This policy flattened to a fixed ``base`` delay (no growth)."""
-        return replace(self, multiplier=1.0, jitter=0.0)

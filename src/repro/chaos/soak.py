@@ -395,8 +395,8 @@ class _SoakRun:
     """
 
     def __init__(self, config: AnySoakConfig, handles: Dict[str, Any],
-                 health: Optional[HealthTracker], policy: ChaosPolicy,
-                 rng, recorder: Optional[FlightRecorder] = None,
+                 policy: ChaosPolicy, rng,
+                 recorder: Optional[FlightRecorder] = None,
                  cluster: Optional[SimCluster] = None) -> None:
         self.config = config
         self.handles = handles
@@ -413,8 +413,7 @@ class _SoakRun:
                                                 self.histories[name])
                           for name, handle in handles.items()}
         self.autopilots: Dict[str, WeightAutopilot] = {
-            name: WeightAutopilot(handle, health=health,
-                                  policy=config.autopilot_policy())
+            name: WeightAutopilot(handle, policy=config.autopilot_policy())
             for name, handle in handles.items()} if config.autopilot \
             else {}
         self.plan: Optional[RebalancePlan] = None
@@ -600,11 +599,7 @@ def run_sim_soak(config: AnySoakConfig,
     policy.enabled = False               # clean install first
     script = None if namespace else config.nemesis(streams)
 
-    # Breakers route the one-suite soak around crashed representatives;
-    # the namespace soak runs them only to feed its autopilots.
-    health = (HealthTracker(clock=lambda: bed.sim.now)
-              if config.autopilot or not namespace else None)
-    suite_kwargs = dict(config.suite_kwargs(), health=health)
+    suite_kwargs = config.suite_kwargs()
     bed_kwargs = dict(call_timeout=config.call_timeout,
                       lock_timeout=config.lock_timeout,
                       idle_abort_after=config.idle_abort_after, obs=True)
@@ -618,14 +613,20 @@ def run_sim_soak(config: AnySoakConfig,
         bed.clients["client"].manager.transport_attempts = \
             config.transport_attempts
     bed.network.chaos = policy
-    if health is not None:
-        health.metrics = bed.metrics
-        bed.clients["client"].endpoint.health = health
+    client = bed.clients["client"]
+    # Breakers route the one-suite soak around crashed representatives;
+    # the namespace soak runs them only to feed its autopilots.  Wired
+    # before any handle is built: handles read them from the client.
+    health = None
+    if config.autopilot or not namespace:
+        health = HealthTracker(clock=lambda: bed.sim.now,
+                               metrics=bed.metrics)
+        client.endpoint.health = health
 
     recorder = _open_flight(flight_dir, lambda: bed.sim.now, runtime,
                             config, policy)
     if recorder is not None:
-        bed.flight = recorder            # before install: suites inherit
+        client.manager.flight = recorder
         if health is not None:
             health.flight = recorder
 
@@ -636,7 +637,7 @@ def run_sim_soak(config: AnySoakConfig,
         handles = {name: bed.install(config.suite_configuration(),
                                      INITIAL_TAG.encode("utf-8"),
                                      **suite_kwargs)}
-    run = _SoakRun(config, handles, health, policy,
+    run = _SoakRun(config, handles, policy,
                    streams.stream("cluster-soak:ops" if namespace
                                   else "soak:ops"),
                    recorder, cluster)
@@ -711,8 +712,8 @@ async def run_live_soak(config: SoakConfig,
                                       INITIAL_TAG.encode("utf-8"),
                                       **config.suite_kwargs())
         started = kernel.now
-        run = _SoakRun(config, {name: suite}, cluster.client.health,
-                       policy, streams.stream("soak:ops"), recorder)
+        run = _SoakRun(config, {name: suite}, policy,
+                       streams.stream("soak:ops"), recorder)
 
         policy.enabled = True
         nemesis_task = asyncio.ensure_future(

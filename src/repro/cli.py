@@ -921,10 +921,8 @@ def _doctor_scenario(args: argparse.Namespace) -> int:
     bed.network.chaos = policy
     if args.delay_server:
         policy.slow_host(args.delay_server, args.delay_ms)
-    health = HealthTracker(clock=lambda: bed.sim.now,
-                           metrics=bed.metrics)
+    health = HealthTracker(clock=lambda: bed.sim.now, metrics=bed.metrics)
     bed.clients["client"].endpoint.health = health
-    suite_kwargs["health"] = health
 
     cluster.start()
     pilots: Dict[str, "object"] = {}
@@ -934,8 +932,7 @@ def _doctor_scenario(args: argparse.Namespace) -> int:
         # floor (min_voting_reps=2) can never be met by shifting votes
         # inside a replication-2 suite, so the pilots observe, score
         # and flag — and the gate records every demotion it refused.
-        pilots = {name: WeightAutopilot(cluster.handles[name],
-                                        health=health)
+        pilots = {name: WeightAutopilot(cluster.handles[name])
                   for name in spec.suite_names}
     # Attribution covers the checkup workload, not the bootstrap.
     bed.collector.ring.clear()

@@ -52,14 +52,14 @@ class BackgroundRefresher:
 
     def __init__(self, manager: TransactionManager, delay: float = 0.0,
                  max_attempts: int = 3, retry_backoff: float = 100.0,
-                 metrics: Optional[MetricsRegistry] = None,
                  enabled: bool = True) -> None:
         self.manager = manager
         self.sim = manager.sim
         self.delay = delay
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
-        self.metrics = metrics or MetricsRegistry()
+        #: The client's registry (its endpoint's), or a private one.
+        self.metrics = manager.endpoint.metrics or MetricsRegistry()
         #: Ablation switch: with ``enabled=False`` every refresh request
         #: is dropped, so stale copies persist (experiment F5).
         self.enabled = enabled

@@ -69,7 +69,6 @@ from ..obs.collector import TraceCollector
 from ..obs.critical_path import QuorumPath
 from ..obs.spans import NOOP_SPAN
 from ..sim.metrics import MetricsRegistry
-from ..sim.rng import RandomStreams
 from ..txn.coordinator import Transaction, TransactionManager
 from ..txn.locks import EXCLUSIVE, SHARED
 from .gather import GatherResult, gather_until
@@ -138,11 +137,7 @@ class FileSuiteClient:
                  read_fastpath: bool = True,
                  read_max_bytes: int = 64 * 1024,
                  refresher: Optional["BackgroundRefresher"] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 streams: Optional[RandomStreams] = None,
-                 collector: Optional[TraceCollector] = None,
-                 health: Optional[Any] = None,
-                 flight: Optional[Any] = None) -> None:
+                 ) -> None:
         self.manager = manager
         self.sim = manager.sim
         self.config = config
@@ -169,27 +164,32 @@ class FileSuiteClient:
         #: marks the reply ``truncated`` without spending page I/O).
         self.read_max_bytes = read_max_bytes
         self.refresher = refresher
-        self.metrics = metrics or MetricsRegistry()
+        # The planes below belong to the client, not to the suite: read
+        # once from the transaction manager and its endpoint, so every
+        # handle a client builds shares one registry, tracer, set of
+        # breakers, journal and seeded stream factory.
+        endpoint = manager.endpoint
+        self.metrics = endpoint.metrics or MetricsRegistry()
         #: Causal tracing: operation root spans, quorum-assembly child
         #: spans, and (via :attr:`Transaction.span`) every RPC the
         #: operation issues.  The disabled default makes every span a
         #: no-op, so untraced runs pay one falsy check per operation.
-        self.collector = collector or TraceCollector(
+        self.collector = manager.collector or TraceCollector(
             clock=lambda: manager.sim.now, enabled=False)
-        #: Optional :class:`~repro.chaos.health.HealthTracker` (duck
-        #: typed: anything with ``allow(server)``).  Quorum assembly
-        #: skips representatives it refuses and fails fast with
-        #: :class:`QuorumUnattainableError` when the admitted votes
+        #: The endpoint's :class:`~repro.chaos.health.HealthTracker`, if
+        #: any (duck typed: anything with ``allow(server)``).  Quorum
+        #: assembly skips representatives it refuses and fails fast
+        #: with :class:`QuorumUnattainableError` when the admitted votes
         #: cannot reach the threshold.
-        self.health = health
-        #: Optional :class:`~repro.obs.flight.FlightRecorder`: the
-        #: black-box journal.  Every finished quorum gather — satisfied
-        #: or not — appends one ``quorum`` record carrying the votes,
-        #: settle order and version stamps the client actually saw.
-        self.flight = flight
-        streams = streams or RandomStreams(seed=0)
-        self._rng = streams.stream(
-            f"suite:{config.suite_name}:{manager.endpoint.host.name}")
+        self.health = endpoint.health
+        #: The manager's :class:`~repro.obs.flight.FlightRecorder`, if
+        #: any: the black-box journal.  Every finished quorum gather —
+        #: satisfied or not — appends one ``quorum`` record carrying the
+        #: votes, settle order and version stamps the client actually
+        #: saw.
+        self.flight = manager.flight
+        self._rng = manager.streams.stream(
+            f"suite:{config.suite_name}:{endpoint.host.name}")
         #: Backoff between operation attempts: exponential from
         #: ``retry_backoff``, uncapped (``max_attempts`` bounds it),
         #: jittered the way this loop always was.

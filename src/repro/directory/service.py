@@ -153,11 +153,11 @@ class SuiteDirectory:
                    ) -> Generator[Any, Any, FileSuiteClient]:
         """Look a suite up and return a ready client handle for it.
 
-        The handle shares this directory's transaction manager; pass
-        ``refresher=``/``metrics=`` etc. through ``suite_kwargs``.
+        The handle shares this directory's transaction manager, and
+        with it the client's metrics, tracer, breakers, flight recorder
+        and random streams; it defaults to the directory's refresher.
+        Other :class:`FileSuiteClient` options go in ``suite_kwargs``.
         """
         config = yield from self.lookup(suite_name, parent=parent)
         suite_kwargs.setdefault("refresher", self.suite.refresher)
-        suite_kwargs.setdefault("metrics", self.suite.metrics)
-        suite_kwargs.setdefault("collector", self.suite.collector)
         return FileSuiteClient(self.manager, config, **suite_kwargs)

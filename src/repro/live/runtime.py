@@ -255,7 +255,6 @@ class LiveRuntime:
                  call_timeout: float = 2_000.0,
                  transport_attempts: int = 3,
                  seed: int = 0,
-                 metrics: Optional[MetricsRegistry] = None,
                  obs: bool = True,
                  loop: Optional[asyncio.AbstractEventLoop] = None,
                  flight: Optional[Any] = None) -> None:
@@ -269,7 +268,7 @@ class LiveRuntime:
             name = f"client-{uuid.uuid4().hex[:8]}"
         self.name = name
         self.kernel = LiveKernel(loop=loop)
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: Tracing defaults ON live (unlike the sim, where trace bytes
         #: would perturb the latency model): real deployments want every
         #: operation explorable after the fact.  The origin is the
@@ -288,19 +287,15 @@ class LiveRuntime:
                                     copy_payloads=False,
                                     collector=self.collector,
                                     metrics=self.metrics,
-                                    streams=self.streams,
                                     health=self.health)
         self.manager = TransactionManager(
             self.kernel, self.endpoint, call_timeout=call_timeout,
-            transport_attempts=transport_attempts,
-            collector=self.collector,
-            streams=self.streams)
-        self.refresher = BackgroundRefresher(self.manager,
-                                             metrics=self.metrics)
+            transport_attempts=transport_attempts, streams=self.streams)
+        self.refresher = BackgroundRefresher(self.manager)
         #: Optional :class:`~repro.obs.flight.FlightRecorder`: the live
         #: black box.  Wiring it here covers every decision point this
-        #: runtime owns — 2PC outcomes, breaker transitions and (via
-        #: :meth:`suite`) quorum assemblies.
+        #: runtime owns — 2PC outcomes, breaker transitions and (in
+        #: every handle built on the manager) quorum assemblies.
         self.flight = flight
         if flight is not None:
             self.manager.flight = flight
@@ -331,11 +326,6 @@ class LiveRuntime:
               **kwargs: Any) -> FileSuiteClient:
         """A suite client handle served over real sockets."""
         kwargs.setdefault("refresher", self.refresher)
-        kwargs.setdefault("metrics", self.metrics)
-        kwargs.setdefault("streams", self.streams)
-        kwargs.setdefault("collector", self.collector)
-        kwargs.setdefault("health", self.health)
-        kwargs.setdefault("flight", self.flight)
         return FileSuiteClient(self.manager, config, **kwargs)
 
     async def install(self, config: SuiteConfiguration,

@@ -27,17 +27,15 @@ import copy
 import inspect
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Mapping,
-                    Optional, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
+                    Tuple)
 
-from ..chaos.retry import RetryPolicy
 from ..errors import (HostUnreachableError, InvalidRequestError,
                       NoSuchMethodError, RemoteError, ReproError, RpcTimeout)
 from ..obs.spans import NOOP_SPAN, TraceContext
 from ..sim.events import Event
 from ..sim.network import Host
 from ..sim.process import Process, step_until_pending
-from ..sim.rng import RandomStreams
 from .messages import Reply, Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,18 +127,10 @@ class RpcEndpoint:
                  default_call_timeout: Optional[float] = None,
                  collector: Optional["TraceCollector"] = None,
                  metrics: Optional["MetricsRegistry"] = None,
-                 streams: Optional[RandomStreams] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  health: Optional["HealthTracker"] = None) -> None:
         self.sim = sim
         self.host = host
         self.copy_payloads = copy_payloads
-        #: Backoff schedule for :meth:`call_with_retries`; jitter draws
-        #: come from this endpoint's own named stream so retry timing is
-        #: seeded per host.
-        self.retry_policy = retry_policy or RetryPolicy()
-        self._retry_rng = (streams or RandomStreams(seed=0)).stream(
-            f"rpc-retry:{host.name}")
         #: Optional per-destination circuit breakers.  The endpoint only
         #: *feeds* them — any reply (even an error reply) proves the
         #: destination alive; an expired call (every retransmission
@@ -384,36 +374,6 @@ class RpcEndpoint:
             self._sweep_at = deadline
             self.sim.schedule(max(0.0, deadline - self.sim.now),
                               self._sweep, deadline)
-
-    def call_with_retries(self, destination: str, method: str,
-                          timeout: float, attempts: int = 3,
-                          backoff: float = 0.0,
-                          retry_policy: Optional[RetryPolicy] = None,
-                          **args: Any) -> Generator[Any, Any, Any]:
-        """Process generator: retry a call up to ``attempts`` times.
-
-        Delays between attempts follow ``retry_policy`` (default: the
-        endpoint's policy — exponential with cap and seeded jitter).
-        A non-zero ``backoff`` is kept for compatibility and becomes the
-        policy's first-step delay, growing exponentially from there
-        rather than linearly as it once did.
-        """
-        policy = retry_policy or self.retry_policy
-        if backoff > 0:
-            policy = policy.with_base(backoff)
-        last_error: Optional[BaseException] = None
-        for attempt in range(attempts):
-            try:
-                result = yield self.call(destination, method,
-                                         timeout=timeout, **args)
-                return result
-            except (RpcTimeout, HostUnreachableError) as exc:
-                last_error = exc
-                if attempt + 1 < attempts:
-                    delay = policy.delay(attempt, self._retry_rng)
-                    if delay > 0:
-                        yield self.sim.timeout(delay)
-        raise last_error or RpcTimeout(f"{method} -> {destination}")
 
     def _expire(self, call_id: int, call: _Call) -> None:
         del self._pending[call_id]

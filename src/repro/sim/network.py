@@ -1,12 +1,17 @@
-"""Simulated packet network: hosts, links, loss, and partitions.
+"""Simulated packet network: hosts and links.
 
 This is the bottom layer of the paper's stack ("packet network" in
-Gifford's layering).  Delivery is datagram-like and unreliable:
+Gifford's layering).  Delivery is datagram-like:
 
-* each directed link has a latency distribution;
-* messages to a crashed or partitioned-away host are silently dropped —
-  the RPC layer above turns silence into timeouts;
-* optional per-link loss probability models a lossy network.
+* each directed link has a latency distribution and a per-byte
+  transfer time;
+* messages to or from a crashed host are silently dropped — the RPC
+  layer above turns silence into timeouts.
+
+Message faults — loss, duplicates, extra delay and partitions — are
+not the network's: an attached :class:`~repro.chaos.policy.ChaosPolicy`
+(:attr:`Network.chaos`) decides them, the same policy object the live
+transport consults.
 
 Hosts expose crash/restart with listener hooks so higher layers (storage
 servers) can reset volatile state at the right instant.
@@ -14,7 +19,7 @@ servers) can reset volatile state at the right instant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .distributions import Distribution, as_distribution
 from .queues import Resource
@@ -178,19 +183,12 @@ class Network:
                  streams: Optional[RandomStreams] = None,
                  default_latency: "Distribution | float" = 1.0,
                  loopback_latency: "Distribution | float" = 0.0,
-                 loss_probability: float = 0.0,
-                 duplicate_probability: float = 0.0) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
-        if not 0.0 <= duplicate_probability < 1.0:
-            raise ValueError("duplicate probability must be in [0, 1)")
+                 ) -> None:
         self.sim = sim
         self.streams = streams or RandomStreams(seed=0)
         self._rng = self.streams.stream("network")
         self.default_latency = as_distribution(default_latency)
         self.loopback_latency = as_distribution(loopback_latency)
-        self.loss_probability = loss_probability
-        self.duplicate_probability = duplicate_probability
         self.messages_duplicated = 0
         #: Optional shared broadcast medium (see :class:`SharedMedium`):
         #: when set, every non-loopback message serializes through it
@@ -200,13 +198,12 @@ class Network:
         self._latencies: Dict[Tuple[str, str], Distribution] = {}
         self._byte_times: Dict[Tuple[str, str], float] = {}
         self.default_byte_time = 0.0
-        self._links_down: set[Tuple[str, str]] = set()
-        self._partition_of: Dict[str, int] = {}
         #: Optional :class:`~repro.chaos.policy.ChaosPolicy` (duck
-        #: typed: anything with ``filter(source, destination)``).  Its
-        #: verdict applies *after* the network's own reachability and
-        #: loss checks — same interposition point as the live
-        #: transport's, so one policy drives both runtimes.
+        #: typed: anything with ``filter(source, destination)``): the
+        #: one source of message faults and partitions.  Its verdict
+        #: applies *after* the crashed-host check — same interposition
+        #: point as the live transport's, so one policy drives both
+        #: runtimes.
         self.chaos: Optional[Any] = None
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -267,49 +264,6 @@ class Network:
         return self._latencies.get((source, destination),
                                    self.default_latency)
 
-    # -- link and partition failures ------------------------------------------
-
-    def set_link_down(self, a: str, b: str) -> None:
-        """Sever the bidirectional link between ``a`` and ``b``."""
-        self._links_down.add((a, b))
-        self._links_down.add((b, a))
-
-    def set_link_up(self, a: str, b: str) -> None:
-        self._links_down.discard((a, b))
-        self._links_down.discard((b, a))
-
-    def partition(self, groups: Iterable[Iterable[str]]) -> None:
-        """Split hosts into isolated groups; unlisted hosts keep group 0.
-
-        ``partition([["a", "b"], ["c"]])`` lets a↔b communicate but cuts
-        both off from c (and from any host not mentioned, which stays in
-        an implicit majority group only if listed — unlisted hosts join
-        group 0 alongside the first group).
-        """
-        self._partition_of = {}
-        for index, group in enumerate(groups):
-            for name in group:
-                if name not in self._hosts:
-                    raise KeyError(f"unknown host {name!r} in partition spec")
-                self._partition_of[name] = index
-
-    def heal(self) -> None:
-        """Remove all partitions and downed links."""
-        self._partition_of = {}
-        self._links_down.clear()
-
-    def can_communicate(self, source: str, destination: str) -> bool:
-        """True if a datagram from ``source`` could reach ``destination`` now."""
-        if source == destination:
-            return self._hosts[source].up
-        if not self._hosts[source].up or not self._hosts[destination].up:
-            return False
-        if (source, destination) in self._links_down:
-            return False
-        group_a = self._partition_of.get(source, 0)
-        group_b = self._partition_of.get(destination, 0)
-        return group_a == group_b
-
     # -- delivery --------------------------------------------------------------
 
     def send(self, source: str, destination: str, payload: Any) -> None:
@@ -317,11 +271,7 @@ class Network:
         self.messages_sent += 1
         if destination not in self._hosts:
             raise KeyError(f"unknown destination host {destination!r}")
-        if not self.can_communicate(source, destination):
-            self.messages_dropped += 1
-            return
-        if (self.loss_probability > 0.0
-                and self._rng.random() < self.loss_probability):
+        if not (self._hosts[source].up and self._hosts[destination].up):
             self.messages_dropped += 1
             return
         verdict = (self.chaos.filter(source, destination)
@@ -348,15 +298,6 @@ class Network:
                 name=f"xmit:{source}->{destination}")
         else:
             self.sim.schedule(latency, self._deliver, destination, payload)
-        if (self.duplicate_probability > 0.0
-                and self._rng.random() < self.duplicate_probability):
-            # A duplicate copy arrives on its own (later) schedule —
-            # datagram networks may deliver a packet more than once.
-            self.messages_duplicated += 1
-            extra = self.latency_between(source,
-                                         destination).sample(self._rng)
-            self.sim.schedule(latency + extra, self._deliver,
-                              destination, payload)
 
     def _transmit_shared(self, destination: str, payload: Any,
                          latency: float):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterable, Optional, Sequence
 
+from .chaos.policy import ChaosPolicy
 from .core.examples import LATENCIES, example_configuration
 from .core.refresh import BackgroundRefresher
 from .core.suite import FileSuiteClient, install_suite
@@ -77,13 +78,11 @@ class Testbed:
                  call_timeout: float = 2_000.0,
                  refresh_delay: float = 0.0,
                  refresh_enabled: bool = True,
-                 loss_probability: float = 0.0,
                  obs: bool = False) -> None:
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
         self.network = Network(self.sim, self.streams,
-                               default_latency=default_latency,
-                               loss_probability=loss_probability)
+                               default_latency=default_latency)
         self.metrics = MetricsRegistry()
         #: Causal tracing (``obs=True``).  Deliberately opt-in: trace
         #: context rides inside RPC requests, whose estimated byte size
@@ -93,11 +92,6 @@ class Testbed:
         #: so client and server spans land stitched in one buffer.
         self.collector = TraceCollector(clock=lambda: self.sim.now,
                                         origin="sim", enabled=obs)
-        #: Optional flight recorder (:class:`~repro.obs.flight.
-        #: FlightRecorder`).  Assign one before creating suites and
-        #: every suite client, transaction manager and health tracker
-        #: the testbed wires will journal its decisions to it.
-        self.flight: Optional[Any] = None
         self.call_timeout = call_timeout
         self.servers: Dict[str, ServerNode] = {}
         self.clients: Dict[str, ClientNode] = {}
@@ -141,9 +135,8 @@ class Testbed:
                                metrics=self.metrics)
         manager = TransactionManager(self.sim, endpoint,
                                      call_timeout=self.call_timeout,
-                                     collector=self.collector)
+                                     streams=self.streams)
         refresher = BackgroundRefresher(manager, delay=refresh_delay,
-                                        metrics=self.metrics,
                                         enabled=refresh_enabled)
         node = ClientNode(host=host, endpoint=endpoint, manager=manager,
                           refresher=refresher)
@@ -156,15 +149,15 @@ class Testbed:
 
     def suite(self, config: SuiteConfiguration, client: str = "client",
               **kwargs: Any) -> FileSuiteClient:
-        """A suite client handle bound to ``client``'s transaction manager."""
+        """A suite client handle bound to ``client``'s transaction manager.
+
+        The handle reads the client's metrics, tracer, breakers, flight
+        recorder and streams from that manager; attach a
+        :class:`~repro.chaos.health.HealthTracker` to the client's
+        endpoint, or a recorder to its manager, before building handles.
+        """
         node = self.clients[client]
         kwargs.setdefault("refresher", node.refresher)
-        kwargs.setdefault("metrics", self.metrics)
-        kwargs.setdefault("streams", self.streams)
-        kwargs.setdefault("collector", self.collector)
-        kwargs.setdefault("flight", self.flight)
-        if self.flight is not None:
-            node.manager.flight = self.flight
         return FileSuiteClient(node.manager, config, **kwargs)
 
     def install(self, config: SuiteConfiguration, initial_data: bytes = b"",
@@ -194,10 +187,21 @@ class Testbed:
         self.network.host(server).restart()
 
     def partition(self, groups: Iterable[Iterable[str]]) -> None:
-        self.network.partition(groups)
+        """Split the hosts into isolated groups (unlisted hosts join
+        group 0) through the network's chaos policy — attaching a
+        fault-free one on first use."""
+        groups = [list(group) for group in groups]
+        for group in groups:
+            for name in group:
+                self.network.host(name)  # unknown hosts raise KeyError
+        if self.network.chaos is None:
+            self.network.chaos = ChaosPolicy(streams=self.streams)
+        self.network.chaos.partition(groups)
 
     def heal(self) -> None:
-        self.network.heal()
+        """Remove the partition, if any."""
+        if self.network.chaos is not None:
+            self.network.chaos.heal()
 
     def set_client_link(self, client: str, server: str,
                         latency: "Distribution | float",

@@ -47,19 +47,13 @@ from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Optional, Set,
 from ..errors import ReproError, TransactionAborted
 from ..obs.spans import NOOP_SPAN, TraceContext
 from ..rpc.endpoint import RpcEndpoint
+from ..sim.rng import RandomStreams
 from .ids import TransactionId, TransactionIdGenerator
 from .participant import VOTE_PREPARED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..chaos.retry import RetryPolicy
-    from ..obs.collector import TraceCollector
-    from ..sim.rng import RandomStreams
     from ..sim.simulator import Simulator
 
-
-def _default_streams() -> "RandomStreams":
-    from ..sim.rng import RandomStreams
-    return RandomStreams(seed=0)
 
 #: RPC methods that stage durable changes at a participant.
 _STAGING_METHODS = frozenset({"txn.stage_write", "txn.stage_delete"})
@@ -199,33 +193,31 @@ class TransactionManager:
                  commit_retry_interval: float = 500.0,
                  commit_retry_attempts: int = 20,
                  transport_attempts: int = 3,
-                 collector: Optional["TraceCollector"] = None,
-                 retry_policy: Optional["RetryPolicy"] = None,
-                 streams: Optional["RandomStreams"] = None) -> None:
+                 streams: Optional[RandomStreams] = None) -> None:
         self.sim = sim
         self.endpoint = endpoint
-        #: Optional observability: with a collector, each staged commit
+        #: The endpoint's tracer, if any: with one, each staged commit
         #: records one span per 2PC phase under the transaction's span.
-        self.collector = collector
+        self.collector = endpoint.collector
+        #: The client's seeded stream factory: every suite handle built
+        #: on this manager draws its retry jitter from a named stream of
+        #: it.
+        self.streams = streams or RandomStreams(seed=0)
         #: Optional :class:`~repro.obs.flight.FlightRecorder`: every
         #: transaction termination appends one ``txn`` record with the
-        #: 2PC outcome (runtimes wire it after construction).
+        #: 2PC outcome, and every suite handle built afterwards one
+        #: ``quorum`` record per gather (runtimes wire it after
+        #: construction, before building handles).
         self.flight: Optional[Any] = None
         self.call_timeout = call_timeout
         #: Retransmissions per RPC (same call id; servers are
         #: at-most-once, so this is safe).  One lost datagram then costs
         #: a timeout, not an aborted transaction.
         self.transport_attempts = transport_attempts
+        #: Decision retries to a silent participant: a fixed interval,
+        #: at most ``commit_retry_attempts`` times.
         self.commit_retry_interval = commit_retry_interval
         self.commit_retry_attempts = commit_retry_attempts
-        #: Optional exponential backoff for decision retries.  ``None``
-        #: keeps the historic fixed ``commit_retry_interval`` (tests
-        #: assign that attribute after construction and expect it
-        #: honoured); a policy makes retries to a down participant back
-        #: off instead of hammering every interval.
-        self.retry_policy = retry_policy
-        self._retry_rng = (streams or _default_streams()).stream(
-            f"2pc-retry:{endpoint.host.name}")
         self._ids = TransactionIdGenerator(endpoint.host.name)
         self.commits = 0
         self.aborts = 0
@@ -472,13 +464,12 @@ class TransactionManager:
         first = send()
 
         def retry(outstanding):
-            for attempt in range(self.commit_retry_attempts):
+            for _attempt in range(self.commit_retry_attempts):
                 try:
                     yield outstanding
                     return
                 except (RpcTimeout, HostUnreachableError):
-                    yield self.sim.timeout(
-                        self._decision_retry_delay(attempt))
+                    yield self.sim.timeout(self.commit_retry_interval)
                     outstanding = send()
                 except ReproError:
                     return  # definitive response from the participant
@@ -486,9 +477,3 @@ class TransactionManager:
             # (or a test) resolves it explicitly.
 
         self.sim.spawn(retry(first), name=f"2pc-retry:{method}:{server}")
-
-    def _decision_retry_delay(self, attempt: int) -> float:
-        """Delay before decision-retry ``attempt`` (0-based)."""
-        if self.retry_policy is None:
-            return self.commit_retry_interval
-        return self.retry_policy.delay(attempt, self._retry_rng)

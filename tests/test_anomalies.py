@@ -49,7 +49,6 @@ class TestSingleRepInquiry:
 
         node = bed.clients["client"]
         broken = SingleRepInquiryClient(node.manager, config,
-                                        metrics=bed.metrics,
                                         max_attempts=1,
                                         inquiry_timeout=100.0)
         # Only the stale representative is reachable.

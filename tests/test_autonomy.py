@@ -190,8 +190,9 @@ def _bed_with_autopilot(policy=None, votes=(1, 1, 1, 1, 1), r=3, w=3,
     if health:
         tracker = HealthTracker(clock=lambda: bed.sim.now,
                                 metrics=bed.metrics)
-    suite = bed.install(config, b"seed", health=tracker)
-    autopilot = WeightAutopilot(suite, health=tracker, policy=policy)
+        bed.clients["client"].endpoint.health = tracker
+    suite = bed.install(config, b"seed")
+    autopilot = WeightAutopilot(suite, policy=policy)
     return bed, suite, autopilot, tracker
 
 

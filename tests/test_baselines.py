@@ -131,8 +131,8 @@ class TestMajority:
         config.validate()
 
     def test_operates_with_minority_down(self, bed):
-        client = MajorityConsensusClient.build(
-            manager(bed), "obj", SERVERS, metrics=bed.metrics)
+        client = MajorityConsensusClient.build(manager(bed), "obj",
+                                               SERVERS)
         bed.run(install_suite(manager(bed), client.config, b"v1"))
         bed.crash("s3")
         assert bed.run(client.write(b"v2")).version == 2
@@ -140,8 +140,7 @@ class TestMajority:
 
     def test_blocks_with_majority_down(self, bed):
         client = MajorityConsensusClient.build(
-            manager(bed), "obj", SERVERS, metrics=bed.metrics,
-            max_attempts=1)
+            manager(bed), "obj", SERVERS, max_attempts=1)
         bed.run(install_suite(manager(bed), client.config, b"v1"))
         bed.crash("s2")
         bed.crash("s3")

@@ -241,7 +241,7 @@ def five_rep_bed(call_timeout=400.0, cooldown=10**9):
         "hdb", [(server, 1) for server in servers], 3, 3,
         latency_hints={server: 10.0 * i
                        for i, server in enumerate(servers, start=1)})
-    suite = bed.install(config, b"v1", health=health, retry_backoff=25.0)
+    suite = bed.install(config, b"v1", retry_backoff=25.0)
     return bed, suite, health
 
 

@@ -46,17 +46,6 @@ class TestRetryPolicy:
         rng2 = RandomStreams(seed=1).stream("x")
         assert rng2.random() == before  # the delay drew nothing
 
-    def test_constant_policy(self):
-        policy = RetryPolicy(base=75.0).constant()
-        rng = RandomStreams(seed=2).stream("x")
-        assert [policy.delay(i, rng) for i in range(3)] == [75.0] * 3
-
-    def test_with_base_rescales(self):
-        policy = RetryPolicy(base=25.0, multiplier=2.0, jitter=0.0,
-                             cap=10_000.0)
-        assert policy.with_base(100.0).delay(
-            1, RandomStreams(seed=0).stream("x")) == 200.0
-
 
 class TestChaosPolicy:
     def test_disabled_policy_passes_everything(self):

@@ -58,6 +58,20 @@ class TestDoctorScenario:
         assert rc == 0
         assert "findings: none" in out
 
+    def test_autopilot_flags_the_slow_server(self, capsys):
+        rc = main(["doctor", "--delay-server", "n2", "--autopilot",
+                   "--expect-slow", "n2", "--ops", "60"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "autopilot flagged slow server n2 DETECTED" in out
+
+    def test_autopilot_wrong_expectation_exits_2(self, capsys):
+        rc = main(["doctor", "--delay-server", "n2", "--autopilot",
+                   "--expect-slow", "n4", "--ops", "60"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "autopilot flagged slow server n4 MISSED" in out
+
     def test_unknown_server_rejected(self, capsys):
         rc = main(["doctor", "--delay-server", "n9"])
         assert rc == 2

@@ -14,8 +14,7 @@ def cached(bed):
     bed.run(suite.write(b"v2-data"))
     node = bed.clients["client"]
     return CachingSuiteClient(node.manager, config,
-                              refresher=node.refresher,
-                              metrics=bed.metrics, streams=bed.streams)
+                              refresher=node.refresher)
 
 
 class TestCacheBehaviour:
@@ -64,7 +63,6 @@ class TestCacheBehaviour:
         bed.install(config, b"data")
         node = bed.clients["client"]
         client = CachingSuiteClient(node.manager, config,
-                                    metrics=bed.metrics,
                                     cache_enabled=False)
         bed.run(client.read())
         result = bed.run(client.read())
@@ -109,7 +107,7 @@ class TestCacheBehaviour:
         config = triple_config()
         bed.install(config, b"old")
         client = CachingSuiteClient(bed.clients["client"].manager,
-                                    config, metrics=bed.metrics)
+                                    config)
         bed.run(client.read())                    # populate the cache
         bed.run(bed.suite(config).write(b"fresh"))  # invalidate remotely
         methods = []
@@ -141,8 +139,7 @@ class TestCacheBehaviour:
         config = triple_config()
         bed2.install(config, data)
         node = bed2.clients["client"]
-        client = CachingSuiteClient(node.manager, config,
-                                    metrics=bed2.metrics)
+        client = CachingSuiteClient(node.manager, config)
 
         def timed_read():
             start = bed2.sim.now

@@ -4,7 +4,11 @@ import asyncio
 
 import pytest
 
+from repro.baselines import MajorityConsensusClient
+from repro.chaos import HealthTracker
 from repro.cluster import ClusterSpec, LiveCluster, SimCluster
+from repro.core import CachingSuiteClient, make_configuration
+from repro.obs.flight import FlightRecorder, load_flight_journal
 
 
 class TestClusterSpec:
@@ -104,6 +108,76 @@ class TestServerJoin:
         assert stale.config.config_version == 1
         assert cluster.bed.run(stale.read()).data == b"app-004:v1"
         assert stale.config.config_version == 2
+
+
+def wired_cluster(tmp_path):
+    """A traced cluster whose client carries a flight recorder on its
+    transaction manager and a health tracker on its endpoint, both
+    attached before any handle exists."""
+    spec = ClusterSpec(servers=4, suites=16, directory_shards=2, seed=3)
+    cluster = SimCluster(spec, obs=True)
+    bed = cluster.bed
+    client = bed.clients["client"]
+    client.manager.flight = FlightRecorder(
+        str(tmp_path / "flight"), clock=lambda: bed.sim.now, fsync=False)
+    client.endpoint.health = HealthTracker(clock=lambda: bed.sim.now,
+                                           cooldown=10**9)
+    return cluster.start()
+
+
+class TestHandleWiring:
+    """Every handle a client builds reads its planes from the client's
+    transaction manager — a suite opened by name included."""
+
+    def test_cold_open_journals_and_consults_breakers(self, tmp_path):
+        cluster = wired_cluster(tmp_path)
+        bed = cluster.bed
+        recorder = bed.clients["client"].manager.flight
+        health = bed.clients["client"].endpoint.health
+        handle = cluster.open("app-011")
+        vetoed = handle.config.representatives[0]
+        for _ in range(health.failure_threshold):
+            health.record_failure(vetoed.server)
+        first_seq = recorder.seq
+        bed.collector.ring.clear()
+        assert bed.run(handle.read()).data == b"app-011:v1"
+        recorder.close()
+
+        records, _stats = load_flight_journal(recorder.directory)
+        quorums = [record["data"] for record in records
+                   if record["kind"] == "quorum"
+                   and record["seq"] >= first_seq]
+        assert [quorum["suite"] for quorum in quorums] == ["app-011"]
+        assert vetoed.rep_id not in quorums[0]["observed"]
+        (assemble,) = [span for span in bed.collector.spans()
+                       if span.name == "quorum.assemble"]
+        assert [event.attrs for event in assemble.events
+                if event.name == "health.vetoed"] == \
+            [{"reps": vetoed.rep_id}]
+
+    def test_every_handle_shares_the_clients_planes(self, tmp_path):
+        cluster = wired_cluster(tmp_path)
+        bed = cluster.bed
+        client = bed.clients["client"]
+        config = make_configuration(
+            "wired", [("n1", 1), ("n2", 1), ("n3", 1)], 2, 2)
+        handles = {
+            "suite": bed.suite(config),
+            "install": bed.install(config, b"w"),
+            "open_suite": bed.run(cluster.namespace.open_suite("app-011")),
+            "caching": CachingSuiteClient(client.manager, config),
+            "majority": MajorityConsensusClient.build(
+                client.manager, "wired-majority", ["n1", "n2", "n3"]),
+        }
+        for kind, handle in handles.items():
+            stream = bed.streams.stream(
+                f"suite:{handle.config.suite_name}:client")
+            assert handle.metrics is bed.metrics, kind
+            assert handle.collector is bed.collector, kind
+            assert handle.health is client.endpoint.health, kind
+            assert handle.flight is client.manager.flight, kind
+            assert handle._rng is stream, kind
+        client.manager.flight.close()
 
 
 def test_sim_cluster_deterministic_layout():

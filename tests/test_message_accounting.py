@@ -94,7 +94,7 @@ class TestReadCosts:
         config = triple_config()
         bed.install(config, data)
         client = CachingSuiteClient(bed.clients["client"].manager,
-                                    config, metrics=bed.metrics)
+                                    config)
         bed.run(client.read())  # populate
         moved = []
         original_send = bed.network.send

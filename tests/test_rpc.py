@@ -150,32 +150,6 @@ class TestTimeoutsAndRetries:
 
         assert sim.run_process(flow()) == "done"
 
-    def test_retries_succeed_after_restart(self, sim, pair):
-        client, server = pair
-        server.register("ping", lambda: "pong")
-        server.host.crash()
-        sim.schedule(50.0, server.host.restart)
-
-        def flow():
-            result = yield from client.call_with_retries(
-                "server", "ping", timeout=30.0, attempts=5, backoff=10.0)
-            return result
-
-        assert sim.run_process(flow()) == "pong"
-
-    def test_retries_exhausted_raises(self, sim, pair):
-        client, server = pair
-        server.host.crash()
-
-        def flow():
-            try:
-                yield from client.call_with_retries(
-                    "server", "ping", timeout=10.0, attempts=2)
-            except RpcTimeout:
-                return "gave up"
-
-        assert sim.run_process(flow()) == "gave up"
-
     def test_timeout_none_is_bounded_by_default(self, sim, pair):
         # Regression: call(timeout=None) to a destination that never
         # answers used to strand its _pending entry (and the caller's

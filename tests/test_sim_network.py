@@ -1,9 +1,12 @@
-"""Network behaviour: latency, bandwidth, loss, crashes, partitions."""
+"""Network behaviour: latency, bandwidth, crashes, and the chaos policy's
+loss and partitions on top."""
 
 import pytest
 
+from repro.chaos import ChaosPolicy
 from repro.sim import Constant, Network, RandomStreams, Simulator
 from repro.sim.network import estimate_size
+from repro.testbed import Testbed
 
 
 def arrivals(host):
@@ -95,10 +98,13 @@ class TestBandwidth:
 
 
 class TestLoss:
+    """Message loss comes from the attached chaos policy, the sim
+    network's one fault injector."""
+
     def test_lossy_link_drops_messages(self):
         sim = Simulator()
-        network = Network(sim, RandomStreams(1), default_latency=1.0,
-                          loss_probability=0.5)
+        network = Network(sim, RandomStreams(1), default_latency=1.0)
+        network.chaos = ChaosPolicy(seed=1, drop_probability=0.5)
         a = network.add_host("a")
         network.add_host("b")
         for _ in range(200):
@@ -107,9 +113,8 @@ class TestLoss:
         assert 40 < network.messages_dropped < 160
 
     def test_invalid_loss_probability(self):
-        sim = Simulator()
         with pytest.raises(ValueError):
-            Network(sim, RandomStreams(1), loss_probability=1.0)
+            ChaosPolicy(drop_probability=1.0)
 
 
 class TestCrash:
@@ -161,42 +166,41 @@ class TestCrash:
 
 
 class TestPartition:
+    """Partitions are the attached chaos policy's, not the network's."""
+
     def make(self, sim, network):
+        network.chaos = ChaosPolicy()
         return [network.add_host(name) for name in ("a", "b", "c")]
 
     def test_partition_blocks_cross_group(self, sim, network):
         a, b, c = self.make(sim, network)
-        network.partition([["a", "b"], ["c"]])
-        assert network.can_communicate("a", "b")
-        assert not network.can_communicate("a", "c")
-        assert not network.can_communicate("c", "b")
+        network.chaos.partition([["a", "b"], ["c"]])
+        received = {host.name: arrivals(host) for host in (a, b, c)}
+        a.send("b", "same group")
+        a.send("c", "cut")
+        c.send("b", "cut")
+        sim.run()
+        assert received == {"a": [], "b": [(1.0, "same group")], "c": []}
+        assert network.messages_dropped == 2
 
     def test_partition_drops_messages(self, sim, network):
         a, b, c = self.make(sim, network)
-        network.partition([["a"], ["b", "c"]])
+        network.chaos.partition([["a"], ["b", "c"]])
         a.send("b", "blocked")
         sim.run()
         assert network.messages_dropped == 1
 
     def test_heal_restores(self, sim, network):
         a, b, c = self.make(sim, network)
-        network.partition([["a"], ["b", "c"]])
-        network.heal()
+        network.chaos.partition([["a"], ["b", "c"]])
+        network.chaos.heal()
         received = arrivals(b)
         a.send("b", "healed")
         sim.run()
         assert received == [(1.0, "healed")]
 
-    def test_unknown_host_in_partition_rejected(self, sim, network):
-        self.make(sim, network)
+    def test_unknown_host_in_partition_rejected(self):
+        bed = Testbed(servers=["a", "b", "c"], clients=())
         with pytest.raises(KeyError):
-            network.partition([["a", "ghost"]])
-
-    def test_link_down_and_up(self, sim, network):
-        a, b, c = self.make(sim, network)
-        network.set_link_down("a", "b")
-        assert not network.can_communicate("a", "b")
-        assert not network.can_communicate("b", "a")
-        assert network.can_communicate("a", "c")
-        network.set_link_up("a", "b")
-        assert network.can_communicate("a", "b")
+            bed.partition([["a", "ghost"]])
+        assert bed.network.chaos is None

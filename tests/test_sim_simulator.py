@@ -95,12 +95,13 @@ class TestRunUntil:
 
 class TestDeterminism:
     def build_and_run(self, seed):
+        from repro.chaos import ChaosPolicy
         from repro.sim import Network, RandomStreams
 
         sim = Simulator()
         streams = RandomStreams(seed=seed)
-        network = Network(sim, streams, default_latency=1.0,
-                          loss_probability=0.2)
+        network = Network(sim, streams, default_latency=1.0)
+        network.chaos = ChaosPolicy(streams=streams, drop_probability=0.2)
         a = network.add_host("a")
         b = network.add_host("b")
         received = []

@@ -9,6 +9,7 @@ and the participants must hold no residual transaction state.
 import pytest
 
 from tests.helpers import triple_config
+from repro.chaos import ChaosPolicy
 from repro.errors import ReproError
 from repro.testbed import Testbed
 from repro.verification import HistoryRecorder, check_history
@@ -19,8 +20,9 @@ OPS_PER_CLIENT = 35
 
 def run_soak(seed=2026):
     bed = Testbed(servers=["s1", "s2", "s3"], clients=CLIENTS, seed=seed)
-    bed.network.loss_probability = 0.02
-    bed.network.duplicate_probability = 0.05
+    bed.network.chaos = ChaosPolicy(streams=bed.streams,
+                                    drop_probability=0.02,
+                                    duplicate_probability=0.05)
     config = triple_config()
     history = []
     recorders = {}

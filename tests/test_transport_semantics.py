@@ -15,16 +15,19 @@ on over an unreliable datagram network:
 import pytest
 
 from tests.helpers import triple_config
+from repro.chaos import ChaosPolicy
 from repro.errors import RpcTimeout, TransactionAborted
 from repro.rpc import Request, RpcEndpoint
 from repro.sim import Network, RandomStreams, Simulator
 from repro.testbed import Testbed
 
 
-def make_pair(loss=0.0, seed=9):
+def make_pair(seed=9):
+    """Client and server endpoints on a network whose chaos policy can
+    cut the link between them (no faults until a test partitions)."""
     sim = Simulator()
-    network = Network(sim, RandomStreams(seed), default_latency=1.0,
-                      loss_probability=loss)
+    network = Network(sim, RandomStreams(seed), default_latency=1.0)
+    network.chaos = ChaosPolicy()
     client = RpcEndpoint(sim, network.add_host("client"))
     server = RpcEndpoint(sim, network.add_host("server"))
     return sim, network, client, server
@@ -36,12 +39,12 @@ class TestRetransmission:
         executions = []
         server.register("op", lambda: executions.append(1) or "done")
         # Force-drop the first transmission only.
-        network.loss_probability = 0.999999
+        network.chaos.partition([["client"], ["server"]])
 
         def flow():
             event = client.call("server", "op", timeout=50.0, attempts=3)
             yield sim.timeout(10.0)
-            network.loss_probability = 0.0  # link heals
+            network.chaos.heal()  # link heals
             result = yield event
             return result
 
@@ -76,7 +79,7 @@ class TestRetransmission:
     def test_all_attempts_lost_raises(self):
         sim, network, client, server = make_pair()
         server.register("op", lambda: "never")
-        network.loss_probability = 0.999999
+        network.chaos.partition([["client"], ["server"]])
 
         def flow():
             try:

@@ -583,10 +583,10 @@ class TestVotingStage:
 
         def cut_the_reply():
             yield bed.sim.timeout(1.5)      # the request has arrived
-            bed.network.set_link_down("s1", "client")
+            bed.partition([["client"], ["s1"]])
             yield bed.sim.timeout(100.0)
             assert rows_on(bed)             # ... and been voted for
-            bed.network.set_link_up("s1", "client")
+            bed.heal()
 
         def flow():
             txn = manager.begin()

@@ -4,13 +4,16 @@ Datagram networks drop and duplicate packets.  The RPC layer's
 at-most-once execution (duplicate suppression + cached replies) and the
 transaction layer's retries must together keep the suite protocol
 correct — these tests run real workloads over misbehaving networks and
-check the same invariants as the clean-network tests.
+check the same invariants as the clean-network tests.  The faults come
+from a :class:`~repro.chaos.ChaosPolicy` on the network, the simulator's
+one fault injector.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tests.helpers import triple_config
+from repro.chaos import ChaosPolicy
 from repro.sim import Network, RandomStreams, Simulator
 from repro.rpc import RpcEndpoint
 from repro.testbed import Testbed
@@ -19,8 +22,8 @@ from repro.testbed import Testbed
 class TestDuplicateDelivery:
     def test_network_duplicates_messages(self):
         sim = Simulator()
-        network = Network(sim, RandomStreams(5), default_latency=1.0,
-                          duplicate_probability=0.5)
+        network = Network(sim, RandomStreams(5), default_latency=1.0)
+        network.chaos = ChaosPolicy(seed=5, duplicate_probability=0.5)
         a = network.add_host("a")
         network.add_host("b")
         for _ in range(100):
@@ -31,14 +34,13 @@ class TestDuplicateDelivery:
             100 + network.messages_duplicated
 
     def test_invalid_probability_rejected(self):
-        sim = Simulator()
         with pytest.raises(ValueError):
-            Network(sim, RandomStreams(0), duplicate_probability=1.0)
+            ChaosPolicy(duplicate_probability=1.0)
 
     def test_rpc_suppresses_duplicate_requests(self):
         sim = Simulator()
-        network = Network(sim, RandomStreams(6), default_latency=1.0,
-                          duplicate_probability=0.9)
+        network = Network(sim, RandomStreams(6), default_latency=1.0)
+        network.chaos = ChaosPolicy(seed=6, duplicate_probability=0.9)
         client = RpcEndpoint(sim, network.add_host("client"))
         server = RpcEndpoint(sim, network.add_host("server"))
         executions = []
@@ -86,8 +88,9 @@ class TestSuiteOverBadNetworks:
     def make_bed(self, loss=0.0, duplicates=0.0, seed=0):
         bed = Testbed(servers=["s1", "s2", "s3"], seed=seed,
                       call_timeout=500.0)
-        bed.network.loss_probability = loss
-        bed.network.duplicate_probability = duplicates
+        bed.network.chaos = ChaosPolicy(streams=bed.streams,
+                                        drop_probability=loss,
+                                        duplicate_probability=duplicates)
         return bed
 
     def test_workload_correct_under_duplication(self):

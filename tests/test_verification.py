@@ -353,15 +353,19 @@ class TestProtocolUnderChecker:
 
 class NthMessage:
     """Chaos link policy: one scripted verdict for the ``nth`` message
-    on one directed link, everything else untouched."""
+    on one directed link, every message between a ``cut`` pair dropped
+    (both directions), everything else untouched."""
 
-    def __init__(self, source, destination, nth, verdict):
+    def __init__(self, source, destination, nth, verdict, cut=()):
         self.link = (source, destination)
         self.nth = nth
         self.verdict = verdict
         self.seen = 0
+        self.cut = {link for a, b in cut for link in ((a, b), (b, a))}
 
     def filter(self, source, destination):
+        if (source, destination) in self.cut:
+            return ChaosVerdict(drop=True)
         if (source, destination) != self.link:
             return None
         self.seen += 1
@@ -400,8 +404,8 @@ class TestNoNewOldInversion:
             history)
         # The second reader cannot reach the fast member: its quorum
         # has to be s2 + s3, the slow member and the one left behind.
-        bed.network.set_link_down("r2", "s1")
-        bed.network.chaos = NthMessage("w", "s2", self.COMMIT, verdict)
+        bed.network.chaos = NthMessage("w", "s2", self.COMMIT, verdict,
+                                       cut=[("r2", "s1")])
         write = bed.sim.spawn(writer.write(b"new"))
         fs = {name: node.server.fs for name, node in bed.servers.items()}
         while fs["s1"].stat("suite:db").version < 2:
