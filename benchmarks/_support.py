@@ -120,7 +120,6 @@ def blocking_trials(example: int, operation: str, trials: int,
     suite = bed.install(config, example_data())
     suite.max_attempts = 1
     suite.inquiry_timeout = 150.0
-    suite.weak_inquiry_timeout = 50.0
     servers = [rep.server for rep in config.representatives]
     rng = RandomStreams(seed=seed).stream(f"trials:{example}:{operation}")
     blocked = 0

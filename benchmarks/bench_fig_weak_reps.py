@@ -41,8 +41,7 @@ def build(weak_enabled: bool, seed: int) -> tuple:
     config = SuiteConfiguration(suite_name="f3",
                                 representatives=tuple(reps),
                                 read_quorum=1, write_quorum=1)
-    suite = bed.install(config, b"x" * DATA_SIZE,
-                        weak_inquiry_timeout=50.0)
+    suite = bed.install(config, b"x" * DATA_SIZE)
     return bed, suite
 
 

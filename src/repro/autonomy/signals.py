@@ -65,22 +65,6 @@ class RepSignals:
         """
         return max(self.version_lag, self.weak_staleness)
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "rep_id": self.rep_id,
-            "server": self.server,
-            "votes": self.votes,
-            "breaker_state": self.breaker_state,
-            "opens": self.opens,
-            "closes": self.closes,
-            "last_transition": self.last_transition,
-            "version_lag": self.version_lag,
-            "weak_staleness": self.weak_staleness,
-            "blocking_wait_ms": self.blocking_wait_ms,
-            "blocking_share": self.blocking_share,
-            "blocking_window_ms": self.blocking_window_ms,
-        }
-
 
 def collect_signals(config: SuiteConfiguration,
                     metrics: MetricsRegistry,

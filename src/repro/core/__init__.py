@@ -17,8 +17,8 @@ from .client_cache import CachingSuiteClient
 from .examples import (EXACT, EXPECTED, LATENCIES, REP_AVAILABILITY, SERVERS,
                        VOTES, example_analysis, example_configuration,
                        paper_table)
-from .gather import GatherResult, gather_until, votes_predicate
-from .quorum import (availability_of_votes, blocking_probability,
+from .gather import GatherResult, gather_until
+from .quorum import (QuorumRule, availability_of_votes, blocking_probability,
                      cheapest_quorum, feasible_quorum_pairs, is_quorum,
                      minimal_quorums, quorum_latency, quorums_intersect,
                      votes_of)
@@ -46,5 +46,5 @@ __all__ = [
     "delete_suite", "install_suite", "is_quorum", "make_configuration",
     "minimal_quorums",
     "paper_table", "quorum_latency", "quorum_tradeoff",
-    "quorums_intersect", "votes_of", "votes_predicate",
+    "quorums_intersect", "votes_of", "QuorumRule",
 ]

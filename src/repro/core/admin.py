@@ -102,7 +102,7 @@ def suite_status(suite: FileSuiteClient,
             for rep in config.representatives
         }
         gathered = yield from gather_until(
-            suite.sim, calls, lambda successes, failures: False)
+            suite.sim, calls, lambda gathered: False)
         yield from txn.commit()
     except ReproError:
         yield from txn.abort()

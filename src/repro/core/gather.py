@@ -3,9 +3,9 @@
 The heart of the online protocol is "poll representatives in parallel
 and stop as soon as enough votes have answered".  :func:`gather_until`
 implements exactly that over any mapping of keys to reply events: it
-resolves replies in arrival order, feeds each into an ``enough``
-predicate, and returns as soon as the predicate is satisfied (or every
-reply has settled).
+resolves replies in arrival order, hands the gather so far to an
+``enough`` predicate after each one, and returns as soon as the
+predicate is satisfied (or every reply has settled).
 
 It does so without a process or a composite event of its own.  One
 callback per reply event appends ``(key, event)`` to an arrival list
@@ -24,6 +24,7 @@ time.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Hashable,
                     List, Mapping, Optional, Tuple)
@@ -34,34 +35,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.simulator import Simulator
 
 
+@dataclass(slots=True, eq=False)
 class GatherResult:
     """Outcome of a gather: successes, failures, and the stop reason.
 
     ``order`` records every settled reply as ``(key, settled_at, ok)``
     tuples in arrival order, and ``closed_by`` names the key whose
     settlement first satisfied the predicate (``None`` when the gather
-    was pre-satisfied or ran out of replies).  Together they let the
-    observability layer attribute quorum wait time to the
-    representative that actually gated each interval of the gather.
+    was pre-satisfied, closed at a deadline, or ran out of replies).
+    Together they let the observability layer attribute quorum wait
+    time to the representative that actually gated each interval of
+    the gather.
     """
 
-    __slots__ = ("successes", "failures", "satisfied", "order", "closed_by")
+    successes: Dict[Hashable, Any]
+    failures: Dict[Hashable, BaseException]
+    satisfied: bool
+    order: List[Tuple[Hashable, float, bool]] = field(default_factory=list)
+    closed_by: Optional[Hashable] = None
 
-    def __init__(self, successes: Dict[Hashable, Any],
-                 failures: Dict[Hashable, BaseException],
-                 satisfied: bool,
-                 order: Optional[List[Tuple[Hashable, float, bool]]] = None,
-                 closed_by: Optional[Hashable] = None) -> None:
-        self.successes = successes
-        self.failures = failures
-        self.satisfied = satisfied
-        self.order = order if order is not None else []
-        self.closed_by = closed_by
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"GatherResult(ok={sorted(map(str, self.successes))}, "
-                f"failed={sorted(map(str, self.failures))}, "
-                f"satisfied={self.satisfied})")
+def _wake(parked: List[Optional[Event]], wake: Optional[Event]) -> None:
+    """Trigger ``wake`` if the gather is still parked on it."""
+    if wake is not None and parked[0] is wake:
+        parked[0] = None
+        wake.trigger()
 
 
 def _arrived(arrivals: List[Tuple[Hashable, Event]],
@@ -69,31 +67,30 @@ def _arrived(arrivals: List[Tuple[Hashable, Event]],
              event: Event) -> None:
     """Reply callback: queue the arrival, wake the gather if parked."""
     arrivals.append((key, event))
-    waiting = parked[0]
-    if waiting is not None:
-        parked[0] = None
-        waiting.trigger()
+    _wake(parked, parked[0])
 
 
 def gather_until(sim: "Simulator", calls: Mapping[Hashable, Event],
-                 enough: Callable[[Dict[Hashable, Any],
-                                   Dict[Hashable, BaseException]], bool],
+                 enough: Callable[[GatherResult], Any],
                  ) -> Generator[Any, Any, GatherResult]:
-    """Await ``calls`` in completion order until ``enough(successes,
-    failures)``.
+    """Await ``calls`` in completion order until ``enough(gathered)``.
 
     ``calls`` maps an arbitrary key (e.g. a representative) to a reply
-    event.  Returns a :class:`GatherResult`; ``satisfied`` records
-    whether the predicate was met before replies ran out.  This function
-    never raises on individual call failures — they are collected in
-    ``failures`` and it is the caller's policy what a failed inquiry
-    means (the predicate sees them, e.g. to stop waiting for an
-    optional responder that turned out to be down).
+    event.  ``enough`` sees the gather so far (its ``successes``,
+    ``failures`` and settle ``order``) after every reply and answers
+    ``True`` (close), ``False`` (wait) or a time: wait, but wake then
+    on one timer and ask again.  Returns a :class:`GatherResult`;
+    ``satisfied`` records whether the predicate was met before replies
+    ran out.
+    This function never raises on individual call failures — they are
+    collected in ``failures`` and it is the caller's policy what a
+    failed inquiry means (the predicate sees them, e.g. to stop waiting
+    for an optional responder that turned out to be down).
     """
-    successes: Dict[Hashable, Any] = {}
-    failures: Dict[Hashable, BaseException] = {}
-    if enough(successes, failures):
-        return GatherResult(successes, failures, True)
+    gathered = GatherResult({}, {}, False)
+    if enough(gathered) is True:
+        gathered.satisfied = True
+        return gathered
 
     # A reply schedules its callback when it settles, so replies are
     # consumed in the order they settled — deterministic, since the
@@ -104,32 +101,36 @@ def gather_until(sim: "Simulator", calls: Mapping[Hashable, Event],
     parked: List[Optional[Event]] = [None]
     for key, event in calls.items():
         event.add_callback(partial(_arrived, arrivals, parked, key))
-    order: List[Tuple[Hashable, float, bool]] = []
+    successes, failures, order = (gathered.successes, gathered.failures,
+                                  gathered.order)
+    until: Optional[float] = None
     consumed = 0
     while consumed < len(calls):
-        if consumed == len(arrivals):
+        if consumed < len(arrivals):
+            key, event = arrivals[consumed]
+            consumed += 1
+            ok = not event.failed
+            order.append((key, sim.now, ok))
+            if ok:
+                successes[key] = event.value
+            else:
+                failures[key] = event.value
+            closer: Optional[Hashable] = key
+        elif until is None or sim.now < until:
             wake = sim.event()
             parked[0] = wake
+            if until is not None:
+                sim.schedule(until - sim.now, _wake, parked, wake)
             yield wake
             continue
-        key, event = arrivals[consumed]
-        consumed += 1
-        ok = not event.failed
-        order.append((key, sim.now, ok))
-        if ok:
-            successes[key] = event.value
         else:
-            failures[key] = event.value
-        if enough(successes, failures):
-            return GatherResult(successes, failures, True, order, key)
-    return GatherResult(successes, failures, False, order, None)
-
-
-def votes_predicate(threshold: int,
-                    votes_of_key: Callable[[Hashable], int],
-                    ) -> Callable[..., bool]:
-    """An ``enough`` predicate: collected keys hold >= ``threshold`` votes."""
-    def enough(successes: Dict[Hashable, Any],
-               failures: Dict[Hashable, BaseException]) -> bool:
-        return sum(votes_of_key(key) for key in successes) >= threshold
-    return enough
+            closer = None           # the deadline passed, no new reply
+        decision = enough(gathered)
+        if decision is True:
+            gathered.satisfied = True
+            gathered.closed_by = closer
+            return gathered
+        # Only a time still ahead is a deadline: anything else waits
+        # for the next reply.
+        until = decision if decision and decision > sim.now else None
+    return gathered

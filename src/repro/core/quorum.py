@@ -1,15 +1,18 @@
 """Quorum mathematics: intersection, cheapest quorums, availability.
 
 Pure functions over vote assignments — no simulation state.  These back
-both the online protocol (choosing which representatives to contact) and
+both the online protocol (choosing which representatives to contact,
+and :class:`QuorumRule`, when a version inquiry may stop waiting) and
 the closed-form analysis that reproduces the paper's example table.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
+from ..chaos.health import CLOSED, OPEN
 from ..errors import InvalidConfigurationError
 from .votes import Representative, SuiteConfiguration
 
@@ -92,6 +95,129 @@ def cheapest_quorum(reps: Sequence[Representative], threshold: int,
             chosen.remove(rep)
             gathered -= rep.votes
     return chosen
+
+
+def _cost(rep: Representative) -> Tuple[float, str]:
+    """Cheapest first: by latency hint, ties on ``rep_id``."""
+    return (rep.latency_hint, rep.rep_id)
+
+
+class Verdict(NamedTuple):
+    """What an inquiry does next: **close**; **wait** ``until`` a time
+    (``None``: the next reply); or **hedge** — close and fetch the data
+    from ``hedge`` while the piggyback stays eligible.  A close at the
+    deadline names the representative it stopped waiting for in
+    ``waited_on``: the wait is charged to it."""
+
+    close: bool
+    until: Optional[float] = None
+    hedge: Optional[Representative] = None
+    waited_on: Optional[Representative] = None
+
+    @property
+    def wake(self) -> Any:
+        """As :func:`~repro.core.gather.gather_until` reads a verdict."""
+        return self.close or (self.until or False)
+
+
+_CLOSE = Verdict(True)
+_WAIT = Verdict(False)
+
+
+class QuorumRule:
+    """When one version inquiry may stop waiting — a pure rule.
+
+    Built from the representatives that may be polled, the vote
+    ``threshold``, the start time and each server's breaker verdict
+    (``closed``; ``half-open``, an admitted probe; ``open``, refused; a
+    missing server is closed).  ``data_rep``, the piggyback target, is
+    the cheapest by ``(latency_hint, rep_id)`` among breaker-*closed*
+    representatives: a probe is never trusted with the payload.
+
+    Any ``r`` votes suffice (Gifford).  Once they are in, a preferred
+    reply still out — the data-bearing one (bulkier, so often last;
+    closing without it pays a second data trip), or a weak
+    representative's cheaper than the best voting responder — gets a
+    grace until
+    ``started + 2 × max(vote close − started, its latency hint)``.
+    Past it a missing data-bearing reply is hedged to the cheapest
+    current responder, and a missing weak one is given up.
+    """
+
+    __slots__ = ("threshold", "started", "polled", "vetoed", "data_rep",
+                 "weak")
+
+    def __init__(self, reps: Sequence[Representative], threshold: int,
+                 started: float,
+                 breakers: Optional[Mapping[str, str]] = None,
+                 read_data: bool = False) -> None:
+        breakers = breakers or {}
+        self.threshold = threshold
+        self.started = started
+        self.polled = [rep for rep in reps
+                       if breakers.get(rep.server, CLOSED) != OPEN]
+        self.vetoed = [rep for rep in reps
+                       if breakers.get(rep.server, CLOSED) == OPEN]
+        trusted = [rep for rep in self.polled
+                   if breakers.get(rep.server, CLOSED) == CLOSED]
+        self.data_rep = (min(trusted, key=_cost)
+                         if read_data and trusted else None)
+        self.weak = [rep for rep in self.polled if rep.weak]
+
+    @property
+    def attainable(self) -> int:
+        """Votes the polled representatives hold (fail fast below
+        ``threshold``)."""
+        return votes_of(self.polled)
+
+    def verdict(self, order: Sequence[Tuple[Representative, float, bool]],
+                successes: Mapping[Representative, Dict[str, Any]],
+                now: float) -> Verdict:
+        """The verdict at ``now``, given every settled reply as ``(rep,
+        settled_at, ok)`` in arrival order and the successes' stats."""
+        votes, voted_at = 0, None
+        data_rep = self.data_rep
+        waiting = data_rep
+        for rep, at, ok in order:
+            if rep is data_rep:
+                waiting = None
+            if ok and voted_at is None:
+                votes += rep.votes
+                if votes >= self.threshold:
+                    voted_at = at
+        if voted_at is None:
+            return _WAIT
+        if waiting is None and self.weak:
+            waiting = self._cheaper_weak(order, successes)
+        if waiting is None:
+            return _CLOSE
+        deadline = self.started + 2.0 * max(voted_at - self.started,
+                                             waiting.latency_hint)
+        if now < deadline:
+            return Verdict(False, until=deadline)
+        if waiting is data_rep:
+            return Verdict(True, hedge=self.serving(successes)[0],
+                           waited_on=waiting)
+        return Verdict(True, waited_on=waiting)
+
+    def _cheaper_weak(self, order, successes) -> Optional[Representative]:
+        """The cheapest unsettled weak representative cheaper than the
+        best voting responder: serving from it is the point of
+        caching."""
+        settled = [rep for rep, _at, _ok in order]
+        best = min((rep.latency_hint for rep in successes if rep.votes > 0),
+                   default=float("inf"))
+        return min((rep for rep in self.weak
+                    if rep not in settled and rep.latency_hint < best),
+                   key=_cost, default=None)
+
+    @staticmethod
+    def serving(successes: Mapping[Representative, Dict[str, Any]],
+                ) -> List[Representative]:
+        """Responders at the current (highest) version, cheapest first."""
+        current = max(stat["version"] for stat in successes.values())
+        return sorted((rep for rep, stat in successes.items()
+                       if stat["version"] == current), key=_cost)
 
 
 def quorum_latency(reps: Sequence[Representative], threshold: int,

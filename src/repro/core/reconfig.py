@@ -38,7 +38,7 @@ from ..errors import (InvalidConfigurationError, ReproError,
                       StaleConfigurationError)
 from ..txn.coordinator import Transaction
 from ..txn.locks import EXCLUSIVE
-from .quorum import cheapest_quorum
+from .quorum import QuorumRule, cheapest_quorum
 from .suite import FileSuiteClient, RETRYABLE
 from .votes import SuiteConfiguration
 
@@ -115,27 +115,14 @@ def _reconfigure_once(client: FileSuiteClient, txn: Transaction,
                       ) -> Generator[Any, Any,
                                      "tuple[bytes, int, list]"]:
     # 1. Old-configuration write quorum, exclusive.
-    gathered = yield from client._inquire(
+    gathered, _ = yield from client._inquire(
         txn, old_config.write_quorum, mode=EXCLUSIVE, include_weak=False)
-    current = max(stat["version"] for stat in gathered.successes.values())
+    current = client._current_version_from(gathered)
     new_version = current + 1
 
     # 2. Current contents, from a current responder.
-    current_reps = sorted(
-        (rep for rep, stat in gathered.successes.items()
-         if stat["version"] == current),
-        key=lambda rep: (rep.latency_hint, rep.rep_id))
-    data = None
-    for rep in current_reps:
-        try:
-            data, _version = yield txn.call(
-                rep.server, "txn.read", name=old_config.file_name,
-                timeout=client.data_timeout)
-            break
-        except RETRYABLE:
-            continue
-    if data is None:
-        raise ReproError("no current representative reachable for data")
+    data, _version, _rep = yield from client._fetch(
+        txn, QuorumRule.serving(gathered.successes), current, {}, False)
 
     # 3. Stage at the old write quorum plus all newly added servers.
     properties = {"config": installed.to_json(),

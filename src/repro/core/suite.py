@@ -20,6 +20,12 @@ skipped.  The fallback to the literal two-trip sequence — piggyback
 target stale, down, or over the ``read_max_bytes`` ceiling, or a
 ``for_update`` read that stages a write next — keeps behaviour
 otherwise identical (``read_fastpath=False`` disables the path).
+When the inquiry may stop waiting is one pure rule,
+:class:`~repro.core.quorum.QuorumRule`: once ``r`` votes are in, a
+preferred reply still out gets a bounded grace, and past it a missing
+piggyback is **hedged** — ``txn.read`` goes to the cheapest current
+responder while the piggyback stays eligible — so a dead preferred
+representative costs the grace and one data round, not a timeout.
 
 A read that is its transaction's **only operation** — :meth:`read` and
 :meth:`current_version`, which own their transaction — is one round in
@@ -57,9 +63,11 @@ paper assumes from its transactional storage system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Optional,
                     Sequence, Tuple)
 
+from ..chaos.health import OPEN
 from ..chaos.retry import RetryPolicy
 from ..errors import (DeadlockError, HostUnreachableError, LockTimeoutError,
                       QuorumUnattainableError, QuorumUnavailableError,
@@ -72,7 +80,7 @@ from ..sim.metrics import MetricsRegistry
 from ..txn.coordinator import Transaction, TransactionManager
 from ..txn.locks import EXCLUSIVE, SHARED
 from .gather import GatherResult, gather_until
-from .quorum import cheapest_quorum
+from .quorum import QuorumRule, cheapest_quorum
 from .votes import Representative, SuiteConfiguration
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,6 +92,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 RETRYABLE = (DeadlockError, LockTimeoutError, QuorumUnavailableError,
              RpcTimeout, HostUnreachableError, TransactionAborted,
              RemoteError)
+
+#: Attempts :func:`install_suite` makes, and the pause between them.
+INSTALL_ATTEMPTS = 4
+INSTALL_RETRY_DELAY = 150.0
+
+
+def _landed(read_rep: Representative, current: int,
+            gathered: GatherResult) -> bool:
+    """Whether a data race is over: the ``txn.read`` to ``read_rep``
+    settled, or a piggybacked stat landed with current data."""
+    if not gathered.order:
+        return False
+    rep, _at, ok = gathered.order[-1]
+    stat = gathered.successes[rep] if ok else {}
+    return rep is read_rep or (stat.get("data") is not None
+                               and stat["version"] >= current)
 
 
 @dataclass
@@ -130,7 +154,6 @@ class FileSuiteClient:
     def __init__(self, manager: TransactionManager,
                  config: SuiteConfiguration,
                  inquiry_timeout: float = 1_000.0,
-                 weak_inquiry_timeout: Optional[float] = None,
                  data_timeout: float = 5_000.0,
                  max_attempts: int = 4,
                  retry_backoff: float = 50.0,
@@ -142,12 +165,6 @@ class FileSuiteClient:
         self.sim = manager.sim
         self.config = config
         self.inquiry_timeout = inquiry_timeout
-        #: How long a read waits for a silent weak representative before
-        #: giving up on the cache.  Weak reps are normally local and
-        #: answer fast; a short bound here caps the cost of a dead one.
-        self.weak_inquiry_timeout = (weak_inquiry_timeout
-                                     if weak_inquiry_timeout is not None
-                                     else inquiry_timeout)
         self.data_timeout = data_timeout
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
@@ -177,10 +194,8 @@ class FileSuiteClient:
         self.collector = manager.collector or TraceCollector(
             clock=lambda: manager.sim.now, enabled=False)
         #: The endpoint's :class:`~repro.chaos.health.HealthTracker`, if
-        #: any (duck typed: anything with ``allow(server)``).  Quorum
-        #: assembly skips representatives it refuses and fails fast
-        #: with :class:`QuorumUnattainableError` when the admitted votes
-        #: cannot reach the threshold.
+        #: any: its breaker verdicts feed each inquiry's
+        #: :class:`~repro.core.quorum.QuorumRule`.
         self.health = endpoint.health
         #: The manager's :class:`~repro.obs.flight.FlightRecorder`, if
         #: any: the black-box journal.  Every finished quorum gather —
@@ -266,7 +281,7 @@ class FileSuiteClient:
     def current_version(self) -> Generator[Any, Any, int]:
         """Version-number inquiry only: collect a read quorum, no data."""
         def inquire(txn: Transaction):
-            gathered = yield from self._inquire(
+            gathered, _ = yield from self._inquire(
                 txn, self.config.read_quorum, mode=SHARED,
                 include_weak=False, release=True)
             return self._current_version_from(gathered)
@@ -338,74 +353,92 @@ class FileSuiteClient:
         # inquiry + separate read is kept as-is; everything else rides
         # the fast path.
         fastpath = self.read_fastpath and not for_update
-        gathered = yield from self._inquire(
+        gathered, hedged = yield from self._inquire(
             txn, threshold, mode=mode, include_weak=not for_update,
             read_data=fastpath,
             skip_version=cached[0] if cached is not None else None,
             release=release)
         current = self._current_version_from(gathered)
+        serving = QuorumRule.serving(gathered.successes)
 
         data: Optional[bytes] = None
-        served_by = ""
+        served_by: Optional[Representative] = None
         if cached is not None and cached[0] == current:
             # The inquiry proved the client-resident copy current (a
             # version number names its bytes: the same argument that
             # lets any weak representative serve a read) — no data
             # needs to move at all.
             data = cached[1]
-            served_by = "client-cache"
             self.metrics.counter("suite.read_cached").increment()
-        if data is None and fastpath:
-            bearing = sorted(
-                (rep for rep, stat in gathered.successes.items()
-                 if stat.get("data") is not None
-                 and stat["version"] == current),
-                key=lambda rep: (rep.latency_hint, rep.rep_id))
-            if bearing:
-                rep = bearing[0]
-                data = gathered.successes[rep]["data"]
-                served_by = rep.rep_id
-                if rep.weak:
-                    self.metrics.counter("suite.weak_reads").increment()
+        elif hedged is not None:
+            # Served by the hedged txn.read to a responder, or by the
+            # late piggyback (the one reply the gather never saw).
+            data, current, served_by = hedged
+            self.metrics.counter(
+                "suite.read_fallback" if served_by in gathered.successes
+                else "suite.read_fastpath").increment()
+        elif fastpath:
+            served_by = next((rep for rep in serving
+                              if gathered.successes[rep].get("data")
+                              is not None), None)
+            if served_by is not None:
+                data = gathered.successes[served_by]["data"]
                 self.metrics.counter("suite.read_fastpath").increment()
             elif any(stat.get("truncated")
                      for stat in gathered.successes.values()):
                 self.metrics.counter("suite.read_truncated").increment()
         if data is None:
-            # Legacy two-trip path: the piggyback target was stale,
-            # truncated, down — or the fast path is off entirely.
-            candidates = sorted(
-                (rep for rep, stat in gathered.successes.items()
-                 if stat["version"] == current),
-                key=lambda rep: (rep.latency_hint, rep.rep_id))
-            for rep in candidates:
-                try:
-                    # The version that came with the bytes is the one
-                    # to report: without held locks a newer commit may
-                    # land between the inquiry and this fetch.
-                    data, current = yield txn.call(
-                        rep.server, "txn.read", name=config.file_name,
-                        timeout=self.data_timeout, release=release)
-                except RETRYABLE:
-                    continue
-                served_by = rep.rep_id
-                if rep.weak:
-                    self.metrics.counter("suite.weak_reads").increment()
-                break
-            if data is None:
-                raise QuorumUnavailableError("read-data", 1, 0)
+            # The two-trip path: the piggyback target was stale,
+            # truncated or down — or the fast path is off.
+            data, current, served_by = yield from self._fetch(
+                txn, serving, current, {}, release)
             self.metrics.counter("suite.read_fallback").increment()
+        if served_by is not None and served_by.weak:
+            self.metrics.counter("suite.weak_reads").increment()
 
         stale = [rep for rep, stat in gathered.successes.items()
                  if stat["version"] < current]
         self._schedule_refresh(stale, current, data)
-        return ReadResult(data=data, version=current, served_by=served_by,
+        return ReadResult(data=data, version=current,
+                          served_by=(served_by.rep_id if served_by
+                                     else "client-cache"),
                           quorum=[rep.rep_id for rep in gathered.successes
                                   if rep.votes > 0],
                           stale=[rep.rep_id for rep in stale],
                           observed={rep.rep_id: stat["version"]
                                     for rep, stat
                                     in gathered.successes.items()})
+
+    def _fetch(self, txn: Transaction, serving: List[Representative],
+               current: int, piggyback: Dict[Representative, Any],
+               release: bool,
+               ) -> Generator[Any, Any, Tuple[bytes, int, Representative]]:
+        """The data trip: ``txn.read`` from the cheapest current
+        responder that answers, then the next.  ``piggyback`` holds the
+        data-bearing inquiry a hedged gather stopped waiting for: it
+        stays eligible, and whichever current reply lands first serves
+        the read.  Returns the data, the version that came with it and
+        the representative that served it."""
+        for rep in serving:
+            read = txn.call(rep.server, "txn.read",
+                            name=self.config.file_name,
+                            timeout=self.data_timeout, release=release)
+            if piggyback:
+                raced = yield from gather_until(
+                    self.sim, {rep: read, **piggyback},
+                    partial(_landed, rep, current))
+                if raced.closed_by is not rep:
+                    stat = raced.successes[raced.closed_by]
+                    return stat["data"], stat["version"], raced.closed_by
+            try:
+                # The version that came with the bytes is the one to
+                # report: without held locks a newer commit may land
+                # between the inquiry and this fetch.
+                data, version = yield read
+            except RETRYABLE:
+                continue
+            return data, version, rep
+        raise QuorumUnavailableError("read-data", 1, 0)
 
     def _write_once(self, txn: Transaction, data: bytes,
                     prepare: bool = False,
@@ -415,12 +448,9 @@ class FileSuiteClient:
         once it has staged there: every stage then carries the vote
         request (see :mod:`repro.txn.coordinator`)."""
         config = self.config
-        gathered = yield from self._inquire(
+        gathered, _ = yield from self._inquire(
             txn, config.write_quorum, mode=EXCLUSIVE, include_weak=False)
-        current = self._current_version_from(gathered,
-                                             threshold=config.write_quorum,
-                                             kind="write")
-        new_version = current + 1
+        new_version = self._current_version_from(gathered) + 1
 
         responders = list(gathered.successes)
         quorum = cheapest_quorum(responders, config.write_quorum)
@@ -464,24 +494,26 @@ class FileSuiteClient:
                  include_weak: bool, read_data: bool = False,
                  skip_version: Optional[int] = None,
                  release: bool = False,
-                 ) -> Generator[Any, Any, GatherResult]:
-        """Version-number inquiry until ``threshold`` votes respond.
+                 ) -> Generator[Any, Any, Tuple[GatherResult, Any]]:
+        """Version-number inquiry until the :class:`QuorumRule` closes.
 
         Weak representatives are polled too on reads (their answers are
         free candidates for serving the data) but never counted toward
-        the quorum.
+        the quorum; representatives whose breaker refuses traffic are
+        left out (an open breaker past its cooldown admits one probe).
 
-        With ``read_data=True`` exactly one representative — the
-        cheapest admitted one by latency hint, i.e. the one the legacy
-        path would fetch the data from anyway — is asked to piggyback
-        the file contents onto its stat reply (bounded by
-        :attr:`read_max_bytes`; a copy at ``skip_version`` sends no
-        data).  Only one target keeps the paper's "data moves once"
-        economy: broadcasting the request would multiply the bulk
-        transfer by the representative count.
+        With ``read_data=True`` exactly one representative — the rule's
+        ``data_rep`` — is asked to piggyback the file contents onto its
+        stat reply (bounded by :attr:`read_max_bytes`; a copy at
+        ``skip_version`` sends no data): one target keeps the paper's
+        "data moves once" economy.  When the rule gives up waiting for
+        it, the data fetch is hedged (:meth:`_fetch`) before the gather
+        is recorded, so the record charges the wait up to the data's
+        arrival to ``data_rep``.  With ``release=True`` every inquiry
+        drops its lock as it replies (single-operation reads).
 
-        With ``release=True`` every inquiry tells its representative to
-        drop the lock it takes as it replies (single-operation reads).
+        Returns the gather and the hedged fetch's ``(data, version,
+        rep)``, or ``None``.
         """
         config = self.config
         started = self.sim.now
@@ -494,62 +526,22 @@ class FileSuiteClient:
             # Inquiry RPCs (and the detail fetch in
             # _check_configuration) parent to the assembly span.
             txn.span = qspan
-        # Consult the circuit breakers *before* soliciting anyone:
-        # representatives whose breaker refuses traffic are left out of
-        # the inquiry entirely (an open breaker past its cooldown
-        # admits one probe call here).
-        admitted: List[Representative] = []
-        vetoed: List[Representative] = []
-        for rep in config.representatives:
-            if rep.weak and not include_weak:
-                continue
-            if self.health is not None \
-                    and not self.health.allow(rep.server):
-                vetoed.append(rep)
-                continue
-            admitted.append(rep)
-        # The piggyback target: the cheapest admitted representative by
-        # latency hint — exactly the one the legacy path would issue
-        # its follow-up ``txn.read`` to when every copy is current.
-        data_rep: Optional[Representative] = None
-        if read_data and admitted:
-            data_rep = min(admitted,
-                           key=lambda rep: (rep.latency_hint, rep.rep_id))
-        calls = {}
-
-        def enough(successes, failures):
-            votes = sum(rep.votes for rep in successes)
-            if votes < threshold:
-                return False
-            settled = set(successes) | set(failures)
-            if data_rep is not None and data_rep not in settled:
-                # The piggybacked reply *is* the read's payload (it is
-                # bigger than the other stats, so on a bandwidth-bound
-                # link it lands last): returning the moment the votes
-                # arrive would discard that transfer and pay a second
-                # data trip.  A dead target settles at its inquiry
-                # timeout and the read falls back.
-                return False
-            if not include_weak:
-                return True
-            # A weak representative cheaper than the best responding
-            # voting candidate is worth waiting for — serving the data
-            # from it is the whole point of caching.  Weak reps slower
-            # than the best candidate never delay the read.
-            best_voting = min((rep.latency_hint for rep in successes
-                               if rep.votes > 0), default=float("inf"))
-            for rep in calls:
-                if rep.weak and rep not in settled \
-                        and rep.latency_hint < best_voting:
-                    return False
-            return True
-
+        reps = [rep for rep in config.representatives
+                if include_weak or not rep.weak]
+        # Asking a breaker claims a half-open probe slot: ask only about
+        # the representatives this inquiry may poll.
+        health = self.health
+        breakers = {} if health is None else {
+            rep.server: (health.state(rep.server)
+                         if health.allow(rep.server) else OPEN)
+            for rep in reps}
+        rule = QuorumRule(reps, threshold, started, breakers, read_data)
         try:
-            if vetoed:
+            if rule.vetoed:
                 qspan.event("health.vetoed",
                             reps=",".join(sorted(rep.rep_id
-                                                 for rep in vetoed)))
-            attainable = sum(rep.votes for rep in admitted)
+                                                 for rep in rule.vetoed)))
+            attainable = rule.attainable
             if attainable < threshold:
                 # Fail fast: even if every admitted representative
                 # answered, the votes cannot reach the quorum.  Cheaper
@@ -566,25 +558,34 @@ class FileSuiteClient:
             # lets all of a host's inquiries share one wire frame —
             # interleaving a yield between calls would flush them as
             # separate frames.
-            for rep in admitted:
+            piggyback = {"read_data": True, "max_bytes": self.read_max_bytes,
+                         "skip_version": skip_version}
+            calls = {}
+            for rep in rule.polled:
                 # Weak representatives only serve reads: shared mode.
-                rep_mode = SHARED if rep.weak else mode
-                timeout = (self.weak_inquiry_timeout if rep.weak
-                           else self.inquiry_timeout)
-                extra: Dict[str, Any] = {}
-                if rep is data_rep:
-                    extra = {"read_data": True,
-                             "max_bytes": self.read_max_bytes,
-                             "skip_version": skip_version}
-                calls[rep] = txn.call(rep.server, "txn.stat",
-                                      name=config.file_name,
-                                      mode=rep_mode, timeout=timeout,
-                                      release=release, **extra)
-            gathered = yield from gather_until(self.sim, calls, enough)
+                calls[rep] = txn.call(
+                    rep.server, "txn.stat", name=config.file_name,
+                    mode=SHARED if rep.weak else mode,
+                    timeout=self.inquiry_timeout, release=release,
+                    **(piggyback if rep is rule.data_rep else {}))
+            gathered = yield from gather_until(
+                self.sim, calls, lambda gathered: rule.verdict(
+                    gathered.order, gathered.successes, self.sim.now).wake)
+            verdict = rule.verdict(gathered.order, gathered.successes,
+                                   self.sim.now)
+            hedged = None
+            if verdict.hedge is not None:
+                current = self._current_version_from(gathered)
+                if current != skip_version:
+                    hedged = yield from self._fetch(
+                        txn, QuorumRule.serving(gathered.successes),
+                        current, {rule.data_rep: calls[rule.data_rep]},
+                        release)
             waited = self.sim.now - started
             self.metrics.histogram("suite.quorum_wait").observe(waited)
             path = QuorumPath.from_gather(config.suite_name, op, threshold,
-                                          started, gathered)
+                                          started, gathered,
+                                          verdict.waited_on, self.sim.now)
             if qspan:
                 path.annotate(qspan, gathered)
             counted, waits = path.blocking()
@@ -611,7 +612,7 @@ class FileSuiteClient:
                         closed_by=path.closed_by or "", waited=waited)
             qspan.set_attr("votes", path.votes)
             qspan.end()
-            return gathered
+            return gathered, hedged
         except BaseException as exc:
             if not isinstance(exc, GeneratorExit):
                 qspan.end(error=f"{type(exc).__name__}: {exc}")
@@ -642,14 +643,10 @@ class FileSuiteClient:
                 f"{family}[suite={suite},rep={rep.rep_id}]").set(
                 float(current - stat["version"]))
 
-    def _current_version_from(self, gathered: GatherResult,
-                              threshold: Optional[int] = None,
-                              kind: str = "read") -> int:
-        versions = [stat["version"]
-                    for stat in gathered.successes.values()]
-        if not versions:
-            raise QuorumUnavailableError(kind, threshold or 1, 0)
-        return max(versions)
+    def _current_version_from(self, gathered: GatherResult) -> int:
+        """The highest version in a satisfied gather: by quorum
+        intersection, the current one."""
+        return max(stat["version"] for stat in gathered.successes.values())
 
     def _check_configuration(self, txn: Transaction,
                              gathered: GatherResult,
@@ -698,9 +695,7 @@ class FileSuiteClient:
         last_error: Optional[BaseException] = None
         attempts = 0            # retryable failures (bounds the loop)
         config_refreshes = 0    # configuration adoptions (bounded at 3)
-        total_attempts = 0      # every transaction begun — the number
-        #                         traces and results report, so a
-        #                         config-adoption retry is not invisible
+        total_attempts = 0      # every transaction begun (reported)
         while attempts < self.max_attempts:
             txn = self.manager.begin()
             txn.span = span
@@ -749,7 +744,6 @@ class FileSuiteClient:
 
 def install_suite(manager: TransactionManager, config: SuiteConfiguration,
                   initial_data: bytes = b"",
-                  attempts: int = 4, retry_delay: float = 150.0,
                   ) -> Generator[Any, Any, None]:
     """Create a suite: install the file at *every* representative.
 
@@ -760,12 +754,13 @@ def install_suite(manager: TransactionManager, config: SuiteConfiguration,
     lock) retry with a fresh transaction: re-staging version 1 with
     ``create=True`` is idempotent at the servers, and locks stranded by
     an aborted attempt are released by the best-effort aborts before the
-    next attempt's ``retry_delay`` expires.
+    next of :data:`INSTALL_ATTEMPTS` begins, :data:`INSTALL_RETRY_DELAY`
+    ms later.
     """
     properties = {"config": config.to_json(),
                   "stamp": config.config_version}
     last_error: Optional[ReproError] = None
-    for attempt in range(attempts):
+    for attempt in range(INSTALL_ATTEMPTS):
         txn = manager.begin()
         try:
             calls = [
@@ -781,8 +776,8 @@ def install_suite(manager: TransactionManager, config: SuiteConfiguration,
         except RETRYABLE as exc:
             yield from txn.abort()
             last_error = exc
-            if attempt + 1 < attempts and retry_delay > 0:
-                yield manager.sim.timeout(retry_delay)
+            if attempt + 1 < INSTALL_ATTEMPTS:
+                yield manager.sim.timeout(INSTALL_RETRY_DELAY)
         except ReproError:
             yield from txn.abort()
             raise

@@ -138,17 +138,6 @@ class LoopbackCluster:
         """Bring a stopped representative back on its old port."""
         return await self.servers[name].restart()
 
-    def partition(self, groups: Sequence[Sequence[str]]) -> None:
-        """Split the cluster via the chaos policy (requires one)."""
-        if self.chaos is None:
-            raise RuntimeError("cluster started without a chaos policy")
-        self.chaos.partition(groups)
-
-    def heal(self) -> None:
-        if self.chaos is None:
-            raise RuntimeError("cluster started without a chaos policy")
-        self.chaos.heal()
-
     # -- observability -----------------------------------------------------
 
     def obs_addresses(self) -> Dict[str, Tuple[str, int]]:

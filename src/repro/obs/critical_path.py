@@ -17,7 +17,8 @@ needs:
 
 * **blocked time** — milliseconds of gather wait charged to each rep
   (marginal interval attribution: reply at ``t_i`` is charged
-  ``t_i - t_{i-1}``);
+  ``t_i - t_{i-1}``; a gather the quorum rule closed at its deadline
+  charges its whole wait to the representative it waited for);
 * **closes** — how often each rep's reply was the one that closed a
   quorum (the strict critical-path endpoint);
 * per-suite read/write breakdowns of operation counts and mean
@@ -59,8 +60,11 @@ _RECORD_KEYS = ("suite", "mode", "threshold", "votes", "satisfied",
 class QuorumPath:
     """One finished quorum gather, the record every plane is written
     from or parsed into.  ``order`` holds ``(rep_id, at, ok)`` per
-    settled reply in arrival order; ``observed`` maps each successful
-    reply to its version.  Only the trace reader fills ``trace_id`` and
+    settled reply in arrival order; a gather closed at the quorum
+    rule's deadline ends it with ``(rep_id, deadline, None)`` for the
+    representative it stopped waiting for, which is then its
+    ``closed_by``.  ``observed`` maps each successful reply to its
+    version.  Only the trace reader fills ``trace_id`` and
     ``waited``."""
 
     suite: str
@@ -69,7 +73,7 @@ class QuorumPath:
     votes: int
     satisfied: bool
     started: float
-    order: List[Tuple[str, float, bool]]
+    order: List[Tuple[str, float, Optional[bool]]]
     closed_by: Optional[str]
     observed: Dict[str, int]
     trace_id: str = ""
@@ -77,14 +81,21 @@ class QuorumPath:
 
     @classmethod
     def from_gather(cls, suite: str, mode: str, threshold: int,
-                    started: float, gathered: Any) -> "QuorumPath":
-        """Record a gather whose keys carry ``rep_id`` and ``votes``."""
+                    started: float, gathered: Any,
+                    waited_on: Any = None,
+                    closed_at: float = 0.0) -> "QuorumPath":
+        """Record a gather whose keys carry ``rep_id`` and ``votes``;
+        ``waited_on`` is the representative a deadline close at
+        ``closed_at`` stopped waiting for."""
         successes = gathered.successes
         closer = gathered.closed_by
+        order = [(rep.rep_id, at, ok) for rep, at, ok in gathered.order]
+        if waited_on is not None:
+            closer = waited_on
+            order.append((waited_on.rep_id, closed_at, None))
         return cls(suite, mode, threshold,
                    sum(rep.votes for rep in successes), gathered.satisfied,
-                   started,
-                   [(rep.rep_id, at, ok) for rep, at, ok in gathered.order],
+                   started, order,
                    closer.rep_id if closer is not None else None,
                    {rep.rep_id: stat["version"]
                     for rep, stat in successes.items()})
@@ -112,11 +123,20 @@ class QuorumPath:
                 span.event("inquiry.failed", rep=rep.rep_id, at=at,
                            waited=at - self.started,
                            error=type(gathered.failures[rep]).__name__)
+        if self.order and self.order[-1][2] is None:
+            rep_id, at, _ok = self.order[-1]
+            span.event("inquiry.deadline", rep=rep_id, at=at,
+                       waited=at - self.started)
 
     def attribution(self) -> Dict[str, float]:
         """The one blocking-attribution rule: by ``(at, rep_id)``, each
         positive settle-to-settle interval (the first from the inquiry
-        send) is charged to the rep whose reply ended it."""
+        send) is charged to the rep whose reply ended it.  A gather the
+        quorum rule closed at its deadline waited on one representative
+        from send to close: the whole wait is charged to it."""
+        if self.order and self.order[-1][2] is None:
+            rep, at, _ok = self.order[-1]
+            return {rep: at - self.started} if at > self.started else {}
         charged: Dict[str, float] = {}
         previous = self.started
         for rep, at, _ok in sorted(self.order,
@@ -140,6 +160,12 @@ class QuorumPath:
             for rep, charged in self.attribution().items()}
 
 
+#: The ``quorum.assemble`` span events that each add one ``order``
+#: entry, and the ``ok`` flag they stand for.
+_SETTLED = {"version.collect": True, "inquiry.failed": False,
+            "inquiry.deadline": None}
+
+
 def extract_quorum_paths(spans: Iterable[Span]) -> List[QuorumPath]:
     """Rebuild every quorum assembly recorded in ``spans``."""
     paths: List[QuorumPath] = []
@@ -154,9 +180,9 @@ def extract_quorum_paths(spans: Iterable[Span]) -> List[QuorumPath]:
         waited = None
         for event in span.events:
             attrs = event.attrs
-            if event.name in ("version.collect", "inquiry.failed"):
+            if event.name in _SETTLED:
                 rep = str(attrs.get("rep", "?"))
-                ok = event.name == "version.collect"
+                ok = _SETTLED[event.name]
                 path.order.append(
                     (rep, float(attrs.get("at", event.time)), ok))
                 if ok:

@@ -173,16 +173,6 @@ class StorageServer:
         rows = yield from self.execute(self.fs.resolve(txn, install))
         return rows
 
-    def create_file(self, name: str,
-                    properties: Optional[Dict[str, Any]] = None
-                    ) -> Generator[Any, Any, None]:
-        self._require_up()
-        yield from self.execute(self.fs.create_file(name, properties))
-
-    def delete_file(self, name: str) -> Generator[Any, Any, None]:
-        self._require_up()
-        yield from self.execute(self.fs.delete_file(name))
-
     def stat(self, name: str) -> FileStat:
         """Untimed metadata lookup (directory is cached in memory)."""
         if not self.host.up:

@@ -61,11 +61,6 @@ class WorkloadStats:
         attempts = self.reads + self.read_blocked
         return self.read_blocked / attempts if attempts else 0.0
 
-    @property
-    def write_blocking_rate(self) -> float:
-        attempts = self.writes + self.write_blocked
-        return self.write_blocked / attempts if attempts else 0.0
-
     def merge(self, other: "WorkloadStats") -> "WorkloadStats":
         """Combine two drivers' statistics (for client populations)."""
         merged = WorkloadStats()

@@ -1,6 +1,7 @@
 """Nemesis scripts and invariant-checked soaks on both runtimes."""
 
 import asyncio
+import sys
 
 import pytest
 
@@ -134,9 +135,10 @@ class TestSimSoak:
         assert run_sim_soak(config).ok
         numbered = FileSuiteClient._current_version_from
 
-        def reuse(self, gathered, threshold=None, kind="read"):
-            current = numbered(self, gathered, threshold, kind)
-            return current - 1 if kind == "write" else current
+        def reuse(self, gathered):
+            current = numbered(self, gathered)
+            writing = sys._getframe(1).f_code.co_name == "_write_once"
+            return current - 1 if writing else current
 
         monkeypatch.setattr(FileSuiteClient, "_current_version_from",
                             reuse)

@@ -190,6 +190,30 @@ def test_sim_cluster_deterministic_layout():
 
 
 class TestLiveCluster:
+    def test_obs_manifest_and_fleet_view(self, tmp_path):
+        """The live fleet's discovery file and merged scrape: every
+        daemon's sidecar is in the manifest and answers the scrape."""
+        from repro.obs.aggregate import load_obs_manifest
+
+        spec = ClusterSpec(servers=3, suites=2, directory_shards=1,
+                           seed=4)
+        manifest = str(tmp_path / "fleet.json")
+
+        async def scenario():
+            async with LiveCluster(spec) as cluster:
+                handle = cluster.handles["app-001"]
+                await cluster.loopback.run(handle.read())
+                addresses = cluster.write_obs_manifest(manifest)
+                view = await cluster.fleet_view()
+                return addresses, view
+
+        addresses, view = asyncio.run(scenario())
+        assert sorted(addresses) == spec.server_names
+        assert load_obs_manifest(manifest) == addresses
+        assert view.errors == {}
+        assert sorted(view.sources) == spec.server_names
+        assert all(view.sources[name] for name in spec.server_names)
+
     def test_bootstrap_serve_and_join(self, tmp_path):
         spec = ClusterSpec(servers=3, suites=6, directory_shards=2,
                            seed=2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import gather_until, votes_predicate
+from repro.core import gather_until
 from repro.sim import Simulator
 
 
@@ -13,7 +13,8 @@ class TestGatherUntil:
 
         def flow():
             result = yield from gather_until(
-                sim, calls, votes_predicate(2, votes.__getitem__))
+                sim, calls,
+                lambda g: sum(votes[key] for key in g.successes) >= 2)
             return result
 
         result = sim.run_process(flow())
@@ -29,7 +30,7 @@ class TestGatherUntil:
 
         def flow():
             result = yield from gather_until(
-                sim, calls, lambda s, f: len(s) >= 1)
+                sim, calls, lambda g: len(g.successes) >= 1)
             return result
 
         result = sim.run_process(flow())
@@ -43,7 +44,8 @@ class TestGatherUntil:
 
         def flow():
             result = yield from gather_until(
-                sim, {"x": bad1, "y": bad2}, lambda s, f: len(s) >= 1)
+                sim, {"x": bad1, "y": bad2},
+                lambda g: len(g.successes) >= 1)
             return result
 
         result = sim.run_process(flow())
@@ -52,14 +54,14 @@ class TestGatherUntil:
 
     def test_empty_calls_with_trivial_predicate(self, sim):
         def flow():
-            result = yield from gather_until(sim, {}, lambda s, f: True)
+            result = yield from gather_until(sim, {}, lambda g: True)
             return result
 
         assert sim.run_process(flow()).satisfied
 
     def test_empty_calls_unsatisfiable(self, sim):
         def flow():
-            result = yield from gather_until(sim, {}, lambda s, f: False)
+            result = yield from gather_until(sim, {}, lambda g: False)
             return result
 
         assert not sim.run_process(flow()).satisfied
@@ -74,7 +76,8 @@ class TestGatherUntil:
 
         def flow():
             result = yield from gather_until(
-                sim, calls, votes_predicate(2, weights.__getitem__))
+                sim, calls,
+                lambda g: sum(weights[key] for key in g.successes) >= 2)
             return result
 
         result = sim.run_process(flow())
@@ -88,7 +91,8 @@ class TestGatherUntil:
 
         def flow():
             result = yield from gather_until(
-                sim, {"s": slow, "f": fast}, lambda s, f: len(s) >= 1)
+                sim, {"s": slow, "f": fast},
+                lambda g: len(g.successes) >= 1)
             return sim.now, result
 
         now, result = sim.run_process(flow())
@@ -98,6 +102,63 @@ class TestGatherUntil:
         assert slow.triggered  # still settles afterwards, harmlessly
 
 
+class TestDeadline:
+    """A predicate may answer with a time: keep waiting, but wake then
+    and ask again."""
+
+    def test_deadline_wakes_the_gather_without_a_reply(self, sim):
+        calls = {"fast": sim.timeout(1.0, "f"),
+                 "slow": sim.timeout(100.0, "s")}
+        asked = []
+
+        def enough(gathered):
+            asked.append(sim.now)
+            if "slow" in gathered.successes or sim.now >= 5.0:
+                return True
+            return 5.0 if gathered.successes else False
+
+        def flow():
+            result = yield from gather_until(sim, calls, enough)
+            return result
+
+        result = sim.run_process(flow())
+        assert result.satisfied and sim.now == 5.0
+        # Closed by the timer, not by a reply: no closer, and the slow
+        # reply never entered the order.
+        assert result.closed_by is None
+        assert [key for key, _at, _ok in result.order] == ["fast"]
+        assert asked == [0.0, 1.0, 5.0]
+
+    def test_reply_before_the_deadline_closes_first(self, sim):
+        calls = {"fast": sim.timeout(1.0, "f"),
+                 "slow": sim.timeout(3.0, "s")}
+
+        def flow():
+            result = yield from gather_until(
+                sim, calls,
+                lambda g: len(g.successes) == 2 or (
+                    sim.now >= 5.0 or (5.0 if g.successes else False)))
+            return result
+
+        result = sim.run_process(flow())
+        assert result.closed_by == "slow" and sim.now == 3.0
+        sim.run()                      # the stale timer fires harmlessly
+        assert sim.now == 5.0
+
+    def test_past_deadline_waits_for_the_next_reply(self, sim):
+        # A time not ahead of now is no deadline: the gather does not
+        # spin on it, it waits for the next reply.
+        calls = {"a": sim.timeout(1.0, "a"), "b": sim.timeout(4.0, "b")}
+
+        def flow():
+            result = yield from gather_until(
+                sim, calls, lambda g: len(g.successes) == 2 or 0.5)
+            return result
+
+        result = sim.run_process(flow())
+        assert result.closed_by == "b" and sim.now == 4.0
+
+
 class TestSettleOrder:
     def test_order_records_every_settle_with_time(self, sim):
         calls = {f"k{i}": sim.timeout(float(i), value=i)
@@ -105,7 +166,7 @@ class TestSettleOrder:
 
         def flow():
             result = yield from gather_until(
-                sim, calls, lambda s, f: len(s) >= 3)
+                sim, calls, lambda g: len(g.successes) >= 3)
             return result
 
         result = sim.run_process(flow())
@@ -119,7 +180,7 @@ class TestSettleOrder:
 
         def flow():
             result = yield from gather_until(
-                sim, calls, lambda s, f: len(s) >= 2)
+                sim, calls, lambda g: len(g.successes) >= 2)
             return result
 
         result = sim.run_process(flow())
@@ -135,7 +196,7 @@ class TestSettleOrder:
         def flow():
             result = yield from gather_until(
                 sim, {"bad": bad, "good": ok},
-                lambda s, f: len(s) >= 1)
+                lambda g: len(g.successes) >= 1)
             return result
 
         result = sim.run_process(flow())
@@ -157,7 +218,7 @@ class TestSettleOrder:
 
         def flow():
             result = yield from gather_until(
-                sim, calls, lambda s, f: len(s) >= 3)
+                sim, calls, lambda g: len(g.successes) >= 3)
             return result
 
         sim.spawn(replies())
@@ -175,7 +236,7 @@ class TestSettleOrder:
 
         def flow():
             result = yield from gather_until(
-                sim, calls, lambda s, f: len(s) >= 3)
+                sim, calls, lambda g: len(g.successes) >= 3)
             return result
 
         result = sim.run_process(flow())
@@ -187,7 +248,7 @@ class TestSettleOrder:
 
         def flow():
             result = yield from gather_until(
-                sim, {"x": bad}, lambda s, f: len(s) >= 1)
+                sim, {"x": bad}, lambda g: len(g.successes) >= 1)
             return result
 
         result = sim.run_process(flow())
@@ -211,7 +272,8 @@ class TestNoProcessPerCall:
 
         def flow():
             result = yield from gather_until(
-                sim, calls, lambda s, f: len(s) + len(f) >= 5)
+                sim, calls,
+                lambda g: len(g.successes) + len(g.failures) >= 5)
             return result
 
         process = sim.spawn(flow())
@@ -226,7 +288,7 @@ class TestNoProcessPerCall:
         sim.spawn = _forbid
         sim.any_of = _forbid
         queued = len(sim._queue)
-        gather = gather_until(sim, calls, lambda s, f: True)
+        gather = gather_until(sim, calls, lambda g: True)
         with pytest.raises(StopIteration) as stop:
             next(gather)
         assert stop.value.value.satisfied
@@ -242,10 +304,10 @@ class TestNoProcessPerCall:
         reply = sim.event()
         hops = []
 
-        def enough(successes, failures):
-            if successes:
+        def enough(gathered):
+            if gathered.successes:
                 hops.append(sim._sequence - before[0])
-            return bool(successes)
+            return bool(gathered.successes)
 
         def flow():
             result = yield from gather_until(sim, {"k": reply}, enough)
@@ -268,7 +330,8 @@ class TestNoProcessPerCall:
 
         def flow():
             result = yield from gather_until(
-                sim, {"fast": fast, "late": late}, lambda s, f: len(s) >= 1)
+                sim, {"fast": fast, "late": late},
+                lambda g: len(g.successes) >= 1)
             return result
 
         sim.spawn(fail_late())
@@ -284,7 +347,7 @@ class TestNoProcessPerCall:
 
         def flow():
             yield from gather_until(sim, {"k": reply},
-                                    lambda s, f: bool(s))
+                                    lambda g: bool(g.successes))
             return "finished"
 
         process = sim.spawn(flow())

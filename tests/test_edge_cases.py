@@ -126,15 +126,6 @@ def triple_config_on(server):
 
 
 class TestSuiteEdges:
-    def test_weak_inquiry_timeout_defaults_to_inquiry(self, bed):
-        suite = bed.suite(triple_config(), inquiry_timeout=321.0)
-        assert suite.weak_inquiry_timeout == 321.0
-
-    def test_explicit_weak_inquiry_timeout(self, bed):
-        suite = bed.suite(triple_config(), inquiry_timeout=321.0,
-                          weak_inquiry_timeout=55.0)
-        assert suite.weak_inquiry_timeout == 55.0
-
     def test_transact_retries_on_quorum_loss(self, bed):
         suite = bed.install(triple_config(), b"0")
         suite.retry_backoff = 300.0

@@ -30,6 +30,7 @@ from repro.obs.flight import (FlightHistory, FlightJournalError,
                               FlightRecorder, load_flight_journal,
                               read_journal_bytes)
 from repro.replay import re_execute, verify_journal
+from repro.replay.reexec import _first_chain_divergence
 
 SOAK = SoakConfig(ops=60, seed=3)
 
@@ -314,6 +315,42 @@ class TestReexecute:
                      flight_dir=original)
         report = re_execute(original, str(tmp_path / "replay"))
         assert report.ok and report.identical
+
+    def test_live_journal_compares_commit_chains(self, tmp_path):
+        # A journal recorded live cannot replay byte for byte: the
+        # re-execution compares committed (version, tag) chains.
+        original = str(tmp_path / "orig")
+        run_sim_soak(SOAK, flight_dir=original)
+
+        def go_live(data):
+            data["runtime"] = "live"
+
+        _tamper_first(original, "meta", go_live)
+        report = re_execute(original, str(tmp_path / "replay"))
+        assert report.ok and not report.byte_compared
+        assert report.original_commits == report.replay_commits
+
+        def dent(data):
+            data["version"] += 7
+
+        _tamper_first(original, "op", dent,
+                      want=lambda data: data["kind"] == "write"
+                      and data["ok"])
+        report = re_execute(original, str(tmp_path / "replay2"))
+        assert not report.ok
+        assert report.divergence.startswith("[suite] commit 0: recorded")
+
+    def test_chain_divergence_report(self):
+        chains = {"a": [(2, "x"), (3, "y")]}
+        assert _first_chain_divergence(chains, chains) is None
+        assert _first_chain_divergence(chains, {"a": [(2, "x"), (3, "z")]}) \
+            == "[a] commit 1: recorded version 3 tag 'y', " \
+               "replay version 3 tag 'z'"
+        assert _first_chain_divergence(chains, {"a": [(2, "x")]}) == (
+            "[a] commit chains differ in length (2 recorded vs 1 "
+            "replayed; first unmatched version stamp 3)")
+        assert _first_chain_divergence({}, {"b": [(2, "x")]}).startswith(
+            "[b] commit chains differ in length (0 recorded")
 
     def test_unknown_runtime_rejected(self, tmp_path):
         directory = str(tmp_path / "j")
