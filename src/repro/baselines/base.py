@@ -8,15 +8,13 @@ comparison benches can drive any protocol through one interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, List, Optional
+from functools import partial
+from typing import Any, Generator, List, Optional
 
-from ..errors import ReproError
-from ..core.suite import RETRYABLE
+from ..chaos.retry import RetryPolicy
+from ..errors import QuorumUnavailableError, ReproError
 from ..sim.metrics import MetricsRegistry
-from ..txn.coordinator import Transaction, TransactionManager
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.simulator import Simulator
+from ..txn.coordinator import RETRYABLE, Transaction, TransactionManager
 
 
 @dataclass
@@ -39,8 +37,7 @@ class ReplicaProtocolClient:
                  servers: List[str],
                  call_timeout: float = 1_000.0,
                  max_attempts: int = 4,
-                 retry_backoff: float = 50.0,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 retry_backoff: float = 50.0) -> None:
         if not servers:
             raise ValueError("need at least one replica server")
         self.manager = manager
@@ -49,8 +46,9 @@ class ReplicaProtocolClient:
         self.servers = list(servers)
         self.call_timeout = call_timeout
         self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
-        self.metrics = metrics or MetricsRegistry()
+        #: ×2 from ``retry_backoff``, no jitter.
+        self.retry_policy = RetryPolicy(base=retry_backoff, jitter=0.0)
+        self.metrics = manager.endpoint.metrics or MetricsRegistry()
 
     @property
     def file_name(self) -> str:
@@ -59,22 +57,11 @@ class ReplicaProtocolClient:
     # -- public API ------------------------------------------------------
 
     def read(self) -> Generator[Any, Any, ProtocolResult]:
-        started = self.sim.now
-        result = yield from self._with_retries(self._read_once)
-        self.metrics.counter(f"{self.protocol_name}.reads").increment()
-        self.metrics.histogram(
-            f"{self.protocol_name}.read_latency").observe(
-            self.sim.now - started)
-        return result
+        return (yield from self._transact("read", self._read_once))
 
     def write(self, data: bytes) -> Generator[Any, Any, ProtocolResult]:
-        started = self.sim.now
-        result = yield from self._with_retries(self._write_once, data)
-        self.metrics.counter(f"{self.protocol_name}.writes").increment()
-        self.metrics.histogram(
-            f"{self.protocol_name}.write_latency").observe(
-            self.sim.now - started)
-        return result
+        return (yield from self._transact(
+            "write", partial(self._write_once, data=data)))
 
     def install(self, initial_data: bytes = b"",
                 ) -> Generator[Any, Any, None]:
@@ -92,6 +79,22 @@ class ReplicaProtocolClient:
             yield from txn.abort()
             raise
 
+    def _read_first(self, txn: Transaction, servers: List[str],
+                    ) -> Generator[Any, Any, ProtocolResult]:
+        """``txn.read`` from the first of ``servers`` that answers."""
+        last_error: Optional[BaseException] = None
+        for server in servers:
+            try:
+                data, version = yield txn.call(
+                    server, "txn.read", name=self.file_name,
+                    timeout=self.call_timeout)
+                return ProtocolResult(data=data, version=version,
+                                      replicas=[server])
+            except RETRYABLE as exc:
+                last_error = exc
+        raise last_error if last_error is not None else \
+            QuorumUnavailableError("read", 1, 0)
+
     # -- to be provided by subclasses --------------------------------------
 
     def _read_once(self, txn: Transaction
@@ -104,27 +107,19 @@ class ReplicaProtocolClient:
 
     # -- retry loop ----------------------------------------------------------
 
-    def _with_retries(self, operation, *args) -> Generator[Any, Any, Any]:
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.max_attempts):
-            txn = self.manager.begin()
-            try:
-                result = yield from operation(txn, *args)
-                yield from txn.commit()
-                result.attempts = attempt + 1
-                return result
-            except RETRYABLE as exc:
-                yield from txn.abort()
-                last_error = exc
-                if self.retry_backoff > 0 \
-                        and attempt + 1 < self.max_attempts:
-                    yield self.sim.timeout(
-                        self.retry_backoff * (2 ** attempt))
-            except GeneratorExit:
-                raise  # killed process: must not yield during close()
-            except BaseException:
-                yield from txn.abort()
-                raise
-        self.metrics.counter(f"{self.protocol_name}.failures").increment()
-        assert last_error is not None
-        raise last_error
+    def _transact(self, kind: str,
+                  operation) -> Generator[Any, Any, ProtocolResult]:
+        """Run one ``kind`` operation in the manager's attempt loop."""
+        started = self.sim.now
+        prefix = self.protocol_name
+        try:
+            result, begun, _adopted = yield from self.manager.transact(
+                operation, self.retry_policy, self.max_attempts)
+        except RETRYABLE:
+            self.metrics.counter(f"{prefix}.failures").increment()
+            raise
+        result.attempts = begun
+        self.metrics.counter(f"{prefix}.{kind}s").increment()
+        self.metrics.histogram(f"{prefix}.{kind}_latency").observe(
+            self.sim.now - started)
+        return result

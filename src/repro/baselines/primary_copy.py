@@ -14,10 +14,9 @@ the classic scheme, which is precisely the contrast Gifford draws.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
-from ..errors import QuorumUnavailableError, ReproError
-from ..core.suite import RETRYABLE
+from ..errors import ReproError
 from ..txn.coordinator import Transaction
 from ..txn.locks import EXCLUSIVE
 from .base import ProtocolResult, ReplicaProtocolClient
@@ -52,20 +51,10 @@ class PrimaryCopyClient(ReplicaProtocolClient):
         order = [self.primary]
         if self.allow_stale_reads:
             order += self.secondaries
-        last_error: Optional[BaseException] = None
-        for server in order:
-            try:
-                data, version = yield txn.call(
-                    server, "txn.read", name=self.file_name,
-                    timeout=self.call_timeout)
-                if server != self.primary:
-                    self.metrics.counter("primary.stale_reads").increment()
-                return ProtocolResult(data=data, version=version,
-                                      replicas=[server])
-            except RETRYABLE as exc:
-                last_error = exc
-        raise last_error if last_error is not None else \
-            QuorumUnavailableError("read", 1, 0)
+        result = yield from self._read_first(txn, order)
+        if result.replicas[0] != self.primary:
+            self.metrics.counter("primary.stale_reads").increment()
+        return result
 
     def _write_once(self, txn: Transaction, data: bytes
                     ) -> Generator[Any, Any, ProtocolResult]:

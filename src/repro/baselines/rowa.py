@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from ..errors import QuorumUnavailableError
-from ..core.suite import RETRYABLE
 from ..txn.coordinator import Transaction
 from ..txn.locks import EXCLUSIVE
 from .base import ProtocolResult, ReplicaProtocolClient
@@ -37,18 +35,7 @@ class ReadOneWriteAllClient(ReplicaProtocolClient):
 
     def _read_once(self, txn: Transaction
                    ) -> Generator[Any, Any, ProtocolResult]:
-        last_error: Optional[BaseException] = None
-        for server in self._ordered_servers():
-            try:
-                data, version = yield txn.call(
-                    server, "txn.read", name=self.file_name,
-                    timeout=self.call_timeout)
-                return ProtocolResult(data=data, version=version,
-                                      replicas=[server])
-            except RETRYABLE as exc:
-                last_error = exc
-        raise last_error if last_error is not None else \
-            QuorumUnavailableError("read", 1, 0)
+        return (yield from self._read_first(txn, self._ordered_servers()))
 
     def _write_once(self, txn: Transaction, data: bytes
                     ) -> Generator[Any, Any, ProtocolResult]:

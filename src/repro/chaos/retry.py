@@ -1,10 +1,15 @@
 """Retry backoff policy: exponential, capped, with seeded jitter.
 
-One small immutable object: the backoff between a suite operation's
-attempts (:class:`~repro.core.suite.FileSuiteClient`).  Nothing else
-retries through it — the RPC layer retransmits on a fixed per-call
-timeout and the 2PC coordinator re-sends decisions every
-``commit_retry_interval``.  Jitter draws come from the caller's
+One small immutable object: how long :meth:`~repro.txn.coordinator.
+TransactionManager.transact`, the one attempt loop, waits between an
+operation's tries.  Each caller keeps its own schedule: suite
+operations and reconfiguration (×2 from the handle's
+``retry_backoff``, jittered), suite creation (a fixed 150 ms), the
+baselines and Violet's multi-suite transactions (×2, no jitter).
+Background pushes do not use it — the RPC layer retransmits on a fixed
+per-call timeout, the 2PC coordinator re-sends decisions every
+``commit_retry_interval``, and the refresher and primary-copy
+propagation back off linearly.  Jitter draws come from the caller's
 :class:`~repro.sim.rng.RandomStreams` stream, so simulated runs stay
 bit-for-bit deterministic and live runs de-synchronise naturally.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -21,16 +27,15 @@ class RetryPolicy:
     capped at ``cap``, scaled by a jitter factor in
     ``[1 - jitter, 1 + jitter]``.
 
-    The defaults give 25, 50, 100, ... ms (±50 %), capped at 2 s — a
-    conventional exponential-backoff ladder.  ``jitter=0.5`` draws the
-    factor as ``0.5 + rng.random()``, which is exactly the jitter the
-    suite's retry loop has always used, so adopting the policy there
-    changes no simulated timing.
+    The defaults give 25, 50, 100, ... ms (±50 %), uncapped: the
+    caller's number of attempts bounds the ladder.  ``jitter=0.5`` draws
+    the factor as ``0.5 + rng.random()``, the suite's jitter since its
+    first retry loop.
     """
 
     base: float = 25.0
     multiplier: float = 2.0
-    cap: float = 2_000.0
+    cap: float = float("inf")
     jitter: float = 0.5
 
     def __post_init__(self) -> None:
@@ -41,7 +46,8 @@ class RetryPolicy:
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
-    def delay(self, attempt: int, rng: random.Random) -> float:
+    def delay(self, attempt: int,
+              rng: Optional[random.Random]) -> float:
         """Backoff before retry number ``attempt`` (0-based), in ms.
 
         Draws from ``rng`` exactly once when jitter is enabled and the

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -264,6 +265,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await server.close()
 
+    # SIGINT stops the daemon cleanly even when it was started as a
+    # background job of a script, which inherits SIGINT ignored.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:

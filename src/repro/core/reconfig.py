@@ -32,18 +32,15 @@ background refresher as the backstop for whatever it could not reach.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from functools import partial
+from typing import Any, Generator
 
-from ..errors import (InvalidConfigurationError, ReproError,
-                      StaleConfigurationError)
+from ..errors import InvalidConfigurationError, ReproError
 from ..txn.coordinator import Transaction
 from ..txn.locks import EXCLUSIVE
 from .quorum import QuorumRule, cheapest_quorum
-from .suite import FileSuiteClient, RETRYABLE
+from .suite import FileSuiteClient
 from .votes import SuiteConfiguration
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.simulator import Simulator
 
 
 def change_configuration(client: FileSuiteClient,
@@ -52,8 +49,10 @@ def change_configuration(client: FileSuiteClient,
     """Install ``new_config`` on ``client``'s suite.
 
     Returns the installed configuration (its ``config_version`` is
-    forced to ``old + 1``).  Retries transient failures like any suite
-    write.  Raises :class:`InvalidConfigurationError` if ``new_config``
+    forced to ``old + 1``).  Runs in the suite's attempt loop under its
+    :attr:`~FileSuiteClient.retry_policy`, so it adopts a newer
+    configuration and retries transient failures like any suite write.
+    Raises :class:`InvalidConfigurationError` if ``new_config``
     names a different suite.
     """
     if new_config.suite_name != client.config.suite_name:
@@ -61,59 +60,37 @@ def change_configuration(client: FileSuiteClient,
             f"configuration is for suite {new_config.suite_name!r}, "
             f"client handles {client.config.suite_name!r}")
 
-    last_error: Optional[BaseException] = None
-    for attempt in range(client.max_attempts):
-        old_config = client.config
-        installed = new_config.evolve(
-            config_version=old_config.config_version + 1,
-            suite_name=old_config.suite_name)
-        txn = client.manager.begin()
-        try:
-            data, new_version, staged = yield from _reconfigure_once(
-                client, txn, old_config, installed)
-            yield from txn.commit()
-        except RETRYABLE as exc:
-            yield from txn.abort()
-            last_error = exc
-            if client.retry_backoff > 0:
-                yield client.sim.timeout(
-                    client.retry_backoff * (2 ** attempt))
-            continue
-        except StaleConfigurationError as exc:
-            # A concurrent reconfiguration won the race.  ``_inquire``
-            # already adopted the newer configuration into
-            # ``client.config``, so the next attempt re-evolves from
-            # the winner's config_version — the concurrent change is
-            # layered on top of it instead of lost.
-            yield from txn.abort()
-            last_error = exc
-            continue
-        except ReproError:
-            yield from txn.abort()
-            raise
-        # Adopt locally, cover the *new* write quorum, then propagate
-        # in the background and clean up removals.
-        client.config = installed
-        yield from _cover_new_write_quorum(client, installed, staged,
-                                           data, new_version)
-        _spread_and_cleanup(client, old_config, installed)
-        flight = getattr(client, "flight", None)
-        if flight is not None and not flight.closed:
-            flight.emit("reconfig", suite=installed.suite_name,
-                        config_version=installed.config_version,
-                        version=new_version,
-                        votes={rep.rep_id: rep.votes
-                               for rep in installed.representatives})
-        return installed
-    raise last_error if last_error is not None else \
-        InvalidConfigurationError("reconfiguration failed")
+    outcome, _begun, _adopted = yield from client.manager.transact(
+        partial(_reconfigure_once, client, new_config),
+        client.retry_policy, client.max_attempts, client._rng)
+    old_config, installed, data, new_version, staged = outcome
+    # Adopt locally, cover the *new* write quorum, then propagate in the
+    # background and clean up removals.
+    client.config = installed
+    yield from _cover_new_write_quorum(client, installed, staged, data,
+                                       new_version)
+    _spread_and_cleanup(client, old_config, installed)
+    flight = client.flight
+    if flight is not None and not flight.closed:
+        flight.emit("reconfig", suite=installed.suite_name,
+                    config_version=installed.config_version,
+                    version=new_version,
+                    votes={rep.rep_id: rep.votes
+                           for rep in installed.representatives})
+    return installed
 
 
-def _reconfigure_once(client: FileSuiteClient, txn: Transaction,
-                      old_config: SuiteConfiguration,
-                      installed: SuiteConfiguration,
-                      ) -> Generator[Any, Any,
-                                     "tuple[bytes, int, list]"]:
+def _reconfigure_once(client: FileSuiteClient,
+                      new_config: SuiteConfiguration, txn: Transaction,
+                      ) -> Generator[Any, Any, tuple]:
+    """One attempt.  It evolves from the configuration the client holds
+    now: after a concurrent reconfiguration won the race and was
+    adopted, the change is layered on top of it instead of lost.
+    Returns ``(old_config, installed, data, new_version, staged)``."""
+    old_config = client.config
+    installed = new_config.evolve(
+        config_version=old_config.config_version + 1,
+        suite_name=old_config.suite_name)
     # 1. Old-configuration write quorum, exclusive.
     gathered, _ = yield from client._inquire(
         txn, old_config.write_quorum, mode=EXCLUSIVE, include_weak=False)
@@ -141,7 +118,7 @@ def _reconfigure_once(client: FileSuiteClient, txn: Transaction,
         for server in staged
     ]
     yield client.sim.all_of(calls)
-    return data, new_version, staged
+    return old_config, installed, data, new_version, staged
 
 
 def _cover_new_write_quorum(client: FileSuiteClient,
@@ -185,10 +162,7 @@ def _cover_new_write_quorum(client: FileSuiteClient,
                 timeout=client.data_timeout)
             yield from txn.commit()
         except ReproError:
-            try:
-                yield from txn.abort()
-            except ReproError:
-                pass  # the abort itself can time out on a dead host
+            yield from txn.abort()
             continue
         covered += rep.votes
 
@@ -236,7 +210,4 @@ def _delete_representative(client: FileSuiteClient, server: str,
                        timeout=client.data_timeout)
         yield from txn.commit()
     except ReproError:
-        try:
-            yield from txn.abort()
-        except ReproError:
-            pass  # the abort itself can time out on a dead host
+        yield from txn.abort()

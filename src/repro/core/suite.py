@@ -55,47 +55,48 @@ bytes the operation already holds — bringing copies current never adds
 latency to the foreground operation, and costs one call per copy.
 
 Every operation runs inside a transaction; by default each call manages
-its own transaction and retries transient failures (deadlock, lock
-timeout, lost quorum) with jittered backoff, exactly the discipline the
-paper assumes from its transactional storage system.
+its own through :meth:`~repro.txn.coordinator.TransactionManager.
+transact`, the one attempt loop, which re-runs an operation that
+adopted a newer configuration at once and retries transient failures
+(deadlock, lock timeout, lost quorum) after jittered backoff — the
+discipline the paper assumes from its transactional storage system.
+:meth:`FileSuiteClient.transact` hands the same loop to multi-call
+transactions, and :mod:`repro.violet` runs multi-suite ones in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Optional,
                     Sequence, Tuple)
 
 from ..chaos.health import OPEN
 from ..chaos.retry import RetryPolicy
-from ..errors import (DeadlockError, HostUnreachableError, LockTimeoutError,
-                      QuorumUnattainableError, QuorumUnavailableError,
-                      RemoteError, ReproError, RpcTimeout,
-                      StaleConfigurationError, TransactionAborted)
+from ..errors import (QuorumUnattainableError, QuorumUnavailableError,
+                      ReproError, StaleConfigurationError)
 from ..obs.collector import TraceCollector
 from ..obs.critical_path import QuorumPath
 from ..obs.spans import NOOP_SPAN
 from ..sim.metrics import MetricsRegistry
-from ..txn.coordinator import Transaction, TransactionManager
+from ..txn.coordinator import RETRYABLE, Transaction, TransactionManager
 from ..txn.locks import EXCLUSIVE, SHARED
 from .gather import GatherResult, gather_until
 from .quorum import QuorumRule, cheapest_quorum
 from .votes import Representative, SuiteConfiguration
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.simulator import Simulator
     from .refresh import BackgroundRefresher
 
-#: Errors that abort one attempt but are worth retrying with a fresh
-#: transaction.
-RETRYABLE = (DeadlockError, LockTimeoutError, QuorumUnavailableError,
-             RpcTimeout, HostUnreachableError, TransactionAborted,
-             RemoteError)
-
-#: Attempts :func:`install_suite` makes, and the pause between them.
+#: Attempts :func:`install_suite` makes, and its schedule: a fixed
+#: 150 ms apart.
 INSTALL_ATTEMPTS = 4
-INSTALL_RETRY_DELAY = 150.0
+INSTALL_RETRY = RetryPolicy(base=150.0, multiplier=1.0, jitter=0.0)
+
+#: One immutable schedule per backoff in use: building it per operation
+#: would cost more than the rest of the loop's setup.
+_retry_policy = lru_cache(maxsize=None)(
+    lambda backoff: RetryPolicy(base=backoff))
 
 
 def _landed(read_rep: Representative, current: int,
@@ -205,24 +206,10 @@ class FileSuiteClient:
         self.flight = manager.flight
         self._rng = manager.streams.stream(
             f"suite:{config.suite_name}:{endpoint.host.name}")
-        #: Backoff between operation attempts: exponential from
-        #: ``retry_backoff``, uncapped (``max_attempts`` bounds it),
-        #: jittered the way this loop always was.
-        self._retry_policy = RetryPolicy(base=retry_backoff,
-                                         multiplier=2.0,
-                                         cap=float("inf"), jitter=0.5)
 
     # ------------------------------------------------------------------
     # Public operations (each manages its own transaction + retries)
     # ------------------------------------------------------------------
-
-    def _operation_span(self, name: str, parent, **attrs):
-        """Root span for one public operation: a new trace, or — when
-        the caller passes its own span/context — a stitched child."""
-        if parent:
-            return self.collector.start_span(name, parent=parent,
-                                             kind="client", **attrs)
-        return self.collector.start_trace(name, **attrs)
 
     def read(self, parent=None) -> Generator[Any, Any, ReadResult]:
         """Read the current contents of the suite.
@@ -232,25 +219,8 @@ class FileSuiteClient:
         opening a new one — how a namespace lookup and the data read it
         leads to stitch into one tree.
         """
-        started = self.sim.now
-        span = self._operation_span(
-            "suite.read", parent, suite=self.config.suite_name)
-        try:
-            result = yield from self._with_retries(self._read_once,
-                                                   span=span, release=True)
-        except BaseException as exc:
-            span.end(error=f"{type(exc).__name__}: {exc}")
-            raise
-        span.set_attr("version", result.version)
-        span.set_attr("served_by", result.served_by)
-        span.set_attr("attempts", result.attempts)
-        if result.config_refreshes:
-            span.set_attr("config_refreshes", result.config_refreshes)
-        span.end()
-        self.metrics.counter("suite.reads").increment()
-        self.metrics.histogram("suite.read_latency").observe(
-            self.sim.now - started)
-        return result
+        return (yield from self._traced(
+            "read", partial(self._read_once, release=True), parent))
 
     def write(self, data: bytes,
               parent=None) -> Generator[Any, Any, WriteResult]:
@@ -258,23 +228,35 @@ class FileSuiteClient:
 
         ``parent`` works as in :meth:`read`.
         """
+        return (yield from self._traced(
+            "write", partial(self._write_once, data=data, prepare=True),
+            parent, size=len(data)))
+
+    def _traced(self, kind: str, operation, parent, **attrs):
+        """One public read or write: its root span — a new trace, or a
+        stitched child of ``parent`` — the attempt loop, its counters."""
         started = self.sim.now
-        span = self._operation_span(
-            "suite.write", parent, suite=self.config.suite_name,
-            size=len(data))
+        name = f"suite.{kind}"
+        attrs = {"suite": self.config.suite_name, **attrs}
+        if parent:
+            span = self.collector.start_span(name, parent=parent,
+                                             kind="client", **attrs)
+        else:
+            span = self.collector.start_trace(name, **attrs)
         try:
-            result = yield from self._with_retries(self._write_once, data,
-                                                   span=span, prepare=True)
+            result = yield from self._with_retries(operation, span)
         except BaseException as exc:
             span.end(error=f"{type(exc).__name__}: {exc}")
             raise
         span.set_attr("version", result.version)
+        if kind == "read":
+            span.set_attr("served_by", result.served_by)
         span.set_attr("attempts", result.attempts)
         if result.config_refreshes:
             span.set_attr("config_refreshes", result.config_refreshes)
         span.end()
-        self.metrics.counter("suite.writes").increment()
-        self.metrics.histogram("suite.write_latency").observe(
+        self.metrics.counter(f"suite.{kind}s").increment()
+        self.metrics.histogram(f"suite.{kind}_latency").observe(
             self.sim.now - started)
         return result
 
@@ -286,8 +268,7 @@ class FileSuiteClient:
                 include_weak=False, release=True)
             return self._current_version_from(gathered)
 
-        result = yield from self._with_retries(inquire)
-        return result
+        return (yield from self._with_retries(inquire))
 
     # -- single-attempt versions usable inside a caller's transaction ----
 
@@ -676,9 +657,7 @@ class FileSuiteClient:
         if raw and raw["config_version"] > self.config.config_version:
             self.config = SuiteConfiguration.from_json(raw)
             self.metrics.counter("suite.config_refreshes").increment()
-            raise StaleConfigurationError(
-                f"adopted configuration v{self.config.config_version}; "
-                "retrying under it")
+            raise StaleConfigurationError(self.config.config_version)
 
     def _schedule_refresh(self, stale: Sequence[Representative],
                           version: int, data: bytes) -> None:
@@ -690,56 +669,31 @@ class FileSuiteClient:
     # Transaction + retry wrapper
     # ------------------------------------------------------------------
 
-    def _with_retries(self, operation, *args, span=NOOP_SPAN,
-                      **kwargs) -> Generator[Any, Any, Any]:
-        last_error: Optional[BaseException] = None
-        attempts = 0            # retryable failures (bounds the loop)
-        config_refreshes = 0    # configuration adoptions (bounded at 3)
-        total_attempts = 0      # every transaction begun (reported)
-        while attempts < self.max_attempts:
-            txn = self.manager.begin()
-            txn.span = span
-            total_attempts += 1
-            try:
-                result = yield from operation(txn, *args, **kwargs)
-                yield from txn.commit()
-            except StaleConfigurationError as exc:
-                # Not a failure: we learned a newer configuration.
-                # Bounded separately so a pathological loop still ends.
-                yield from txn.abort()
-                config_refreshes += 1
-                if config_refreshes > 3:
-                    raise
-                span.event("config.adopted",
-                           version=self.config.config_version)
-                last_error = exc
-                continue
-            except RETRYABLE as exc:
-                yield from txn.abort()
-                attempts += 1
-                last_error = exc
-                span.event("retry", attempt=attempts,
-                           error=type(exc).__name__)
-                self.metrics.counter("suite.retries").increment()
-                if attempts < self.max_attempts and self.retry_backoff > 0:
-                    yield self.sim.timeout(
-                        self._retry_policy.delay(attempts - 1, self._rng))
-                continue
-            except GeneratorExit:
-                raise  # killed process: must not yield during close()
-            except BaseException:
-                # Application-level error (e.g. a calendar conflict):
-                # not retryable, but the transaction must still release
-                # its locks before the error propagates.
-                yield from txn.abort()
-                raise
-            if isinstance(result, (ReadResult, WriteResult)):
-                result.attempts = total_attempts
-                result.config_refreshes = config_refreshes
-            return result
-        self.metrics.counter("suite.failures").increment()
-        raise last_error if last_error is not None else \
-            QuorumUnavailableError("operation", 0, 0)
+    @property
+    def retry_policy(self) -> RetryPolicy:
+        """The handle's schedule between its ``max_attempts`` tries: ×2
+        from ``retry_backoff``, jittered ±50 %."""
+        return _retry_policy(self.retry_backoff)
+
+    def _count_retry(self) -> None:
+        self.metrics.counter("suite.retries").increment()
+
+    def _with_retries(self, operation,
+                      span=NOOP_SPAN) -> Generator[Any, Any, Any]:
+        """Run ``operation(txn)`` through the manager's attempt loop
+        under :attr:`retry_policy`, counting retries and exhausted
+        operations and stamping the attempt counts on the result."""
+        try:
+            result, begun, adopted = yield from self.manager.transact(
+                operation, self.retry_policy, self.max_attempts, self._rng,
+                span=span, on_retry=self._count_retry)
+        except RETRYABLE:
+            self.metrics.counter("suite.failures").increment()
+            raise
+        if isinstance(result, (ReadResult, WriteResult)):
+            result.attempts = begun
+            result.config_refreshes = adopted
+        return result
 
 
 def install_suite(manager: TransactionManager, config: SuiteConfiguration,
@@ -754,35 +708,20 @@ def install_suite(manager: TransactionManager, config: SuiteConfiguration,
     lock) retry with a fresh transaction: re-staging version 1 with
     ``create=True`` is idempotent at the servers, and locks stranded by
     an aborted attempt are released by the best-effort aborts before the
-    next of :data:`INSTALL_ATTEMPTS` begins, :data:`INSTALL_RETRY_DELAY`
-    ms later.
+    next of :data:`INSTALL_ATTEMPTS` begins, :data:`INSTALL_RETRY` later.
     """
     properties = {"config": config.to_json(),
                   "stamp": config.config_version}
-    last_error: Optional[ReproError] = None
-    for attempt in range(INSTALL_ATTEMPTS):
-        txn = manager.begin()
-        try:
-            calls = [
-                txn.call(rep.server, "txn.stage_write",
-                         name=config.file_name, data=initial_data,
-                         version=1, properties=properties, create=True,
-                         prepare=True)
-                for rep in config.representatives
-            ]
-            yield manager.sim.all_of(calls)
-            yield from txn.commit()
-            return
-        except RETRYABLE as exc:
-            yield from txn.abort()
-            last_error = exc
-            if attempt + 1 < INSTALL_ATTEMPTS:
-                yield manager.sim.timeout(INSTALL_RETRY_DELAY)
-        except ReproError:
-            yield from txn.abort()
-            raise
-    assert last_error is not None
-    raise last_error
+
+    def stage_everywhere(txn: Transaction):
+        yield manager.sim.all_of([
+            txn.call(rep.server, "txn.stage_write", name=config.file_name,
+                     data=initial_data, version=1, properties=properties,
+                     create=True, prepare=True)
+            for rep in config.representatives])
+
+    yield from manager.transact(stage_everywhere, INSTALL_RETRY,
+                                INSTALL_ATTEMPTS)
 
 
 def delete_suite(manager: TransactionManager, config: SuiteConfiguration,

@@ -178,4 +178,10 @@ class SuiteNotFoundError(VotingError):
 
 
 class StaleConfigurationError(VotingError):
-    """A representative reported a newer suite configuration than the client's."""
+    """A representative reported a newer suite configuration than the
+    client's, which the client adopted: the attempt re-runs under it."""
+
+    def __init__(self, config_version: int) -> None:
+        super().__init__(f"adopted configuration v{config_version}; "
+                         "retrying under it")
+        self.config_version = config_version

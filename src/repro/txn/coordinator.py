@@ -33,6 +33,13 @@ update, the textbook one-phase commit for a transaction with a single
 participant).  :meth:`Transaction.call` does not enrol their servers,
 so commit and abort send them nothing.
 
+Above the single transaction sits :meth:`TransactionManager.transact`,
+the one attempt loop: suite operations, multi-suite transactions
+(Violet), suite creation, reconfiguration and the baselines all re-run
+an aborted attempt in a fresh transaction through it, each with its own
+:class:`~repro.chaos.retry.RetryPolicy`, and all adopt a newer suite
+configuration the same way.
+
 This is textbook *blocking* 2PC: if the coordinating client dies between
 the two phases, prepared participants stay in-doubt.  That matches the
 transaction substrate Gifford's design assumes; the weighted-voting
@@ -41,10 +48,14 @@ layer above never depends on more.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Optional, Set,
-                    Tuple)
+import random
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
+                    Optional, Set, Tuple)
 
-from ..errors import ReproError, TransactionAborted
+from ..errors import (DeadlockError, HostUnreachableError, LockTimeoutError,
+                      QuorumUnavailableError, RemoteError, ReproError,
+                      RpcTimeout, StaleConfigurationError,
+                      TransactionAborted)
 from ..obs.spans import NOOP_SPAN, TraceContext
 from ..rpc.endpoint import RpcEndpoint
 from ..sim.rng import RandomStreams
@@ -52,11 +63,22 @@ from .ids import TransactionId, TransactionIdGenerator
 from .participant import VOTE_PREPARED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..chaos.retry import RetryPolicy
     from ..sim.simulator import Simulator
 
 
 #: RPC methods that stage durable changes at a participant.
 _STAGING_METHODS = frozenset({"txn.stage_write", "txn.stage_delete"})
+
+#: Errors that abort one attempt but are worth retrying with a fresh
+#: transaction.
+RETRYABLE = (DeadlockError, LockTimeoutError, QuorumUnavailableError,
+             RpcTimeout, HostUnreachableError, TransactionAborted,
+             RemoteError)
+
+#: Configuration adoptions one :meth:`TransactionManager.transact` absorbs
+#: before the next one propagates.
+MAX_ADOPTIONS = 3
 
 #: States of a client-side transaction.
 ACTIVE = "active"
@@ -225,6 +247,62 @@ class TransactionManager:
     def begin(self) -> Transaction:
         return Transaction(self, self._ids.next_id())
 
+    def transact(self, operation: Callable[[Transaction], Generator],
+                 policy: "RetryPolicy", attempts: int,
+                 rng: Optional[random.Random] = None, span=NOOP_SPAN,
+                 on_retry: Optional[Callable[[], None]] = None,
+                 ) -> Generator[Any, Any, Tuple[Any, int, int]]:
+        """Run ``operation(txn)`` in fresh transactions until one commits.
+
+        The one attempt loop every multi-call client operation runs in.
+        A :class:`~repro.errors.StaleConfigurationError` means the
+        operation adopted a newer configuration: the attempt is aborted
+        and re-run at once, uncounted, at most :data:`MAX_ADOPTIONS`
+        times.  A :data:`RETRYABLE` failure aborts, calls ``on_retry``
+        and waits ``policy.delay(n, rng)`` before attempt ``n + 1`` —
+        no wait after the last of ``attempts`` (whose error then
+        propagates) and none for a zero delay.  Anything else aborts and
+        propagates; ``GeneratorExit`` (a killed process) propagates
+        without yielding.  Every attempt's RPCs parent to ``span``.
+
+        Returns ``(result, begun, adopted)``: the operation's result,
+        the transactions begun and the configurations adopted.
+        """
+        failures = adopted = begun = 0
+        while True:
+            txn = self.begin()
+            txn.span = span
+            begun += 1
+            try:
+                result = yield from operation(txn)
+                yield from txn.commit()
+                return result, begun, adopted
+            except StaleConfigurationError as exc:
+                yield from txn.abort()
+                adopted += 1
+                if adopted > MAX_ADOPTIONS:
+                    raise
+                span.event("config.adopted", version=exc.config_version)
+            except RETRYABLE as exc:
+                yield from txn.abort()
+                failures += 1
+                span.event("retry", attempt=failures,
+                           error=type(exc).__name__)
+                if on_retry is not None:
+                    on_retry()
+                if failures >= attempts:
+                    raise
+                delay = policy.delay(failures - 1, rng)
+                if delay > 0:
+                    yield self.sim.timeout(delay)
+            except GeneratorExit:
+                raise  # killed process: must not yield during close()
+            except BaseException:
+                # Not retryable (e.g. a calendar conflict), but the
+                # transaction must release its locks before it propagates.
+                yield from txn.abort()
+                raise
+
     # ------------------------------------------------------------------
     # Two-phase commit
     # ------------------------------------------------------------------
@@ -236,9 +314,8 @@ class TransactionManager:
         txn.state = COMMITTING
         # Calls that never got a reply may still hold locks remotely:
         # send them aborts (their idle sweeper is the backstop).
-        unconfirmed = txn.attempted - txn.participants
-        if unconfirmed:
-            self._spawn_aborts(txn.txn_id, sorted(unconfirmed))
+        for server in sorted(txn.attempted - txn.participants):
+            self._spawn_retry(txn.txn_id, server, "txn.abort")
         if not txn.participants:
             txn.state = COMMITTED
             self.commits += 1
@@ -290,9 +367,10 @@ class TransactionManager:
         # Decision point: everyone voted yes.  Read-only voters are done.
         commit_span = self._phase_span(txn, "2pc.commit")
         commit_trace = self._phase_ctx(commit_span, txn)
-        stragglers = yield from self._send_decision(
-            txn.txn_id, to_commit, trace=commit_trace,
+        acks = yield from self._broadcast(
+            txn.txn_id, "txn.commit", to_commit, trace=commit_trace,
             span=commit_span)
+        stragglers = [server for server, ok, _outcome in acks if not ok]
         for server in stragglers:
             self._spawn_retry(txn.txn_id, server, "txn.commit",
                               trace=commit_trace)
@@ -324,8 +402,10 @@ class TransactionManager:
             # otherwise stay in-doubt forever.
             to_abort = [srv for srv, ok, outcome in votes
                         if not ok or outcome == VOTE_PREPARED]
-            self._spawn_aborts(txn.txn_id, sorted({*to_abort, *txn.voted}),
-                               trace=txn.span.context if txn.span else None)
+            abort_trace = txn.span.context if txn.span else None
+            for srv in sorted({*to_abort, *txn.voted}):
+                self._spawn_retry(txn.txn_id, srv, "txn.abort",
+                                  trace=abort_trace)
             txn.state = ABORTED
             self.aborts += 1
             self._record_flight_outcome(txn, "abort",
@@ -366,6 +446,8 @@ class TransactionManager:
         return txn.span.context if txn.span else None
 
     def abort(self, txn: Transaction) -> Generator[Any, Any, None]:
+        """Best effort, and never raises: a silent participant gets a
+        detached retry."""
         if txn.state in (COMMITTED, ABORTED):
             return
         txn.state = ABORTED
@@ -427,20 +509,6 @@ class TransactionManager:
         results = yield self.sim.all_of(processes)
         return results
 
-    def _send_decision(self, txn_id: TransactionId, servers: List[str],
-                       trace: Optional[TraceContext] = None,
-                       span=None,
-                       ) -> Generator[Any, Any, List[str]]:
-        """Send commit to ``servers``; return those that did not ack."""
-        results = yield from self._broadcast(txn_id, "txn.commit", servers,
-                                             trace=trace, span=span)
-        return [server for server, ok, _outcome in results if not ok]
-
-    def _spawn_aborts(self, txn_id: TransactionId, servers: List[str],
-                      trace: Optional[TraceContext] = None) -> None:
-        for server in servers:
-            self._spawn_retry(txn_id, server, "txn.abort", trace=trace)
-
     def _spawn_retry(self, txn_id: TransactionId, server: str,
                      method: str,
                      trace: Optional[TraceContext] = None) -> None:
@@ -450,8 +518,6 @@ class TransactionManager:
         substantive reply — an ack, or a typed refusal such as "unknown
         transaction" — is definitive and ends the retry.
         """
-        from ..errors import HostUnreachableError, RpcTimeout
-
         def send():
             return self.endpoint.call(
                 server, method, timeout=self.call_timeout,

@@ -11,6 +11,10 @@ scheduler reads every attendee's calendar ``for_update`` (exclusive
 locks on each suite's write quorum), checks conflicts, stages one write
 per calendar, and commits with two-phase commit across all the suites'
 servers.  This is exactly the workload Gifford built file suites for.
+Each transaction runs in the manager's attempt loop
+(:meth:`~repro.txn.coordinator.TransactionManager.transact`): a
+calendar that adopts a newer configuration mid-transaction re-runs it
+under the new one, like any suite operation.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..core.suite import RETRYABLE, FileSuiteClient
+from ..chaos.retry import RetryPolicy
+from ..core.suite import FileSuiteClient
 from ..txn.coordinator import TransactionManager
 from .calendar import (Appointment, CalendarError, decode_calendar,
                        encode_calendar)
@@ -46,20 +51,20 @@ class Meeting:
     participants: Tuple[str, ...]
 
 
+#: Attempts a scheduling transaction makes, ×2 from 50 ms apart.
+ATTEMPTS = 4
+RETRY = RetryPolicy(base=50.0, jitter=0.0)
+
+
 class MeetingScheduler:
     """Schedules meetings across per-user calendar suites."""
 
     def __init__(self, manager: TransactionManager,
-                 calendars: Dict[str, FileSuiteClient],
-                 max_attempts: int = 4,
-                 retry_backoff: float = 50.0) -> None:
+                 calendars: Dict[str, FileSuiteClient]) -> None:
         if not calendars:
             raise ValueError("need at least one calendar")
         self.manager = manager
         self.calendars = dict(calendars)
-        self.sim = manager.sim
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
         self._next_meeting = 0
 
     def _users_of(self, organizer: str,
@@ -117,7 +122,8 @@ class MeetingScheduler:
                     txn, encode_calendar(next_id + 1, entries))
             return meeting
 
-        result = yield from self._transact(attempt)
+        result, _begun, _adopted = yield from self.manager.transact(
+            attempt, RETRY, ATTEMPTS)
         return result
 
     def cancel(self, meeting: Meeting, by: str,
@@ -139,7 +145,7 @@ class MeetingScheduler:
                         txn, encode_calendar(next_id, remaining))
             return None
 
-        yield from self._transact(attempt)
+        yield from self.manager.transact(attempt, RETRY, ATTEMPTS)
 
     # ------------------------------------------------------------------
     # Queries
@@ -169,27 +175,3 @@ class MeetingScheduler:
             slot += granularity
         return None
 
-    # ------------------------------------------------------------------
-
-    def _transact(self, operation) -> Generator[Any, Any, Any]:
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.max_attempts):
-            txn = self.manager.begin()
-            try:
-                result = yield from operation(txn)
-                yield from txn.commit()
-                return result
-            except RETRYABLE as exc:
-                yield from txn.abort()
-                last_error = exc
-                if self.retry_backoff > 0 \
-                        and attempt + 1 < self.max_attempts:
-                    yield self.sim.timeout(
-                        self.retry_backoff * (2 ** attempt))
-            except GeneratorExit:
-                raise
-            except BaseException:
-                yield from txn.abort()
-                raise
-        assert last_error is not None
-        raise last_error

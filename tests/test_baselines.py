@@ -25,7 +25,7 @@ def manager(bed):
 class TestRowa:
     def build(self, bed, **kwargs):
         client = ReadOneWriteAllClient(
-            manager(bed), "obj", SERVERS, metrics=bed.metrics,
+            manager(bed), "obj", SERVERS,
             latency_hints={"s1": 1.0, "s2": 2.0, "s3": 3.0}, **kwargs)
         bed.run(client.install(b"v1"))
         return client
@@ -70,8 +70,7 @@ class TestRowa:
 
 class TestPrimaryCopy:
     def build(self, bed, **kwargs):
-        client = PrimaryCopyClient(manager(bed), "obj", SERVERS,
-                                   metrics=bed.metrics, **kwargs)
+        client = PrimaryCopyClient(manager(bed), "obj", SERVERS, **kwargs)
         bed.run(client.install(b"v1"))
         return client
 
