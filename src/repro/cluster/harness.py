@@ -28,7 +28,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
 
 from ..core.reconfig import change_configuration
 from ..core.suite import FileSuiteClient, install_suite
-from ..core.votes import SuiteConfiguration
 from ..directory.service import SuiteDirectory, empty_directory_data
 from ..txn.coordinator import TransactionManager
 from .namespace import ShardedNamespace, shard_configurations
@@ -161,11 +160,42 @@ def join_server(state: ClusterState, server: str,
     return plan
 
 
+class _ClusterViews:
+    """What either deployment reads off its :class:`ClusterState`."""
+
+    spec: ClusterSpec
+    state: Optional[ClusterState]
+
+    @property
+    def _started(self) -> ClusterState:
+        assert self.state is not None, "cluster not started"
+        return self.state
+
+    @property
+    def ring(self) -> PlacementRing:
+        return self._started.ring
+
+    @property
+    def namespace(self) -> ShardedNamespace:
+        namespace = self._started.namespace
+        assert namespace is not None, "call start() first"
+        return namespace
+
+    @property
+    def handles(self) -> Dict[str, FileSuiteClient]:
+        return self._started.handles
+
+    def placement_table(self) -> List[Tuple[str, int]]:
+        """(server, suites hosted) rows, sorted by server name."""
+        load = self.ring.load_distribution(self.spec.suite_names)
+        return sorted(load.items())
+
+
 # ---------------------------------------------------------------------------
 # Simulated deployment
 # ---------------------------------------------------------------------------
 
-class SimCluster:
+class SimCluster(_ClusterViews):
     """A sharded multi-suite deployment on the simulated testbed.
 
     Obs and chaos ride through unchanged: ``obs=True`` reaches the
@@ -195,19 +225,6 @@ class SimCluster:
 
     # -- convenience -------------------------------------------------------
 
-    @property
-    def ring(self) -> PlacementRing:
-        return self.state.ring
-
-    @property
-    def namespace(self) -> ShardedNamespace:
-        assert self.state.namespace is not None, "call start() first"
-        return self.state.namespace
-
-    @property
-    def handles(self) -> Dict[str, FileSuiteClient]:
-        return self.state.handles
-
     def open(self, suite_name: str, **kwargs: Any) -> FileSuiteClient:
         """Cold-open one suite through the directory tier."""
         return self.bed.run(self.namespace.open_suite(suite_name,
@@ -219,11 +236,6 @@ class SimCluster:
         self.bed.add_server(server, **server_kwargs)
         self.ring.add_server(server)
         return self.bed.run(join_server(self.state, server))
-
-    def placement_table(self) -> List[Tuple[str, int]]:
-        """(server, suites hosted) rows, sorted by server name."""
-        load = self.ring.load_distribution(self.spec.suite_names)
-        return sorted(load.items())
 
     def fleet_view(self):
         """Merged metrics view of the whole simulated fleet.
@@ -240,7 +252,7 @@ class SimCluster:
 # Live deployment (real TCP daemons)
 # ---------------------------------------------------------------------------
 
-class LiveCluster:
+class LiveCluster(_ClusterViews):
     """The same sharded deployment over live loopback daemons.
 
     Wraps a :class:`~repro.live.harness.LoopbackCluster` (one asyncio
@@ -282,21 +294,6 @@ class LiveCluster:
 
     # -- convenience -------------------------------------------------------
 
-    @property
-    def ring(self) -> PlacementRing:
-        assert self.state is not None, "cluster not started"
-        return self.state.ring
-
-    @property
-    def namespace(self) -> ShardedNamespace:
-        assert self.state is not None and self.state.namespace is not None
-        return self.state.namespace
-
-    @property
-    def handles(self) -> Dict[str, FileSuiteClient]:
-        assert self.state is not None, "cluster not started"
-        return self.state.handles
-
     async def open(self, suite_name: str,
                    **kwargs: Any) -> FileSuiteClient:
         return await self.loopback.run(
@@ -308,10 +305,6 @@ class LiveCluster:
         await self.loopback.add_server(server)
         self.ring.add_server(server)
         return await self.loopback.run(join_server(self.state, server))
-
-    def placement_table(self) -> List[Tuple[str, int]]:
-        load = self.ring.load_distribution(self.spec.suite_names)
-        return sorted(load.items())
 
     def obs_addresses(self) -> Dict[str, Tuple[str, int]]:
         """Each live daemon's obs sidecar address (empty without obs)."""

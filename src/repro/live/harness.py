@@ -46,15 +46,13 @@ class LoopbackCluster:
                  flight: Optional[Any] = None) -> None:
         self._server_names = list(servers)
         self._obs = obs
-        self._client_name = client_name
-        self._call_timeout = call_timeout
-        self._transport_attempts = transport_attempts
-        self._num_pages = num_pages
-        self._page_size = page_size
         self._data_root = data_root
-        self._seed = seed
-        self._lock_timeout = lock_timeout
-        self._idle_abort_after = idle_abort_after
+        self._server_options = dict(
+            num_pages=num_pages, page_size=page_size, obs=obs,
+            lock_timeout=lock_timeout, idle_abort_after=idle_abort_after)
+        self._client_options = dict(
+            name=client_name, call_timeout=call_timeout,
+            transport_attempts=transport_attempts, seed=seed, obs=obs)
         #: Optional :class:`~repro.chaos.policy.ChaosPolicy` interposed
         #: on every transport (client and servers): one object decides
         #: per-link drops, delays, duplicates and partitions.
@@ -69,25 +67,11 @@ class LoopbackCluster:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> "LoopbackCluster":
-        for name in self._server_names:
-            data_dir = (f"{self._data_root}/{name}"
-                        if self._data_root is not None else None)
-            server = LiveStorageServer(
-                name, data_dir=data_dir, num_pages=self._num_pages,
-                page_size=self._page_size, obs=self._obs,
-                lock_timeout=self._lock_timeout,
-                idle_abort_after=self._idle_abort_after)
-            server.transport.chaos = self.chaos
-            await server.start(obs_port=0 if self._obs else None)
-            self.servers[name] = server
-        self.client = LiveRuntime(
-            self._client_name, call_timeout=self._call_timeout,
-            transport_attempts=self._transport_attempts, seed=self._seed,
-            obs=self._obs, flight=self.flight)
+        self.client = LiveRuntime(**self._client_options,
+                                  flight=self.flight)
         self.client.transport.chaos = self.chaos
-        for name, server in self.servers.items():
-            host, port = server.address  # type: ignore[misc]
-            self.client.register_server(name, host, port)
+        for name in self._server_names:
+            await self.add_server(name)
         return self
 
     async def close(self) -> None:
@@ -103,26 +87,22 @@ class LoopbackCluster:
         await self.close()
 
     async def add_server(self, name: str) -> Tuple[str, int]:
-        """Boot one more storage daemon into the running cluster.
+        """Boot one more storage daemon into the cluster.
 
-        The cluster-scale join operation: the new server starts with
-        the same page/lock/chaos wiring as its boot-time
-        peers, and the client transport learns its address immediately.
-        Returns the new daemon's listening address.
+        :meth:`start` boots every server through here; later calls are
+        the cluster-scale join operation.  Every server gets the same
+        page/lock/chaos wiring, and the client transport learns its
+        address at once.  Returns the new daemon's listening address.
         """
         if name in self.servers:
             raise ValueError(f"server {name!r} already in the cluster")
         data_dir = (f"{self._data_root}/{name}"
                     if self._data_root is not None else None)
-        server = LiveStorageServer(
-            name, data_dir=data_dir, num_pages=self._num_pages,
-            page_size=self._page_size, obs=self._obs,
-            lock_timeout=self._lock_timeout,
-            idle_abort_after=self._idle_abort_after)
+        server = LiveStorageServer(name, data_dir=data_dir,
+                                   **self._server_options)
         server.transport.chaos = self.chaos
         await server.start(obs_port=0 if self._obs else None)
         self.servers[name] = server
-        self._server_names.append(name)
         host, port = server.address  # type: ignore[misc]
         if self.client is not None:
             self.client.register_server(name, host, port)

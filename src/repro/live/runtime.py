@@ -14,18 +14,19 @@ is the whole trick of this module:
   and ``now`` onto the event loop's monotonic clock (in milliseconds,
   the sim's time unit).  Every event, timeout, process, queue and
   resource then runs unmodified in wall-clock time.
-* :class:`LiveHost` implements the simulated
-  :class:`~repro.sim.network.Host` surface (``send`` / ``dispatch`` /
-  ``crash`` / ``restart``) over a :class:`~repro.live.transport.TransportNode`,
-  so ``RpcEndpoint`` — timeouts, retransmission, at-most-once dedup and
-  all — *is* the live RPC layer, not a re-implementation of it.
-* :class:`LiveRuntime` is the client-side bundle (kernel + transport +
-  endpoint + transaction manager + background refresher) whose
-  :meth:`LiveRuntime.run` turns any protocol generator into an
-  awaitable, bridging kernel processes to asyncio futures.
+* :class:`LiveHost` *is* a simulated :class:`~repro.sim.network.Host`
+  (same up/down state, same crash and restart listeners) whose wire is
+  a :class:`~repro.live.transport.TransportNode`, so ``RpcEndpoint`` —
+  timeouts, retransmission, at-most-once dedup and all — *is* the live
+  RPC layer, not a re-implementation of it.
+* :class:`LiveRuntime` is the client: the
+  :meth:`~repro.testbed.ClientNode.build` node the testbed gives each
+  sim client, on a live kernel and host, whose :meth:`LiveRuntime.run`
+  turns any protocol generator into an awaitable, bridging kernel
+  processes to asyncio futures.
 
-One protocol implementation, two schedulers: discrete-event for
-deterministic study, asyncio for serving real sockets.
+One protocol implementation and one node assembly, two schedulers:
+discrete-event for deterministic study, asyncio for real sockets.
 """
 
 from __future__ import annotations
@@ -36,16 +37,14 @@ import uuid
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from ..chaos.health import HealthTracker
-from ..core.refresh import BackgroundRefresher
 from ..core.suite import FileSuiteClient, install_suite
 from ..core.votes import SuiteConfiguration
 from ..obs.collector import TraceCollector
-from ..rpc.endpoint import RpcEndpoint
 from ..sim.metrics import MetricsRegistry
+from ..sim.network import Host
 from ..sim.rng import RandomStreams
 from ..sim.simulator import Simulator
-from ..txn.coordinator import TransactionManager
+from ..testbed import ClientNode
 from .transport import TransportNode
 
 logger = logging.getLogger("repro.live.runtime")
@@ -167,88 +166,48 @@ class LiveKernel(Simulator):
         return future
 
 
-class LiveHost:
-    """The simulated ``Host`` surface over a real TCP transport.
+class LiveHost(Host):
+    """A simulated :class:`~repro.sim.network.Host` wired to real TCP.
 
-    ``send`` is fire-and-forget into the transport; an inbound frame is
-    handed to ``dispatch`` — the endpoint's ``dispatch_message``, which
-    the endpoint installs — from the socket callback, exactly as the
-    sim's network hands it over on delivery.  ``crash``/``restart`` keep
-    the sim's semantics: a down host drops everything in both
-    directions and loses volatile state via its crash listeners.
+    Up/down state and the crash/restart listeners are the sim host's;
+    only the kernel and the wire differ.  ``send`` goes into the host's
+    own :class:`TransportNode`, which hands every inbound frame to
+    ``deliver`` from the socket callback, exactly as the sim's network
+    hands it to ``dispatch`` on delivery.
     """
 
-    def __init__(self, kernel: LiveKernel, name: str,
-                 transport: TransportNode) -> None:
+    def __init__(self, kernel: LiveKernel, name: str) -> None:
+        # No simulated network: ``sim`` and ``send`` below stand in.
+        super().__init__(None, name)  # type: ignore[arg-type]
         self.kernel = kernel
-        self.name = name
-        self.transport = transport
-        #: Where inbound messages go; set by the host's ``RpcEndpoint``.
-        self.dispatch: Optional[Callable[[Any], None]] = None
-        self._up = True
-        self._crash_listeners: List[Callable[[], None]] = []
-        self._restart_listeners: List[Callable[[], None]] = []
+        self.transport = TransportNode(name, self.deliver)
 
     @property
     def sim(self) -> LiveKernel:
         return self.kernel
 
-    @property
-    def up(self) -> bool:
-        return self._up
-
-    # -- messaging ---------------------------------------------------------
-
     def send(self, destination: str, payload: Any) -> None:
-        if not self._up:
-            return
-        self.transport.send(destination, payload)
+        if self._up:
+            self.transport.send(destination, payload)
 
     def deliver(self, message: Any) -> None:
         """Transport callback: a frame arrived for this host.
 
         Crashed hosts drop inbound traffic.
         """
-        if self._up and self.dispatch is not None:
-            self.dispatch(message)
-
-    # -- failure injection -------------------------------------------------
-
-    def crash(self) -> None:
-        if not self._up:
-            return
-        self._up = False
-        for listener in list(self._crash_listeners):
-            listener()
-
-    def restart(self) -> None:
         if self._up:
-            return
-        self._up = True
-        for listener in list(self._restart_listeners):
-            listener()
-
-    def on_crash(self, listener: Callable[[], None]) -> None:
-        self._crash_listeners.append(listener)
-
-    def on_restart(self, listener: Callable[[], None]) -> None:
-        self._restart_listeners.append(listener)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self._up else "DOWN"
-        return f"<LiveHost {self.name} {state}>"
+            self.dispatch(message)
 
 
 class LiveRuntime:
     """Client-side live deployment: everything needed to use a suite.
 
-    Wires a :class:`LiveKernel`, a :class:`TransportNode`, a real
-    :class:`RpcEndpoint` (at-most-once, retransmitting), a
-    :class:`TransactionManager` and a :class:`BackgroundRefresher` —
-    the same composition :class:`~repro.testbed.Testbed` performs for
-    the sim.  Payload deep-copying is off: the transport encodes every
-    message into its fixed binary layout, which already isolates sender
-    from receiver.
+    A :class:`LiveKernel` and a :class:`LiveHost` carrying the client
+    node :class:`~repro.testbed.Testbed` builds for the sim
+    (:meth:`ClientNode.build`: endpoint, transaction manager,
+    background refresher), with circuit breakers always on.  Payload
+    deep-copying is off: the transport encodes every message into its
+    fixed binary layout, which already isolates sender from receiver.
     """
 
     def __init__(self, name: Optional[str] = None,
@@ -276,22 +235,19 @@ class LiveRuntime:
         #: another process's.
         self.collector = TraceCollector(clock=lambda: self.kernel.now,
                                         origin=name, enabled=obs)
-        self.transport = TransportNode(name, self._on_message)
-        self.host = LiveHost(self.kernel, name, self.transport)
+        self.host = LiveHost(self.kernel, name)
+        self.transport = self.host.transport
         self.streams = RandomStreams(seed=seed)
+        node = ClientNode.build(
+            self.kernel, self.host, collector=self.collector,
+            metrics=self.metrics, copy_payloads=False, breakers=True,
+            call_timeout=call_timeout,
+            transport_attempts=transport_attempts, streams=self.streams)
+        self.endpoint, self.manager, self.refresher = \
+            node.endpoint, node.manager, node.refresher
         #: Circuit breakers for the servers this client talks to.  The
         #: endpoint feeds outcomes in; quorum assembly consults them.
-        self.health = HealthTracker(clock=lambda: self.kernel.now,
-                                    metrics=self.metrics)
-        self.endpoint = RpcEndpoint(self.kernel, self.host,
-                                    copy_payloads=False,
-                                    collector=self.collector,
-                                    metrics=self.metrics,
-                                    health=self.health)
-        self.manager = TransactionManager(
-            self.kernel, self.endpoint, call_timeout=call_timeout,
-            transport_attempts=transport_attempts, streams=self.streams)
-        self.refresher = BackgroundRefresher(self.manager)
+        self.health = self.endpoint.health
         #: Optional :class:`~repro.obs.flight.FlightRecorder`: the live
         #: black box.  Wiring it here covers every decision point this
         #: runtime owns — 2PC outcomes, breaker transitions and (in
@@ -300,9 +256,6 @@ class LiveRuntime:
         if flight is not None:
             self.manager.flight = flight
             self.health.flight = flight
-
-    def _on_message(self, message: Any) -> None:
-        self.host.deliver(message)
 
     # -- topology ----------------------------------------------------------
 

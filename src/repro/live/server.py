@@ -1,10 +1,11 @@
 """Live storage server daemon: real sockets, real disk.
 
-A :class:`LiveStorageServer` is one representative's whole stack —
-stable storage, file system, lock manager, two-phase-commit participant
-and RPC endpoint — running on a :class:`~repro.live.runtime.LiveKernel`
-and listening on a TCP port.  All the protocol classes come straight
-from the sim tree; the only new piece is :class:`FilePageStore`, a
+A :class:`LiveStorageServer` is the simulated testbed's own
+:meth:`~repro.testbed.ServerNode.build` representative — stable
+storage, file system, lock manager, two-phase-commit participant and
+RPC endpoint — on a :class:`~repro.live.runtime.LiveKernel` and a
+TCP :class:`~repro.live.runtime.LiveHost`.  The only new piece is
+:class:`FilePageStore`, a
 :class:`~repro.storage.pages.PageStore` whose pages are write-through
 to a file, so the duplexed careful pages of
 :class:`~repro.storage.stable.StableStore` actually live in a directory
@@ -20,19 +21,16 @@ import json
 import os
 from typing import Optional, Tuple
 
-from ..chaos.health import HealthTracker
 from ..errors import StorageError
 from ..obs import prom
 from ..obs.collector import TraceCollector, dumps_jsonl
 from ..obs.httpd import ObsHttpServer
-from ..rpc.endpoint import RpcEndpoint
 from ..sim.metrics import MetricsRegistry
 from ..storage.pages import PageStore
-from ..storage.server import StorageServer
 from ..storage.stable import CarefulStore, StableStore
-from ..txn.participant import TransactionParticipant
+from ..testbed import ServerNode
 from .runtime import LiveHost, LiveKernel
-from .transport import MAX_FRAME_BYTES, TransportNode
+from .transport import MAX_FRAME_BYTES
 
 #: On-disk slot layout: 4-byte big-endian payload length + page bytes.
 _SLOT_HEADER = 4
@@ -149,45 +147,27 @@ class LiveStorageServer:
         #: span export stitches into one tree per client operation.
         self.collector = TraceCollector(clock=lambda: self.kernel.now,
                                         origin=name, enabled=obs)
-        self.transport = TransportNode(name, self._on_message)
-        self.host = LiveHost(self.kernel, name, self.transport)
+        self.host = LiveHost(self.kernel, name)
+        self.transport = self.host.transport
         stable = None
         fresh = True
         if data_dir is not None:
             stable, fresh = make_stable_store(
                 data_dir, num_pages, page_size, name=name, fsync=fsync)
-        self.server = StorageServer(self.kernel, self.host,
-                                    num_pages=num_pages,
-                                    page_size=page_size,
-                                    stable=stable, format_fs=fresh)
-        #: Breakers for any peer this daemon itself calls; surfaced in
-        #: ``/healthz`` so a prober sees which peers the daemon has
-        #: given up on, not just whether the daemon is up.
-        self.health = HealthTracker(clock=lambda: self.kernel.now,
-                                    metrics=self.metrics)
-        self.endpoint = RpcEndpoint(self.kernel, self.host,
-                                    copy_payloads=False,
-                                    collector=self.collector,
-                                    metrics=self.metrics,
-                                    health=self.health)
-        self.participant = TransactionParticipant(
-            self.server, lock_timeout=lock_timeout,
-            idle_abort_after=idle_abort_after, metrics=self.metrics,
-            max_stat_bytes=STAT_DATA_CEILING)
-        self.participant.register_handlers(self.endpoint)
+        node = ServerNode.build(
+            self.kernel, self.host, num_pages=num_pages,
+            page_size=page_size, stable=stable, format_fs=fresh,
+            lock_timeout=lock_timeout, idle_abort_after=idle_abort_after,
+            collector=self.collector, metrics=self.metrics,
+            copy_payloads=False, max_stat_bytes=STAT_DATA_CEILING)
+        self.server, self.endpoint, self.participant = \
+            node.server, node.endpoint, node.participant
         self.obs_httpd = ObsHttpServer({
             "/metrics": self._render_metrics,
             "/healthz": self._render_healthz,
             "/trace": self._render_trace,
         })
         self.obs_address: Optional[Tuple[str, int]] = None
-        if not fresh:
-            # A mounted (pre-existing) disk may hold prepared (in-doubt)
-            # transaction records from the previous daemon run.
-            self.participant.recover()
-
-    def _on_message(self, message) -> None:
-        self.host.deliver(message)
 
     # -- observability endpoints -------------------------------------------
 
@@ -229,7 +209,6 @@ class LiveStorageServer:
             "in_doubt": [str(txn_id)
                          for txn_id in self.participant.in_doubt()],
             "recoveries": self.server.recoveries,
-            "breakers": self.health.snapshot(),
         })
         return "application/json", body
 

@@ -1,10 +1,15 @@
-"""One-call construction of a complete simulated deployment.
+"""Node assembly, and one-call construction of a simulated deployment.
 
-A :class:`Testbed` wires the whole stack for a set of storage servers
-and client hosts: simulator, network, stable storage, transaction
-participants, RPC endpoints, client transaction managers, background
-refreshers and metrics.  Tests, examples and benchmarks all build on
-it, so a deployment is three lines::
+:meth:`ServerNode.build` assembles a representative (stable storage,
+RPC endpoint, two-phase-commit participant) and :meth:`ClientNode.build`
+a client (RPC endpoint, transaction manager, background refresher) for
+the testbed, the live daemon and the live client alike: only the
+kernel, the host and a few arguments differ between runtimes.
+
+A :class:`Testbed` is the whole simulated stack for a set of storage
+servers and client hosts: simulator, network, those nodes and metrics.
+Tests, examples and benchmarks all build on it, so a deployment is
+three lines::
 
     bed = Testbed(servers=["s1", "s2", "s3"])
     suite = bed.install(make_configuration("db", [("s1", 1), ("s2", 1),
@@ -23,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterable, Optional, Sequence
 
+from .chaos.health import HealthTracker
 from .chaos.policy import ChaosPolicy
 from .core.examples import LATENCIES, example_configuration
 from .core.refresh import BackgroundRefresher
@@ -36,6 +42,7 @@ from .sim.network import Host, Network
 from .sim.rng import RandomStreams
 from .sim.simulator import Simulator
 from .storage.server import StorageServer
+from .storage.stable import StableStore
 from .txn.coordinator import TransactionManager
 from .txn.participant import TransactionParticipant
 
@@ -49,6 +56,34 @@ class ServerNode:
     endpoint: RpcEndpoint
     participant: TransactionParticipant
 
+    @classmethod
+    def build(cls, kernel: Simulator, host: Host, *,
+              num_pages: int = 4096, page_size: int = 512,
+              page_io_time: float = 0.0,
+              stable: Optional[StableStore] = None,
+              format_fs: bool = True,
+              lock_timeout: Optional[float] = 5_000.0,
+              idle_abort_after: Optional[float] = 60_000.0,
+              collector: Optional[TraceCollector] = None,
+              metrics: Optional[MetricsRegistry] = None,
+              copy_payloads: bool = True,
+              max_stat_bytes: Optional[int] = None) -> "ServerNode":
+        """Storage, RPC endpoint, then 2PC participant on ``host``.
+        ``format_fs=False`` mounts ``stable`` instead of formatting it,
+        and the participant recovers what it holds prepared."""
+        server = StorageServer(kernel, host, num_pages=num_pages,
+                               page_size=page_size, page_io_time=page_io_time,
+                               stable=stable, format_fs=format_fs)
+        endpoint = RpcEndpoint(kernel, host, copy_payloads=copy_payloads,
+                               collector=collector, metrics=metrics)
+        participant = TransactionParticipant(
+            server, lock_timeout=lock_timeout,
+            idle_abort_after=idle_abort_after, max_stat_bytes=max_stat_bytes)
+        participant.register_handlers(endpoint)
+        if not format_fs:
+            participant.recover()
+        return cls(host, server, endpoint, participant)
+
 
 @dataclass
 class ClientNode:
@@ -58,6 +93,32 @@ class ClientNode:
     endpoint: RpcEndpoint
     manager: TransactionManager
     refresher: BackgroundRefresher
+
+    @classmethod
+    def build(cls, kernel: Simulator, host: Host, *,
+              collector: Optional[TraceCollector] = None,
+              metrics: Optional[MetricsRegistry] = None,
+              copy_payloads: bool = True,
+              breakers: bool = False,
+              call_timeout: float = 2_000.0,
+              transport_attempts: int = 3,
+              streams: Optional[RandomStreams] = None,
+              refresh_delay: float = 0.0,
+              refresh_enabled: bool = True) -> "ClientNode":
+        """Assemble one client on ``host``: RPC endpoint (with a
+        :class:`HealthTracker` when ``breakers``), transaction manager,
+        background refresher."""
+        health = (HealthTracker(clock=lambda: kernel.now, metrics=metrics)
+                  if breakers else None)
+        endpoint = RpcEndpoint(kernel, host, copy_payloads=copy_payloads,
+                               collector=collector, metrics=metrics,
+                               health=health)
+        manager = TransactionManager(
+            kernel, endpoint, call_timeout=call_timeout,
+            transport_attempts=transport_attempts, streams=streams)
+        refresher = BackgroundRefresher(manager, delay=refresh_delay,
+                                        enabled=refresh_enabled)
+        return cls(host, endpoint, manager, refresher)
 
 
 class Testbed:
@@ -113,33 +174,21 @@ class Testbed:
                    lock_timeout: Optional[float] = 5_000.0,
                    idle_abort_after: Optional[float] = 60_000.0,
                    ) -> ServerNode:
-        host = self.network.add_host(name)
-        server = StorageServer(self.sim, host, num_pages=num_pages,
-                               page_size=page_size,
-                               page_io_time=page_io_time)
-        endpoint = RpcEndpoint(self.sim, host, collector=self.collector,
-                               metrics=self.metrics)
-        participant = TransactionParticipant(
-            server, lock_timeout=lock_timeout,
-            idle_abort_after=idle_abort_after, metrics=self.metrics)
-        participant.register_handlers(endpoint)
-        node = ServerNode(host=host, server=server, endpoint=endpoint,
-                          participant=participant)
+        node = ServerNode.build(
+            self.sim, self.network.add_host(name), num_pages=num_pages,
+            page_size=page_size, page_io_time=page_io_time,
+            lock_timeout=lock_timeout, idle_abort_after=idle_abort_after,
+            collector=self.collector, metrics=self.metrics)
         self.servers[name] = node
         return node
 
     def add_client(self, name: str, refresh_delay: float = 0.0,
                    refresh_enabled: bool = True) -> ClientNode:
-        host = self.network.add_host(name)
-        endpoint = RpcEndpoint(self.sim, host, collector=self.collector,
-                               metrics=self.metrics)
-        manager = TransactionManager(self.sim, endpoint,
-                                     call_timeout=self.call_timeout,
-                                     streams=self.streams)
-        refresher = BackgroundRefresher(manager, delay=refresh_delay,
-                                        enabled=refresh_enabled)
-        node = ClientNode(host=host, endpoint=endpoint, manager=manager,
-                          refresher=refresher)
+        node = ClientNode.build(
+            self.sim, self.network.add_host(name), collector=self.collector,
+            metrics=self.metrics, call_timeout=self.call_timeout,
+            streams=self.streams, refresh_delay=refresh_delay,
+            refresh_enabled=refresh_enabled)
         self.clients[name] = node
         return node
 

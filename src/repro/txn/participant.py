@@ -92,13 +92,12 @@ class TransactionParticipant:
     def __init__(self, server: StorageServer,
                  lock_timeout: Optional[float] = None,
                  idle_abort_after: Optional[float] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  max_stat_bytes: Optional[int] = None) -> None:
         self.server = server
         self.sim = server.sim
-        #: Optional observability: per-file version-lag gauges, exposed
-        #: by the live daemon's /metrics endpoint.
-        self.metrics = metrics
+        #: Per-file version-lag gauges go here: the registry of the
+        #: endpoint serving this participant (:meth:`register_handlers`).
+        self.metrics: Optional[MetricsRegistry] = None
         #: Server-side ceiling on data piggybacked onto ``txn.stat``
         #: replies (``read_data=True``): whatever limit the client
         #: requests is additionally clamped to this, so a transport
@@ -511,7 +510,9 @@ class TransactionParticipant:
                     self.idle_aborts += 1
 
     def register_handlers(self, endpoint) -> None:
-        """Attach the participant's RPC interface to an endpoint."""
+        """Attach the participant's RPC interface to an endpoint, and
+        report into the endpoint's metrics."""
+        self.metrics = endpoint.metrics
         endpoint.register("txn.read", self.read)
         endpoint.register("txn.stat", self.stat)
         endpoint.register("txn.stage_write", self.stage_write)
