@@ -29,9 +29,9 @@ of protocol-level decisions that survives the process.
 from it.
 """
 
-from .aggregate import (FleetView, MergedHistogram, render_fleet_view,
-                        scrape_fleet, scrape_fleet_sync,
-                        snapshot_registry, snapshot_sim_cluster)
+from .aggregate import (FleetView, render_fleet_view, scrape_fleet,
+                        scrape_fleet_sync, snapshot_registry,
+                        snapshot_sim_cluster)
 from .collector import (JsonlSink, RingBufferSink, SpanLog,
                         TraceCollector, dump_jsonl, dumps_jsonl,
                         load_jsonl)
@@ -63,7 +63,6 @@ __all__ = [
     "INTERNAL",
     "JournalStats",
     "JsonlSink",
-    "MergedHistogram",
     "NOOP_SPAN",
     "NoopSpan",
     "OK",

@@ -10,12 +10,12 @@ all read.
 Merge rules follow the Prometheus data model:
 
 * counters (``_total``) and histogram components (``_bucket``,
-  ``_sum``, ``_count``) are summed across sources — buckets merge
-  exactly because every daemon renders the same :data:`~repro.obs.
-  prom.BUCKETS` ladder;
-* φ-quantile samples are *not* merged (quantiles do not compose);
-  merged-view percentiles come from :class:`MergedHistogram` bucket
-  interpolation instead;
+  ``_sum``, ``_count``) are summed across sources;
+* a histogram family merges into one
+  :class:`~repro.sim.metrics.Histogram` — the type a registry keeps —
+  so a fleet and a single daemon answer "p99" with the same rule.  A
+  source whose ``le`` ladder is not this build's is left out of the
+  merge and named in :attr:`FleetView.errors`;
 * gauges stay per-source (a version lag is a fact about one daemon) —
   skyline queries take the max across sources.
 
@@ -28,17 +28,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import (Any, Dict, Iterable, List, Mapping, Optional, Tuple)
 
 from ..chaos.health import STATE_OF_VALUE, CLOSED
+from ..sim.metrics import BUCKETS, Histogram
 from .critical_path import CriticalPathReport, attribution_from_samples
 from .httpd import fetch
-from .prom import parse_exposition, render_registry
+from .prom import BUCKET_LABELS, parse_exposition, render_registry
 
 __all__ = [
     "Sample",
     "LabelKey",
-    "MergedHistogram",
     "FleetView",
     "scrape_fleet",
     "scrape_fleet_sync",
@@ -58,44 +59,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 def _label_key(labels: Mapping[str, str]) -> LabelKey:
     return tuple(sorted(labels.items()))
-
-
-def _le_sort_key(le: str) -> float:
-    return float("inf") if le == "+Inf" else float(le)
-
-
-class MergedHistogram:
-    """Cumulative-bucket histogram summed across daemons."""
-
-    __slots__ = ("buckets", "sum", "count")
-
-    def __init__(self, buckets: Dict[str, float], total: float,
-                 count: float) -> None:
-        #: ``le`` label -> cumulative count, including ``+Inf``.
-        self.buckets = buckets
-        self.sum = total
-        self.count = count
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the ``q`` quantile from the buckets.
-
-        Returns the smallest bucket boundary whose cumulative count
-        covers ``q`` of the samples — the conservative (never
-        understating) answer bucketed data can give.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count <= 0:
-            return 0.0
-        target = q * self.count
-        for le in sorted(self.buckets, key=_le_sort_key):
-            if self.buckets[le] >= target:
-                return _le_sort_key(le)
-        return float("inf")
 
 
 class FleetView:
@@ -126,8 +89,6 @@ class FleetView:
         """Summable series (counters + histogram components), summed."""
         merged: Dict[Tuple[str, LabelKey], float] = {}
         for name, labels, value in self.all_samples():
-            if "quantile" in labels:
-                continue
             if not (name.endswith("_total") or name.endswith("_bucket")
                     or name.endswith("_sum") or name.endswith("_count")):
                 continue
@@ -140,27 +101,44 @@ class FleetView:
         out: Dict[LabelKey, Dict[str, float]] = {}
         for source, samples in self.sources.items():
             for sample_name, labels, value in samples:
-                if sample_name != name or "quantile" in labels:
+                if sample_name != name:
                     continue
                 out.setdefault(_label_key(labels), {})[source] = value
         return out
 
-    def histogram(self, family: str) -> MergedHistogram:
-        """Merged histogram for a family name like
-        ``repro_suite_quorum_wait`` (labels other than ``le`` ignored —
-        this merges the whole family)."""
-        buckets: Dict[str, float] = {}
-        total = 0.0
-        count = 0.0
-        for name, labels, value in self.all_samples():
-            if name == family + "_bucket" and "le" in labels:
-                le = labels["le"]
-                buckets[le] = buckets.get(le, 0.0) + value
-            elif name == family + "_sum":
-                total += value
-            elif name == family + "_count" and "quantile" not in labels:
-                count += value
-        return MergedHistogram(buckets, total, count)
+    def histogram(self, family: str) -> Histogram:
+        """A family like ``repro_suite_quorum_wait`` summed over every
+        source and label set (``le`` aside).  A source whose buckets
+        are not this build's ladder, or do not add up, is recorded in
+        :attr:`errors` and left out rather than misfiled."""
+        merged = Histogram(family)
+        for source, samples in self.sources.items():
+            cumulative: Dict[Optional[str], float] = {}
+            total = count = 0.0
+            for name, labels, value in samples:
+                if name == family + "_bucket":
+                    le = labels.get("le")
+                    cumulative[le] = cumulative.get(le, 0.0) + value
+                elif name == family + "_sum":
+                    total += value
+                elif name == family + "_count":
+                    count += value
+            if not cumulative and not count:
+                continue
+            running = [cumulative.get(le, -1.0) for le in BUCKET_LABELS]
+            counts = [high - low
+                      for low, high in zip([0.0] + running, running)]
+            if (len(cumulative) != len(BUCKET_LABELS)
+                    or running[-1] != count
+                    or not all(0.0 <= n < math.inf for n in counts)):
+                self.errors[source] = (f"{family}: buckets do not match "
+                                       f"this build's ladder")
+                continue
+            merged.counts = [a + int(b)
+                             for a, b in zip(merged.counts, counts)]
+            merged.sum += total
+            merged.count += int(count)
+        return merged
 
     # -- keyed cluster views -------------------------------------------
 
@@ -290,19 +268,25 @@ def load_obs_manifest(path: str) -> Dict[str, Tuple[str, int]]:
             for name, entry in servers.items()}
 
 
+def _bound_text(bound: float) -> str:
+    if bound == math.inf:
+        return f">{BUCKETS[-1]:g}ms"
+    return f"<={bound:g}ms"
+
+
 def render_fleet_view(view: FleetView, top: int = 8) -> str:
     """Terminal summary of a merged view: the ``repro top`` body."""
+    reads = view.histogram("repro_suite_quorum_wait")
     lines: List[str] = []
     sources = ", ".join(sorted(view.sources)) or "(none)"
     lines.append(f"sources: {sources}")
     for name, error in sorted(view.errors.items()):
         lines.append(f"  !! {name}: {error}")
-
-    reads = view.histogram("repro_suite_quorum_wait")
     if reads.count:
         lines.append(
-            f"quorum wait: n={int(reads.count)} mean={reads.mean:.1f}ms "
-            f"p50<={reads.quantile(0.5):g}ms p99<={reads.quantile(0.99):g}ms")
+            f"quorum wait: n={reads.count} mean={reads.mean:.1f}ms "
+            f"p50{_bound_text(reads.quantile(0.5))} "
+            f"p99{_bound_text(reads.quantile(0.99))}")
 
     report = view.quorum_blocking()
     if report.total_blocked_ms > 0.0:

@@ -83,7 +83,9 @@ class ObsHttpServer:
                             500, "text/plain; charset=utf-8",
                             "internal error\n"))
             await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
+            # ValueError: a line past the stream's 64 KiB limit — abuse,
+            # dropped like any other oversized request.
             pass
         finally:
             try:

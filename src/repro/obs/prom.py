@@ -11,11 +11,10 @@ maps those names onto the Prometheus data model:
   representative;
 * counters gain the conventional ``_total`` suffix;
 * gauges also render their running maximum as ``<family>_max``;
-* histograms render both φ-quantile summary lines (exact, because the
-  histogram keeps raw samples) and cumulative ``_bucket`` lines with
-  ``le`` labels over :data:`BUCKETS` plus ``+Inf`` — quantiles for
-  humans at a single daemon, buckets so :mod:`repro.obs.aggregate` can
-  merge histograms across daemons by summing counts.
+* histograms render cumulative ``_bucket`` lines with ``le`` labels
+  over :data:`~repro.sim.metrics.BUCKETS` plus ``+Inf``, then ``_sum``
+  and ``_count`` — what :mod:`repro.obs.aggregate` sums across daemons
+  and reads quantiles from with the histogram's own rule.
 
 Output follows the Prometheus text format 0.0.4 — scrapeable by an
 actual Prometheus, parseable by :func:`parse_exposition` (used by
@@ -25,22 +24,13 @@ actual Prometheus, parseable by :func:`parse_exposition` (used by
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..sim.metrics import Histogram, MetricsRegistry
+from ..sim.metrics import BUCKETS, Histogram, MetricsRegistry
 
 #: Content type a /metrics HTTP response should declare.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Quantiles rendered for every histogram.
-QUANTILES = (0.5, 0.95, 0.99)
-
-#: Cumulative bucket boundaries (milliseconds — every histogram in the
-#: registry observes sim/wall milliseconds or small counts, and both
-#: fit this decade ladder).  ``+Inf`` is implicit.
-BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
-           1000.0, 2500.0, 5000.0)
 
 #: ``le`` label values corresponding to :data:`BUCKETS` plus ``+Inf``.
 BUCKET_LABELS = tuple(
@@ -48,17 +38,10 @@ BUCKET_LABELS = tuple(
      for b in BUCKETS] + ["+Inf"])
 
 
-def bucket_counts(histogram: Histogram,
-                  buckets: Tuple[float, ...] = BUCKETS) -> List[int]:
-    """Cumulative sample counts at each boundary, ending with +Inf.
+def bucket_counts(histogram: Histogram) -> List[int]:
+    """Cumulative observation counts at each bound, ending with +Inf."""
+    return list(accumulate(histogram.counts))
 
-    Exact — computed from the raw samples via one sort (cached inside
-    the histogram), not from pre-binned counts.
-    """
-    ordered = histogram._ordered()
-    counts = [bisect_right(ordered, boundary) for boundary in buckets]
-    counts.append(len(ordered))
-    return counts
 
 _ILLEGAL = re.compile(r"[^a-zA-Z0-9_:]")
 _LABELLED = re.compile(r"^(?P<family>[^\[\]]+)\[(?P<labels>[^\[\]]*)\]$")
@@ -165,15 +148,11 @@ def render_registry(registry: MetricsRegistry, prefix: str = "repro_",
         return entry
 
     def emit(raw_name: str, kind: str, value: float,
-             suffix: str = "", extra_labels: Optional[Dict[str, str]] = None,
-             sample_suffix: str = "") -> None:
-        base, labels = split_labels(raw_name)
+             suffix: str = "") -> None:
+        _base, labels = split_labels(raw_name)
         entry = family(raw_name, kind, suffix)
-        if extra_labels:
-            labels = {**labels, **extra_labels}
         entry.lines.append(
-            f"{entry.name}{sample_suffix}{_labels_text(labels)} "
-            f"{_format(value)}")
+            f"{entry.name}{_labels_text(labels)} {_format(value)}")
 
     for name, counter in sorted(registry._counters.items()):
         emit(name, "counter", counter.value, suffix="_total")
@@ -182,10 +161,7 @@ def render_registry(registry: MetricsRegistry, prefix: str = "repro_",
         if gauge.maximum is not None:
             emit(name, "gauge", gauge.maximum, suffix="_max")
     for name, histogram in sorted(registry._histograms.items()):
-        for quantile in QUANTILES:
-            emit(name, "histogram", histogram.percentile(quantile * 100.0),
-                 extra_labels={"quantile": _format(quantile)})
-        base, labels = split_labels(name)
+        _base, labels = split_labels(name)
         entry = family(name, "histogram")
         for le, count in zip(BUCKET_LABELS, bucket_counts(histogram)):
             entry.lines.append(
@@ -193,7 +169,7 @@ def render_registry(registry: MetricsRegistry, prefix: str = "repro_",
                 f"{_labels_text({**labels, 'le': le})} {count}")
         entry.lines.append(
             f"{entry.name}_sum{_labels_text(labels)} "
-            f"{_format(sum(histogram.samples))}")
+            f"{_format(histogram.sum)}")
         entry.lines.append(
             f"{entry.name}_count{_labels_text(labels)} "
             f"{_format(histogram.count)}")

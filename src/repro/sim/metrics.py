@@ -2,15 +2,17 @@
 
 Counters, gauges and latency histograms, collected in a
 :class:`MetricsRegistry` so a whole testbed can be summarised in one
-call.  The histogram keeps raw samples (runs are modest in size), so
-exact quantiles are available to the benchmark harness.
+call.  A histogram keeps bucket counts over one fixed ladder, not its
+samples, so a long-lived daemon's registry stays the same size however
+many operations it serves.  Exact percentiles are the workload
+drivers' business (:mod:`repro.workload.drivers`).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from typing import Dict, Iterable, List
+from bisect import bisect_left
+from typing import Dict
 
 
 class Counter:
@@ -58,101 +60,67 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
+#: Histogram bucket upper bounds, in milliseconds (or small counts, such
+#: as quorum sizes); ``+Inf`` is implicit.  A live handler takes tens
+#: of microseconds and a live quorum wait under a millisecond, while sim
+#: waits run to seconds, so the ladder spans 0.01 ms to 5 s.
+BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
+           1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
+           1000.0, 2500.0, 5000.0)
+
+
 class Histogram:
-    """Exact-sample histogram for latency-style observations.
+    """Fixed-bucket histogram for latency-style observations.
 
-    Quantile queries share one sorted copy of the samples, invalidated
-    on the next observation — ``summary()`` (four quantiles) and the
-    exporter's repeated scrapes cost one sort, not one per query.
-
-    Samples live in an ``array('d')``: the same IEEE doubles in the
-    same order as a list of floats, at 8 bytes each instead of a
-    pointer plus a float object — per-operation histograms are what
-    makes a long run's memory grow with the operations it served.
+    ``counts[i]`` is the number of observations ``<= BUCKETS[i]`` and
+    above the bound before it (Prometheus ``le`` semantics); the last
+    slot counts everything past the ladder.  State is constant in the
+    number of observations, and the same rule answers quantiles for
+    one registry and for a fleet whose buckets were summed.
     """
 
-    __slots__ = ("name", "_samples", "_sorted")
+    __slots__ = ("name", "counts", "count", "sum")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._samples = array("d")
-        self._sorted: "List[float] | None" = None
-
-    @property
-    def samples(self) -> "array[float]":
-        return self._samples
-
-    @samples.setter
-    def samples(self, values: Iterable[float]) -> None:
-        # Assigned wholesale by e.g. workload result merging.
-        self._samples = array("d", values)
-        self._sorted = None
+        self.counts = [0] * (len(BUCKETS) + 1)
+        self.count = 0
+        self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        self._samples.append(value)
-        self._sorted = None
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
+        self.counts[bisect_left(BUCKETS, value)] += 1
+        self.count += 1
+        self.sum += value
 
     @property
     def mean(self) -> float:
-        if not self.samples:
+        return self.sum / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> float:
+        """The smallest bucket bound covering ``q`` of the observations.
+
+        An upper bound — never understating — and ``inf`` when the
+        quantile lies past the last bound.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+        if not self.count:
             return 0.0
-        return sum(self.samples) / len(self.samples)
-
-    @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    @property
-    def stddev(self) -> float:
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mean = self.mean
-        return math.sqrt(sum((s - mean) ** 2 for s in self.samples) / (n - 1))
-
-    def _ordered(self) -> List[float]:
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        return self._sorted
-
-    def percentile(self, p: float) -> float:
-        """Exact percentile via linear interpolation; ``p`` in [0, 100]."""
-        if not 0 <= p <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self.samples:
-            return 0.0
-        ordered = self._ordered()
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-    @property
-    def median(self) -> float:
-        return self.percentile(50.0)
+        target = q * self.count
+        running = 0
+        for bound, count in zip(BUCKETS, self.counts):
+            running += count
+            if running >= target:
+                return bound
+        return math.inf
 
     def summary(self) -> Dict[str, float]:
         return {
             "count": float(self.count),
             "mean": self.mean,
-            "min": self.minimum,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.maximum,
+            "p50": self.quantile(0.5),
+            "p95": self.quantile(0.95),
+            "p99": self.quantile(0.99),
         }
 
     def __repr__(self) -> str:

@@ -10,12 +10,13 @@ cross-checks the paper's analytic blocking probabilities.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..errors import ReproError
 from ..sim.distributions import Distribution, as_distribution
-from ..sim.metrics import Histogram
 from ..sim.rng import RandomStreams
 from .mixes import READ, OperationMix, PayloadShape
 
@@ -38,6 +39,48 @@ def _stream_name(name: str, client_id: Optional[int]) -> str:
     return f"workload:{name}"
 
 
+class LatencySamples:
+    """Every latency one driver observed, for exact percentiles.
+
+    Registry histograms keep bucket counts only; a workload's own
+    read/write latencies keep each sample (8-byte doubles in an
+    ``array('d')``) because gated bench rows read exact, interpolated
+    percentiles from them.
+    """
+
+    __slots__ = ("samples",)
+
+    def __init__(self) -> None:
+        self.samples = array("d")
+
+    def observe(self, value: float) -> None:
+        self.samples.append(value)
+
+    @property
+    def count(self) -> int:
+        return len(self.samples)
+
+    @property
+    def mean(self) -> float:
+        if not self.samples:
+            return 0.0
+        return sum(self.samples) / len(self.samples)
+
+    def percentile(self, p: float) -> float:
+        """Exact percentile via linear interpolation; ``p`` in [0, 100]."""
+        if not 0 <= p <= 100:
+            raise ValueError("percentile must be in [0, 100]")
+        if not self.samples:
+            return 0.0
+        ordered = sorted(self.samples)
+        rank = (p / 100.0) * (len(ordered) - 1)
+        low, high = math.floor(rank), math.ceil(rank)
+        if low == high:
+            return ordered[low]
+        frac = rank - low
+        return ordered[low] * (1.0 - frac) + ordered[high] * frac
+
+
 @dataclass
 class WorkloadStats:
     """Aggregated outcome of one driver run."""
@@ -47,10 +90,8 @@ class WorkloadStats:
     writes: int = 0
     read_blocked: int = 0
     write_blocked: int = 0
-    read_latency: Histogram = field(
-        default_factory=lambda: Histogram("read_latency"))
-    write_latency: Histogram = field(
-        default_factory=lambda: Histogram("write_latency"))
+    read_latency: LatencySamples = field(default_factory=LatencySamples)
+    write_latency: LatencySamples = field(default_factory=LatencySamples)
 
     @property
     def blocked(self) -> int:

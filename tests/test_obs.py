@@ -13,6 +13,8 @@ Prometheus text on ``/metrics``.
 import asyncio
 import io
 import json
+import logging
+from array import array
 
 import pytest
 
@@ -20,13 +22,15 @@ from repro.cli import main as cli_main
 from repro.core import change_configuration, make_configuration
 from repro.core.examples import example_configuration
 from repro.live import LoopbackCluster
-from repro.obs import (NOOP_SPAN, JsonlSink, RingBufferSink,
-                       TraceCollector, TraceContext, breakdown,
-                       dump_jsonl, dumps_jsonl, fetch, group_traces,
-                       load_jsonl, parse_exposition, render_registry,
-                       render_trace, split_labels, summarize)
-from repro.sim.metrics import Histogram, MetricsRegistry
+from repro.obs import (CONTENT_TYPE, NOOP_SPAN, JsonlSink, ObsHttpServer,
+                       RingBufferSink, TraceCollector, TraceContext,
+                       breakdown, dump_jsonl, dumps_jsonl, fetch,
+                       group_traces, load_jsonl, parse_exposition,
+                       render_registry, render_trace, split_labels,
+                       summarize)
+from repro.sim.metrics import BUCKETS, MetricsRegistry
 from repro.testbed import Testbed
+from repro.workload.drivers import LatencySamples
 
 
 def make_config(name="obs", servers=("s1", "s2", "s3"), r=2, w=2):
@@ -168,8 +172,10 @@ class TestProm:
                 in text)
         assert ('repro_rep_version_lag_max{file="suite:f",server="s1"} 2'
                 in text)
-        assert 'repro_suite_quorum_wait{quantile="0.5"} 4' in text
+        assert 'repro_suite_quorum_wait_bucket{le="2"} 0' in text
+        assert 'repro_suite_quorum_wait_bucket{le="5"} 1' in text
         assert "repro_suite_quorum_wait_count 1" in text
+        assert "quantile" not in text
 
     def test_parse_inverts_render(self):
         registry = MetricsRegistry()
@@ -199,19 +205,47 @@ class TestSatellites:
         assert snapshot["gauges"]["inflight"] == {"value": 1.0,
                                                  "max": 4.0}
 
-    def test_histogram_sort_cache_tracks_observations(self):
-        histogram = Histogram("lat")
+    def test_exact_percentiles_track_observations(self):
+        histogram = LatencySamples()
         for value in (3.0, 1.0, 2.0):
             histogram.observe(value)
         assert histogram.percentile(50) == 2.0
-        assert histogram._sorted == [1.0, 2.0, 3.0]  # cached
-        histogram.observe(0.0)  # invalidates
-        assert histogram._sorted is None
+        histogram.observe(0.0)
         assert histogram.percentile(0) == 0.0
-        summary = histogram.summary()
-        assert summary["p50"] == 1.5
-        histogram.samples = [5.0]  # wholesale assignment invalidates
+        assert histogram.percentile(50) == 1.5
+        histogram.samples = array("d", [5.0])
         assert histogram.percentile(100) == 5.0
+
+
+class TestObsHttpServer:
+    def test_overlong_request_line_drops_the_connection_quietly(
+            self, caplog):
+        """A request line past the stream's 64 KiB limit makes
+        ``readline`` raise ``ValueError``; the server drops that
+        connection with no asyncio traceback and keeps serving."""
+        async def scenario():
+            server = ObsHttpServer(
+                {"/metrics": lambda: (CONTENT_TYPE, "repro_up 1\n")})
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n")
+                try:
+                    await writer.drain()
+                    dropped = await asyncio.wait_for(reader.read(), 5.0)
+                except ConnectionResetError:
+                    dropped = b""
+                writer.close()
+                return dropped, await fetch(host, port, "/metrics")
+            finally:
+                await server.stop()
+
+        with caplog.at_level(logging.ERROR):
+            dropped, (status, body) = asyncio.run(scenario())
+        assert dropped == b""
+        assert (status, body) == (200, "repro_up 1\n")
+        assert not [record for record in caplog.records
+                    if record.levelno >= logging.ERROR]
 
 
 class TestLabelEscaping:
@@ -414,8 +448,10 @@ class TestTestbedTracing:
         # One gather: the write's.  The refresh installs the bytes the
         # write handed over and assembles no quorum of its own.
         assert bed.metrics.histogram("suite.quorum_wait").count == 1
-        sizes = bed.metrics.histogram("suite.quorum_size").samples
-        assert sizes and all(size >= 2 for size in sizes)
+        sizes = bed.metrics.histogram("suite.quorum_size")
+        # Every quorum held at least two representatives.
+        assert sizes.count
+        assert sum(sizes.counts[:BUCKETS.index(1.0) + 1]) == 0
 
     def test_config_adoption_counted_in_attempts(self):
         """Regression: a ``StaleConfigurationError`` restart used to

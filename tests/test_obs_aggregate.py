@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.obs.aggregate import (FleetView, MergedHistogram,
-                                 load_obs_manifest, render_fleet_view,
-                                 snapshot_registry, write_obs_manifest)
-from repro.obs.prom import (BUCKET_LABELS, BUCKETS, bucket_counts,
+import math
+
+from repro.obs.aggregate import (FleetView, load_obs_manifest,
+                                 render_fleet_view, snapshot_registry,
+                                 write_obs_manifest)
+from repro.obs.prom import (BUCKET_LABELS, bucket_counts,
                             parse_exposition, render_registry)
-from repro.sim.metrics import Histogram, MetricsRegistry
+from repro.sim.metrics import BUCKETS, Histogram, MetricsRegistry
 
 
 class TestBucketExposition:
@@ -17,8 +19,8 @@ class TestBucketExposition:
             histogram.observe(value)
         counts = bucket_counts(histogram)
         assert len(counts) == len(BUCKETS) + 1      # ladder + +Inf
-        assert counts[0] == 1                       # <= 1 ms
-        assert counts[2] == 3                       # <= 5 ms
+        assert counts[BUCKETS.index(1.0)] == 1      # <= 1 ms
+        assert counts[BUCKETS.index(5.0)] == 3      # <= 5 ms
         assert counts[-1] == 5                      # +Inf sees all
         assert counts == sorted(counts)
 
@@ -38,22 +40,66 @@ class TestBucketExposition:
         assert sums == [pytest.approx(732.0)]
 
 
+def fleet_of(*registries):
+    view = FleetView()
+    for index, registry in enumerate(registries):
+        view.add_text(f"n{index}", render_registry(registry))
+    return view
+
+
 class TestMergedHistogram:
     def test_quantile_upper_bounds(self):
-        merged = MergedHistogram(
-            {"1": 0.0, "10": 6.0, "100": 9.0, "+Inf": 10.0},
-            total=500.0, count=10.0)
-        assert merged.mean == 50.0
-        assert merged.quantile(0.5) == 10.0
-        assert merged.quantile(0.95) == float("inf")
-        assert merged.quantile(0.0) == 1.0
+        registry = MetricsRegistry()
+        histogram = registry.histogram("suite.quorum_wait")
+        for value in [0.5] * 6 + [40.0] * 3 + [9_000.0]:
+            histogram.observe(value)
+        merged = fleet_of(registry).histogram("repro_suite_quorum_wait")
+        assert merged.mean == 912.3
+        assert merged.quantile(0.5) == 0.5
+        assert merged.quantile(0.9) == 50.0
+        assert merged.quantile(0.95) == math.inf
+        assert merged.quantile(0.0) == BUCKETS[0]
+        assert "p50<=0.5ms p99>5000ms" in render_fleet_view(
+            fleet_of(registry))
 
     def test_empty_histogram(self):
-        merged = MergedHistogram({}, 0.0, 0.0)
+        merged = FleetView().histogram("repro_suite_quorum_wait")
         assert merged.mean == 0.0
         assert merged.quantile(0.99) == 0.0
         with pytest.raises(ValueError):
             merged.quantile(1.5)
+
+    def test_fleet_equals_one_registry_that_saw_both_streams(self):
+        first, second, both = (MetricsRegistry() for _ in range(3))
+        streams = ([0.01, 0.5, 3.0, 3.0, 6_000.0],
+                   [0.25, 0.75, 1.0, 2_500.0])
+        for registry, stream in zip((first, second), streams):
+            for value in stream:
+                for target in (registry, both):
+                    target.histogram("suite.quorum_wait[suite=a]").observe(
+                        value)
+        merged = fleet_of(first, second).histogram(
+            "repro_suite_quorum_wait")
+        alone = both.histogram("suite.quorum_wait[suite=a]")
+        assert merged.counts == alone.counts
+        assert (merged.count, merged.sum) == (alone.count, alone.sum)
+        for q in (0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0):
+            assert merged.quantile(q) == alone.quantile(q)
+
+    def test_foreign_ladder_is_an_error_not_a_misfiled_bucket(self):
+        registry = MetricsRegistry()
+        registry.histogram("suite.quorum_wait").observe(0.02)
+        view = fleet_of(registry)
+        view.add_text("old", "\n".join([
+            'repro_suite_quorum_wait_bucket{le="1"} 4',
+            'repro_suite_quorum_wait_bucket{le="+Inf"} 4',
+            'repro_suite_quorum_wait_sum 0.2',
+            'repro_suite_quorum_wait_count 4',
+        ]))
+        merged = view.histogram("repro_suite_quorum_wait")
+        assert (merged.count, merged.quantile(1.0)) == (1, 0.025)
+        assert "old" in view.errors and "n0" not in view.errors
+        assert "!! old:" in render_fleet_view(view)
 
 
 def two_source_view():
@@ -93,11 +139,21 @@ class TestFleetView:
         assert view.counter_total("repro_ops_total") == 15.0
 
     def test_histograms_merge_bucketwise(self):
-        merged = two_source_view().histogram("repro_suite_quorum_wait")
-        assert merged.buckets == {"10": 5.0, "+Inf": 10.0}
-        assert merged.count == 10.0
-        assert merged.mean == 30.0
-        assert merged.quantile(0.5) == 10.0
+        first, second = MetricsRegistry(), MetricsRegistry()
+        for value in (0.04, 0.04, 7.0):
+            first.histogram("suite.quorum_wait[suite=a]").observe(value)
+        for value in (0.3, 7.0, 7.5):
+            second.histogram("suite.quorum_wait[suite=b]").observe(value)
+        merged = fleet_of(first, second).histogram(
+            "repro_suite_quorum_wait")
+        assert merged.counts[BUCKETS.index(0.05)] == 2
+        assert merged.counts[BUCKETS.index(0.5)] == 1
+        assert merged.counts[BUCKETS.index(10.0)] == 3
+        assert merged.count == 6
+        assert merged.quantile(0.5) == 0.5
+        rendered = render_fleet_view(fleet_of(first, second))
+        assert "quorum wait: n=6 mean=3.6ms p50<=0.5ms p99<=10ms" \
+            in rendered
 
     def test_gauges_stay_per_source_and_skyline_takes_max(self):
         view = two_source_view()

@@ -1,12 +1,15 @@
 """RNG streams, distributions, metrics."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from repro.sim import (Constant, Exponential, Histogram, Lognormal,
                        MetricsRegistry, RandomStreams, Uniform,
                        as_distribution)
+from repro.sim.metrics import BUCKETS
+from repro.workload.drivers import LatencySamples
 
 
 class TestRandomStreams:
@@ -125,38 +128,79 @@ class TestMetrics:
         assert gauge.maximum == -2.0
 
     def test_histogram_statistics(self):
-        histogram = Histogram("lat")
+        histogram = LatencySamples()
         for value in (1.0, 2.0, 3.0, 4.0):
             histogram.observe(value)
         assert histogram.mean == 2.5
-        assert histogram.median == 2.5
-        assert histogram.minimum == 1.0
-        assert histogram.maximum == 4.0
         assert histogram.percentile(0) == 1.0
         assert histogram.percentile(100) == 4.0
 
     def test_histogram_percentile_interpolates(self):
-        histogram = Histogram("lat")
+        histogram = LatencySamples()
         histogram.observe(0.0)
         histogram.observe(10.0)
         assert histogram.percentile(50) == 5.0
 
     def test_histogram_empty_safe(self):
-        histogram = Histogram("lat")
+        histogram = LatencySamples()
         assert histogram.mean == 0.0
         assert histogram.percentile(99) == 0.0
-        assert histogram.stddev == 0.0
+        bucketed = Histogram("lat")
+        assert bucketed.mean == 0.0
+        assert bucketed.quantile(0.99) == 0.0
 
     def test_histogram_invalid_percentile(self):
         with pytest.raises(ValueError):
-            Histogram("x").percentile(150)
-        Histogram("x").observe(1.0)
+            LatencySamples().percentile(150)
+        LatencySamples().observe(1.0)
 
-    def test_stddev(self):
-        histogram = Histogram("x")
-        for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
+    def test_bucketed_histogram_counts_a_bound_in_its_bucket(self):
+        histogram = Histogram("lat")
+        for value in (0.0, 0.01, 0.011, 1.0, 5000.0, 5000.5):
             histogram.observe(value)
-        assert histogram.stddev == pytest.approx(math.sqrt(32 / 7))
+        assert histogram.counts[BUCKETS.index(0.01)] == 2     # 0.0, 0.01
+        assert histogram.counts[BUCKETS.index(0.025)] == 1    # 0.011
+        assert histogram.counts[BUCKETS.index(1.0)] == 1
+        assert histogram.counts[BUCKETS.index(5000.0)] == 1
+        assert histogram.counts[-1] == 1                       # past 5 s
+        assert histogram.count == 6
+        assert histogram.sum == sum((0.0, 0.01, 0.011, 1.0, 5000.0,
+                                     5000.5))
+
+    def test_bucketed_histogram_quantile_is_the_covering_bound(self):
+        histogram = Histogram("lat")
+        for value in (0.02, 0.02, 0.3, 7.0):
+            histogram.observe(value)
+        assert histogram.quantile(0.5) == 0.025
+        assert histogram.quantile(0.75) == 0.5
+        assert histogram.quantile(1.0) == 10.0
+        assert histogram.quantile(0.0) == BUCKETS[0]
+        histogram.observe(6000.0)
+        assert histogram.quantile(1.0) == math.inf
+        summary = histogram.summary()
+        assert summary["count"] == 5.0
+        assert summary["p50"] == 0.5
+        assert summary["p99"] == math.inf
+        with pytest.raises(ValueError):
+            histogram.quantile(1.5)
+
+    def test_registry_histogram_state_is_constant(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("rpc.server_latency")
+        histogram.observe(0.5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for index in range(100_000):
+                registry.histogram("rpc.server_latency").observe(
+                    (index % 997) * 0.013)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        grown = sum(stat.size_diff
+                    for stat in after.compare_to(before, "filename"))
+        assert grown < 4096
+        assert histogram.count == 100_001
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
