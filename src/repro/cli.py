@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
+import os
 import signal
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -395,9 +397,6 @@ def _run_soaks(args: argparse.Namespace, config, label: str,
     ``dump_history`` writes a history even without it when a soak
     violates an invariant (a failed soak must leave evidence behind).
     """
-    import json
-    import os
-
     from .chaos.soak import run_live_soak, run_sim_soak
     from .verification import history_to_json
 
@@ -454,8 +453,6 @@ def _run_soaks(args: argparse.Namespace, config, label: str,
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Invariant-checked soak under deterministic fault injection."""
-    import os
-
     from .chaos.soak import SoakConfig
 
     try:
@@ -497,8 +494,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_autopilot(args: argparse.Namespace) -> int:
     """Vote autopilot scenario: degrade, watch votes shift, heal,
     watch them return — with the invariant checker over the whole run."""
-    import json
-
     from .chaos.soak import SoakConfig
 
     degrade = (None if args.degrade_server in (None, "none")
@@ -531,7 +526,6 @@ def cmd_autopilot(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Audit and deterministically re-execute flight journals."""
-    import os
     import tempfile
 
     from .obs.flight import FlightJournalError
@@ -656,11 +650,9 @@ def _metrics_single(args: argparse.Namespace, host: str,
     """The classic single-daemon scrape (kept verbatim for scripts)."""
     from .obs import fetch, parse_exposition
 
-    async def _scrape() -> "tuple[int, str]":
-        return await fetch(host, port, args.path, timeout=args.timeout)
-
     try:
-        status, body = asyncio.run(_scrape())
+        status, body = asyncio.run(
+            fetch(host, port, args.path, timeout=args.timeout))
     except (OSError, asyncio.TimeoutError) as exc:
         print(f"repro metrics: cannot scrape "
               f"http://{host}:{port}{args.path}: {exc}",
@@ -687,6 +679,22 @@ def _metrics_single(args: argparse.Namespace, host: str,
           value)
          for name, labels, value in samples])
     return 0
+
+
+def _merged_row_order(item) -> tuple:
+    """Merged rows by name, then labels — ``le`` by its bound, so a
+    histogram's buckets print in order with ``+Inf`` last (a scraped
+    bound that is no number sorts after them, by its text)."""
+    (name, labels), _value = item
+    order = []
+    for key, value in labels:
+        if key == "le":
+            try:
+                value = (float(value), "")
+            except ValueError:
+                value = (float("inf"), value)
+        order.append((key, value))
+    return name, order
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -718,7 +726,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if not view.sources:
         return 1
     rows = []
-    for (name, labels), value in sorted(view.merged_counters().items()):
+    for (name, labels), value in sorted(view.merged_counters().items(),
+                                        key=_merged_row_order):
         if args.filter and args.filter not in name:
             continue
         rows.append((name,
@@ -775,8 +784,6 @@ def _doctor_offline(args: argparse.Namespace) -> int:
     ``--expect-*`` check misses.  Unreadable artifacts are findings
     too — a postmortem that cannot read its evidence has failed.
     """
-    import json
-
     from .obs import load_jsonl
     from .obs.critical_path import analyze_quorum_paths
 
@@ -1652,7 +1659,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro metrics | head``): exit
+        # quietly, stdout on devnull so the final flush is silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

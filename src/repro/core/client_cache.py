@@ -26,11 +26,8 @@ from .suite import FileSuiteClient, ReadResult, WriteResult
 class CachingSuiteClient(FileSuiteClient):
     """A suite client with an in-process weak representative."""
 
-    def __init__(self, *args: Any, cache_enabled: bool = True,
-                 **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.cache_enabled = cache_enabled
-        self._cached: Optional[Tuple[int, bytes]] = None
+    #: The ``(version, data)`` this client last read or wrote, if any.
+    _cached: Optional[Tuple[int, bytes]] = None
 
     # ------------------------------------------------------------------
 
@@ -49,36 +46,27 @@ class CachingSuiteClient(FileSuiteClient):
         # from here (served_by "client-cache") whenever the inquiry
         # proves this version current, and passes the version as
         # ``skip_version`` so a current copy is never re-shipped.
-        return self._cached if self.cache_enabled else None
+        return self._cached
 
     def read(self) -> Generator[Any, Any, ReadResult]:
         """Read, serving the data locally when the cache is current.
 
-        Unlike the pre-fast-path implementation, a cache hit is not a
-        separate code path: the base read performs the inquiry, decides
-        currency, and fills in the quorum membership, observed versions
-        and attempt count either way — so a hit's :class:`ReadResult`
-        carries the same invariant-checking evidence as any other read.
+        A cache hit is no separate path: the base read's inquiry decides
+        currency and fills in the quorum, observed versions and attempt
+        count either way, so a hit carries the same evidence as any read.
         """
-        had_cache = self.cache_enabled and self._cached is not None
+        had_cache = self._cached is not None
         result = yield from super().read()
         if result.served_by == "client-cache":
             self.metrics.counter("cache.hits").increment()
         else:
             if had_cache:
                 self.metrics.counter("cache.misses").increment()
-            self._store(result.version, result.data)
+            self._cached = (result.version, bytes(result.data))
         return result
 
     def write(self, data: bytes) -> Generator[Any, Any, WriteResult]:
         """Write through: the cache holds the value we just committed."""
         result = yield from super().write(data)
-        if self.cache_enabled:
-            self._store(result.version, data)
+        self._cached = (result.version, bytes(data))
         return result
-
-    # ------------------------------------------------------------------
-
-    def _store(self, version: int, data: bytes) -> None:
-        if self.cache_enabled:
-            self._cached = (version, bytes(data))

@@ -92,9 +92,8 @@ def _reconfigure_once(client: FileSuiteClient,
         config_version=old_config.config_version + 1,
         suite_name=old_config.suite_name)
     # 1. Old-configuration write quorum, exclusive.
-    gathered, _ = yield from client._inquire(
+    gathered, current, _ = yield from client._inquire(
         txn, old_config.write_quorum, mode=EXCLUSIVE, include_weak=False)
-    current = client._current_version_from(gathered)
     new_version = current + 1
 
     # 2. Current contents, from a current responder.

@@ -55,11 +55,13 @@ bytes the operation already holds — bringing copies current never adds
 latency to the foreground operation, and costs one call per copy.
 
 Every operation runs inside a transaction; by default each call manages
-its own through :meth:`~repro.txn.coordinator.TransactionManager.
-transact`, the one attempt loop, which re-runs an operation that
-adopted a newer configuration at once and retries transient failures
-(deadlock, lock timeout, lost quorum) after jittered backoff — the
-discipline the paper assumes from its transactional storage system.
+its own through one operation generator, :meth:`FileSuiteClient.
+_operation`: it opens the operation's span, counts it and runs
+:meth:`~repro.txn.coordinator.TransactionManager.transact`, the one
+attempt loop, which re-runs an operation that adopted a newer
+configuration at once and retries transient failures (deadlock, lock
+timeout, lost quorum) after jittered backoff — the discipline the paper
+assumes from its transactional storage system.
 :meth:`FileSuiteClient.transact` hands the same loop to multi-call
 transactions, and :mod:`repro.violet` runs multi-suite ones in it.
 """
@@ -219,8 +221,8 @@ class FileSuiteClient:
         opening a new one — how a namespace lookup and the data read it
         leads to stitch into one tree.
         """
-        return (yield from self._traced(
-            "read", partial(self._read_once, release=True), parent))
+        return self._operation(partial(self._read_once, release=True),
+                               "read", parent)
 
     def write(self, data: bytes,
               parent=None) -> Generator[Any, Any, WriteResult]:
@@ -228,47 +230,19 @@ class FileSuiteClient:
 
         ``parent`` works as in :meth:`read`.
         """
-        return (yield from self._traced(
-            "write", partial(self._write_once, data=data, prepare=True),
-            parent, size=len(data)))
-
-    def _traced(self, kind: str, operation, parent, **attrs):
-        """One public read or write: its root span — a new trace, or a
-        stitched child of ``parent`` — the attempt loop, its counters."""
-        started = self.sim.now
-        name = f"suite.{kind}"
-        attrs = {"suite": self.config.suite_name, **attrs}
-        if parent:
-            span = self.collector.start_span(name, parent=parent,
-                                             kind="client", **attrs)
-        else:
-            span = self.collector.start_trace(name, **attrs)
-        try:
-            result = yield from self._with_retries(operation, span)
-        except BaseException as exc:
-            span.end(error=f"{type(exc).__name__}: {exc}")
-            raise
-        span.set_attr("version", result.version)
-        if kind == "read":
-            span.set_attr("served_by", result.served_by)
-        span.set_attr("attempts", result.attempts)
-        if result.config_refreshes:
-            span.set_attr("config_refreshes", result.config_refreshes)
-        span.end()
-        self.metrics.counter(f"suite.{kind}s").increment()
-        self.metrics.histogram(f"suite.{kind}_latency").observe(
-            self.sim.now - started)
-        return result
+        return self._operation(
+            partial(self._write_once, data=data, prepare=True),
+            "write", parent, size=len(data))
 
     def current_version(self) -> Generator[Any, Any, int]:
         """Version-number inquiry only: collect a read quorum, no data."""
         def inquire(txn: Transaction):
-            gathered, _ = yield from self._inquire(
+            _gathered, current, _hedged = yield from self._inquire(
                 txn, self.config.read_quorum, mode=SHARED,
                 include_weak=False, release=True)
-            return self._current_version_from(gathered)
+            return current
 
-        return (yield from self._with_retries(inquire))
+        return self._operation(inquire)
 
     # -- single-attempt versions usable inside a caller's transaction ----
 
@@ -310,7 +284,7 @@ class FileSuiteClient:
 
             result = yield from suite.transact(add_item)
         """
-        return (yield from self._with_retries(operation))
+        return self._operation(operation)
 
     # ------------------------------------------------------------------
     # Protocol internals
@@ -334,12 +308,11 @@ class FileSuiteClient:
         # inquiry + separate read is kept as-is; everything else rides
         # the fast path.
         fastpath = self.read_fastpath and not for_update
-        gathered, hedged = yield from self._inquire(
+        gathered, current, hedged = yield from self._inquire(
             txn, threshold, mode=mode, include_weak=not for_update,
             read_data=fastpath,
             skip_version=cached[0] if cached is not None else None,
             release=release)
-        current = self._current_version_from(gathered)
         serving = QuorumRule.serving(gathered.successes)
 
         data: Optional[bytes] = None
@@ -429,9 +402,9 @@ class FileSuiteClient:
         once it has staged there: every stage then carries the vote
         request (see :mod:`repro.txn.coordinator`)."""
         config = self.config
-        gathered, _ = yield from self._inquire(
+        gathered, current, _ = yield from self._inquire(
             txn, config.write_quorum, mode=EXCLUSIVE, include_weak=False)
-        new_version = self._current_version_from(gathered) + 1
+        new_version = current + 1
 
         responders = list(gathered.successes)
         quorum = cheapest_quorum(responders, config.write_quorum)
@@ -475,7 +448,7 @@ class FileSuiteClient:
                  include_weak: bool, read_data: bool = False,
                  skip_version: Optional[int] = None,
                  release: bool = False,
-                 ) -> Generator[Any, Any, Tuple[GatherResult, Any]]:
+                 ) -> Generator[Any, Any, Tuple[GatherResult, int, Any]]:
         """Version-number inquiry until the :class:`QuorumRule` closes.
 
         Weak representatives are polled too on reads (their answers are
@@ -493,8 +466,10 @@ class FileSuiteClient:
         arrival to ``data_rep``.  With ``release=True`` every inquiry
         drops its lock as it replies (single-operation reads).
 
-        Returns the gather and the hedged fetch's ``(data, version,
-        rep)``, or ``None``.
+        The rule's verdict is the one the gather's last wake returned.
+        Returns the gather, the highest version replied (by quorum
+        intersection the current one; 0 with no replies) and the hedged
+        fetch's ``(data, version, rep)``, or ``None``.
         """
         config = self.config
         started = self.sim.now
@@ -549,19 +524,23 @@ class FileSuiteClient:
                     mode=SHARED if rep.weak else mode,
                     timeout=self.inquiry_timeout, release=release,
                     **(piggyback if rep is rule.data_rep else {}))
-            gathered = yield from gather_until(
-                self.sim, calls, lambda gathered: rule.verdict(
-                    gathered.order, gathered.successes, self.sim.now).wake)
-            verdict = rule.verdict(gathered.order, gathered.successes,
-                                   self.sim.now)
+            verdict = None
+
+            def wake(gathered: GatherResult) -> Any:
+                nonlocal verdict
+                verdict = rule.verdict(gathered.order, gathered.successes,
+                                       self.sim.now)
+                return verdict.wake
+
+            gathered = yield from gather_until(self.sim, calls, wake)
+            current = max((stat["version"]
+                           for stat in gathered.successes.values()),
+                          default=0)
             hedged = None
-            if verdict.hedge is not None:
-                current = self._current_version_from(gathered)
-                if current != skip_version:
-                    hedged = yield from self._fetch(
-                        txn, QuorumRule.serving(gathered.successes),
-                        current, {rule.data_rep: calls[rule.data_rep]},
-                        release)
+            if verdict.hedge is not None and current != skip_version:
+                hedged = yield from self._fetch(
+                    txn, QuorumRule.serving(gathered.successes), current,
+                    {rule.data_rep: calls[rule.data_rep]}, release)
             waited = self.sim.now - started
             self.metrics.histogram("suite.quorum_wait").observe(waited)
             path = QuorumPath.from_gather(config.suite_name, op, threshold,
@@ -576,7 +555,7 @@ class FileSuiteClient:
                 self.metrics.gauge(name).add(wait)
             if self.flight is not None and not self.flight.closed:
                 self.flight.emit("quorum", **path.to_record())
-            self._observe_lags(gathered)
+            self._observe_lags(gathered, current)
             yield from self._check_configuration(txn, gathered, release)
             if not gathered.satisfied:
                 self.metrics.counter("suite.quorum_failures").increment()
@@ -593,7 +572,7 @@ class FileSuiteClient:
                         closed_by=path.closed_by or "", waited=waited)
             qspan.set_attr("votes", path.votes)
             qspan.end()
-            return gathered, hedged
+            return gathered, current, hedged
         except BaseException as exc:
             if not isinstance(exc, GeneratorExit):
                 qspan.end(error=f"{type(exc).__name__}: {exc}")
@@ -602,20 +581,15 @@ class FileSuiteClient:
             if qspan:
                 txn.span = parent
 
-    def _observe_lags(self, gathered: GatherResult) -> None:
+    def _observe_lags(self, gathered: GatherResult, current: int) -> None:
         """Per-representative staleness gauges from the inquiry replies.
 
-        The highest version in the responses is (by the quorum
-        intersection argument) the current version, so each responder's
-        shortfall is its observed lag.  Weak representatives get their
-        own family — their staleness is the cache-coherence number the
-        paper's weak-representative discussion is about.
+        ``current``, the highest version in the responses, is (by the
+        quorum intersection argument) the current version, so each
+        responder's shortfall is its observed lag.  Weak representatives
+        get their own family — their staleness is the cache-coherence
+        number the paper's weak-representative discussion is about.
         """
-        versions = [stat["version"]
-                    for stat in gathered.successes.values()]
-        if not versions:
-            return
-        current = max(versions)
         suite = self.config.suite_name
         for rep, stat in gathered.successes.items():
             family = ("suite.weak_staleness" if rep.weak
@@ -623,11 +597,6 @@ class FileSuiteClient:
             self.metrics.gauge(
                 f"{family}[suite={suite},rep={rep.rep_id}]").set(
                 float(current - stat["version"]))
-
-    def _current_version_from(self, gathered: GatherResult) -> int:
-        """The highest version in a satisfied gather: by quorum
-        intersection, the current one."""
-        return max(stat["version"] for stat in gathered.successes.values())
 
     def _check_configuration(self, txn: Transaction,
                              gathered: GatherResult,
@@ -666,7 +635,7 @@ class FileSuiteClient:
                                     version, data)
 
     # ------------------------------------------------------------------
-    # Transaction + retry wrapper
+    # The operation generator: transaction, retries, span, counters
     # ------------------------------------------------------------------
 
     @property
@@ -675,24 +644,50 @@ class FileSuiteClient:
         from ``retry_backoff``, jittered ±50 %."""
         return _retry_policy(self.retry_backoff)
 
-    def _count_retry(self) -> None:
-        self.metrics.counter("suite.retries").increment()
-
-    def _with_retries(self, operation,
-                      span=NOOP_SPAN) -> Generator[Any, Any, Any]:
+    def _operation(self, operation, kind: Optional[str] = None,
+                   parent=None, **attrs) -> Generator[Any, Any, Any]:
         """Run ``operation(txn)`` through the manager's attempt loop
         under :attr:`retry_policy`, counting retries and exhausted
-        operations and stamping the attempt counts on the result."""
+        operations and stamping the attempt counts on the result.  A
+        public read or write names its ``kind``: it also gets a root
+        span — a new trace, or a child of ``parent`` — carrying
+        ``attrs``, and its ``suite.{kind}s`` count and latency."""
+        started = self.sim.now
+        metrics = self.metrics
+        span = NOOP_SPAN
+        if kind is not None:
+            name = f"suite.{kind}"
+            attrs = {"suite": self.config.suite_name, **attrs}
+            if parent:
+                span = self.collector.start_span(name, parent=parent,
+                                                 kind="client", **attrs)
+            else:
+                span = self.collector.start_trace(name, **attrs)
         try:
             result, begun, adopted = yield from self.manager.transact(
                 operation, self.retry_policy, self.max_attempts, self._rng,
-                span=span, on_retry=self._count_retry)
-        except RETRYABLE:
-            self.metrics.counter("suite.failures").increment()
+                span=span, on_retry=lambda: metrics.counter(
+                    "suite.retries").increment())
+        except BaseException as exc:
+            if isinstance(exc, RETRYABLE):
+                metrics.counter("suite.failures").increment()
+            span.end(error=f"{type(exc).__name__}: {exc}")
             raise
         if isinstance(result, (ReadResult, WriteResult)):
             result.attempts = begun
             result.config_refreshes = adopted
+        if kind is None:
+            return result
+        span.set_attr("version", result.version)
+        if kind == "read":
+            span.set_attr("served_by", result.served_by)
+        span.set_attr("attempts", begun)
+        if adopted:
+            span.set_attr("config_refreshes", adopted)
+        span.end()
+        metrics.counter(f"suite.{kind}s").increment()
+        metrics.histogram(f"suite.{kind}_latency").observe(
+            self.sim.now - started)
         return result
 
 

@@ -133,15 +133,15 @@ class TestSimSoak:
         clean without the mutation."""
         config = SoakConfig(ops=100, seed=4)
         assert run_sim_soak(config).ok
-        numbered = FileSuiteClient._current_version_from
+        inquire = FileSuiteClient._inquire
 
-        def reuse(self, gathered):
-            current = numbered(self, gathered)
+        def reuse(self, txn, threshold, **kwargs):
             writing = sys._getframe(1).f_code.co_name == "_write_once"
-            return current - 1 if writing else current
+            gathered, current, hedged = yield from inquire(
+                self, txn, threshold, **kwargs)
+            return gathered, current - 1 if writing else current, hedged
 
-        monkeypatch.setattr(FileSuiteClient, "_current_version_from",
-                            reuse)
+        monkeypatch.setattr(FileSuiteClient, "_inquire", reuse)
         report = run_sim_soak(config)
         assert not report.ok
         assert "unique-version" in report.verdict

@@ -1,6 +1,10 @@
 """The command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,27 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self):
+        """``repro ... | head``: a reader that closes the pipe ends the
+        command with status 0 and nothing on stderr."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "table1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0
+        assert b"Traceback" not in done.stderr
+        assert done.stderr == b""
 
 
 class TestStatus:

@@ -156,6 +156,51 @@ class TestTargetResolution:
         assert "--raw needs a single target" in capsys.readouterr().err
 
 
+class TestMergedRows:
+    def test_histogram_buckets_print_in_bound_order(self, monkeypatch,
+                                                    capsys):
+        """Two sources, one histogram: the merged rows list ``le`` by
+        bound, ``+Inf`` last — not by the label's text."""
+        from repro.obs import aggregate
+        from repro.obs.prom import parse_exposition, render_registry
+        from repro.sim.metrics import MetricsRegistry
+
+        view = aggregate.FleetView()
+        for name, latency in (("s1", 3.0), ("s2", 40.0)):
+            registry = MetricsRegistry()
+            registry.histogram("rpc.server_latency").observe(latency)
+            text = render_registry(registry)
+            view.add_text(name, text)
+        monkeypatch.setattr(aggregate, "scrape_fleet_sync",
+                            lambda *args, **kwargs: view)
+        assert main(["metrics", "127.0.0.1:1", "127.0.0.1:2"]) == 0
+        out = capsys.readouterr().out
+        bucket = "repro_rpc_server_latency_bucket"
+        printed = [line.split()[1] for line in out.splitlines()
+                   if line.split()[:1] == [bucket]]
+        ladder = [f"le={labels['le']}"
+                  for sample, labels, _ in parse_exposition(text)
+                  if sample == bucket]
+        assert printed == ladder
+        assert printed[0] == "le=0.01" and printed[-1] == "le=+Inf"
+
+    def test_a_bound_that_is_no_number_sorts_last(self, monkeypatch,
+                                                  capsys):
+        from repro.obs import aggregate
+
+        view = aggregate.FleetView()
+        view.add_text("s1", 'x_bucket{le="junk"} 1\n'
+                            'x_bucket{le="+Inf"} 1\nx_bucket{le="2"} 1\n')
+        view.add_text("s2", 'x_bucket{le="2"} 1\n')
+        monkeypatch.setattr(aggregate, "scrape_fleet_sync",
+                            lambda *args, **kwargs: view)
+        assert main(["metrics", "127.0.0.1:1", "127.0.0.1:2"]) == 0
+        printed = [line.split()[1] for line
+                   in capsys.readouterr().out.splitlines()
+                   if line.split()[:1] == ["x_bucket"]]
+        assert printed == ["le=2", "le=+Inf", "le=junk"]
+
+
 @pytest.fixture
 def live_fleet(tmp_path):
     """Two live storage daemons with obs sidecars, run on a thread."""

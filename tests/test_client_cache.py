@@ -58,17 +58,6 @@ class TestCacheBehaviour:
         result = bed.run(cached.read())
         assert result.served_by != "client-cache"
 
-    def test_disabled_cache_always_full_reads(self, bed):
-        config = triple_config()
-        bed.install(config, b"data")
-        node = bed.clients["client"]
-        client = CachingSuiteClient(node.manager, config,
-                                    cache_enabled=False)
-        bed.run(client.read())
-        result = bed.run(client.read())
-        assert result.served_by != "client-cache"
-        assert bed.metrics.counter("cache.hits").value == 0
-
     def test_cache_hit_still_needs_read_quorum(self, bed, cached):
         """The cache never weakens availability requirements: with the
         read quorum gone, a cached client blocks like anyone else."""
