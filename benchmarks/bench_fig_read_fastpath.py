@@ -16,10 +16,9 @@ Shape assertions:
   release round on either path).
 
 The message budgets count protocol *messages*, not wire frames, so
-they are identical under the JSON and binary live codecs and under
-per-destination batching — the wire format is an encoding concern the
-sim kernel never sees.  A codec change that shifts these counts is a
-protocol regression, not an optimisation.
+they are identical whichever body (fixed layout or JSON) a message
+takes and under per-destination batching.  A codec change that shifts
+these counts is a protocol regression, not an optimisation.
 """
 
 import pytest

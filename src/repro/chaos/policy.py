@@ -112,11 +112,6 @@ class ChaosPolicy:
         self._partition_of = {}
         self._record_flight("heal")
 
-    @property
-    def partitioned_hosts(self) -> Dict[str, int]:
-        """Current explicit group assignment (empty = no partition)."""
-        return dict(self._partition_of)
-
     def partitioned(self, a: str, b: str) -> bool:
         """True if the current partition separates ``a`` from ``b``."""
         if not self._partition_of:

@@ -196,7 +196,8 @@ class QuorumRule:
         if now < deadline:
             return Verdict(False, until=deadline)
         if waiting is data_rep:
-            return Verdict(True, hedge=self.serving(successes)[0],
+            current = max(stat["version"] for stat in successes.values())
+            return Verdict(True, hedge=self.serving(successes, current)[0],
                            waited_on=waiting)
         return Verdict(True, waited_on=waiting)
 
@@ -213,9 +214,9 @@ class QuorumRule:
 
     @staticmethod
     def serving(successes: Mapping[Representative, Dict[str, Any]],
-                ) -> List[Representative]:
-        """Responders at the current (highest) version, cheapest first."""
-        current = max(stat["version"] for stat in successes.values())
+                current: int) -> List[Representative]:
+        """Responders at the ``current`` (highest replied) version,
+        cheapest first."""
         return sorted((rep for rep, stat in successes.items()
                        if stat["version"] == current), key=_cost)
 

@@ -98,7 +98,8 @@ def _reconfigure_once(client: FileSuiteClient,
 
     # 2. Current contents, from a current responder.
     data, _version, _rep = yield from client._fetch(
-        txn, QuorumRule.serving(gathered.successes), current, {}, False)
+        txn, QuorumRule.serving(gathered.successes, current), current, {},
+        False)
 
     # 3. Stage at the old write quorum plus all newly added servers.
     properties = {"config": installed.to_json(),

@@ -313,7 +313,7 @@ class FileSuiteClient:
             read_data=fastpath,
             skip_version=cached[0] if cached is not None else None,
             release=release)
-        serving = QuorumRule.serving(gathered.successes)
+        serving = QuorumRule.serving(gathered.successes, current)
 
         data: Optional[bytes] = None
         served_by: Optional[Representative] = None
@@ -539,8 +539,8 @@ class FileSuiteClient:
             hedged = None
             if verdict.hedge is not None and current != skip_version:
                 hedged = yield from self._fetch(
-                    txn, QuorumRule.serving(gathered.successes), current,
-                    {rule.data_rep: calls[rule.data_rep]}, release)
+                    txn, QuorumRule.serving(gathered.successes, current),
+                    current, {rule.data_rep: calls[rule.data_rep]}, release)
             waited = self.sim.now - started
             self.metrics.histogram("suite.quorum_wait").observe(waited)
             path = QuorumPath.from_gather(config.suite_name, op, threshold,

@@ -4,8 +4,9 @@ The sim tree holds one implementation of Gifford's protocol, written as
 generator processes against a tiny kernel interface.  This package
 re-hosts that implementation on asyncio and real TCP sockets:
 
-* :mod:`~repro.live.transport` — length-prefixed JSON frames with
-  datagram (fire-and-forget) delivery semantics;
+* :mod:`~repro.live.transport` — the sim's wire bodies
+  (:mod:`repro.rpc.codec`) in length-prefixed TCP frames, with datagram
+  (fire-and-forget) delivery semantics;
 * :mod:`~repro.live.runtime` — :class:`LiveKernel` (sim scheduler →
   event loop), :class:`LiveHost` (sim host → transport) and
   :class:`LiveRuntime` (the client-side bundle);

@@ -171,9 +171,10 @@ class LiveHost(Host):
 
     Up/down state and the crash/restart listeners are the sim host's;
     only the kernel and the wire differ.  ``send`` goes into the host's
-    own :class:`TransportNode`, which hands every inbound frame to
-    ``deliver`` from the socket callback, exactly as the sim's network
-    hands it to ``dispatch`` on delivery.
+    own :class:`TransportNode`, which encodes the same bodies the sim
+    host does and hands every decoded inbound message to ``deliver``
+    from the socket callback, as the sim host's ``receive`` hands it to
+    ``dispatch``.
     """
 
     def __init__(self, kernel: LiveKernel, name: str) -> None:
@@ -205,9 +206,7 @@ class LiveRuntime:
     A :class:`LiveKernel` and a :class:`LiveHost` carrying the client
     node :class:`~repro.testbed.Testbed` builds for the sim
     (:meth:`ClientNode.build`: endpoint, transaction manager,
-    background refresher), with circuit breakers always on.  Payload
-    deep-copying is off: the transport encodes every message into its
-    fixed binary layout, which already isolates sender from receiver.
+    background refresher), with circuit breakers always on.
     """
 
     def __init__(self, name: Optional[str] = None,
@@ -240,7 +239,7 @@ class LiveRuntime:
         self.streams = RandomStreams(seed=seed)
         node = ClientNode.build(
             self.kernel, self.host, collector=self.collector,
-            metrics=self.metrics, copy_payloads=False, breakers=True,
+            metrics=self.metrics, breakers=True,
             call_timeout=call_timeout,
             transport_attempts=transport_attempts, streams=self.streams)
         self.endpoint, self.manager, self.refresher = \

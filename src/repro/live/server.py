@@ -159,7 +159,7 @@ class LiveStorageServer:
             page_size=page_size, stable=stable, format_fs=fresh,
             lock_timeout=lock_timeout, idle_abort_after=idle_abort_after,
             collector=self.collector, metrics=self.metrics,
-            copy_payloads=False, max_stat_bytes=STAT_DATA_CEILING)
+            max_stat_bytes=STAT_DATA_CEILING)
         self.server, self.endpoint, self.participant = \
             node.server, node.endpoint, node.participant
         self.obs_httpd = ObsHttpServer({

@@ -1,4 +1,4 @@
-"""Length-prefixed transport over asyncio TCP, binary codec negotiated.
+"""Length-prefixed transport over asyncio TCP.
 
 The live runtime keeps the *datagram* contract the simulated network
 gives :class:`~repro.rpc.endpoint.RpcEndpoint`: ``send`` is
@@ -10,10 +10,10 @@ the endpoint's retransmission (same call id) and the server's
 at-most-once dedup carry over unchanged.
 
 Wire format: each frame is a 4-byte big-endian length followed by a
-body in one of the two codecs of :mod:`repro.live.codec` — compact
-binary (a fixed layout per protocol method, raw byte payloads, batch
-frames) between peers that have negotiated it, JSON otherwise.  Encoding is deferred to the
-per-loop-pass flush, which is what makes batching free: everything a
+body of :mod:`repro.rpc.codec` — the sim's bodies, from a connection's
+first message on: a fixed layout per protocol method (JSON for a
+message no layout fits), or a batch of them.  Encoding is deferred to
+the per-loop-pass flush, which is what makes batching free: everything a
 node sends to one destination in one event-loop pass — a coordinator's
 whole vote-inquiry fan-out to the representatives a host carries, a
 server's replies to that inquiry — lands in the queue before the flush
@@ -36,15 +36,15 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from collections import deque
 
 from ..rpc.messages import Reply, Request
-from .codec import (FrameError, KIND_BATCH, MAGIC, MAX_FRAME_BYTES,
-                    decode_wire_body, encode_batch_body, encode_binary_body,
-                    encode_frame, encode_json_body, jsonify, message_from_wire,
-                    message_to_wire, unjsonify)
+from ..rpc.codec import (FrameError, KIND_BATCH, MAGIC, MAX_FRAME_BYTES,
+                         decode_wire_body, encode_batch_body,
+                         encode_binary_body, encode_frame)
+# Unused here: the layer ledger wraps it by path until the bench-only change.
+from ..rpc.codec import encode_json_body  # noqa: F401
 
 __all__ = [
     "FrameError", "FrameParser", "MAX_FRAME_BYTES", "TransportNode",
-    "encode_frame", "jsonify", "message_from_wire", "message_to_wire",
-    "read_frame", "unjsonify",
+    "encode_frame", "read_frame",
 ]
 
 logger = logging.getLogger("repro.live.transport")
@@ -54,7 +54,7 @@ async def read_frame(reader: asyncio.StreamReader) -> "Request | Reply":
     """Read one single-message frame; ``IncompleteReadError`` at EOF.
 
     The pull-style path for tools and tests.  It shares
-    :func:`~repro.live.codec.decode_wire_body` with the streaming
+    :func:`~repro.rpc.codec.decode_wire_body` with the streaming
     :class:`FrameParser`, so the two readers cannot diverge on message
     shape.  Batch frames are refused here — a one-message-at-a-time
     reader has nowhere to put the rest.
@@ -64,7 +64,7 @@ async def read_frame(reader: asyncio.StreamReader) -> "Request | Reply":
     if length > MAX_FRAME_BYTES:
         raise FrameError(f"incoming frame of {length} bytes exceeds limit")
     body = await reader.readexactly(length)
-    messages, _binary = decode_wire_body(body)
+    messages = decode_wire_body(body)
     if len(messages) != 1:
         raise FrameError("batch frame on a single-message reader")
     return messages[0]
@@ -76,17 +76,12 @@ class FrameParser:
     ``feed`` returns every complete message in the accumulated buffer —
     several frames often arrive in one TCP segment, and parsing them in
     a single pass (no coroutine wake-up per frame) is what lets one
-    event loop sustain thousands of messages per second.
-
-    The parser also carries the receive side of codec negotiation:
-    ``binary_seen`` latches True once the peer has sent anything that
-    proves it speaks the binary codec (a binary frame, or a JSON frame
-    with the ``bin`` advert), and ``batches`` counts batch frames.
+    event loop sustain thousands of messages per second.  ``batches``
+    counts batch frames.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self.binary_seen = False
         self.batches = 0
 
     def feed(self, data: bytes) -> "list[Request | Reply]":
@@ -106,10 +101,7 @@ class FrameParser:
             if (len(body) >= 2 and body[0] == MAGIC
                     and body[1] == KIND_BATCH):
                 self.batches += 1
-            decoded, binary = decode_wire_body(body)
-            if binary:
-                self.binary_seen = True
-            messages.extend(decoded)
+            messages.extend(decode_wire_body(body))
         if offset:
             del buffer[:offset]
         return messages
@@ -129,8 +121,8 @@ class _Connection(asyncio.Protocol):
 
     Outbound *messages* (not frames) queue until the flush scheduled
     for the end of the current loop pass: encoding at flush time is
-    what lets the connection pick the codec the peer has negotiated by
-    then and pack everything queued in one pass into one batch frame.
+    what lets the connection pack everything queued in one pass into
+    one batch frame.
     If the dial fails, every queued message is dropped and counted,
     which is exactly what a datagram network would have done with them.
     """
@@ -140,9 +132,6 @@ class _Connection(asyncio.Protocol):
         self.node = node
         self.peer = peer                 # peer name, once known
         self.alive = True
-        #: True once the peer has proven it decodes the binary codec;
-        #: flips our *sending* codec for this connection.
-        self.peer_binary = False
         self._loop = asyncio.get_event_loop()
         self._transport: Optional[asyncio.Transport] = None
         self._out: Deque["Request | Reply"] = deque()
@@ -172,9 +161,6 @@ class _Connection(asyncio.Protocol):
             node.batches_received += (self._parser.batches
                                       - self._batches_reported)
             self._batches_reported = self._parser.batches
-        if (self._parser.binary_seen and not self.peer_binary
-                and node.binary):
-            self.peer_binary = True
         for message in messages:
             node._inbound(self, message)
 
@@ -250,45 +236,33 @@ class _Connection(asyncio.Protocol):
         if not self.alive or self._transport is None or not self._out:
             return
         node = self.node
-        binary = node.binary and self.peer_binary
         bodies: List[bytes] = []
         for message in self._out:
             try:
-                if binary:
-                    body = encode_binary_body(message)
-                else:
-                    body = encode_json_body(message, advert=node.binary)
-                if len(body) > MAX_FRAME_BYTES:
-                    raise FrameError(
-                        f"frame of {len(body)} bytes exceeds limit")
+                bodies.append(encode_binary_body(message))
             except FrameError as exc:
-                # A message too large for any frame behaves like a
-                # dropped datagram: counted, logged, never raised into
-                # the protocol layer above.
+                # A message no frame can carry (too large, or of values
+                # no codec says) behaves like a dropped datagram:
+                # counted, logged, never raised into the protocol layer
+                # above — and never left at the head of the queue.
                 node.frames_dropped += 1
-                logger.warning("%s -> %s: dropping oversize message: %s",
+                logger.warning("%s -> %s: dropping unsendable message: %s",
                                node.name, self.peer, exc)
-                continue
-            bodies.append(body)
         self._out.clear()
+        # Everything this node queued for this destination in one loop
+        # pass rides one batch frame (split only if the batch itself
+        # would blow the frame limit; a lone body is a plain frame).
         frames: List[bytes] = []
-        if binary and len(bodies) > 1:
-            # Everything this node queued for this destination in one
-            # loop pass rides one batch frame (split only if the batch
-            # itself would blow the frame limit).
-            batch: List[bytes] = []
-            batch_size = 0
-            for body in bodies:
-                if batch and batch_size + len(body) + 4 > MAX_FRAME_BYTES:
-                    frames.append(self._seal_batch(batch))
-                    batch, batch_size = [], 0
-                batch.append(body)
-                batch_size += len(body) + 4
-            if batch:
+        batch: List[bytes] = []
+        batch_size = 0
+        for body in bodies:
+            if batch and batch_size + len(body) + 4 > MAX_FRAME_BYTES:
                 frames.append(self._seal_batch(batch))
-        else:
-            for body in bodies:
-                frames.append(len(body).to_bytes(4, "big") + body)
+                batch, batch_size = [], 0
+            batch.append(body)
+            batch_size += len(body) + 4
+        if batch:
+            frames.append(self._seal_batch(batch))
         if not frames:
             return
         node.frames_sent += len(frames)
@@ -316,21 +290,12 @@ class TransportNode:
     static ``register_peer`` table; inbound connections learn their peer
     name from the ``source`` field of the first request they carry, so
     replies can be routed back without the server ever dialling out.
-
-    ``binary=False`` pins the node to the JSON codec — it never
-    advertises and never upgrades, exactly like a node from before the
-    binary codec existed, which is how the mixed-fleet fallback tests
-    emulate a legacy peer.
     """
 
     def __init__(self, name: str,
-                 on_message: Callable[["Request | Reply"], None],
-                 binary: bool = True) -> None:
+                 on_message: Callable[["Request | Reply"], None]) -> None:
         self.name = name
         self.on_message = on_message
-        #: Whether this node speaks the binary codec at all (advertises
-        #: it on JSON frames, upgrades connections whose peer does).
-        self.binary = binary
         self.address: Optional[Tuple[str, int]] = None
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._connections: Dict[str, _Connection] = {}
@@ -415,8 +380,8 @@ class TransportNode:
         """Queue one message for ``destination``.
 
         Never raises into protocol code: unroutable destinations are
-        counted and forgotten here, and encode-time failures (oversize
-        messages) are absorbed the same way at flush time.
+        counted and forgotten here, and encode-time failures (messages
+        no frame can carry) are absorbed the same way at flush time.
         """
         connection = self._connections.get(destination)
         if connection is None or not connection.alive:

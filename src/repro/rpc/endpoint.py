@@ -23,7 +23,6 @@ calls.
 
 from __future__ import annotations
 
-import copy
 import inspect
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ from ..errors import (HostUnreachableError, InvalidRequestError,
                       NoSuchMethodError, RemoteError, ReproError, RpcTimeout)
 from ..obs.spans import NOOP_SPAN, TraceContext
 from ..sim.events import Event
-from ..sim.network import Host
 from ..sim.process import Process, step_until_pending
 from .messages import Reply, Request
 
@@ -42,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.health import HealthTracker
     from ..obs.collector import TraceCollector
     from ..sim.metrics import MetricsRegistry
+    from ..sim.network import Host
     from ..sim.simulator import Simulator
 
 #: Known error classes that are re-raised as themselves on the client.
@@ -122,15 +121,13 @@ class RpcEndpoint:
     #: entry (and the caller's event) stranded forever.
     DEFAULT_CALL_TIMEOUT = 30_000.0
 
-    def __init__(self, sim: "Simulator", host: Host,
-                 copy_payloads: bool = True,
+    def __init__(self, sim: "Simulator", host: "Host",
                  default_call_timeout: Optional[float] = None,
                  collector: Optional["TraceCollector"] = None,
                  metrics: Optional["MetricsRegistry"] = None,
                  health: Optional["HealthTracker"] = None) -> None:
         self.sim = sim
         self.host = host
-        self.copy_payloads = copy_payloads
         #: Optional per-destination circuit breakers.  The endpoint only
         #: *feeds* them — any reply (even an error reply) proves the
         #: destination alive; an expired call (every retransmission
@@ -268,8 +265,7 @@ class RpcEndpoint:
                             f"{request.method}: {problem}") from None
                     if hasattr(result, "send"):  # generator handler
                         result = yield from result
-                    reply = Reply.success(request.call_id,
-                                          self._copy(result))
+                    reply = Reply.success(request.call_id, result)
                     self.requests_served += 1
                     self._count("rpc.requests_served")
                 except ReproError as exc:
@@ -342,7 +338,7 @@ class RpcEndpoint:
             context = span.context if span else trace
             wire_trace = context.to_wire()
         request = Request(call_id=call_id, source=self.host.name,
-                          method=method, args=self._copy(args),
+                          method=method, args=args,
                           trace=wire_trace)
         deadline = self.sim.now + timeout
         self._pending[call_id] = _Call(event, request, destination, timeout,
@@ -412,11 +408,6 @@ class RpcEndpoint:
                 f"local host {self.host.name} crashed mid-call"))
 
     # -- internals -------------------------------------------------------------
-
-    def _copy(self, value: Any) -> Any:
-        if not self.copy_payloads:
-            return value
-        return copy.deepcopy(value)
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:

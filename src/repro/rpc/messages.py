@@ -1,9 +1,8 @@
 """RPC wire messages.
 
-Requests and replies are plain dataclasses passed through the simulated
-datagram network.  Payloads are deep-copied at the endpoint boundary so
-simulated "remote" calls cannot accidentally share mutable state — the
-same isolation a real wire format would give.
+Requests and replies are plain dataclasses.  Both runtimes encode them
+into wire bodies (:mod:`repro.rpc.codec`) when sent and decode them on
+arrival, so a "remote" call never shares mutable state with its caller.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from typing import Any, Dict, Optional
 #: of as an inline string.  Ids are append-only: once shipped, an id's
 #: meaning never changes (a renumbered registry would make mixed-fleet
 #: frames decode to the wrong handler).  Methods outside this table —
-#: tests, experiments — still work: id 0 means "name inline in the
-#: frame's JSON section".
+#: tests, experiments — still work: they travel as JSON bodies, the
+#: name inline.
 METHOD_IDS: Dict[str, int] = {
     "txn.read": 1,
     # 2 was txn.read_version (superseded by txn.stat): retired, never reused.
@@ -64,9 +63,9 @@ class Reply:
     request carrying ``read_data=True`` answers with a dict that also
     holds the file's ``data`` bytes (the single-round-trip read fast
     path), so a reply is no longer guaranteed to be inquiry-sized.
-    Both transports already account for that — the simulated network
-    charges per-byte transmission time via ``estimate_size`` and the
-    live codec frames byte payloads wherever they appear — but anything
+    Both runtimes already account for that — the fixed wire layout
+    carries the bytes raw, and the simulated network charges the wire
+    body's length in per-byte transmission time — but anything
     reasoning about message sizes (accounting tests, frame limits)
     must treat stat replies as potentially data-bearing.
     """

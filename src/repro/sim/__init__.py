@@ -8,9 +8,9 @@ crash/restart, seeded random streams, and metrics.
 
 from .distributions import (Constant, Distribution, Exponential, Lognormal,
                             Uniform, as_distribution)
-from .events import AllOf, AnyOf, Event, Timeout, all_of, first_of
+from .events import AllOf, AnyOf, Event, Timeout
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .network import Host, Network, SharedMedium, estimate_size
+from .network import Host, Network, SharedMedium
 from .process import Process
 from .queues import Resource
 from .rng import RandomStreams
@@ -22,6 +22,5 @@ __all__ = [
     "Lognormal", "MetricsRegistry", "Network",
     "Process", "RandomStreams", "Resource",
     "SharedMedium",
-    "Simulator", "Timeout", "Uniform", "all_of",
-    "as_distribution", "estimate_size", "first_of",
+    "Simulator", "Timeout", "Uniform", "as_distribution",
 ]

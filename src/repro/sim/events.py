@@ -195,13 +195,3 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.trigger([e.value for e in self.events])
-
-
-def first_of(sim: "Simulator", events: Iterable[Event]) -> AnyOf:
-    """Convenience wrapper: ``AnyOf`` over ``events``."""
-    return AnyOf(sim, events)
-
-
-def all_of(sim: "Simulator", events: Iterable[Event]) -> AllOf:
-    """Convenience wrapper: ``AllOf`` over ``events``."""
-    return AllOf(sim, events)

@@ -1,10 +1,13 @@
 """Simulated packet network: hosts and links.
 
 This is the bottom layer of the paper's stack ("packet network" in
-Gifford's layering).  Delivery is datagram-like:
+Gifford's layering).  It moves bytes: a :class:`Host` encodes each
+message into its :mod:`repro.rpc.codec` body — the bytes the live
+transport puts on a socket — and decodes what arrives.  Delivery is
+datagram-like:
 
 * each directed link has a latency distribution and a per-byte
-  transfer time;
+  transfer time, charged on the body's length;
 * messages to or from a crashed host are silently dropped — the RPC
   layer above turns silence into timeouts.
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from ..rpc.codec import FrameError, decode_wire_body, encode_binary_body
 from .distributions import Distribution, as_distribution
 from .queues import Resource
 from .rng import RandomStreams
@@ -29,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
 
 
+# No caller in src/: bench/simtwin.py imports it until the bench-only change.
 def estimate_size(payload: Any, depth: int = 0) -> int:
     """Rough wire size of a message payload, in bytes.
 
@@ -69,11 +74,13 @@ def _discard(message: Any) -> None:
 
 
 class Host:
-    """A network endpoint with up/down state.
+    """A network endpoint with up/down state: the sim's transport node.
 
-    Each delivered message is handed to ``dispatch``, which whatever
-    serves the host (an RPC endpoint) installs; until then messages are
-    dropped on arrival.
+    :meth:`send` puts a message's wire body on the network and
+    :meth:`receive` decodes each delivered body and hands its message
+    to ``dispatch``, which whatever serves the host (an RPC endpoint)
+    installs; until then messages are dropped on arrival.  Decoding
+    from bytes is what isolates a receiver from its sender.
     """
 
     def __init__(self, network: "Network", name: str) -> None:
@@ -94,9 +101,25 @@ class Host:
 
     # -- messaging ---------------------------------------------------------
 
-    def send(self, destination: str, payload: Any) -> None:
-        """Fire-and-forget datagram to ``destination``."""
-        self.network.send(self.name, destination, payload)
+    def send(self, destination: str, message: Any) -> None:
+        """Fire-and-forget datagram to ``destination``.
+
+        A message no frame can carry (:class:`FrameError`) is counted
+        as sent and dropped, as the live transport drops it: the caller
+        sees the same timeout in both runtimes.
+        """
+        try:
+            body = encode_binary_body(message)
+        except FrameError:
+            self.network.messages_sent += 1
+            self.network.messages_dropped += 1
+            return
+        self.network.send(self.name, destination, body)
+
+    def receive(self, body: bytes) -> None:
+        """The network's delivery: decode ``body`` and dispatch it."""
+        for message in decode_wire_body(body):
+            self.dispatch(message)
 
     # -- failure injection ---------------------------------------------------
 
@@ -240,7 +263,7 @@ class Network:
                       time_per_byte: float, symmetric: bool = True) -> None:
         """Set the per-byte transfer time on a link (bandwidth model).
 
-        Message delay = link latency + payload size × byte time, so a
+        Message delay = link latency + body length × byte time, so a
         version-number inquiry (tens of bytes) is cheap while a file
         transfer pays for its size — the asymmetry Gifford's weak
         representatives and version inquiries exploit.
@@ -266,8 +289,9 @@ class Network:
 
     # -- delivery --------------------------------------------------------------
 
-    def send(self, source: str, destination: str, payload: Any) -> None:
-        """Datagram send; drops silently on failure conditions."""
+    def send(self, source: str, destination: str, body: bytes) -> None:
+        """Datagram send of one wire body; drops silently on failure
+        conditions."""
         self.messages_sent += 1
         if destination not in self._hosts:
             raise KeyError(f"unknown destination host {destination!r}")
@@ -282,7 +306,7 @@ class Network:
         latency = self.latency_between(source, destination).sample(self._rng)
         byte_time = self.byte_time_between(source, destination)
         if byte_time > 0.0:
-            latency += byte_time * estimate_size(payload)
+            latency += byte_time * len(body)
         if verdict is not None:
             latency += verdict.delay
             if verdict.duplicate:
@@ -291,25 +315,25 @@ class Network:
                     self.latency_between(source,
                                          destination).sample(self._rng)
                     + verdict.duplicate_delay,
-                    self._deliver, destination, payload)
+                    self._deliver, destination, body)
         if self.medium is not None and source != destination:
             self.sim.spawn(
-                self._transmit_shared(destination, payload, latency),
+                self._transmit_shared(destination, body, latency),
                 name=f"xmit:{source}->{destination}")
         else:
-            self.sim.schedule(latency, self._deliver, destination, payload)
+            self.sim.schedule(latency, self._deliver, destination, body)
 
-    def _transmit_shared(self, destination: str, payload: Any,
+    def _transmit_shared(self, destination: str, body: bytes,
                          latency: float):
-        yield from self.medium.transmit(estimate_size(payload))
+        yield from self.medium.transmit(len(body))
         yield self.sim.timeout(latency)
-        self._deliver(destination, payload)
+        self._deliver(destination, body)
 
-    def _deliver(self, destination: str, payload: Any) -> None:
+    def _deliver(self, destination: str, body: bytes) -> None:
         host = self._hosts[destination]
         if not host.up:
             # Crashed while the message was in flight.
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        host.dispatch(payload)
+        host.receive(body)

@@ -66,7 +66,6 @@ class ServerNode:
               idle_abort_after: Optional[float] = 60_000.0,
               collector: Optional[TraceCollector] = None,
               metrics: Optional[MetricsRegistry] = None,
-              copy_payloads: bool = True,
               max_stat_bytes: Optional[int] = None) -> "ServerNode":
         """Storage, RPC endpoint, then 2PC participant on ``host``.
         ``format_fs=False`` mounts ``stable`` instead of formatting it,
@@ -74,8 +73,8 @@ class ServerNode:
         server = StorageServer(kernel, host, num_pages=num_pages,
                                page_size=page_size, page_io_time=page_io_time,
                                stable=stable, format_fs=format_fs)
-        endpoint = RpcEndpoint(kernel, host, copy_payloads=copy_payloads,
-                               collector=collector, metrics=metrics)
+        endpoint = RpcEndpoint(kernel, host, collector=collector,
+                               metrics=metrics)
         participant = TransactionParticipant(
             server, lock_timeout=lock_timeout,
             idle_abort_after=idle_abort_after, max_stat_bytes=max_stat_bytes)
@@ -98,7 +97,6 @@ class ClientNode:
     def build(cls, kernel: Simulator, host: Host, *,
               collector: Optional[TraceCollector] = None,
               metrics: Optional[MetricsRegistry] = None,
-              copy_payloads: bool = True,
               breakers: bool = False,
               call_timeout: float = 2_000.0,
               transport_attempts: int = 3,
@@ -110,9 +108,8 @@ class ClientNode:
         background refresher."""
         health = (HealthTracker(clock=lambda: kernel.now, metrics=metrics)
                   if breakers else None)
-        endpoint = RpcEndpoint(kernel, host, copy_payloads=copy_payloads,
-                               collector=collector, metrics=metrics,
-                               health=health)
+        endpoint = RpcEndpoint(kernel, host, collector=collector,
+                               metrics=metrics, health=health)
         manager = TransactionManager(
             kernel, endpoint, call_timeout=call_timeout,
             transport_attempts=transport_attempts, streams=streams)

@@ -28,6 +28,21 @@ def assert_pages_balanced(fs) -> None:
     assert len(reachable) + len(fs._free) == fs.store.num_pages
 
 
+def wire_message(body):
+    """The message in a wire body a tapped ``network.send`` carried."""
+    from repro.rpc.codec import decode_wire_body
+    (message,) = decode_wire_body(body)
+    return message
+
+
+def sized_message(size):
+    """A reply whose wire body is exactly ``size`` bytes (size >= 21)."""
+    from repro.rpc.codec import encode_binary_body
+    from repro.rpc.messages import Reply
+    overhead = len(encode_binary_body(Reply.success(0, {"data": b""})))
+    return Reply.success(0, {"data": b"x" * (size - overhead)})
+
+
 def watch_requests(bed):
     """Every RPC request put on ``bed``'s wire from now on, appended
     live to the returned list as ``(destination, request)``."""
@@ -35,10 +50,11 @@ def watch_requests(bed):
     seen = []
     send = bed.network.send
 
-    def watching_send(source, destination, payload):
-        if isinstance(payload, Request):
-            seen.append((destination, payload))
-        send(source, destination, payload)
+    def watching_send(source, destination, body):
+        message = wire_message(body)
+        if isinstance(message, Request):
+            seen.append((destination, message))
+        send(source, destination, body)
 
     bed.network.send = watching_send
     return seen

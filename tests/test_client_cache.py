@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import triple_config, wire_message
 from repro.core import CachingSuiteClient
 from repro.testbed import Testbed
 
@@ -102,10 +102,11 @@ class TestCacheBehaviour:
         methods = []
         original_send = bed.network.send
 
-        def counting_send(source, destination, payload):
-            if isinstance(payload, Request):
-                methods.append(payload.method)
-            original_send(source, destination, payload)
+        def counting_send(source, destination, body):
+            message = wire_message(body)
+            if isinstance(message, Request):
+                methods.append(message.method)
+            original_send(source, destination, body)
 
         bed.network.send = counting_send
         result = bed.run(client.read())

@@ -85,7 +85,7 @@ class TestReplyCacheEviction:
                                    release=True)
             served = node.endpoint.requests_served
             # The datagram again, after its handler has finished.
-            bed.network.send("client", *requests[0])
+            bed.network.host("client").send(*requests[0])
             yield bed.sim.timeout(50.0)
             return first, node.endpoint.requests_served - served
 
@@ -108,7 +108,7 @@ class TestReplyCacheEviction:
                                   prepare=True)
             served = node.endpoint.requests_served
             writes = node.server.stable.primary.pages.writes
-            bed.network.send("client", *requests[0])
+            bed.network.host("client").send(*requests[0])
             yield bed.sim.timeout(50.0)
             assert node.endpoint.requests_served == served
             assert node.server.stable.primary.pages.writes == writes

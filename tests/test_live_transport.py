@@ -5,39 +5,51 @@ import asyncio
 import pytest
 
 from repro.live.transport import (FrameError, MAX_FRAME_BYTES, TransportNode,
-                                  encode_frame, jsonify, message_from_wire,
-                                  message_to_wire, read_frame, unjsonify)
+                                  encode_frame, read_frame)
 from repro.rpc import Reply, Request
+from repro.rpc.codec import MAGIC, decode_wire_body, encode_json_body
+
+
+def _through_json(message):
+    """``message`` after a trip through a JSON body."""
+    (decoded,) = decode_wire_body(encode_json_body(message))
+    return decoded
+
+
+def _json_value(value):
+    return _through_json(Reply.success(1, value)).value
 
 
 class TestJson:
+    """The JSON body: the fixed layouts' fallback."""
+
     def test_bytes_round_trip(self):
         value = {"data": b"\x00\xffbinary", "nested": [b"a", {"b": b"c"}]}
-        assert unjsonify(jsonify(value)) == value
+        assert _json_value(value) == value
 
     def test_tuples_become_lists(self):
-        assert jsonify((1, 2, (3,))) == [1, 2, [3]]
+        assert _json_value((1, 2, (3,))) == [1, 2, [3]]
 
     def test_plain_values_untouched(self):
         for value in (None, True, 3, 2.5, "text", [1, "x"]):
-            assert unjsonify(jsonify(value)) == value
+            assert _json_value(value) == value
 
     def test_request_round_trip(self):
         request = Request(call_id=7, source="client", method="txn.read",
                           args={"name": "f", "payload": b"\x01\x02"})
-        assert message_from_wire(message_to_wire(request)) == request
+        assert _through_json(request) == request
 
     def test_reply_round_trip(self):
         for reply in (Reply(call_id=3, ok=True, value=(b"data", 4)),
                       Reply(call_id=4, ok=False, value=None,
                             error_type="RpcTimeout", error_detail="x")):
-            decoded = message_from_wire(message_to_wire(reply))
+            decoded = _through_json(reply)
             assert decoded.call_id == reply.call_id
             assert decoded.ok == reply.ok
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FrameError):
-            message_from_wire({"kind": "mystery"})
+            decode_wire_body(b'{"kind": "mystery"}')
 
 
 def _read_frames(raw: bytes, count: int):
@@ -233,6 +245,38 @@ class TestOversizeFrames:
 
         asyncio.run(scenario())
 
+    def test_unencodable_message_does_not_wedge_the_connection(self):
+        # A message no codec can say (an arg of no JSON type) is dropped
+        # and counted like an oversize one; it must not stay queued and
+        # take every later message to the peer down with it.
+        async def scenario():
+            inbox = []
+            server = TransportNode("server", inbox.append)
+            host, port = await server.listen()
+            client = TransportNode("client", lambda message: None)
+            client.register_peer("server", host, port)
+            await _request_reply(client, "server", 1)
+            for _ in range(200):
+                if inbox:
+                    break
+                await asyncio.sleep(0.005)
+            client.send("server", Request(call_id=2, source="client",
+                                          method="m",
+                                          args={"x": object()}))
+            for call_id in (3, 4, 5):
+                await asyncio.sleep(0)
+                await _request_reply(client, "server", call_id)
+            for _ in range(200):
+                if len(inbox) == 4:
+                    break
+                await asyncio.sleep(0.005)
+            assert [m.call_id for m in inbox] == [1, 3, 4, 5]
+            assert client.frames_dropped == 1
+            await client.close()
+            await server.close()
+
+        asyncio.run(scenario())
+
     def test_oversize_inbound_drops_connection_only(self):
         async def scenario():
             inbox = []
@@ -320,70 +364,31 @@ async def _request_reply(client, server_name, call_id, method="ping"):
                                      method=method, args={}))
 
 
-class TestCodecNegotiation:
-    def test_connection_upgrades_to_binary(self):
+class TestWireFormat:
+    def test_first_frame_is_binary(self):
+        # No codec negotiation: a connection's very first frame already
+        # carries the fixed layout.
         async def scenario():
-            replies = []
+            frames = asyncio.get_event_loop().create_future()
 
-            def serve(node):
-                def on_message(message):
-                    if isinstance(message, Request):
-                        node.send(message.source,
-                                  Reply.success(message.call_id, "pong"))
-                return on_message
+            async def accept(reader, writer):
+                length = int.from_bytes(await reader.readexactly(4), "big")
+                frames.set_result(await reader.readexactly(length))
+                writer.close()
 
-            server = TransportNode("server", lambda m: None)
-            server.on_message = serve(server)
-            host, port = await server.listen()
-            client = TransportNode("client", replies.append)
+            listener = await asyncio.start_server(accept, "127.0.0.1", 0)
+            host, port = listener.sockets[0].getsockname()[:2]
+            client = TransportNode("client", lambda message: None)
             client.register_peer("server", host, port)
-
-            await _request_reply(client, "server", 1)
-            for _ in range(200):
-                if replies:
-                    break
-                await asyncio.sleep(0.005)
-            # The JSON advert upgraded both directions.
-            assert client._connections["server"].peer_binary
-            for _ in range(200):
-                if "client" in server._connections and \
-                        server._connections["client"].peer_binary:
-                    break
-                await asyncio.sleep(0.005)
-            assert server._connections["client"].peer_binary
+            request = Request(call_id=1, source="client", method="txn.stat",
+                              args={"txn": "client#1", "name": "f"})
+            client.send("server", request)
+            body = await asyncio.wait_for(frames, 5.0)
+            assert body[0] == MAGIC
+            assert decode_wire_body(body) == [request]
             await client.close()
-            await server.close()
-
-        asyncio.run(scenario())
-
-    def test_legacy_peer_stays_on_json(self):
-        # A binary=False node emulates a peer from before the binary
-        # codec: it never advertises, so the fleet stays on JSON frames
-        # and everything keeps working.
-        async def scenario():
-            replies = []
-            server = TransportNode("server", lambda m: None, binary=False)
-
-            def on_message(message):
-                if isinstance(message, Request):
-                    server.send(message.source,
-                                Reply.success(message.call_id, "pong"))
-            server.on_message = on_message
-            host, port = await server.listen()
-            client = TransportNode("client", replies.append)
-            client.register_peer("server", host, port)
-
-            for call_id in range(3):
-                await _request_reply(client, "server", call_id)
-                for _ in range(200):
-                    if len(replies) > call_id:
-                        break
-                    await asyncio.sleep(0.005)
-            assert [r.call_id for r in replies] == [0, 1, 2]
-            assert not client._connections["server"].peer_binary
-            assert client.batches_sent == 0
-            await client.close()
-            await server.close()
+            listener.close()
+            await listener.wait_closed()
 
         asyncio.run(scenario())
 
@@ -391,24 +396,19 @@ class TestCodecNegotiation:
 class TestBatchingAndPipelining:
     def test_one_pass_fanout_shares_a_frame(self):
         # Messages queued to one destination in one loop pass ride one
-        # batch frame once the connection is binary.
+        # batch frame.
         async def scenario():
             inbox = []
             server = TransportNode("server", inbox.append)
             host, port = await server.listen()
             client = TransportNode("client", lambda m: None)
             client.register_peer("server", host, port)
-            # Prime the connection (JSON advert exchange needs a reply
-            # to flow back; send one and let the server learn us).
+            # Prime the connection: the batch below goes out on a
+            # connected stream, not from the dial's backlog.
             client.send("server", Request(call_id=0, source="client",
                                           method="m", args={}))
             for _ in range(200):
                 if inbox:
-                    break
-                await asyncio.sleep(0.005)
-            server.send("client", Reply.success(0, "ok"))
-            for _ in range(200):
-                if client._connections["server"].peer_binary:
                     break
                 await asyncio.sleep(0.005)
 

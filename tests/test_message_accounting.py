@@ -11,7 +11,6 @@ import pytest
 
 from tests.helpers import triple_config, watch_requests
 from repro.core.analysis import message_cost
-from repro.sim.network import estimate_size
 from repro.testbed import Testbed
 
 
@@ -75,9 +74,9 @@ class TestReadCosts:
         moved = []
         original_send = bed.network.send
 
-        def counting_send(source, destination, payload):
-            moved.append(estimate_size(payload))
-            original_send(source, destination, payload)
+        def counting_send(source, destination, body):
+            moved.append(len(body))
+            original_send(source, destination, body)
 
         bed.network.send = counting_send
         bed.run(suite.read())
@@ -99,9 +98,9 @@ class TestReadCosts:
         moved = []
         original_send = bed.network.send
 
-        def counting_send(source, destination, payload):
-            moved.append(estimate_size(payload))
-            original_send(source, destination, payload)
+        def counting_send(source, destination, body):
+            moved.append(len(body))
+            original_send(source, destination, body)
 
         bed.network.send = counting_send
         result = bed.run(client.read())  # cache hit
@@ -130,9 +129,9 @@ class TestWriteCosts:
         moved = []
         original_send = bed.network.send
 
-        def counting_send(source, destination, payload):
-            moved.append((destination, estimate_size(payload)))
-            original_send(source, destination, payload)
+        def counting_send(source, destination, body):
+            moved.append((destination, len(body)))
+            original_send(source, destination, body)
 
         bed.network.send = counting_send
         result = bed.run(suite.write(data))

@@ -8,6 +8,7 @@ import pytest
 
 from repro.live import LiveKernel, LiveRuntime, LiveStorageServer
 from repro.live.runtime import LiveHost
+from repro.rpc.messages import Reply
 from repro.sim import Network, Simulator
 from repro.testbed import Testbed
 
@@ -23,12 +24,12 @@ class _SimRig:
         self.sent = []
         self.peer.dispatch = self.sent.append
 
-    def send(self, payload) -> None:
-        self.host.send("peer", payload)
+    def send(self, message) -> None:
+        self.host.send("peer", message)
         self.sim.run()
 
-    def deliver(self, payload) -> None:
-        self.peer.send("h", payload)
+    def deliver(self, message) -> None:
+        self.peer.send("h", message)
         self.sim.run()
 
     def close(self) -> None:
@@ -43,13 +44,13 @@ class _LiveRig:
         self.host = LiveHost(LiveKernel(loop=self.loop), "h")
         self.sent = []
         self.host.transport.send = \
-            lambda destination, payload: self.sent.append(payload)
+            lambda destination, message: self.sent.append(message)
 
-    def send(self, payload) -> None:
-        self.host.send("peer", payload)
+    def send(self, message) -> None:
+        self.host.send("peer", message)
 
-    def deliver(self, payload) -> None:
-        self.host.deliver(payload)
+    def deliver(self, message) -> None:
+        self.host.deliver(message)
 
     def close(self) -> None:
         self.loop.close()
@@ -76,16 +77,17 @@ class TestHostSemantics:
         assert restarts == [True]
 
     def test_crashed_host_neither_sends_nor_delivers(self, rig):
+        out, in_ = Reply.success(1, "out"), Reply.success(2, "in")
         received = []
         rig.host.dispatch = received.append
         rig.host.crash()
-        rig.send("out")
-        rig.deliver("in")
+        rig.send(out)
+        rig.deliver(in_)
         assert (rig.sent, received) == ([], [])
         rig.host.restart()
-        rig.send("out")
-        rig.deliver("in")
-        assert (rig.sent, received) == (["out"], ["in"])
+        rig.send(out)
+        rig.deliver(in_)
+        assert (rig.sent, received) == ([out], [in_])
 
 
 def _leave_copy_behind(endpoint, server):

@@ -138,7 +138,7 @@ class TestQuorumRulePlan:
 
     def test_serving_is_current_cheapest_first(self):
         successes = {S3: stat(2), S1: stat(1), S2: stat(2)}
-        assert QuorumRule.serving(successes) == [S2, S3]
+        assert QuorumRule.serving(successes, 2) == [S2, S3]
 
 
 class JournalSink:

@@ -14,7 +14,7 @@ import asyncio
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import triple_config, wire_message
 from repro.chaos.soak import SoakConfig, run_live_soak, run_sim_soak
 from repro.core import make_configuration
 from repro.live import LoopbackCluster
@@ -27,10 +27,11 @@ def record_methods(bed):
     methods = []
     original_send = bed.network.send
 
-    def counting_send(source, destination, payload):
-        if isinstance(payload, Request):
-            methods.append(payload.method)
-        original_send(source, destination, payload)
+    def counting_send(source, destination, body):
+        message = wire_message(body)
+        if isinstance(message, Request):
+            methods.append(message.method)
+        original_send(source, destination, body)
 
     bed.network.send = counting_send
     return methods

@@ -12,6 +12,7 @@ from repro.rpc.endpoint import reconstruct_error
 from repro.sim import Network, RandomStreams, Simulator
 from repro.txn.ids import TransactionId
 from repro.txn.locks import EXCLUSIVE, SHARED, LockManager
+from tests.helpers import wire_message
 
 
 @pytest.fixture
@@ -131,6 +132,24 @@ class TestTimeoutsAndRetries:
 
         assert sim.run_process(flow()) == 30.0
 
+    def test_unencodable_call_is_lost_and_times_out(self, sim, network,
+                                                   pair):
+        # An arg no codec can say never reaches the wire: the sim host
+        # drops and counts it, as the live transport does, and the
+        # caller sees the same timeout in both runtimes.
+        client, server = pair
+        server.register("echo", lambda x: x)
+
+        def flow():
+            try:
+                yield client.call("server", "echo", timeout=30.0, x=object())
+            except RpcTimeout:
+                return sim.now
+
+        assert sim.run_process(flow()) == 30.0
+        assert network.messages_dropped == 1
+        assert server.requests_served == 0
+
     def test_late_reply_after_timeout_dropped(self, sim, pair):
         client, server = pair
 
@@ -241,10 +260,10 @@ class TestDeadlineSweep:
         sent = []
         send = network.send
 
-        def watching_send(source, destination, payload):
+        def watching_send(source, destination, body):
             if source == "client":
-                sent.append((sim.now, payload.call_id))
-            send(source, destination, payload)
+                sent.append((sim.now, wire_message(body).call_id))
+            send(source, destination, body)
 
         network.send = watching_send
         expired = {}
@@ -455,9 +474,9 @@ class TestArgumentBinding:
         replies = []
         send = network.send
 
-        def watching_send(source, destination, payload):
-            replies.append(payload)
-            send(source, destination, payload)
+        def watching_send(source, destination, body):
+            replies.append(wire_message(body))
+            send(source, destination, body)
 
         network.send = watching_send
         server.dispatch_message(Request(call_id=1, source="client",

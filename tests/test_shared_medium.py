@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import sized_message, triple_config
 from repro.sim import Network, RandomStreams, SharedMedium, Simulator
 from repro.testbed import Testbed
 
@@ -24,8 +24,8 @@ class TestSharedMedium:
         times = receive_times(sim, b)
         # Two 1000-byte frames sent at once: the second must wait for
         # the first to clear the wire (10ms each).
-        a.send("b", b"x" * 1000)
-        a.send("b", b"y" * 1000)
+        a.send("b", sized_message(1000))
+        a.send("b", sized_message(1000))
         sim.run()
         assert times == [pytest.approx(10.0 + 1.0), pytest.approx(20.0 + 1.0)]
 
@@ -37,8 +37,8 @@ class TestSharedMedium:
         hosts = [network.add_host(name) for name in "abcd"]
         times_b = receive_times(sim, hosts[1])
         times_d = receive_times(sim, hosts[3])
-        hosts[0].send("b", b"x" * 1000)
-        hosts[2].send("d", b"y" * 1000)
+        hosts[0].send("b", sized_message(1000))
+        hosts[2].send("d", sized_message(1000))
         sim.run()
         deliveries = sorted(times_b + times_d)
         assert deliveries == [pytest.approx(10.0), pytest.approx(20.0)]
@@ -49,7 +49,7 @@ class TestSharedMedium:
         network.medium = SharedMedium(sim, byte_time=1.0)
         a = network.add_host("a")
         times = receive_times(sim, a)
-        a.send("a", b"local" * 100)
+        a.send("a", sized_message(500))
         sim.run()
         assert times == [0.0]
         assert network.medium.transmissions == 0
@@ -61,10 +61,10 @@ class TestSharedMedium:
         network.medium = medium
         a = network.add_host("a")
         network.add_host("b")
-        a.send("b", b"12345678")  # 8 bytes → 4ms on the wire
+        a.send("b", sized_message(40))  # 40 bytes → 20ms on the wire
         sim.run()
         assert medium.transmissions == 1
-        assert medium.busy_time == pytest.approx(4.0)
+        assert medium.busy_time == pytest.approx(20.0)
 
     def test_byte_time_validated(self):
         sim = Simulator()

@@ -3,16 +3,26 @@ loss and partitions on top."""
 
 import pytest
 
+from tests.helpers import sized_message
 from repro.chaos import ChaosPolicy
+from repro.rpc.codec import encode_binary_body
+from repro.rpc.messages import Reply
 from repro.sim import Constant, Network, RandomStreams, Simulator
 from repro.sim.network import estimate_size
 from repro.testbed import Testbed
 
 
+def note(value):
+    """A real message carrying ``value``: what a host puts on the wire."""
+    return Reply.success(0, value)
+
+
 def arrivals(host):
-    """Every message delivered to ``host``, with its arrival time."""
+    """The value of every message delivered to ``host``, with its
+    arrival time."""
     received = []
-    host.dispatch = lambda message: received.append((host.sim.now, message))
+    host.dispatch = lambda message: received.append((host.sim.now,
+                                                     message.value))
     return received
 
 
@@ -21,7 +31,7 @@ class TestDelivery:
         a = network.add_host("a")
         b = network.add_host("b")
         received = arrivals(b)
-        a.send("b", "hello")
+        a.send("b", note("hello"))
         sim.run()
         assert received == [(1.0, "hello")]
 
@@ -30,21 +40,21 @@ class TestDelivery:
         b = network.add_host("b")
         network.set_latency("a", "b", 7.5)
         received = arrivals(b)
-        a.send("b", "hi")
+        a.send("b", note("hi"))
         sim.run()
         assert received[0][0] == 7.5
 
     def test_loopback_is_free_by_default(self, sim, network):
         a = network.add_host("a")
         received = arrivals(a)
-        a.send("a", "self")
+        a.send("a", note("self"))
         sim.run()
         assert received[0][0] == 0.0
 
     def test_unknown_destination_rejected(self, sim, network):
         a = network.add_host("a")
         with pytest.raises(KeyError):
-            a.send("ghost", "boo")
+            a.send("ghost", note("boo"))
 
     def test_duplicate_host_rejected(self, network):
         network.add_host("a")
@@ -54,7 +64,7 @@ class TestDelivery:
     def test_message_counters(self, sim, network):
         a = network.add_host("a")
         network.add_host("b")
-        a.send("b", 1)
+        a.send("b", note(1))
         sim.run()
         assert network.messages_sent == 1
         assert network.messages_delivered == 1
@@ -67,7 +77,7 @@ class TestBandwidth:
         b = network.add_host("b")
         network.set_byte_time("a", "b", 0.01)
         received = arrivals(b)
-        a.send("b", b"x" * 1000)
+        a.send("b", sized_message(1000))
         sim.run()
         ((time, _),) = received
         assert time == pytest.approx(1.0 + 10.0)
@@ -77,10 +87,21 @@ class TestBandwidth:
         b = network.add_host("b")
         network.set_byte_time("a", "b", 0.01)
         received = arrivals(b)
-        a.send("b", 42)
+        a.send("b", note(None))
         sim.run()
         ((time, _),) = received
         assert time < 1.2
+
+    def test_byte_time_charges_exactly_the_wire_body(self, sim, network):
+        a = network.add_host("a")
+        b = network.add_host("b")
+        network.set_byte_time("a", "b", 0.25)
+        received = arrivals(b)
+        message = Reply.success(3, {"version": 7, "data": b"z" * 300})
+        a.send("b", message)
+        sim.run()
+        ((time, _),) = received
+        assert time == 1.0 + 0.25 * len(encode_binary_body(message))
 
     def test_estimate_size_bytes(self):
         assert estimate_size(b"x" * 100) == 100
@@ -108,7 +129,7 @@ class TestLoss:
         a = network.add_host("a")
         network.add_host("b")
         for _ in range(200):
-            a.send("b", "m")
+            a.send("b", note("m"))
         sim.run()
         assert 40 < network.messages_dropped < 160
 
@@ -122,14 +143,14 @@ class TestCrash:
         a = network.add_host("a")
         b = network.add_host("b")
         b.crash()
-        a.send("b", "lost")
+        a.send("b", note("lost"))
         sim.run()
         assert network.messages_dropped == 1
 
     def test_crash_mid_flight_drops(self, sim, network):
         a = network.add_host("a")
         b = network.add_host("b")
-        a.send("b", "in-flight")
+        a.send("b", note("in-flight"))
         b.crash()  # before the 1.0 delivery time
         sim.run()
         assert network.messages_dropped == 1
@@ -140,7 +161,7 @@ class TestCrash:
         b.crash()
         b.restart()
         received = arrivals(b)
-        a.send("b", "back")
+        a.send("b", note("back"))
         sim.run()
         assert received == [(1.0, "back")]
 
@@ -160,7 +181,7 @@ class TestCrash:
         a = network.add_host("a")
         b = network.add_host("b")
         a.crash()
-        a.send("b", "nope")
+        a.send("b", note("nope"))
         sim.run()
         assert network.messages_dropped == 1
 
@@ -176,9 +197,9 @@ class TestPartition:
         a, b, c = self.make(sim, network)
         network.chaos.partition([["a", "b"], ["c"]])
         received = {host.name: arrivals(host) for host in (a, b, c)}
-        a.send("b", "same group")
-        a.send("c", "cut")
-        c.send("b", "cut")
+        a.send("b", note("same group"))
+        a.send("c", note("cut"))
+        c.send("b", note("cut"))
         sim.run()
         assert received == {"a": [], "b": [(1.0, "same group")], "c": []}
         assert network.messages_dropped == 2
@@ -186,7 +207,7 @@ class TestPartition:
     def test_partition_drops_messages(self, sim, network):
         a, b, c = self.make(sim, network)
         network.chaos.partition([["a"], ["b", "c"]])
-        a.send("b", "blocked")
+        a.send("b", note("blocked"))
         sim.run()
         assert network.messages_dropped == 1
 
@@ -195,7 +216,7 @@ class TestPartition:
         network.chaos.partition([["a"], ["b", "c"]])
         network.chaos.heal()
         received = arrivals(b)
-        a.send("b", "healed")
+        a.send("b", note("healed"))
         sim.run()
         assert received == [(1.0, "healed")]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.rpc.messages import Reply
 from repro.sim import Simulator
 
 
@@ -109,7 +110,7 @@ class TestDeterminism:
 
         def sender(host):
             for i in range(50):
-                host.send("b", i)
+                host.send("b", Reply.success(i, i))
                 yield sim.timeout(1.0)
 
         sim.spawn(sender(a))

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tests.helpers import triple_config
 from repro.chaos import ChaosPolicy
 from repro.sim import Network, RandomStreams, Simulator
-from repro.rpc import RpcEndpoint
+from repro.rpc import Reply, RpcEndpoint
 from repro.testbed import Testbed
 
 
@@ -27,7 +27,7 @@ class TestDuplicateDelivery:
         a = network.add_host("a")
         network.add_host("b")
         for _ in range(100):
-            a.send("b", "m")
+            a.send("b", Reply.success(0, "m"))
         sim.run()
         assert 20 < network.messages_duplicated < 80
         assert network.messages_delivered == \

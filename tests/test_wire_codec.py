@@ -20,16 +20,16 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.live import codec
-from repro.live.codec import (FrameError, KIND_BATCH, KIND_FIXED_REPLY,
-                              KIND_FIXED_REQUEST, MAGIC, MAX_FRAME_BYTES,
-                              decode_wire_body, encode_batch_body,
-                              encode_binary_body, encode_frame,
-                              encode_json_body)
+from repro.rpc import codec
+from repro.rpc.codec import (FrameError, KIND_BATCH, KIND_FIXED_REPLY,
+                             KIND_FIXED_REQUEST, MAGIC, MAX_FRAME_BYTES,
+                             decode_wire_body, encode_batch_body,
+                             encode_binary_body, encode_frame,
+                             encode_json_body)
 from repro.live.transport import FrameParser, read_frame
 from repro.rpc.messages import METHOD_IDS, METHOD_NAMES, Reply, Request
 from repro.testbed import Testbed
-from tests.helpers import triple_config
+from tests.helpers import triple_config, wire_message
 
 # JSON-expressible payload values, bytes included (the codecs normalise
 # tuples to lists, so tuples are generated only where tests expect it).
@@ -68,9 +68,9 @@ messages = st.one_of(requests, replies)
 
 
 def decode_one(body: bytes):
-    decoded, binary = decode_wire_body(body)
+    decoded = decode_wire_body(body)
     assert len(decoded) == 1
-    return decoded[0], binary
+    return decoded[0]
 
 
 class TestEquivalence:
@@ -79,21 +79,9 @@ class TestEquivalence:
     @given(messages)
     @settings(max_examples=200, deadline=None)
     def test_codecs_agree(self, message):
-        via_json, _ = decode_one(encode_json_body(message))
-        via_binary, _ = decode_one(encode_binary_body(message))
+        via_json = decode_one(encode_json_body(message))
+        via_binary = decode_one(encode_binary_body(message))
         assert via_json == via_binary == message
-
-    @given(messages)
-    @settings(max_examples=50, deadline=None)
-    def test_binary_flags(self, message):
-        # A binary body proves the peer binary; a JSON body only does
-        # so through its advert key.
-        _, binary = decode_one(encode_binary_body(message))
-        assert binary
-        _, advert = decode_one(encode_json_body(message, advert=True))
-        assert advert
-        _, legacy = decode_one(encode_json_body(message, advert=False))
-        assert not legacy
 
     def test_binary_is_self_describing(self):
         # First byte tells the codecs apart: 0xB7 can never start a
@@ -111,7 +99,7 @@ class TestEquivalence:
                     b'"method":"m","args":null}',
                     b'{"kind":"request","call_id":1,"source":"c",'
                     b'"method":"m"}'):
-            message, _ = decode_one(raw)
+            message = decode_one(raw)
             assert message.args == {}
 
 
@@ -125,7 +113,7 @@ class TestBinaryLayout:
         json_body = encode_json_body(reply)
         assert page in body
         assert len(body) < len(json_body) - len(page) // 4
-        assert decode_one(body)[0] == reply
+        assert decode_one(body) == reply
 
     def test_registry_method_not_inline(self):
         body = encode_binary_body(
@@ -137,7 +125,7 @@ class TestBinaryLayout:
                           args={"x": 1})
         body = encode_binary_body(message)
         assert b"custom.ping" in body
-        assert decode_one(body)[0] == message
+        assert decode_one(body) == message
 
     def test_method_registry_is_a_bijection(self):
         assert len(METHOD_NAMES) == len(METHOD_IDS)
@@ -160,8 +148,7 @@ class TestBatch:
     @settings(max_examples=50, deadline=None)
     def test_batch_round_trip(self, originals):
         bodies = [encode_binary_body(message) for message in originals]
-        decoded, binary = decode_wire_body(encode_batch_body(bodies))
-        assert binary
+        decoded = decode_wire_body(encode_batch_body(bodies))
         assert decoded == originals
 
     def test_batch_of_mixed_codecs(self):
@@ -172,7 +159,7 @@ class TestBatch:
         reply = Reply.success(2, "ok")
         body = encode_batch_body([encode_json_body(request),
                                   encode_binary_body(reply)])
-        decoded, _ = decode_wire_body(body)
+        decoded = decode_wire_body(body)
         assert decoded == [request, reply]
 
     def test_truncated_batch_rejected(self):
@@ -186,17 +173,23 @@ class TestFrameLimit:
     def test_oversize_encode_raises_frame_error(self):
         huge = Reply.success(1, {"data": b"\x00" * (MAX_FRAME_BYTES + 1)})
         with pytest.raises(FrameError):
-            encode_frame(huge, binary=True)
-        with pytest.raises(FrameError):
-            encode_frame(huge, binary=False)
+            encode_frame(huge)
+
+    def test_unencodable_message_raises_frame_error(self):
+        # Neither layout says an object(): refused, not a TypeError.
+        for message in (Request(call_id=1, source="c", method="m",
+                                args={"x": object()}),
+                        Reply.success(1, {1, 2})):
+            with pytest.raises(FrameError):
+                encode_binary_body(message)
 
     def test_frame_wraps_body(self):
         message = Request(call_id=7, source="c", method="txn.stat",
                           args={"page": b"\xff" * 32})
-        frame = encode_frame(message, binary=True)
+        frame = encode_frame(message)
         length = int.from_bytes(frame[:4], "big")
         assert length == len(frame) - 4
-        assert decode_one(frame[4:])[0] == message
+        assert decode_one(frame[4:]) == message
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +207,9 @@ def _capture_protocol_messages():
     seen = []
     send = bed.network.send
 
-    def tap(source, destination, payload):
-        seen.append(payload)
-        send(source, destination, payload)
+    def tap(source, destination, body):
+        seen.append(wire_message(body))
+        send(source, destination, body)
 
     bed.network.send = tap
     suite = bed.install(triple_config(), b"v1")
@@ -291,9 +284,9 @@ class TestFixedLayout:
                     else KIND_FIXED_REPLY)
             assert body[0] == MAGIC and body[1] == kind, message
             assert b"{" not in body[:1]
-            decoded, _ = decode_one(body)
+            decoded = decode_one(body)
             assert decoded == as_received(message)
-            assert decoded == decode_one(encode_json_body(message))[0]
+            assert decoded == decode_one(encode_json_body(message))
             if isinstance(message, Request):
                 methods.add(message.method)
         assert methods == {"txn.stat", "txn.read", "txn.stage_write",
@@ -309,7 +302,7 @@ class TestFixedLayout:
         # retired; shape 3 still carries one in a fixed layout.
         body = encode_binary_body(Reply.success(1, 7))
         assert body[1:3] == bytes([KIND_FIXED_REPLY, 3])
-        assert decode_one(body) == (Reply.success(1, 7), True)
+        assert decode_one(body) == Reply.success(1, 7)
 
     def test_the_operations_send_what_they_should(self, protocol_messages):
         requests = [m for m in protocol_messages if isinstance(m, Request)]
@@ -372,7 +365,7 @@ class TestFallback:
         message = dataclasses.replace(BASE_INQUIRY, **change)
         body = encode_binary_body(message)
         assert body == encode_json_body(message)
-        assert decode_one(body) == (message, True)
+        assert decode_one(body) == message
 
     def test_optional_ints_and_nulls_stay_fixed(self):
         message = dataclasses.replace(BASE_INQUIRY, args={
@@ -380,7 +373,7 @@ class TestFallback:
             "skip_version": -(2**63), "version": 2**63 - 1})
         body = encode_binary_body(message)
         assert body[1] == KIND_FIXED_REQUEST
-        assert decode_one(body)[0] == message
+        assert decode_one(body) == message
 
     @pytest.mark.parametrize("reply", [
         Reply.success(1, 1.5),
@@ -397,7 +390,7 @@ class TestFallback:
     def test_reply_falls_back_exactly(self, reply):
         body = encode_binary_body(reply)
         assert body == encode_json_body(reply)
-        assert decode_one(body) == (reply, True)
+        assert decode_one(body) == reply
 
 
 def _fixed(kind, meta, bitmap, call_id, run, scalars=b"", tail=b""):
@@ -509,14 +502,14 @@ class TestHostileFrames:
     def test_shallow_properties_twin_decodes(self):
         # The hostile body is a well-formed fixed request but for its
         # depth: the refusal comes from the JSON decoder, not earlier.
-        message, _ = decode_one(deep_properties_body(3))
+        message = decode_one(deep_properties_body(3))
         assert message.method == "txn.stage_write"
         assert message.args == {"properties": [[[]]]}
 
     def test_batch_inside_a_batch_refused_at_depth_two(self):
         inner = encode_batch_body([encode_binary_body(Reply.success(1, 2))
                                    for _ in range(2)])
-        decoded, _ = decode_wire_body(inner)
+        decoded = decode_wire_body(inner)
         assert len(decoded) == 2
         with pytest.raises(FrameError, match="inside a batch"):
             decode_wire_body(encode_batch_body([inner]))
@@ -540,11 +533,11 @@ class TestPlanCache:
                               bytes(bin(flags).count("1"))))
         assert schema.sent == sent
         assert len(schema.received) <= codec._PLAN_CACHE_LIMIT
-        assert decode_one(good)[0] == BASE_INQUIRY
+        assert decode_one(good) == BASE_INQUIRY
 
         def forbid(bitmap):
             raise AssertionError(f"plan {bitmap:#x} compiled again")
 
         monkeypatch.setattr(schema, "compile", forbid)
         assert encode_binary_body(BASE_INQUIRY) == good
-        assert decode_one(good)[0] == BASE_INQUIRY
+        assert decode_one(good) == BASE_INQUIRY
