@@ -14,11 +14,18 @@ The figure contrasts the degraded server's share of *new* blocking
 milliseconds in a post-demotion window against the same window of the
 identical seeded workload run without the autopilot.  Virtual-time
 blocking attribution is deterministic, so every row gates.
+
+The seed sweep runs the namespace-wide rollout
+(``ClusterSoakConfig(autopilot=True)``) over seeds 5–16, once with
+``n2`` degraded past every timeout and once healthy, and counts the
+seeds on which any suite's votes shifted: the degraded sweep must
+shift on at least 9 of 12, the healthy control on none.
 """
 
 from _support import print_table, record
 from repro.autonomy import AutopilotPolicy, WeightAutopilot
 from repro.chaos.policy import ChaosPolicy
+from repro.chaos.soak import ClusterSoakConfig, run_sim_soak
 from repro.core import make_configuration
 from repro.sim import RandomStreams
 from repro.testbed import Testbed
@@ -31,6 +38,8 @@ PILOT_OP_BUDGET = 120            # demotion must land inside this
 WINDOW_OPS = 60                  # measurement window after the shift
 SERVERS = ["s1", "s2", "s3", "s4", "s5"]
 SUITE = "figa1"
+SWEEP_SEEDS = range(5, 17)
+SWEEP_DEGRADED = "n2"
 
 
 def _build(with_autopilot: bool):
@@ -142,3 +151,41 @@ def test_bench_autopilot_blocking_collapse(benchmark):
            time_to_demote, "ms", config="autopilot", seed=SEED)
     record("figs", "fig_autopilot", "reassignments_applied",
            float(len(applied)), "count", config="autopilot", seed=SEED)
+
+
+def run_seed_sweep():
+    """Seeds on which any suite's votes shifted, and every verdict, for
+    the degraded sweep and the healthy control."""
+    shifted = {"degraded": 0, "healthy": 0}
+    verdicts = []
+    for config_name, degrade in (("degraded", SWEEP_DEGRADED),
+                                 ("healthy", None)):
+        for seed in SWEEP_SEEDS:
+            report = run_sim_soak(ClusterSoakConfig(
+                seed=seed, autopilot=True, degrade_server=degrade))
+            verdicts.append(report.verdict)
+            shifted[config_name] += any(
+                state["applied"] for state in report.autopilots.values())
+    return shifted, verdicts
+
+
+def test_bench_autopilot_seed_sweep(benchmark):
+    shifted, verdicts = benchmark.pedantic(run_seed_sweep, rounds=1,
+                                           iterations=1)
+    seeds = len(SWEEP_SEEDS)
+    print_table(
+        f"A1 sweep — namespace rollout, seeds {SWEEP_SEEDS.start}–"
+        f"{SWEEP_SEEDS.stop - 1}",
+        ["cluster", "seeds with shifted votes"],
+        [(f"{SWEEP_DEGRADED} degraded", f"{shifted['degraded']}/{seeds}"),
+         ("healthy", f"{shifted['healthy']}/{seeds}")])
+
+    assert set(verdicts) == {"OK"}, verdicts
+    assert shifted["degraded"] >= 9, shifted
+    assert shifted["healthy"] == 0, shifted
+
+    record("figs", "fig_autopilot", "cluster_shifted_seeds",
+           float(shifted["degraded"]), "seeds",
+           config=f"{SWEEP_DEGRADED}-degraded")
+    record("figs", "fig_autopilot", "healthy_shifted_seeds",
+           float(shifted["healthy"]), "seeds", config="healthy")

@@ -1,38 +1,33 @@
-"""Autonomous weight reassignment: the health-driven vote autopilot.
+"""Autonomous weight reassignment: the vote autopilot.
 
 Gifford's central knob — the per-file vote assignment — is static in
-the paper: an administrator chooses weights once, from an external
-estimate of each host's reliability and speed.  This package closes
-the loop.  The telemetry the repo already collects (breaker state and
-flap history from :mod:`repro.chaos.health`, version lag from the obs
-gauges, blocking share from the quorum critical path) *is* that
-estimate, continuously refreshed; :class:`WeightAutopilot` turns it
-into vote reassignments executed through the ordinary old-quorum
+the paper: an administrator chooses weights once, from an estimate of
+each host's speed and reliability and of the read/write mix (Section
+3).  :class:`WeightAutopilot` closes the loop: it refreshes that
+estimate from telemetry the repo already collects, plans votes with
+the paper's own model (:func:`repro.core.tuning.best_configuration`),
+and executes a reassignment through the ordinary old-quorum
 reconfiguration path (:func:`repro.core.reconfig.change_configuration`),
-so every autonomous change inherits the paper's safety argument
-verbatim.
+so every autonomous change inherits the paper's safety argument.
 
-Layers (see ``docs/AUTONOMY.md``):
-
-* :mod:`~repro.autonomy.signals` — fold the registries into one
-  :class:`RepSignals` per representative;
-* :mod:`~repro.autonomy.policy` — score signals with hysteresis, and
-  the hard safety gate (``r + w > N``, ``2w > N``, survivability
-  floor) that no proposal can bypass;
-* :mod:`~repro.autonomy.controller` — the deterministic observe →
-  plan → gate → execute loop, runnable on both runtimes.
+Layers (see ``docs/AUTONOMY.md``): :mod:`~repro.autonomy.signals`
+folds the registries into one profile per representative;
+:mod:`~repro.autonomy.policy` holds the planner, the settings and the
+hard safety gate; :mod:`~repro.autonomy.controller` runs the
+deterministic observe → plan → hysteresis → gate → execute loop on
+either runtime.
 """
 
 from .controller import ReassignmentRecord, WeightAutopilot
-from .policy import AutopilotPolicy, gate_proposal, score_signals
-from .signals import RepSignals, collect_signals
+from .policy import AutopilotPolicy, Move, gate_proposal, plan_move
+from .signals import collect_profiles
 
 __all__ = [
     "AutopilotPolicy",
+    "Move",
     "ReassignmentRecord",
-    "RepSignals",
     "WeightAutopilot",
-    "collect_signals",
+    "collect_profiles",
     "gate_proposal",
-    "score_signals",
+    "plan_move",
 ]

@@ -1,22 +1,19 @@
-"""The vote autopilot: observe → score → plan → gate → reconfigure.
+"""The vote autopilot: observe → plan → hysteresis → gate → reconfigure.
 
 :class:`WeightAutopilot` is a deterministic control loop over one
-file suite.  Each step it folds the registries into per-representative
-signals (:mod:`~repro.autonomy.signals`), scores them with hysteresis
-(:mod:`~repro.autonomy.policy`), and — at most one reassignment per
-step, never inside the cooldown — moves ``max_shift_per_round`` votes:
-
-* **demote** — a representative hot for ``demote_patience``
-  consecutive observations (instantaneous score and EWMA both past
-  ``demote_threshold``) donates votes to the healthiest representative;
-* **restore** — a representative below its seed weight, healthy for
-  ``restore_patience`` consecutive observations with its breaker
-  closed, takes votes back from whoever is above seed weight.
+file suite.  Each step it **observes** one
+:class:`~repro.core.tuning.ServerProfile` per representative, and the
+read fraction, over the window since the last step
+(:mod:`~repro.autonomy.signals`); **plans** the warranted move with
+the paper's model (:func:`~repro.autonomy.policy.plan_move`); holds it
+until ``patience`` consecutive observations warranted a move of that
+kind, and never inside the cooldown (**hysteresis**); then passes it
+through the **gate**.
 
 Total votes are conserved, so ``r + w > N`` and ``2w > N`` keep
-holding with the same quorum sizes; the safety gate re-checks anyway
-and additionally enforces the ``min_voting_reps`` survivability floor.
-An accepted proposal is executed through
+holding with the same quorum sizes; the safety **gate** re-checks
+anyway and additionally enforces the ``min_voting_reps`` survivability
+floor.  An accepted proposal is executed through
 :func:`repro.core.reconfig.change_configuration` — an ordinary write
 under the *old* configuration's quorums, so the paper's safety
 argument covers every autonomous change.  Everything observable lands
@@ -32,15 +29,15 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
-                    Optional, Tuple)
+                    Optional)
 
-from ..chaos.health import CLOSED, OPEN
 from ..core.reconfig import change_configuration
 from ..core.suite import FileSuiteClient
-from ..core.votes import Representative, SuiteConfiguration
+from ..core.tuning import ServerProfile
 from ..errors import ReproError
-from .policy import AutopilotPolicy, gate_proposal, score_signals
-from .signals import RepSignals, collect_signals
+from .policy import AutopilotPolicy, Move, gate_proposal, plan_move, \
+    with_votes
+from .signals import collect_profiles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.health import HealthTracker
@@ -55,7 +52,7 @@ class ReassignmentRecord:
     kind: str                               # "demote" | "restore"
     rep_id: str
     server: str
-    score: float
+    gain_ms: float                          # predicted mean-latency gain
     votes_before: Dict[str, int]
     votes_after: Dict[str, int]
     applied: bool = False
@@ -70,10 +67,10 @@ class ReassignmentRecord:
 class WeightAutopilot:
     """Autonomous vote reassignment for one suite client.
 
-    The breaker terms come from the suite's :attr:`~repro.core.suite.
+    Availability comes from the suite's :attr:`~repro.core.suite.
     FileSuiteClient.health` — the :class:`HealthTracker` its client's
-    RPC endpoint feeds; without one, breaker terms read closed and the
-    autopilot steers on lag and blocking share alone.
+    RPC endpoint feeds; without one, every breaker reads closed and the
+    autopilot steers on quorum latency alone.
     """
 
     def __init__(self, suite: FileSuiteClient,
@@ -84,165 +81,64 @@ class WeightAutopilot:
         self.policy = policy or AutopilotPolicy()
         self.metrics = suite.metrics
         self.clock = clock or (lambda: suite.sim.now)
-        self.seed_votes: Dict[str, int] = {
-            rep.rep_id: rep.votes
-            for rep in suite.config.representatives}
+        self.seed_votes = self.weights()
         self.records: List[ReassignmentRecord] = []
-        #: server -> {"rep_id", "score", "at"} — the last observation
-        #: that crossed the demote threshold (kept after recovery, as
+        #: server -> {"rep_id", "gain_ms", "at"} — the last observation
+        #: that warranted moving votes off it (kept after recovery, as
         #: diagnostic history for ``repro doctor``).
         self.flagged: Dict[str, Dict[str, Any]] = {}
-        self.ewma: Dict[str, float] = {}
-        self._hot_streak: Dict[str, int] = {}
-        self._cool_streak: Dict[str, int] = {}
-        self._last_opens: Dict[str, int] = {}
-        self._last_wait: Dict[str, float] = {}
+        #: The last window's evidence, in the configuration's order.
+        self.profiles: List[ServerProfile] = []
+        self._seen: Dict[str, float] = {}
+        #: The kind of move the last observation warranted, and for how
+        #: many consecutive observations one of that kind was.
+        self._kind: Optional[str] = None
+        self._streak = 0
         self._last_applied_at: Optional[float] = None
-        self._scores: Dict[str, float] = {}
         self._stopped = False
         self._process: Optional["Process"] = None
         self._mirror_weights()
-
-    # ------------------------------------------------------------------
-    # Observation and scoring
-    # ------------------------------------------------------------------
 
     def weights(self) -> Dict[str, int]:
         """The live vote vector, keyed by rep_id."""
         return {rep.rep_id: rep.votes
                 for rep in self.suite.config.representatives}
 
-    def observe(self) -> Dict[str, RepSignals]:
-        """Collect signals and update scores, streaks and flags."""
+    # ------------------------------------------------------------------
+    # Observation, planning and hysteresis
+    # ------------------------------------------------------------------
+
+    def observe(self) -> Optional[Move]:
+        """Fold the window's evidence into profiles and plan.  Returns
+        the warranted move, or ``None``, and counts for how many
+        consecutive observations a move of its kind was warranted."""
         config = self.suite.config
-        self._rebaseline_if_members_changed(config)
+        if {rep.rep_id for rep in config.representatives} \
+                != set(self.seed_votes) \
+                or config.total_votes != sum(self.seed_votes.values()):
+            # Membership or the vote total changed under us (e.g. a
+            # manual reconfiguration added a representative): the
+            # current vector is the new baseline the autopilot
+            # protects and restores toward.
+            self.seed_votes = self.weights()
         snapshot = self.health.snapshot() if self.health is not None \
             else {}
-        signals = collect_signals(config, self.metrics, snapshot,
-                                  previous_wait=self._last_wait)
-        num_reps = len(config.representatives)
-        alpha = self.policy.ewma_alpha
-        now = self.clock()
-        self._scores: Dict[str, float] = {}
-        for rep_id, sig in signals.items():
-            opens_delta = sig.opens - self._last_opens.get(rep_id, 0)
-            self._last_opens[rep_id] = sig.opens
-            inst = score_signals(sig, self.policy,
-                                 opens_delta=opens_delta,
-                                 num_reps=num_reps)
-            self._scores[rep_id] = inst
-            previous = self.ewma.get(rep_id, inst)
-            self.ewma[rep_id] = alpha * inst + (1 - alpha) * previous
-            if inst >= self.policy.demote_threshold:
-                self._hot_streak[rep_id] = \
-                    self._hot_streak.get(rep_id, 0) + 1
-                self._cool_streak[rep_id] = 0
-                self.flagged[sig.server] = {
-                    "rep_id": rep_id, "score": inst, "at": now}
-            elif inst <= self.policy.restore_threshold \
-                    and sig.breaker_state == CLOSED:
-                self._cool_streak[rep_id] = \
-                    self._cool_streak.get(rep_id, 0) + 1
-                self._hot_streak[rep_id] = 0
-            else:
-                self._hot_streak[rep_id] = 0
-                self._cool_streak[rep_id] = 0
+        timeout = self.suite.inquiry_timeout
+        self.profiles, read_fraction = collect_profiles(
+            config, self.metrics, snapshot, self._seen, timeout)
+        move = plan_move(config, self.profiles, read_fraction,
+                         self.seed_votes, timeout,
+                         self.policy.max_shift_per_round)
         self._mirror_weights()
-        return signals
-
-    def _rebaseline_if_members_changed(
-            self, config: SuiteConfiguration) -> None:
-        current = {rep.rep_id for rep in config.representatives}
-        if current == set(self.seed_votes):
-            return
-        # Membership changed under us (e.g. a manual reconfiguration
-        # added or dropped a representative): the current vector is the
-        # new baseline the autopilot protects and restores toward.
-        self.seed_votes = {rep.rep_id: rep.votes
-                           for rep in config.representatives}
-        for stale in set(self.ewma) - current:
-            for table in (self.ewma, self._hot_streak,
-                          self._cool_streak, self._last_opens,
-                          self._last_wait):
-                table.pop(stale, None)
-
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-
-    def plan(self, signals: Dict[str, RepSignals],
-             ) -> Optional[Tuple[str, str, Dict[str, int]]]:
-        """Pick at most one reassignment: ``(kind, rep_id, votes)``."""
-        now = self.clock()
-        if self._last_applied_at is not None and \
-                now - self._last_applied_at < self.policy.cooldown_ms:
-            return None
-        votes = self.weights()
-        demote = self._plan_demotion(signals, votes)
-        if demote is not None:
-            return demote
-        return self._plan_restoration(signals, votes)
-
-    def _plan_demotion(self, signals: Dict[str, RepSignals],
-                       votes: Dict[str, int],
-                       ) -> Optional[Tuple[str, str, Dict[str, int]]]:
-        policy = self.policy
-        candidates = [
-            rep_id for rep_id, sig in signals.items()
-            if votes[rep_id] > 0
-            and self._hot_streak.get(rep_id, 0) >= policy.demote_patience
-            and self.ewma.get(rep_id, 0.0) >= policy.demote_threshold]
-        if not candidates:
-            return None
-        worst = max(candidates,
-                    key=lambda rep_id: (self.ewma[rep_id],
-                                        self._scores[rep_id], rep_id))
-        recipients = [
-            rep_id for rep_id, sig in signals.items()
-            if rep_id != worst
-            and self.seed_votes.get(rep_id, 0) > 0
-            and sig.breaker_state != OPEN
-            and self.ewma.get(rep_id, 0.0) < policy.demote_threshold]
-        if not recipients:
-            return None                     # nowhere safe to park votes
-        healthiest = min(recipients,
-                         key=lambda rep_id: (self.ewma.get(rep_id, 0.0),
-                                             rep_id))
-        shift = min(policy.max_shift_per_round, votes[worst])
-        proposal = dict(votes)
-        proposal[worst] -= shift
-        proposal[healthiest] += shift
-        return ("demote", worst, proposal)
-
-    def _plan_restoration(self, signals: Dict[str, RepSignals],
-                          votes: Dict[str, int],
-                          ) -> Optional[Tuple[str, str, Dict[str, int]]]:
-        policy = self.policy
-        candidates = sorted(
-            rep_id for rep_id, sig in signals.items()
-            if votes[rep_id] < self.seed_votes.get(rep_id, 0)
-            and sig.breaker_state == CLOSED
-            and self._cool_streak.get(rep_id, 0) >= policy.restore_patience)
-        if not candidates:
-            return None
-        target = candidates[0]
-        donors = [rep_id for rep_id in votes
-                  if votes[rep_id] > self.seed_votes.get(rep_id, 0)]
-        if not donors:
-            return None
-        donor = max(donors,
-                    key=lambda rep_id: (votes[rep_id]
-                                        - self.seed_votes.get(rep_id, 0),
-                                        rep_id))
-        shift = min(policy.max_shift_per_round,
-                    self.seed_votes[target] - votes[target],
-                    votes[donor] - self.seed_votes.get(donor, 0))
-        if shift <= 0:
-            return None
-        proposal = dict(votes)
-        proposal[target] += shift
-        proposal[donor] -= shift
-        return ("restore", target, proposal)
+        kind = move.kind if move is not None else None
+        self._streak = self._streak + 1 if kind is not None \
+            and kind == self._kind else int(kind is not None)
+        self._kind = kind
+        if kind == "demote":
+            self.flagged[config.representative(move.rep_id).server] = {
+                "rep_id": move.rep_id, "gain_ms": move.gain_ms,
+                "at": self.clock()}
+        return move
 
     # ------------------------------------------------------------------
     # Execution
@@ -252,19 +148,20 @@ class WeightAutopilot:
                                 Optional[ReassignmentRecord]]:
         """One control round.  Returns the record if a proposal was
         made (applied or not), else ``None``."""
-        signals = self.observe()
-        planned = self.plan(signals)
-        if planned is None:
+        move = self.observe()
+        now = self.clock()
+        if move is None or self._streak < self.policy.patience or (
+                self._last_applied_at is not None
+                and now - self._last_applied_at < self.policy.cooldown_ms):
             return None
-        kind, rep_id, proposal = planned
         self.metrics.counter(self._metric("proposals")).increment()
         config = self.suite.config
         record = ReassignmentRecord(
-            at=self.clock(), kind=kind, rep_id=rep_id,
-            server=config.representative(rep_id).server,
-            score=self._scores.get(rep_id, 0.0),
-            votes_before=self.weights(), votes_after=dict(proposal))
-        reason = gate_proposal(config, proposal, self.policy)
+            at=now, kind=move.kind, rep_id=move.rep_id,
+            server=config.representative(move.rep_id).server,
+            gain_ms=move.gain_ms, votes_before=self.weights(),
+            votes_after=dict(move.votes))
+        reason = gate_proposal(config, move.votes, self.policy)
         if reason is not None:
             record.rejected_by_gate = reason
             self.metrics.counter(
@@ -272,15 +169,9 @@ class WeightAutopilot:
             self.records.append(record)
             self._record_flight(record)
             return record
-        reps = tuple(
-            Representative(rep_id=rep.rep_id, server=rep.server,
-                           votes=proposal[rep.rep_id],
-                           latency_hint=rep.latency_hint)
-            for rep in config.representatives)
-        target = config.evolve(representatives=reps)
         try:
             installed = yield from change_configuration(
-                self.suite, target)
+                self.suite, with_votes(config, move.votes))
         except ReproError as exc:
             record.error = f"{type(exc).__name__}: {exc}"
             self.metrics.counter(self._metric("errors")).increment()
@@ -290,10 +181,8 @@ class WeightAutopilot:
             record.votes_after = self.weights()
             self.metrics.counter(self._metric("applied")).increment()
             self._last_applied_at = self.clock()
-            # The demoted representative stops failing foreground
-            # writes; keep judging it on fresh evidence only.
-            self._hot_streak[rep_id] = 0
-            self._cool_streak[rep_id] = 0
+            # The next move is judged on fresh evidence only.
+            self._kind, self._streak = None, 0
         self._mirror_weights()
         self.records.append(record)
         self._record_flight(record)
@@ -362,8 +251,11 @@ class WeightAutopilot:
             "at_seed_weights": self.at_seed_weights(),
             "flagged": {server: dict(info)
                         for server, info in sorted(self.flagged.items())},
-            "ewma": {rep_id: round(value, 4)
-                     for rep_id, value in sorted(self.ewma.items())},
+            "profiles": {
+                rep.rep_id: {"latency_ms": round(profile.latency, 3),
+                             "availability": round(profile.availability, 4)}
+                for rep, profile in zip(self.suite.config.representatives,
+                                        self.profiles)},
             "cooldown_until": (
                 self._last_applied_at + self.policy.cooldown_ms
                 if self._last_applied_at is not None else None),

@@ -1,14 +1,19 @@
-"""Scoring, hysteresis parameters, and the hard safety gate.
+"""The planner, the autopilot's settings, and the hard safety gate.
 
-Two separable concerns live here:
+**The planner** (:func:`plan_move`) is a pure function of one window's
+profiles.  It asks :func:`repro.core.tuning.best_configuration` — the
+paper's closed-form model — for the best vote vector that keeps the
+total votes and the current ``r`` and ``w``, scoring reads with the
+inquiry quorum and pricing blocking at a caller's timeout, and applies
+one hysteresis rule: move toward that vector when its predicted mean
+latency beats the current vector's by more than :data:`MARGIN_MS` (a
+*demote*), or, off the seed weights, back toward the seed as soon as
+the seed vector is within that margin of it (a *restore*).  A move
+shifts at most ``max_shift_per_round`` votes.
 
-**Scoring** maps one representative's signals to an instantaneous
-badness in ``[0, ~2]``: an open breaker or a dominant blocking share
-alone clears the demote threshold; flap history and version lag are
-supporting evidence that push a borderline case over.  The controller
-smooths instantaneous scores with an EWMA and requires
-``demote_patience`` consecutive hot observations, so one unlucky
-sample never moves votes.
+:class:`AutopilotPolicy` holds the five settings a deployment may
+tune; what counts as a worthwhile move is the model's, not a weight
+here.
 
 **The gate** is the last line: a pure function over the *proposed*
 vote vector that rejects anything violating Gifford's feasibility
@@ -24,49 +29,26 @@ refused as data instead of exploding in the constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from ..chaos.health import HALF_OPEN, OPEN
+from ..core.tuning import ServerProfile, best_configuration, score
 from ..core.votes import SuiteConfiguration
-from .signals import RepSignals
+
+#: Predicted mean-latency gain (ms) a move must beat; within it the
+#: seed weights are good enough to go back to.
+MARGIN_MS = 5.0
 
 
 @dataclass(frozen=True)
 class AutopilotPolicy:
     """Tunable knobs; the defaults favour stability over reactivity."""
 
-    #: Signal weights.  Breaker and blocking each saturate at 1.0 — a
-    #: solidly open breaker or a monopolised critical path is on its
-    #: own enough to cross ``demote_threshold``; flap and lag are
-    #: corroborating evidence.
-    breaker_weight: float = 1.0
-    flap_weight: float = 0.35
-    lag_weight: float = 0.25
-    blocking_weight: float = 1.0
-    #: Versions-behind at which the lag term saturates.
-    lag_tolerance: float = 2.0
-    #: Windowed blocking mass (ms across the whole suite) at which the
-    #: blocking share counts at full confidence.  Below it the term is
-    #: scaled down: in a near-idle window *somebody* always arrives
-    #: last and holds 100% of the share, and that is not evidence.
-    blocking_floor_ms: float = 200.0
-    #: Per-window breaker opens at which the flap term saturates is
-    #: ``1 / flap_per_open`` opens.
-    flap_per_open: float = 0.5
-    #: EWMA smoothing factor (weight of the newest observation).
-    ewma_alpha: float = 0.5
-    #: Demotion needs the instantaneous score at or above this for
-    #: ``demote_patience`` consecutive observations *and* the EWMA
-    #: there too.
-    demote_threshold: float = 0.6
-    demote_patience: int = 2
-    #: Restoration needs the score at or below this (with the breaker
-    #: closed) for ``restore_patience`` consecutive observations.
-    restore_threshold: float = 0.2
-    restore_patience: int = 2
     #: Votes moved by a single reassignment.
     max_shift_per_round: int = 1
+    #: Consecutive observations a move must stay warranted before it
+    #: is proposed.
+    patience: int = 2
     #: Quiet period after an applied reassignment (ms).
     cooldown_ms: float = 1_500.0
     #: Survivability floor: a proposal may never leave fewer voting
@@ -76,36 +58,81 @@ class AutopilotPolicy:
     interval_ms: float = 500.0
 
 
-def _clamp01(value: float) -> float:
-    return 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
+class Move(NamedTuple):
+    """One warranted reassignment: ``votes`` is the proposed vector, and
+    ``rep_id`` the donor of a demote or the taker of a restore."""
+
+    kind: str                               # "demote" | "restore"
+    rep_id: str
+    votes: Dict[str, int]
+    gain_ms: float                          # predicted mean-latency gain
 
 
-def score_signals(signals: RepSignals, policy: AutopilotPolicy,
-                  opens_delta: int = 0, num_reps: int = 1) -> float:
-    """Instantaneous badness of one representative."""
-    if signals.breaker_state == OPEN:
-        breaker_term = 1.0
-    elif signals.breaker_state == HALF_OPEN:
-        breaker_term = 0.5
-    else:
-        breaker_term = 0.0
-    flap_term = min(1.0, max(0, opens_delta) * policy.flap_per_open)
-    lag_term = min(1.0, signals.lag / policy.lag_tolerance) \
-        if policy.lag_tolerance > 0 else 0.0
-    if num_reps > 1:
-        fair = 1.0 / num_reps
-        blocking_term = _clamp01(
-            (signals.blocking_share - fair) / (1.0 - fair))
-        if policy.blocking_floor_ms > 0:
-            blocking_term *= min(
-                1.0, signals.blocking_window_ms
-                / policy.blocking_floor_ms)
-    else:
-        blocking_term = 0.0
-    return (breaker_term * policy.breaker_weight
-            + flap_term * policy.flap_weight
-            + lag_term * policy.lag_weight
-            + blocking_term * policy.blocking_weight)
+def with_votes(config: SuiteConfiguration,
+               votes: Dict[str, int]) -> SuiteConfiguration:
+    """``config`` with the vote vector ``votes`` (keyed by rep_id)."""
+    return config.evolve(representatives=tuple(
+        replace(rep, votes=votes[rep.rep_id])
+        for rep in config.representatives))
+
+
+def plan_move(config: SuiteConfiguration,
+              profiles: Sequence[ServerProfile], read_fraction: float,
+              seed_votes: Dict[str, int], blocked_cost: float,
+              max_shift: int = 1) -> Optional[Move]:
+    """The move ``profiles`` (one per representative's server) warrant
+    from ``config``: toward the model's best vector, back toward
+    ``seed_votes``, or none."""
+    # Worst first: among equally good vectors the model's tie break (the
+    # smaller vote tuple) keeps votes off the worse representatives, and
+    # so does the choice of donor in _toward.
+    profiles = sorted(profiles, key=lambda profile: (
+        profile.availability, -profile.latency, profile.name))
+    model = dict(inquiry_latency={profile.name: profile.latency
+                                  for profile in profiles},
+                 blocked_cost=blocked_cost)
+    total = config.total_votes
+    best = best_configuration(
+        profiles, read_fraction, max_votes_per_rep=total,
+        suite_name=config.suite_name, total_votes=total,
+        quorums=(config.read_quorum, config.write_quorum), **model)
+    current = score(config, profiles, read_fraction, **model).mean_latency
+    votes = {rep.rep_id: rep.votes for rep in config.representatives}
+    order = {profile.name: index for index, profile in enumerate(profiles)}
+    ranked = sorted(votes, key=lambda rep_id: order[
+        config.representative(rep_id).server])
+    if votes != seed_votes:
+        seed = score(with_votes(config, seed_votes), profiles,
+                     read_fraction, **model).mean_latency
+        if seed - best.mean_latency <= MARGIN_MS:
+            return _toward(ranked, votes, seed_votes, "restore",
+                           current - seed, max_shift)
+    if current - best.mean_latency > MARGIN_MS:
+        chosen = {rep.server: rep.votes
+                  for rep in best.config.representatives}
+        target = {rep.rep_id: chosen[rep.server]
+                  for rep in config.representatives}
+        return _toward(ranked, votes, target, "demote",
+                       current - best.mean_latency, max_shift)
+    return None
+
+
+def _toward(ranked: List[str], votes: Dict[str, int],
+            target: Dict[str, int], kind: str, gain: float,
+            max_shift: int) -> Move:
+    """Move up to ``max_shift`` votes from the representative furthest
+    above ``target`` to the one furthest below it, ties to the worst
+    donor and the best taker (``ranked`` is worst first)."""
+    donor = max(ranked, key=lambda rep_id: votes[rep_id] - target[rep_id])
+    taker = max(reversed(ranked),
+                key=lambda rep_id: target[rep_id] - votes[rep_id])
+    shift = min(max_shift, votes[donor] - target[donor],
+                target[taker] - votes[taker])
+    proposal = dict(votes)
+    proposal[donor] -= shift
+    proposal[taker] += shift
+    return Move(kind, donor if kind == "demote" else taker, proposal,
+                round(gain, 3))
 
 
 def gate_proposal(current: SuiteConfiguration, votes: Dict[str, int],

@@ -58,7 +58,6 @@ from ..obs.flight import FlightHistory, FlightRecorder
 from ..sim.rng import RandomStreams
 from ..verification import (HistoryRecorder, InvariantReport, OpRecord,
                             check_history)
-from .health import HealthTracker
 from .nemesis import (NemesisScript, markov_nemesis, random_nemesis,
                       run_live_nemesis, schedule_on_sim)
 from .policy import ChaosPolicy
@@ -600,9 +599,12 @@ def run_sim_soak(config: AnySoakConfig,
     script = None if namespace else config.nemesis(streams)
 
     suite_kwargs = config.suite_kwargs()
+    # Breakers route the one-suite soak around crashed representatives;
+    # the namespace soak runs them only to feed its autopilots.
     bed_kwargs = dict(call_timeout=config.call_timeout,
                       lock_timeout=config.lock_timeout,
-                      idle_abort_after=config.idle_abort_after, obs=True)
+                      idle_abort_after=config.idle_abort_after, obs=True,
+                      breakers=config.autopilot or not namespace)
     cluster = None
     if namespace:
         cluster = SimCluster(config.spec(), suite_kwargs=suite_kwargs,
@@ -614,14 +616,7 @@ def run_sim_soak(config: AnySoakConfig,
             config.transport_attempts
     bed.network.chaos = policy
     client = bed.clients["client"]
-    # Breakers route the one-suite soak around crashed representatives;
-    # the namespace soak runs them only to feed its autopilots.  Wired
-    # before any handle is built: handles read them from the client.
-    health = None
-    if config.autopilot or not namespace:
-        health = HealthTracker(clock=lambda: bed.sim.now,
-                               metrics=bed.metrics)
-        client.endpoint.health = health
+    health = client.endpoint.health
 
     recorder = _open_flight(flight_dir, lambda: bed.sim.now, runtime,
                             config, policy)

@@ -345,8 +345,8 @@ def _render_autopilot_state(state: Dict) -> None:
             else:
                 fate = f"failed: {rec.get('error')}"
             print(f"    t={rec['at']:.0f}ms {rec['kind']} "
-                  f"{rec['rep_id']} ({rec['server']}, score "
-                  f"{rec['score']:.2f}) -> {votes} — {fate}")
+                  f"{rec['rep_id']} ({rec['server']}, predicted gain "
+                  f"{rec['gain_ms']:.1f}ms) -> {votes} — {fate}")
     weights = " ".join(f"{rep}={count}" for rep, count
                        in sorted(state["weights"].items()))
     posture = ("at seed weights" if state["at_seed_weights"]
@@ -902,7 +902,6 @@ def _doctor_scenario(args: argparse.Namespace) -> int:
     every quorum it serves — a slowed server deterministically gates
     each of its suites' gathers, so the critical path must name it.
     """
-    from .chaos.health import HealthTracker
     from .chaos.policy import ChaosPolicy
     from .cluster import ClusterSpec, SimCluster
     from .errors import ReproError
@@ -924,7 +923,7 @@ def _doctor_scenario(args: argparse.Namespace) -> int:
     suite_kwargs = {"inquiry_timeout": 250.0, "data_timeout": 500.0,
                     "max_attempts": 2, "retry_backoff": 40.0}
     cluster = SimCluster(spec, suite_kwargs=suite_kwargs,
-                         call_timeout=300.0, obs=True)
+                         call_timeout=300.0, obs=True, breakers=True)
     bed = cluster.bed
     streams = RandomStreams(seed=args.seed)
     policy = ChaosPolicy(streams=streams)   # all probabilities zero
@@ -932,8 +931,7 @@ def _doctor_scenario(args: argparse.Namespace) -> int:
     bed.network.chaos = policy
     if args.delay_server:
         policy.slow_host(args.delay_server, args.delay_ms)
-    health = HealthTracker(clock=lambda: bed.sim.now, metrics=bed.metrics)
-    bed.clients["client"].endpoint.health = health
+    health = bed.clients["client"].endpoint.health
 
     cluster.start()
     pilots: Dict[str, "object"] = {}
@@ -941,7 +939,7 @@ def _doctor_scenario(args: argparse.Namespace) -> int:
         from .autonomy import WeightAutopilot
         # Diagnosis-first posture: the default policy's survivability
         # floor (min_voting_reps=2) can never be met by shifting votes
-        # inside a replication-2 suite, so the pilots observe, score
+        # inside a replication-2 suite, so the pilots observe, plan
         # and flag — and the gate records every demotion it refused.
         pilots = {name: WeightAutopilot(cluster.handles[name])
                   for name in spec.suite_names}

@@ -74,6 +74,8 @@ def enumerate_configurations(servers: Sequence[ServerProfile],
                              max_votes_per_rep: int = 3,
                              allow_weak: bool = True,
                              suite_name: str = "tuned",
+                             total_votes: Optional[int] = None,
+                             quorums: Optional[Tuple[int, int]] = None,
                              ) -> Iterator[SuiteConfiguration]:
     """Yield every valid (assignment, r, w) combination.
 
@@ -81,7 +83,9 @@ def enumerate_configurations(servers: Sequence[ServerProfile],
     *which* server gets the weight matters, since latencies and
     availabilities differ.  Assignments with zero total votes are
     skipped; weak (zero-vote) representatives are included unless
-    ``allow_weak`` is false.
+    ``allow_weak`` is false.  ``total_votes`` keeps only assignments
+    of that total and ``quorums`` only that ``(r, w)`` pair: the space
+    of a reassignment that leaves the quorum sizes as they are.
     """
     if not servers:
         return
@@ -89,7 +93,7 @@ def enumerate_configurations(servers: Sequence[ServerProfile],
     for votes in itertools.product(range(lower, max_votes_per_rep + 1),
                                    repeat=len(servers)):
         total = sum(votes)
-        if total == 0:
+        if total == 0 or total_votes not in (None, total):
             continue
         representatives = tuple(
             Representative(rep_id=f"rep-{profile.name}",
@@ -98,6 +102,8 @@ def enumerate_configurations(servers: Sequence[ServerProfile],
             for profile, vote in zip(servers, votes))
         for write_quorum in range(total // 2 + 1, total + 1):
             for read_quorum in range(total - write_quorum + 1, total + 1):
+                if quorums not in (None, (read_quorum, write_quorum)):
+                    continue
                 try:
                     yield SuiteConfiguration(
                         suite_name=suite_name,
@@ -110,36 +116,44 @@ def enumerate_configurations(servers: Sequence[ServerProfile],
 
 def score(config: SuiteConfiguration, servers: Sequence[ServerProfile],
           read_fraction: float,
-          inquiry_latency: Optional[Dict[str, float]] = None) -> Candidate:
+          inquiry_latency: Optional[Dict[str, float]] = None,
+          blocked_cost: float = 0.0) -> Candidate:
     """Evaluate one configuration with the closed-form model.
 
     ``inquiry_latency`` (server name → version-inquiry round-trip cost)
     switches reads to the strict two-phase accounting: gathering ``r``
     votes of inquiries, then the cheapest data transfer.  Without it
     the paper's pure model is used, under which the read quorum size
-    affects only availability.
+    affects only availability.  ``blocked_cost`` is what an operation
+    that finds its quorum unavailable costs: each operation class's
+    mean latency then adds its blocking probability times it.
     """
-    latency = {f"rep-{profile.name}": profile.latency
-               for profile in servers}
-    availability = {f"rep-{profile.name}": profile.availability
-                    for profile in servers}
-    analysis = SuiteAnalysis(config, latency=latency,
-                             availability=availability)
+    by_server = {profile.name: profile for profile in servers}
+    reps = config.representatives
+    analysis = SuiteAnalysis(
+        config,
+        latency={rep.rep_id: by_server[rep.server].latency for rep in reps},
+        availability={rep.rep_id: by_server[rep.server].availability
+                      for rep in reps})
     if inquiry_latency is not None:
-        per_rep = {f"rep-{name}": cost
-                   for name, cost in inquiry_latency.items()}
-        read_latency = analysis.read_latency_strict(per_rep)
+        read_latency = analysis.read_latency_strict(
+            {rep.rep_id: inquiry_latency[rep.server] for rep in reps
+             if rep.server in inquiry_latency})
     else:
         read_latency = analysis.read_latency()
     write_latency = analysis.write_latency()
+    read_availability = analysis.read_availability()
+    write_availability = analysis.write_availability()
+    read_cost = read_latency + (1.0 - read_availability) * blocked_cost
+    write_cost = write_latency + (1.0 - write_availability) * blocked_cost
     return Candidate(
         config=config,
         read_latency=read_latency,
         write_latency=write_latency,
-        read_availability=analysis.read_availability(),
-        write_availability=analysis.write_availability(),
-        mean_latency=(read_fraction * read_latency
-                      + (1.0 - read_fraction) * write_latency),
+        read_availability=read_availability,
+        write_availability=write_availability,
+        mean_latency=(read_fraction * read_cost
+                      + (1.0 - read_fraction) * write_cost),
     )
 
 
@@ -161,18 +175,26 @@ def best_configuration(servers: Sequence[ServerProfile],
                        allow_weak: bool = True,
                        suite_name: str = "tuned",
                        inquiry_latency: Optional[Dict[str, float]] = None,
+                       total_votes: Optional[int] = None,
+                       quorums: Optional[Tuple[int, int]] = None,
+                       blocked_cost: float = 0.0,
                        ) -> Candidate:
     """The minimum-mean-latency configuration meeting the constraints.
 
-    Raises :class:`InvalidConfigurationError` if no configuration over
-    the given servers can meet the availability floors.
+    ``total_votes`` and ``quorums`` narrow the search as
+    :func:`enumerate_configurations` does; ``blocked_cost`` prices
+    blocking as :func:`score` does.  Raises
+    :class:`InvalidConfigurationError` if no configuration over the
+    given servers can meet the availability floors.
     """
     best: Optional[Candidate] = None
     for config in enumerate_configurations(
             servers, max_votes_per_rep=max_votes_per_rep,
-            allow_weak=allow_weak, suite_name=suite_name):
+            allow_weak=allow_weak, suite_name=suite_name,
+            total_votes=total_votes, quorums=quorums):
         candidate = score(config, servers, read_fraction,
-                          inquiry_latency=inquiry_latency)
+                          inquiry_latency=inquiry_latency,
+                          blocked_cost=blocked_cost)
         if candidate.read_availability < min_read_availability:
             continue
         if candidate.write_availability < min_write_availability:

@@ -36,11 +36,11 @@ from .transport import MAX_FRAME_BYTES
 _SLOT_HEADER = 4
 
 #: Ceiling on data piggybacked onto ``txn.stat`` replies (the read
-#: fast path).  The JSON frame codec base64-expands bytes by 4/3 and
-#: adds envelope overhead, so cap the raw payload well under the
-#: transport's frame limit: 3/8 of it leaves the encoded reply at most
-#: half a frame.  Clients may ask for less via ``max_bytes``; they can
-#: never get more.
+#: fast path).  A stat reply carries ``data`` as a raw blob tail in
+#: its fixed layout, so the encoded reply is the payload plus a header
+#: of tens of bytes; 3/8 of the transport's frame limit keeps it far
+#: inside one frame.  Clients may ask for less via ``max_bytes``; they
+#: can never get more.
 STAT_DATA_CEILING = 3 * MAX_FRAME_BYTES // 8
 
 

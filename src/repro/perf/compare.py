@@ -46,8 +46,16 @@ _HIGHER_HINTS = ("throughput", "ops", "per_sec", "/s", "rate",
                  "availability", "hit", "success", "reads")
 
 
+#: Directions of metrics whose names carry no hint: a fault sweep's
+#: detections, and its healthy control's false alarms.
+_DIRECTIONS = {"cluster_shifted_seeds": "higher",
+               "healthy_shifted_seeds": "lower"}
+
+
 def infer_direction(metric: str, unit: str) -> Optional[str]:
     """``"exact"``, ``"lower"``, ``"higher"`` or ``None`` (advisory)."""
+    if metric in _DIRECTIONS:
+        return _DIRECTIONS[metric]
     haystack = f"{metric} {unit}".lower()
     if any(hint in haystack for hint in _EXACT_HINTS):
         return "exact"

@@ -8,7 +8,7 @@ crash/restart, seeded random streams, and metrics.
 
 from .distributions import (Constant, Distribution, Exponential, Lognormal,
                             Uniform, as_distribution)
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .network import Host, Network, SharedMedium
 from .process import Process
@@ -17,7 +17,7 @@ from .rng import RandomStreams
 from .simulator import Simulator
 
 __all__ = [
-    "AllOf", "AnyOf", "Constant", "Counter", "Distribution", "Event",
+    "AllOf", "Constant", "Counter", "Distribution", "Event",
     "Exponential", "Gauge", "Histogram", "Host",
     "Lognormal", "MetricsRegistry", "Network",
     "Process", "RandomStreams", "Resource",

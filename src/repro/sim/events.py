@@ -5,9 +5,10 @@ An :class:`Event` is a one-shot occurrence in virtual time.  Processes
 the event *triggers* the process resumes with the event's value, and when
 the event *fails* the attached exception is raised inside the process.
 
-Composite conditions (:class:`AnyOf`, :class:`AllOf`) let a process wait
-for the first of, or all of, a set of events — the building block for
-"gather responses until a quorum is reached" logic higher up the stack.
+The composite :class:`AllOf` lets a process wait for every event of a
+set.  Waiting for a quorum of replies is not a composite event: the
+gather in :mod:`repro.core.gather` registers one callback per reply and
+parks its caller on a single event.
 """
 
 from __future__ import annotations
@@ -130,61 +131,24 @@ class Timeout(Event):
             self.trigger(value)
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, name=self.__class__.__name__)
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if not self.events:
-            self.trigger(self._empty_value())
-            return
-        for event in self.events:
-            event.add_callback(self._child_settled)
-
-    def _empty_value(self) -> Any:
-        raise NotImplementedError
-
-    def _child_settled(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers when the first child event settles.
-
-    The value is the ``(event, value)`` pair of the first child to
-    trigger.  If the first child to settle *failed*, this condition
-    fails with the same exception.
-    """
-
-    __slots__ = ()
-
-    def _empty_value(self) -> Any:
-        return (None, None)
-
-    def _child_settled(self, event: Event) -> None:
-        if self.settled:
-            return
-        if event.failed:
-            self.fail(event.value)
-        else:
-            self.trigger((event, event.value))
-
-
-class AllOf(_Condition):
+class AllOf(Event):
     """Triggers when every child event has triggered.
 
     The value is the list of child values in construction order.  The
     first child failure fails the whole condition.
     """
 
-    __slots__ = ()
+    __slots__ = ("events", "_remaining")
 
-    def _empty_value(self) -> Any:
-        return []
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
+        super().__init__(sim, name="AllOf")
+        self.events = list(events)
+        self._remaining = len(self.events)
+        if not self.events:
+            self.trigger([])
+            return
+        for event in self.events:
+            event.add_callback(self._child_settled)
 
     def _child_settled(self, event: Event) -> None:
         if self.settled:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterable, Optional
 
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Process, ProcessGenerator
 
 
@@ -88,9 +88,6 @@ class Simulator:
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from ``generator``; returns immediately."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

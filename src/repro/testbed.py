@@ -136,14 +136,15 @@ class Testbed:
                  call_timeout: float = 2_000.0,
                  refresh_delay: float = 0.0,
                  refresh_enabled: bool = True,
-                 obs: bool = False) -> None:
+                 obs: bool = False,
+                 breakers: bool = False) -> None:
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
         self.network = Network(self.sim, self.streams,
                                default_latency=default_latency)
         self.metrics = MetricsRegistry()
         #: Causal tracing (``obs=True``).  Deliberately opt-in: trace
-        #: context rides inside RPC requests, whose estimated byte size
+        #: context rides inside RPC requests, whose encoded body length
         #: feeds the latency model — enabling it perturbs simulated
         #: timings, which paper-comparison runs must not pay silently.
         #: The whole testbed shares one collector (it is one process),
@@ -151,6 +152,10 @@ class Testbed:
         self.collector = TraceCollector(clock=lambda: self.sim.now,
                                         origin="sim", enabled=obs)
         self.call_timeout = call_timeout
+        #: Clients get circuit breakers (``breakers=True``): a
+        #: :class:`~repro.chaos.health.HealthTracker` on each client
+        #: endpoint, which every suite handle reads.
+        self.breakers = breakers
         self.servers: Dict[str, ServerNode] = {}
         self.clients: Dict[str, ClientNode] = {}
         for name in servers:
@@ -183,7 +188,8 @@ class Testbed:
                    refresh_enabled: bool = True) -> ClientNode:
         node = ClientNode.build(
             self.sim, self.network.add_host(name), collector=self.collector,
-            metrics=self.metrics, call_timeout=self.call_timeout,
+            metrics=self.metrics, breakers=self.breakers,
+            call_timeout=self.call_timeout,
             streams=self.streams, refresh_delay=refresh_delay,
             refresh_enabled=refresh_enabled)
         self.clients[name] = node
@@ -198,9 +204,8 @@ class Testbed:
         """A suite client handle bound to ``client``'s transaction manager.
 
         The handle reads the client's metrics, tracer, breakers, flight
-        recorder and streams from that manager; attach a
-        :class:`~repro.chaos.health.HealthTracker` to the client's
-        endpoint, or a recorder to its manager, before building handles.
+        recorder and streams from that manager; attach a recorder to the
+        manager before building handles.
         """
         node = self.clients[client]
         kwargs.setdefault("refresher", node.refresher)

@@ -1,96 +1,82 @@
-"""The vote autopilot's scoring, safety gate, and control loop."""
+"""The vote autopilot's planner, evidence, safety gate and control
+loop."""
 
 import json
 
 import pytest
 
-from repro.autonomy import (AutopilotPolicy, RepSignals, WeightAutopilot,
-                            collect_signals, gate_proposal, score_signals)
-from repro.chaos.health import CLOSED, HALF_OPEN, OPEN, HealthTracker
+from repro.autonomy import (AutopilotPolicy, WeightAutopilot,
+                            collect_profiles, gate_proposal, plan_move)
+from repro.chaos.health import OPEN
 from repro.core.reconfig import change_configuration
+from repro.core.tuning import ServerProfile
 from repro.core.votes import make_configuration
 from repro.sim.metrics import MetricsRegistry
 from repro.testbed import Testbed
 
 POLICY = AutopilotPolicy()
+SEED = {f"rep-s{i}": 1 for i in range(1, 6)}
 
 
-def _signals(**overrides) -> RepSignals:
-    base = dict(rep_id="rep-s1", server="s1", votes=1)
-    base.update(overrides)
-    return RepSignals(**base)
+def _config(votes=(1, 1, 1, 1, 1), r=3, w=3):
+    servers = [f"s{i + 1}" for i in range(len(votes))]
+    return make_configuration("db", list(zip(servers, votes)), r, w)
 
 
-class TestScoring:
-    def test_open_breaker_alone_crosses_the_demote_threshold(self):
-        score = score_signals(_signals(breaker_state=OPEN), POLICY,
-                              num_reps=5)
-        assert score >= POLICY.demote_threshold
+def _profiles(latency=None, down=(), timeout=1_000.0):
+    """Five servers, 1 ms each unless ``latency`` says otherwise;
+    ``down`` ones profiled as their breaker-history evidence has it."""
+    latency = latency or {}
+    flip = len(down) / 5
+    return [ServerProfile(name, latency=timeout, availability=flip)
+            if name in down else
+            ServerProfile(name, latency=latency.get(name, 1.0),
+                          availability=1.0 - flip)
+            for name in ("s1", "s2", "s3", "s4", "s5")]
 
-    def test_half_open_counts_half(self):
-        half = score_signals(_signals(breaker_state=HALF_OPEN), POLICY,
-                             num_reps=5)
-        full = score_signals(_signals(breaker_state=OPEN), POLICY,
-                             num_reps=5)
-        assert half == pytest.approx(full / 2)
 
-    def test_healthy_representative_scores_zero(self):
-        assert score_signals(_signals(), POLICY, num_reps=5) == 0.0
+class TestPlanner:
+    """``plan_move`` is a pure function of one window's profiles."""
 
-    def test_flap_term_saturates(self):
-        two = score_signals(_signals(), POLICY, opens_delta=2,
-                            num_reps=5)
-        many = score_signals(_signals(), POLICY, opens_delta=50,
-                             num_reps=5)
-        assert two == pytest.approx(POLICY.flap_weight)
-        assert many == two            # capped at one window's worth
+    @pytest.mark.parametrize("r,w,evidence", [
+        (5, 5, dict(latency={"s4": 60.0})),       # slow, gating quorums
+        (3, 3, dict(down=("s4",))),              # unavailable
+    ])
+    def test_bad_representative_loses_a_vote_conserving_share(
+            self, r, w, evidence):
+        config = _config(r=r, w=w)
+        move = plan_move(config, _profiles(**evidence), 0.7, SEED,
+                         blocked_cost=1_000.0)
+        assert move.kind == "demote" and move.rep_id == "rep-s4"
+        assert move.votes["rep-s4"] == 0
+        assert sum(move.votes.values()) == 5
+        assert move.gain_ms > 0
+        assert gate_proposal(config, move.votes, POLICY) is None
 
-    def test_lag_term_saturates_at_tolerance(self):
-        at = score_signals(_signals(version_lag=POLICY.lag_tolerance),
-                           POLICY, num_reps=5)
-        beyond = score_signals(_signals(version_lag=100.0), POLICY,
-                               num_reps=5)
-        assert at == pytest.approx(POLICY.lag_weight)
-        assert beyond == at
+    def test_equal_profiles_keep_or_restore_the_seed_weights(self):
+        assert plan_move(_config(), _profiles(), 0.7, SEED,
+                         blocked_cost=1_000.0) is None
+        shifted = _config((2, 1, 1, 0, 1))
+        move = plan_move(shifted, _profiles(), 0.7, SEED,
+                         blocked_cost=1_000.0)
+        assert move.kind == "restore" and move.rep_id == "rep-s4"
+        assert move.votes == SEED
 
-    def test_weak_staleness_counts_as_lag(self):
-        """The version-lag gauge freezes for a demoted representative;
-        the weak-staleness gauge keeps tracking it."""
-        score = score_signals(
-            _signals(weak_staleness=POLICY.lag_tolerance), POLICY,
-            num_reps=5)
-        assert score == pytest.approx(POLICY.lag_weight)
-
-    def test_fair_blocking_share_is_not_evidence(self):
-        score = score_signals(
-            _signals(blocking_share=0.2, blocking_window_ms=1_000.0),
-            POLICY, num_reps=5)
-        assert score == 0.0
-
-    def test_monopolised_blocking_crosses_the_threshold(self):
-        score = score_signals(
-            _signals(blocking_share=1.0, blocking_window_ms=1_000.0),
-            POLICY, num_reps=5)
-        assert score >= POLICY.demote_threshold
-
-    def test_thin_window_discounts_the_blocking_share(self):
-        """In a near-idle window somebody always arrives last and holds
-        100% of the share — that is not evidence."""
-        thin = score_signals(
-            _signals(blocking_share=1.0, blocking_window_ms=50.0),
-            POLICY, num_reps=5)
-        fat = score_signals(
-            _signals(blocking_share=1.0,
-                     blocking_window_ms=POLICY.blocking_floor_ms),
-            POLICY, num_reps=5)
-        assert thin == pytest.approx(
-            fat * 50.0 / POLICY.blocking_floor_ms)
-
-    def test_single_representative_has_no_blocking_term(self):
-        score = score_signals(
-            _signals(blocking_share=1.0, blocking_window_ms=1_000.0),
-            POLICY, num_reps=1)
-        assert score == 0.0
+    @pytest.mark.parametrize("votes", [(1, 1, 1, 1, 1), (2, 1, 1, 0, 1),
+                                       (1, 2, 1, 1, 0)])
+    def test_open_breaker_never_receives_votes(self, votes):
+        current = dict(zip(SEED, votes))
+        for down in (("s2",), ("s4",), ("s2", "s4")):
+            for slow in ("s1", "s3", "s5"):
+                move = plan_move(
+                    _config(votes), _profiles({slow: 200.0}, down), 0.7,
+                    SEED, blocked_cost=1_000.0)
+                if move is None:
+                    continue
+                for server in down:
+                    rep_id = f"rep-{server}"
+                    assert move.votes[rep_id] <= current[rep_id], \
+                        (votes, down, slow, move)
 
 
 class TestCollectSignals:
@@ -99,29 +85,43 @@ class TestCollectSignals:
                                          ("s3", 1)], 2, 2)
 
     def test_windowed_blocking_share(self):
-        """Successive calls see deltas of the cumulative gauge, so a
-        representative slow an hour ago but healthy now scores clean."""
+        """Successive calls see deltas of the cumulative gauges, so a
+        representative slow an hour ago but healthy now profiles
+        clean."""
         metrics = MetricsRegistry()
         config = self._config()
-        gauge = "quorum.blocking.wait_ms[suite=db,rep=rep-s1]"
-        metrics.gauge(gauge).set(400.0)
-        previous = {}
-        first = collect_signals(config, metrics, {}, previous)
-        assert first["rep-s1"].blocking_share == pytest.approx(1.0)
-        assert first["rep-s1"].blocking_window_ms == pytest.approx(400.0)
-        # No new blocking: the share evaporates with the window.
-        second = collect_signals(config, metrics, {}, previous)
-        assert second["rep-s1"].blocking_share == 0.0
-        assert second["rep-s1"].blocking_window_ms == 0.0
+        metrics.gauge("quorum.blocking.wait_ms[suite=db,rep=rep-s1]") \
+            .set(400.0)
+        metrics.counter("quorum.blocking.gathers[suite=db,mode=read]") \
+            .increment(4)
+        metrics.counter("suite.reads").increment(3)
+        seen = {}
+        first, read_fraction = collect_profiles(config, metrics, {}, seen,
+                                                250.0)
+        assert [profile.latency for profile in first] == [100.0, 0.0, 0.0]
+        assert read_fraction == pytest.approx(4 / 5)
+        # No new blocking: the evidence evaporates with the window.
+        second, read_fraction = collect_profiles(config, metrics, {},
+                                                 seen, 250.0)
+        assert [profile.latency for profile in second] == [0.0, 0.0, 0.0]
+        assert read_fraction == 0.5
 
     def test_breaker_snapshot_is_folded_in(self):
         metrics = MetricsRegistry()
-        snapshot = {"s2": {"state": OPEN, "opens": 3, "closes": 2,
-                           "last_transition": 17.0}}
-        signals = collect_signals(self._config(), metrics, snapshot, {})
-        assert signals["rep-s2"].breaker_state == OPEN
-        assert signals["rep-s2"].opens == 3
-        assert signals["rep-s1"].breaker_state == CLOSED
+        snapshot = {"s2": {"state": OPEN, "opens": 3, "closes": 2}}
+        profiles, _ = collect_profiles(self._config(), metrics, snapshot,
+                                       {}, 250.0)
+        by_server = {profile.name: profile for profile in profiles}
+        assert by_server["s2"].latency == 250.0
+        assert by_server["s2"].availability == pytest.approx(1 / 3)
+        assert by_server["s1"].availability == pytest.approx(2 / 3)
+        # A window without breaker trouble prices no blocking at all.
+        closed = {"s2": {"state": "closed", "opens": 3, "closes": 3}}
+        seen = {"health.opens[server=s2]": 3.0}
+        profiles, _ = collect_profiles(self._config(), metrics, closed,
+                                       seen, 250.0)
+        assert [profile.availability for profile in profiles] == \
+            [1.0, 1.0, 1.0]
 
 
 class TestSafetyGate:
@@ -178,22 +178,19 @@ class TestSafetyGate:
         assert votes == {"rep-s1": 1, "rep-s2": 1, "rep-s3": 1}
 
 
-def _bed_with_autopilot(policy=None, votes=(1, 1, 1, 1, 1), r=3, w=3,
+def _bed_with_autopilot(policy=None, votes=(1, 1, 1, 1, 1), r=5, w=5,
                         health=False, seed=1):
+    """With ``r = w = N`` every representative gates every quorum, so
+    blocking blamed on one is latency the planner can remove."""
     servers = [f"s{i + 1}" for i in range(len(votes))]
-    bed = Testbed(servers, seed=seed, obs=True)
+    bed = Testbed(servers, seed=seed, obs=True, breakers=health)
     config = make_configuration(
         "db", list(zip(servers, votes)), r, w,
         latency_hints={name: float(i + 1)
                        for i, name in enumerate(servers)})
-    tracker = None
-    if health:
-        tracker = HealthTracker(clock=lambda: bed.sim.now,
-                                metrics=bed.metrics)
-        bed.clients["client"].endpoint.health = tracker
     suite = bed.install(config, b"seed")
     autopilot = WeightAutopilot(suite, policy=policy)
-    return bed, suite, autopilot, tracker
+    return bed, suite, autopilot, bed.clients["client"].endpoint.health
 
 
 def _blame(bed, rep_id, ms=500.0):
@@ -238,12 +235,13 @@ class TestAutopilotControl:
             _blame(bed, "rep-s4")
             bed.run(autopilot.step())
         assert not autopilot.at_seed_weights()
+        shifted = autopilot.weights()
         # A second representative goes just as bad, but the cooldown
         # holds further reassignment.
         for _ in range(2):
-            _blame(bed, "rep-s5")
+            _blame(bed, "rep-s1")
             assert bed.run(autopilot.step()) is None
-        assert autopilot.weights()["rep-s5"] == 1
+        assert autopilot.weights() == shifted
 
     def test_restores_to_seed_after_recovery(self):
         policy = AutopilotPolicy(cooldown_ms=0.0)
@@ -277,7 +275,8 @@ class TestAutopilotControl:
         assert state["rejected_gate"] == 1 and state["applied"] == 0
 
     def test_open_breaker_drives_a_demotion(self):
-        bed, _suite, autopilot, tracker = _bed_with_autopilot(health=True)
+        bed, _suite, autopilot, tracker = _bed_with_autopilot(
+            health=True, r=3, w=3)
         for _ in range(3):
             tracker.record_failure("s3")
         assert tracker.state("s3") == OPEN
@@ -288,7 +287,8 @@ class TestAutopilotControl:
         assert "s3" in autopilot.flagged
 
     def test_open_breaker_never_receives_votes(self):
-        bed, _suite, autopilot, tracker = _bed_with_autopilot(health=True)
+        bed, _suite, autopilot, tracker = _bed_with_autopilot(
+            health=True, r=3, w=3)
         for server in ("s1", "s3"):
             for _ in range(3):
                 tracker.record_failure(server)

@@ -2,7 +2,6 @@
 reassigning votes while a client keeps reading and writing."""
 
 from repro.autonomy import AutopilotPolicy, WeightAutopilot
-from repro.chaos.health import HealthTracker
 from repro.core import make_configuration
 from repro.testbed import Testbed
 
@@ -10,9 +9,7 @@ SERVERS = ["s1", "s2", "s3", "s4", "s5"]
 
 
 def test_background_reassignment_under_foreground_traffic():
-    bed = Testbed(SERVERS, seed=4, obs=True)
-    bed.clients["client"].endpoint.health = HealthTracker(
-        clock=lambda: bed.sim.now, metrics=bed.metrics)
+    bed = Testbed(SERVERS, seed=4, obs=True, breakers=True)
     config = make_configuration(
         "db", [(server, 1) for server in SERVERS], 3, 3,
         latency_hints={server: float(index + 1)

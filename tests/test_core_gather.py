@@ -258,7 +258,7 @@ class TestSettleOrder:
 
 
 def _forbid(*_args, **_kwargs):
-    raise AssertionError("the gather must not spawn or build AnyOf")
+    raise AssertionError("the gather must not spawn a process")
 
 
 class TestNoProcessPerCall:
@@ -278,7 +278,6 @@ class TestNoProcessPerCall:
 
         process = sim.spawn(flow())
         sim.spawn = _forbid
-        sim.any_of = _forbid
         bad.fail(RuntimeError("down"))
         result = sim.run_until(process)
         assert result.satisfied and set(result.failures) == {"bad"}
@@ -286,7 +285,6 @@ class TestNoProcessPerCall:
     def test_pre_satisfied_predicate_registers_nothing(self, sim):
         calls = {"a": sim.event(), "b": sim.timeout(5.0, "b")}
         sim.spawn = _forbid
-        sim.any_of = _forbid
         queued = len(sim._queue)
         gather = gather_until(sim, calls, lambda g: True)
         with pytest.raises(StopIteration) as stop:
@@ -299,8 +297,8 @@ class TestNoProcessPerCall:
     def test_reply_reaches_the_predicate_in_two_hops(self, sim):
         # Reply settles -> its callback queues the arrival and wakes the
         # gather -> the caller resumes and checks the quorum.  Two
-        # scheduled callbacks, where a process per call plus an AnyOf
-        # per arrival took three.
+        # scheduled callbacks, where a process per call plus a first-of
+        # composite event per arrival took three.
         reply = sim.event()
         hops = []
 

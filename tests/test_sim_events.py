@@ -1,9 +1,9 @@
-"""Events, timeouts and composite conditions."""
+"""Events, timeouts and the composite condition."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AllOf, Simulator
 
 
 class TestEvent:
@@ -93,38 +93,6 @@ class TestTimeout:
         assert order == ["a", "b", "c"]
 
 
-class TestAnyOf:
-    def test_first_settles_wins(self, sim):
-        fast = sim.timeout(1.0, "fast")
-        slow = sim.timeout(5.0, "slow")
-        condition = sim.any_of([slow, fast])
-        sim.run_until(condition)
-        event, value = condition.value
-        assert event is fast
-        assert value == "fast"
-        assert sim.now == 1.0
-
-    def test_empty_triggers_immediately(self, sim):
-        condition = sim.any_of([])
-        assert condition.triggered
-        assert condition.value == (None, None)
-
-    def test_failure_propagates(self, sim):
-        bad = sim.event()
-        condition = sim.any_of([bad, sim.timeout(10.0)])
-        bad.fail(RuntimeError("x"))
-        with pytest.raises(RuntimeError, match="x"):
-            sim.run_until(condition)
-
-    def test_already_settled_child(self, sim):
-        done = sim.event()
-        done.trigger("early")
-        condition = sim.any_of([done, sim.timeout(9.0)])
-        value = sim.run_until(condition)
-        assert value == (done, "early")
-        assert sim.now == 0.0
-
-
 class TestAllOf:
     def test_waits_for_all(self, sim):
         events = [sim.timeout(d, d) for d in (1.0, 3.0, 2.0)]
@@ -147,8 +115,8 @@ class TestAllOf:
             sim.run_until(condition)
 
     def test_nested_conditions(self, sim):
-        inner = sim.any_of([sim.timeout(2.0, "i")])
+        inner = sim.all_of([sim.timeout(2.0, "i")])
         outer = sim.all_of([inner, sim.timeout(1.0, "o")])
         values = sim.run_until(outer)
-        assert values[1] == "o"
+        assert values == [["i"], "o"]
         assert sim.now == 2.0
