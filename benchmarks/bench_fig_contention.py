@@ -60,7 +60,13 @@ def run_population(clients: int, seed: int = 55):
     elapsed = bed.sim.now - started
     merged = WorkloadStats()
     for stats in all_stats:
-        merged = merged.merge(stats)
+        merged.operations += stats.operations
+        merged.reads += stats.reads
+        merged.writes += stats.writes
+        merged.read_blocked += stats.read_blocked
+        merged.write_blocked += stats.write_blocked
+        merged.read_latency.samples += stats.read_latency.samples
+        merged.write_latency.samples += stats.write_latency.samples
     retries = bed.metrics.counter("suite.retries").value
     bed.settle(30_000.0)
     final_version = max(node.server.fs.stat("suite:shared").version

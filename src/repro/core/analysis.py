@@ -187,14 +187,17 @@ def message_cost(config: SuiteConfiguration) -> Dict[str, int]:
     * **read_fallback** — the legacy two-trip read (fast path off,
       piggyback target stale or reply truncated): the same messages
       plus one dedicated data request + reply.
-    * **write** — an exclusive inquiry to every voting representative,
-      then the data staged at the cheapest write quorum by calls that
-      carry the vote request (a suite ``write()`` stages once per
-      representative, so its stage is its phase 1), a release to each
-      polled representative left out of the quorum, and phase 2 to the
-      quorum that staged.  A ``write_in`` inside a caller's
-      transaction stages without voting; that transaction's commit
-      then runs phase 1 as a round of its own, to every participant.
+    * **write** — two rounds to every voting representative: the
+      data staged without a version by calls that carry the inquiry
+      and the vote request (each voter takes its exclusive lock and
+      replies with its current version), then phase 2, which numbers
+      the write one past the highest version voted.  A suite
+      ``write()`` is voted by every voting representative, so none is
+      refreshed after it; a weak representative is, at one
+      **refresh** each.  A ``write_in`` inside a caller's transaction
+      still inquires first and stages at the cheapest write quorum
+      without voting; that transaction's commit then runs phase 1 as
+      a round of its own, to every participant.
     * **refresh** — per representative brought current in the
       background from data the operation already held: one one-phase
       install call and its reply.
@@ -203,16 +206,10 @@ def message_cost(config: SuiteConfiguration) -> Dict[str, int]:
     exactly these numbers, so a protocol regression that adds a round
     trip cannot land silently.
     """
-    voting = len(config.voting)
-    total = len(config.representatives)
-    quorum = len(cheapest_quorum(config.voting, config.write_quorum))
-    read = 2 * total
-    read_fallback = read + 2
-    inquiry, stage_and_vote = 2 * voting, 2 * quorum
-    release, commit = 2 * (voting - quorum), 2 * quorum
-    write = inquiry + stage_and_vote + release + commit
-    return {"read": read, "read_fallback": read_fallback, "write": write,
-            "refresh": 2}
+    read = 2 * len(config.representatives)
+    stage_and_vote = commit = 2 * len(config.voting)
+    return {"read": read, "read_fallback": read + 2,
+            "write": stage_and_vote + commit, "refresh": 2}
 
 
 def availability_sweep(config: SuiteConfiguration,

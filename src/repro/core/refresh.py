@@ -1,10 +1,14 @@
 """Background refresh of stale representatives.
 
 The paper keeps foreground operations fast by never making them wait
-for obsolete copies: when a read or write discovers representatives
-behind the current version (or leaves some behind by writing only a
-quorum), those copies are brought current *in the background*, by
-whoever holds the data.
+for obsolete copies: when a read discovers representatives behind the
+current version, or a write leaves some behind — its weak
+representatives, a voting one whose stage failed, or, for a
+``write_in``, every one outside the quorum it staged at — those copies
+are brought current *in the background*, by whoever holds the data.
+A suite ``write()`` stages at every voting representative, and a vote
+that lands after the decision commits there, so no refresh follows it
+for a voting representative that answers.
 
 The operation that found a copy stale hands over the ``(version,
 data)`` it already holds — the write its commit hook just committed,

@@ -41,18 +41,26 @@ meets one of them and is either blocked by it or shown the new version
 inside a caller's transaction, ``for_update`` reads and writes hold
 their locks to commit, strict two-phase locking as ever.
 
-**Write** — poll voting representatives (exclusive locks) until ``w``
-votes have answered, compute ``new version = current + 1``, stage the
-new data at a cheapest write quorum, and commit via two-phase commit so
-the whole quorum moves atomically.  Because ``2w > N``, two writes can
-never commit against disjoint quorums, so version numbers totally order
-writes.
+**Write** — two rounds.  The new data goes, without a version, to
+every voting representative the rule polls; each takes its exclusive
+lock, records the data as an unnumbered intention and votes with its
+current version, so the stage *is* the version-number inquiry.  Once
+``w`` votes are in, two-phase commit's decision numbers the write
+``max + 1`` over the versions voted and sends the number with the
+commit, so the whole quorum moves atomically.  Every voter holds its
+lock from its vote to the decision, and because ``2w > N`` the voters
+include a member of the last committed write: ``max + 1`` is the next
+version, and version numbers totally order writes
+(``docs/PROTOCOL.md``, "Write").  A :meth:`write_in` inside a caller's
+transaction keeps the explicit sequence — exclusive inquiry, then
+``current + 1`` staged at a cheapest write quorum.
 
-Representatives discovered to be stale, and representatives outside the
-write quorum (including weak ones), are handed to the **background
-refresher** (:mod:`repro.core.refresh`) together with the version and
-bytes the operation already holds — bringing copies current never adds
-latency to the foreground operation, and costs one call per copy.
+Representatives discovered to be stale, weak representatives, and
+voting ones whose stage failed or never answered are handed to the
+**background refresher** (:mod:`repro.core.refresh`) together with the
+version and bytes the operation already holds — bringing copies
+current never adds latency to the foreground operation, and costs one
+call per copy.
 
 Every operation runs inside a transaction; by default each call manages
 its own through one operation generator, :meth:`FileSuiteClient.
@@ -230,9 +238,8 @@ class FileSuiteClient:
 
         ``parent`` works as in :meth:`read`.
         """
-        return self._operation(
-            partial(self._write_once, data=data, prepare=True),
-            "write", parent, size=len(data))
+        return self._operation(partial(self._write_numbered, data=data),
+                               "write", parent, size=len(data))
 
     def current_version(self) -> Generator[Any, Any, int]:
         """Version-number inquiry only: collect a read quorum, no data."""
@@ -395,12 +402,11 @@ class FileSuiteClient:
         raise QuorumUnavailableError("read-data", 1, 0)
 
     def _write_once(self, txn: Transaction, data: bytes,
-                    prepare: bool = False,
                     ) -> Generator[Any, Any, WriteResult]:
-        """One write attempt.  ``prepare`` is set by :meth:`write`
-        alone, whose transaction asks nothing more of a representative
-        once it has staged there: every stage then carries the vote
-        request (see :mod:`repro.txn.coordinator`)."""
+        """One write attempt inside a caller's transaction, which may
+        ask more of a representative after its stage: an exclusive
+        inquiry, then ``current + 1`` staged at the cheapest write
+        quorum, voted on by the commit's prepare round."""
         config = self.config
         gathered, current, _ = yield from self._inquire(
             txn, config.write_quorum, mode=EXCLUSIVE, include_weak=False)
@@ -411,7 +417,7 @@ class FileSuiteClient:
         stage_calls = [
             txn.call(rep.server, "txn.stage_write", name=config.file_name,
                      data=data, version=new_version,
-                     timeout=self.data_timeout, prepare=prepare)
+                     timeout=self.data_timeout)
             for rep in quorum
         ]
         # Every staging must succeed; a failure aborts this attempt.
@@ -432,6 +438,48 @@ class FileSuiteClient:
                                      for rep, stat
                                      in gathered.successes.items()})
 
+    def _write_numbered(self, txn: Transaction, data: bytes,
+                        ) -> Generator[Any, Any, WriteResult]:
+        """One :meth:`write` attempt, two rounds: ``data`` is staged
+        without a version at every voting representative the rule
+        polls — each takes its exclusive lock, records the data and
+        votes with its current version — until ``w`` votes are in, and
+        the commit numbers the write one past the highest version voted
+        (:meth:`~repro.txn.coordinator.TransactionManager.commit`).
+
+        The result is filled in at the commit: its ``stale`` are the
+        representatives without a vote then.  Each is refreshed — at
+        once when weak, vetoed or failed, and when its stage fails if
+        one is still out."""
+        config = self.config
+        gathered, _current, _ = yield from self._inquire(
+            txn, config.write_quorum, mode=EXCLUSIVE, include_weak=False,
+            stage=data)
+        result = WriteResult(version=0, quorum=[], stale=[],
+                             observed={rep.rep_id: stat["version"]
+                                       for rep, stat
+                                       in gathered.successes.items()})
+
+        def committed() -> None:
+            number = result.version = txn.number
+            result.quorum = sorted(rep.rep_id
+                                   for rep in config.representatives
+                                   if rep.server in txn.voted)
+            behind = [rep for rep in config.representatives
+                      if rep.server not in txn.voted]
+            result.stale = [rep.rep_id for rep in behind]
+            self._schedule_refresh([rep for rep in behind
+                                    if rep.server not in txn.ballots],
+                                   number, data)
+            for rep in behind:
+                if rep.server in txn.ballots:
+                    txn.ballots[rep.server].add_callback(
+                        lambda settled, rep=rep: settled.failed
+                        and self._schedule_refresh([rep], number, data))
+
+        txn.after_commit(committed)
+        return result
+
     def _read_cache(self) -> Optional[Tuple[int, bytes]]:
         """Hook for client-resident caches: ``(version, data)`` or None.
 
@@ -447,7 +495,7 @@ class FileSuiteClient:
     def _inquire(self, txn: Transaction, threshold: int, mode: str,
                  include_weak: bool, read_data: bool = False,
                  skip_version: Optional[int] = None,
-                 release: bool = False,
+                 release: bool = False, stage: Optional[bytes] = None,
                  ) -> Generator[Any, Any, Tuple[GatherResult, int, Any]]:
         """Version-number inquiry until the :class:`QuorumRule` closes.
 
@@ -464,7 +512,12 @@ class FileSuiteClient:
         it, the data fetch is hedged (:meth:`_fetch`) before the gather
         is recorded, so the record charges the wait up to the data's
         arrival to ``data_rep``.  With ``release=True`` every inquiry
-        drops its lock as it replies (single-operation reads).
+        drops its lock as it replies (single-operation reads).  With
+        ``stage`` the inquiry *is* a write's vote: each representative
+        is sent ``txn.stage_write`` of those bytes without a version
+        and replies as to an exclusive inquiry.  A vote is awaited as
+        long as an inquiry plus the time the data takes to reach that
+        representative, its latency hint.
 
         The rule's verdict is the one the gather's last wake returned.
         Returns the gather, the highest version replied (by quorum
@@ -518,6 +571,13 @@ class FileSuiteClient:
                          "skip_version": skip_version}
             calls = {}
             for rep in rule.polled:
+                if stage is not None:
+                    calls[rep] = txn.call(
+                        rep.server, "txn.stage_write",
+                        name=config.file_name, data=stage,
+                        timeout=self.inquiry_timeout + rep.latency_hint,
+                        prepare=True)
+                    continue
                 # Weak representatives only serve reads: shared mode.
                 calls[rep] = txn.call(
                     rep.server, "txn.stat", name=config.file_name,

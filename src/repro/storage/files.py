@@ -122,7 +122,8 @@ class Put:
 
     name: str
     data: bytes
-    version: int
+    #: ``None`` only for :meth:`FileSystem.intend`: numbered at resolve.
+    version: Optional[int]
     #: ``None`` keeps the stored property map (empty for a new file).
     properties: Optional[Dict[str, Any]] = None
 
@@ -133,11 +134,13 @@ class IntentionRow:
 
     Recorded in the bucket of the file it names.  ``head`` is the
     shadow chain already holding the new contents; a delete has none.
+    A row without a ``version`` is numbered by the resolve that
+    installs it.
     """
 
     txn: str
     name: str
-    version: int
+    version: Optional[int]
     length: int
     head: int = END_OF_CHAIN
     #: ``None`` keeps the property map stored when the row is installed.
@@ -399,7 +402,8 @@ class FileSystem:
             self._intent_pages[txn, name] = chain
         return None
 
-    def resolve(self, txn: str, install: bool) -> FsOp:
+    def resolve(self, txn: str, install: bool,
+                version: Optional[int] = None) -> FsOp:
         """Decide ``txn``: install its intentions or discard them.
 
         One bucket rewrite per touched bucket and one flip, no data
@@ -409,15 +413,26 @@ class FileSystem:
         the rows and free their chains.  Returns the rows resolved —
         none for a transaction that has no rows (any more), which
         costs nothing.
+
+        A row without a version is installed as ``version``, and only
+        if that exceeds the file's committed version: otherwise it is
+        discarded, so a version never moves backwards.
         """
         self._require_mounted()
-        return self._resolve_op(txn, install)
+        rows = self._intentions.get(txn, ())
+        if install and version is None \
+                and any(row.version is None for row in rows):
+            raise StorageError(f"{txn} installs a row without a version "
+                               f"and names none")
+        return self._resolve_op(txn, install, version)
 
-    def _resolve_op(self, txn: str, install: bool) -> FsOp:
+    def _resolve_op(self, txn: str, install: bool,
+                    version: Optional[int]) -> FsOp:
         rows = self._intentions.get(txn)
         if rows is None:
             return []
         touched: Dict[int, _Bucket] = {}
+        installed = set()
         for row in rows:
             bucket = self._touch(touched, row.name)
             bucket.rows.remove(row)
@@ -426,14 +441,20 @@ class FileSystem:
             if row.delete:
                 bucket.files.pop(row.name, None)
             else:
-                self._enter(bucket, row.name, row.version, row.length,
+                number = version if row.version is None else row.version
+                old = bucket.files.get(row.name)
+                if row.version is None and old is not None \
+                        and old.version >= number:
+                    continue        # never backwards: discard the row
+                self._enter(bucket, row.name, number, row.length,
                             self._intent_pages[txn, row.name],
                             row.properties)
+            installed.add(row.name)
         yield from self._flip(touched)
         del self._intentions[txn]
         for row in rows:
             chain = self._intent_pages.pop((txn, row.name), [])
-            if not install:
+            if row.name not in installed:
                 self._release(chain)
                 continue
             self._release(self._file_pages.pop(row.name, ()))

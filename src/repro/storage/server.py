@@ -167,10 +167,12 @@ class StorageServer:
         yield from self.execute(self.fs.intend(txn, puts, deletes))
 
     def resolve(self, txn: str, install: bool,
+                version: Optional[int] = None,
                 ) -> Generator[Any, Any, List[IntentionRow]]:
         """Timed :meth:`FileSystem.resolve`: the rows it resolved."""
         self._require_up()
-        rows = yield from self.execute(self.fs.resolve(txn, install))
+        rows = yield from self.execute(self.fs.resolve(txn, install,
+                                                       version))
         return rows
 
     def stat(self, name: str) -> FileStat:

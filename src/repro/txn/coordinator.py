@@ -14,7 +14,7 @@ commit:
   it was sent carried ``prepare=True`` — the client's statement that
   this is the last thing the transaction asks of that server, made by
   a suite ``write()`` and by ``install_suite``, which stage exactly
-  once per server — and answered ``"prepared"``; when every stager
+  once per server — and answered it; when every stager that answered
   has, there is no phase 1 left: the participants that only hold
   locks are released without waiting and the decision goes out.
 * **Phase 2** — once all votes are in, the decision is final: ``commit``
@@ -23,6 +23,16 @@ commit:
   a detached background process until they acknowledge — they hold the
   transaction in-doubt across their crashes, so the retries eventually
   land.
+
+A suite ``write()`` stages **without a version**: each voter replies
+with its copy's current version under its exclusive lock, and the
+decision numbers the write one past the highest
+(:attr:`Transaction.number`), which every ``txn.commit`` — retries
+included — carries.  Its gather closes on ``w`` votes, so a stage may
+still be out at the decision: that vote is settled where votes are
+recorded, as it lands — a commit with the number if its copy is older,
+an abort if it is not (another writer got there first) or if the stage
+failed.
 
 Two kinds of call never reach either phase, because the participant
 ends the transaction itself as the handler returns: a ``release=True``
@@ -58,6 +68,7 @@ from ..errors import (DeadlockError, HostUnreachableError, LockTimeoutError,
                       TransactionAborted)
 from ..obs.spans import NOOP_SPAN, TraceContext
 from ..rpc.endpoint import RpcEndpoint
+from ..sim.events import Event
 from ..sim.rng import RandomStreams
 from .ids import TransactionId, TransactionIdGenerator
 from .participant import VOTE_PREPARED
@@ -120,6 +131,15 @@ class Transaction:
         #: Calls answered so far, by server — what a vote request says
         #: the participant must remember.
         self.answered: Dict[str, int] = {}
+        #: Version each voter of a version-less stage (a suite
+        #: ``write()``) reported; the write is numbered one past the
+        #: highest at the decision.
+        self.votes: Dict[str, int] = {}
+        #: Version-less stages not settled yet, by server: a vote that
+        #: lands after the decision is committed or aborted on arrival.
+        self.ballots: Dict[str, Event] = {}
+        #: The version the decision gave a numbered write.
+        self.number: Optional[int] = None
         self._after_commit: List[Any] = []
         self.state = ACTIVE
         #: Observability: the span RPCs issued through :meth:`call`
@@ -155,8 +175,9 @@ class Transaction:
         (see the module docstring): the flag travels in the request —
         only when set, so every other request keeps its size — and the
         server is not enrolled for commit/abort.  ``prepare`` makes a
-        stage carry the vote request; a ``"prepared"`` reply is
-        recorded in :attr:`voted`.
+        stage carry the vote request; a ``"prepared"`` reply, or the
+        version a stage without a ``version`` reports, is recorded in
+        :attr:`voted`.
         """
         if self.state != ACTIVE:
             raise TransactionAborted(self.txn_id,
@@ -182,18 +203,43 @@ class Transaction:
             # call's handler returns: nothing to commit or abort there.
             return event
         self.attempted.add(server)
+        numbered = prepare and method == "txn.stage_write" \
+            and "version" not in args
         if method in _STAGING_METHODS:
             self.staged.add(server)
+            if numbered:
+                self.ballots[server] = event
 
         def confirm(settled, server=server):
             if settled.triggered:
                 self.participants.add(server)
                 self.answered[server] = self.answered.get(server, 0) + 1
-                if prepare and settled.value == VOTE_PREPARED:
-                    self.voted.add(server)
+            if numbered:
+                self._ballot(server, settled)
+            elif prepare and settled.value == VOTE_PREPARED:
+                self.voted.add(server)
 
         event.add_callback(confirm)
         return event
+
+    def _ballot(self, server: str, settled: Event) -> None:
+        """Record a version-less stage's vote — or, once the write is
+        numbered, settle it: a late voter whose copy is older than the
+        number commits it; a newer one (another writer got there
+        first), and a stage that failed, is aborted."""
+        del self.ballots[server]
+        if self.number is None:
+            if settled.triggered:
+                self.voted.add(server)
+                self.votes[server] = settled.value["version"]
+            return
+        trace = self.span.context if self.span else None
+        if settled.triggered and settled.value["version"] < self.number:
+            self.manager._spawn_retry(self.txn_id, server, "txn.commit",
+                                      trace=trace, version=self.number)
+        else:
+            self.manager._spawn_retry(self.txn_id, server, "txn.abort",
+                                      trace=trace)
 
     def commit(self) -> Generator[Any, Any, None]:
         """Run two-phase commit; raises :class:`TransactionAborted` on failure."""
@@ -313,8 +359,10 @@ class TransactionManager:
                                      f"commit in state {txn.state}")
         txn.state = COMMITTING
         # Calls that never got a reply may still hold locks remotely:
-        # send them aborts (their idle sweeper is the backstop).
-        for server in sorted(txn.attempted - txn.participants):
+        # send them aborts (their idle sweeper is the backstop).  A vote
+        # still out is settled when it lands (Transaction._ballot).
+        for server in sorted(txn.attempted - txn.participants
+                             - txn.ballots.keys()):
             self._spawn_retry(txn.txn_id, server, "txn.abort")
         if not txn.participants:
             txn.state = COMMITTED
@@ -350,12 +398,12 @@ class TransactionManager:
 
         to_commit = sorted(txn.voted)
         unvoted = sorted(txn.participants - txn.voted)
-        if txn.staged <= txn.voted:
-            # Every stager voted with its stage (a suite ``write()``):
-            # phase 1 is over.  Whoever else is enrolled only holds
-            # locks — the representatives polled but left out of the
-            # write quorum — and is released without waiting, like the
-            # participants of a read-only transaction above.
+        if txn.staged & txn.participants <= txn.voted:
+            # Every stager that answered voted with its stage (a suite
+            # ``write()``, ``install_suite``): phase 1 is over.  Whoever
+            # else is enrolled only holds locks and is released without
+            # waiting, like the participants of a read-only transaction
+            # above.
             release_trace = txn.span.context if txn.span else None
             for server in unvoted:
                 self._spawn_retry(txn.txn_id, server, "txn.prepare",
@@ -365,15 +413,20 @@ class TransactionManager:
             to_commit = sorted(to_commit + prepared)
 
         # Decision point: everyone voted yes.  Read-only voters are done.
+        # A write whose stages voted without a version is numbered now:
+        # its voters hold exclusive locks, and by quorum intersection
+        # one of them holds the last committed version.
+        if txn.votes:
+            txn.number = max(txn.votes.values()) + 1
         commit_span = self._phase_span(txn, "2pc.commit")
         commit_trace = self._phase_ctx(commit_span, txn)
         acks = yield from self._broadcast(
             txn.txn_id, "txn.commit", to_commit, trace=commit_trace,
-            span=commit_span)
+            span=commit_span, version=txn.number)
         stragglers = [server for server, ok, _outcome in acks if not ok]
         for server in stragglers:
             self._spawn_retry(txn.txn_id, server, "txn.commit",
-                              trace=commit_trace)
+                              trace=commit_trace, version=txn.number)
         if stragglers:
             commit_span.set_attr("stragglers", len(stragglers))
         commit_span.end()
@@ -470,59 +523,62 @@ class TransactionManager:
                    servers: List[str],
                    trace: Optional[TraceContext] = None,
                    span=None, answered: Optional[Dict[str, int]] = None,
+                   version: Optional[int] = None,
                    ) -> Generator[Any, Any, List[Tuple[str, bool, Any]]]:
         """Call ``method`` on every server in parallel; never raises.
 
-        Returns ``(server, ok, outcome)`` triples where ``outcome`` is
-        the reply value or the exception.  With a live ``span``, each
-        reply stamps a ``2pc.reply`` event as it arrives — since the
-        phase blocks on *all* participants, the last such event marks
-        the phase's critical participant.  ``answered`` (vote requests
-        only) tells each server how many calls it has answered.
+        Returns ``(server, ok, outcome)`` triples, in ``servers``
+        order, where ``outcome`` is the reply value or the exception.
+        With a live ``span``, each reply stamps a ``2pc.reply`` event
+        as it arrives — since the phase blocks on *all* participants,
+        the last such event marks the phase's critical participant.
+        ``answered`` (vote requests only) tells each server how many
+        calls it has answered; ``version`` numbers a commit.
         """
+        # Imported here: the core package imports this module.
+        from ..core.gather import gather_until
+
         started = self.sim.now
+        extra = {} if version is None else {"version": version}
+        calls = {}
+        for server in servers:
+            if answered is not None:
+                extra["answered"] = answered.get(server, 0)
+            calls[server] = self.endpoint.call(
+                server, method, timeout=self.call_timeout,
+                attempts=self.transport_attempts, trace=trace,
+                txn=str(txn_id), **extra)
 
-        def one(server: str):
-            extra = {} if answered is None \
-                else {"answered": answered.get(server, 0)}
-            try:
-                value = yield self.endpoint.call(
-                    server, method, timeout=self.call_timeout,
-                    attempts=self.transport_attempts, trace=trace,
-                    txn=str(txn_id), **extra)
-                if span:
-                    span.event("2pc.reply", server=server, ok=True,
-                               at=self.sim.now,
-                               waited=self.sim.now - started)
-                return (server, True, value)
-            except ReproError as exc:
-                if span:
-                    span.event("2pc.reply", server=server, ok=False,
-                               at=self.sim.now,
-                               waited=self.sim.now - started,
-                               error=type(exc).__name__)
-                return (server, False, exc)
+        def stamp(gathered) -> bool:
+            if span and gathered.order:
+                server, at, ok = gathered.order[-1]
+                error = {} if ok else {
+                    "error": type(gathered.failures[server]).__name__}
+                span.event("2pc.reply", server=server, ok=ok, at=at,
+                           waited=at - started, **error)
+            return False
 
-        processes = [self.sim.spawn(one(server),
-                                    name=f"2pc:{method}:{server}")
-                     for server in servers]
-        results = yield self.sim.all_of(processes)
-        return results
+        gathered = yield from gather_until(self.sim, calls, stamp)
+        return [(server, True, gathered.successes[server])
+                if server in gathered.successes
+                else (server, False, gathered.failures[server])
+                for server in servers]
 
     def _spawn_retry(self, txn_id: TransactionId, server: str,
-                     method: str,
-                     trace: Optional[TraceContext] = None) -> None:
+                     method: str, trace: Optional[TraceContext] = None,
+                     **args: Any) -> None:
         """Detached background retry until the participant answers.
 
         Retries only on *transport* silence (timeout/unreachable); any
         substantive reply — an ack, or a typed refusal such as "unknown
-        transaction" — is definitive and ends the retry.
+        transaction" — is definitive and ends the retry.  ``args`` go
+        with every transmission (a numbered commit's ``version``).
         """
         def send():
             return self.endpoint.call(
                 server, method, timeout=self.call_timeout,
                 attempts=self.transport_attempts, trace=trace,
-                txn=str(txn_id))
+                txn=str(txn_id), **args)
 
         # The first transmission happens *now*, synchronously with the
         # decision — a partition or crash one event later must not be

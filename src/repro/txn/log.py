@@ -26,10 +26,14 @@ from typing import Any, Dict, Optional
 
 @dataclass(frozen=True)
 class Intention:
-    """One pending write: install ``data`` as ``name`` at ``version``."""
+    """One pending write: install ``data`` as ``name`` at ``version``.
+
+    A suite ``write()``'s vote has no ``version`` yet (``None``): the
+    coordinator numbers it at the commit.
+    """
 
     name: str
     data: bytes
-    version: int
+    version: Optional[int]
     properties: Optional[Dict[str, Any]] = None
     delete: bool = False

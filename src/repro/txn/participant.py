@@ -17,7 +17,10 @@ file system, with strict two-phase locking for concurrency control:
   participant and this one intention, so there is no vote to collect
   and nothing to record; ``stage_write(prepare=True)`` stages **and**
   votes in the same call — the client's promise that this is the last
-  thing its transaction asks of this server;
+  thing its transaction asks of this server.  Without a ``version`` (a
+  suite ``write()``) that voting stage is also the version inquiry: the
+  intention stays unnumbered and the vote carries the copy's current
+  version;
 * ``prepare`` — or that voting stage — makes the intentions durable
   with :meth:`~repro.storage.files.FileSystem.intend` (the data goes
   into shadow pages, a row per file into the file's directory bucket,
@@ -25,7 +28,9 @@ file system, with strict two-phase locking for concurrency control:
 * ``commit`` re-points the files at those pages *and* removes the rows
   in one :meth:`~repro.storage.files.FileSystem.resolve` — a single
   root flip, which is the commit point, and no data written — then
-  releases locks;
+  releases locks.  A ``version`` numbers an unnumbered row, which is
+  installed only above the copy's committed version (otherwise
+  discarded: a version never moves backwards);
 * ``abort`` discards everything (the rows and their pages, if any).
 
 A vote request says how many earlier calls of the transaction this
@@ -40,9 +45,9 @@ vanishes on a crash.  Intention rows found at restart can only mean
 rows and old files; after it the rows are gone with the new files in
 place), so :meth:`recover` makes every transaction with rows
 **in-doubt**: its files are re-locked exclusively and the participant
-waits for the coordinator's decision — its ``txn.commit`` retry
-finishes the job — which is the (blocking) behaviour of textbook
-two-phase commit.
+waits for the coordinator's decision — its ``txn.commit`` retry,
+which carries the number an unnumbered row needs, finishes the job —
+which is the (blocking) behaviour of textbook two-phase commit.
 """
 
 from __future__ import annotations
@@ -199,6 +204,10 @@ class TransactionParticipant:
         entry, as the handler returns, whether it replies, fails or is
         killed by a crash.  The client then owes this server no
         prepare, commit or abort.
+
+        A voting stage's intention has no version until the commit, so
+        the committed entry answers for the file — its properties are
+        the configuration a writer's ``detail`` fetch reads.
         """
         txn_id = TransactionId.parse(txn)
         try:
@@ -206,7 +215,7 @@ class TransactionParticipant:
             staged = scratch.intentions.get(name)
             data: Optional[bytes] = None
             truncated = False
-            if staged is not None:
+            if staged is not None and staged.version is not None:
                 if staged.delete:
                     raise NoSuchFileError(name)
                 properties = staged.properties or {}
@@ -247,12 +256,13 @@ class TransactionParticipant:
             limit = min(limit, float(self.max_stat_bytes))
         return limit
 
-    def stage_write(self, txn: str, name: str, data: bytes, version: int,
+    def stage_write(self, txn: str, name: str, data: bytes,
+                    version: Optional[int] = None,
                     properties: Optional[Dict[str, Any]] = None,
                     create: bool = False, only_if_newer: bool = False,
                     one_phase: bool = False, prepare: bool = False,
                     answered: int = 0,
-                    ) -> Generator[Any, Any, str]:
+                    ) -> Generator[Any, Any, Any]:
         """Buffer a write under an exclusive lock; durable at the vote.
 
         With ``only_if_newer`` the write is skipped (returning
@@ -281,8 +291,19 @@ class TransactionParticipant:
         a no, and its abort takes the row back.  Refused like
         ``one_phase`` when the transaction already holds an intention
         here: the stage that votes is the only one.
+
+        Without a ``version`` (a suite ``write()``) the stage must vote:
+        the intention is made durable unnumbered and the reply is the
+        copy's committed ``version`` and ``stamp``, in the shape of a
+        :meth:`stat` reply.  The coordinator numbers the write one past
+        the highest version its voters report and sends the number
+        with ``commit``; the exclusive lock held from here to the
+        decision keeps the reported version true until then.
         """
         txn_id = TransactionId.parse(txn)
+        if version is None and not prepare:
+            raise InvalidTransactionState(
+                f"a stage of {txn_id} without a version must vote")
         if prepare:
             self._require_remembered(txn_id, answered)
         scratch = self._scratch(txn_id)
@@ -306,17 +327,14 @@ class TransactionParticipant:
                 exists, current_version = False, -1
             if not exists and not create:
                 raise NoSuchFileError(name)
-            if self.metrics is not None and exists:
+            if exists and version is not None:
                 # Observed staleness: a foreground write carries
                 # current + 1, a refresh (only_if_newer) carries the
                 # current version itself — either way the write tells
                 # this representative what the suite-wide version is,
                 # and the shortfall of its own copy is its lag.
-                global_current = version if only_if_newer else version - 1
-                self.metrics.gauge(
-                    f"rep.version_lag[file={name},"
-                    f"server={self.name}]").set(
-                    float(max(0, global_current - current_version)))
+                self._lag(name, (version if only_if_newer else version - 1)
+                          - current_version)
             if only_if_newer and exists and current_version >= version:
                 return "skipped"
             intention = Intention(
@@ -332,6 +350,10 @@ class TransactionParticipant:
             if not prepare:
                 return "staged"
             yield from self._intend(txn_id, scratch)
+            if version is None:
+                stamp = self.server.stat(name).properties.get("stamp", 0) \
+                    if exists else 0
+                return {"version": current_version, "stamp": stamp}
             return VOTE_PREPARED
         finally:
             if one_phase:
@@ -371,9 +393,16 @@ class TransactionParticipant:
             yield from self._intend(txn_id, scratch)
         return VOTE_PREPARED
 
-    def commit(self, txn: str) -> Generator[Any, Any, str]:
+    def commit(self, txn: str, version: Optional[int] = None,
+               ) -> Generator[Any, Any, str]:
         """Phase 2: install the intentions and drop their rows in one
-        file-system flip, which is the commit point."""
+        file-system flip, which is the commit point.
+
+        ``version`` numbers a voting stage's unnumbered intention.  It
+        is installed only if it exceeds the copy's committed version —
+        otherwise the row is discarded — and it tells this copy the
+        suite's version, which its lag gauge reports until the flip.
+        """
         txn_id = TransactionId.parse(txn)
         if txn_id not in self._indoubt:
             scratch = self._active.get(txn_id)
@@ -382,7 +411,13 @@ class TransactionParticipant:
             if not scratch.prepared:
                 raise InvalidTransactionState(
                     f"commit of unprepared {txn_id} on {self.name}")
-        rows = yield from self.server.resolve(str(txn_id), install=True)
+        if version is not None:
+            for row in self.server.fs.intentions().get(str(txn_id), ()):
+                if row.version is None and self.server.fs.exists(row.name):
+                    self._lag(row.name, version - 1
+                              - self.server.stat(row.name).version)
+        rows = yield from self.server.resolve(str(txn_id), install=True,
+                                              version=version)
         self._caught_up(row.name for row in rows if not row.delete)
         self._forget(txn_id)
         self.commits += 1
@@ -430,14 +465,18 @@ class TransactionParticipant:
                 txn_id, f"aborted at {self.name} while it was voting")
         scratch.prepared = True
 
+    def _lag(self, name: str, behind: int) -> None:
+        """Report how many versions this copy of ``name`` is behind."""
+        if self.metrics is not None:
+            self.metrics.gauge(
+                f"rep.version_lag[file={name},server={self.name}]").set(
+                float(max(0, behind)))
+
     def _caught_up(self, names: Iterable[str]) -> None:
         """These copies just reached the version their transaction
         told us about."""
-        if self.metrics is not None:
-            for name in names:
-                self.metrics.gauge(
-                    f"rep.version_lag[file={name},"
-                    f"server={self.name}]").set(0.0)
+        for name in names:
+            self._lag(name, 0)
 
     def _release(self, txn_id: TransactionId) -> None:
         """End a transaction that staged nothing here (a ``release=True``

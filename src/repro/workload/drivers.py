@@ -102,20 +102,6 @@ class WorkloadStats:
         attempts = self.reads + self.read_blocked
         return self.read_blocked / attempts if attempts else 0.0
 
-    def merge(self, other: "WorkloadStats") -> "WorkloadStats":
-        """Combine two drivers' statistics (for client populations)."""
-        merged = WorkloadStats()
-        merged.operations = self.operations + other.operations
-        merged.reads = self.reads + other.reads
-        merged.writes = self.writes + other.writes
-        merged.read_blocked = self.read_blocked + other.read_blocked
-        merged.write_blocked = self.write_blocked + other.write_blocked
-        merged.read_latency.samples = (self.read_latency.samples
-                                       + other.read_latency.samples)
-        merged.write_latency.samples = (self.write_latency.samples
-                                        + other.write_latency.samples)
-        return merged
-
     def summary(self) -> Dict[str, float]:
         return {
             "operations": float(self.operations),

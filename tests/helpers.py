@@ -15,6 +15,15 @@ def triple_config(name: str = "db", votes=(1, 1, 1), r: int = 2,
                               read_quorum=r, write_quorum=w)
 
 
+def write_in_quorum(suite, data: bytes):
+    """A write that stages at the cheapest write quorum only — one
+    ``write_in`` run through the suite's attempt loop — so every
+    representative outside that quorum is left behind and handed to
+    the refresher.  (A suite ``write()`` stages at every voting
+    representative.)"""
+    return suite.transact(lambda txn: suite.write_in(txn, data))
+
+
 def assert_pages_balanced(fs) -> None:
     """Every page is free or reachable from the root (root, bucket
     chains, file chains, shadow chains of intention rows), none both."""

@@ -13,7 +13,7 @@ the paper's safety argument:
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import triple_config, write_in_quorum
 from repro.core import Representative, SuiteConfiguration
 from repro.core.suite import FileSuiteClient
 from repro.errors import QuorumUnavailableError
@@ -45,7 +45,7 @@ class TestSingleRepInquiry:
                       refresh_enabled=False)
         config = triple_config()
         good = bed.install(config, b"v1-data")
-        bed.run(good.write(b"v2-data"))          # quorum {s1, s2}
+        bed.run(write_in_quorum(good, b"v2-data"))   # quorum {s1, s2}
 
         node = bed.clients["client"]
         broken = SingleRepInquiryClient(node.manager, config,
@@ -81,7 +81,7 @@ class TestReadWriteQuorumOverlap:
                       refresh_enabled=False)
         config = triple_config()          # starts valid: r=2, w=2
         suite = bed.install(config, b"old")
-        bed.run(suite.write(b"new"))      # quorum {s1, s2}
+        bed.run(write_in_quorum(suite, b"new"))   # quorum {s1, s2}
 
         force_quorums(suite.config, read_quorum=1, write_quorum=2)
         suite.max_attempts = 1

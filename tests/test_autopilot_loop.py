@@ -34,9 +34,11 @@ def test_background_reassignment_under_foreground_traffic():
 
     def application():
         # Write-then-read pairs until three pairs after the first
-        # adoption.
+        # adoption.  The demotion waits for s4's breaker (≈ 3.4 s of
+        # inquiry timeouts), not for the traffic: the budget has room
+        # for pairs that take one round less.
         history, after = [], 0
-        for n in range(60):
+        for n in range(120):
             data = f"v{n + 1}".encode()
             written = yield from foreground.write(data)
             read = yield from foreground.read()

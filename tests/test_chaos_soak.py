@@ -1,15 +1,14 @@
 """Nemesis scripts and invariant-checked soaks on both runtimes."""
 
 import asyncio
-import sys
 
 import pytest
 
 from repro.chaos import (ChaosPolicy, NemesisScript, NemesisStep,
                          markov_nemesis, random_nemesis)
 from repro.chaos.soak import SoakConfig, run_live_soak, run_sim_soak
-from repro.core.suite import FileSuiteClient
 from repro.sim.rng import RandomStreams
+from repro.txn.coordinator import Transaction
 
 
 class TestNemesisScripts:
@@ -133,15 +132,16 @@ class TestSimSoak:
         clean without the mutation."""
         config = SoakConfig(ops=100, seed=4)
         assert run_sim_soak(config).ok
-        inquire = FileSuiteClient._inquire
+        ballot = Transaction._ballot
 
-        def reuse(self, txn, threshold, **kwargs):
-            writing = sys._getframe(1).f_code.co_name == "_write_once"
-            gathered, current, hedged = yield from inquire(
-                self, txn, threshold, **kwargs)
-            return gathered, current - 1 if writing else current, hedged
+        def reuse(self, server, settled):
+            # Each vote counts one version low, so the commit numbers
+            # the write with the highest version already taken.
+            if settled.triggered and self.number is None:
+                settled.value["version"] -= 1
+            ballot(self, server, settled)
 
-        monkeypatch.setattr(FileSuiteClient, "_inquire", reuse)
+        monkeypatch.setattr(Transaction, "_ballot", reuse)
         report = run_sim_soak(config)
         assert not report.ok
         assert "unique-version" in report.verdict

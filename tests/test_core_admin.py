@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import triple_config, write_in_quorum
 from repro.core import (force_converge, suite_status, verify_invariants)
 from repro.testbed import Testbed
 
@@ -25,7 +25,7 @@ class TestSuiteStatus:
     def test_reports_stale_representative(self, bed):
         suite = bed.install(triple_config(), b"data")
         suite.refresher.enabled = False
-        bed.run(suite.write(b"newer"))
+        bed.run(write_in_quorum(suite, b"newer"))
 
         status = bed.run(suite_status(suite))
         assert status.current_version == 2

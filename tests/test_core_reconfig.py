@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import triple_config, write_in_quorum
 from repro.core import (Representative, SuiteConfiguration,
                         change_configuration, make_configuration)
 from repro.core.reconfig import _delete_representative
@@ -25,7 +25,7 @@ class TestBasicReconfiguration:
         new = triple_config(votes=(2, 1, 1), r=2, w=3)
         installed = bed.run(change_configuration(suite, new))
         assert installed.total_votes == 4
-        write = bed.run(suite.write(b"weighted"))
+        write = bed.run(write_in_quorum(suite, b"weighted"))
         # rep-1 (2 votes) + rep-2 form the cheapest 3-vote quorum
         assert write.quorum == ["rep-1", "rep-2"]
 

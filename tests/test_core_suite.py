@@ -3,7 +3,7 @@ staleness, refresh, retries and failure behaviour."""
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import triple_config, write_in_quorum
 from repro.core import Representative, SuiteConfiguration
 from repro.errors import QuorumUnavailableError, ReproError
 from repro.testbed import Testbed
@@ -44,15 +44,34 @@ class TestReadWrite:
 
     def test_write_touches_exactly_a_quorum(self, bed):
         suite = bed.install(triple_config(), b"v1")
-        write = bed.run(suite.write(b"v2"))
+        write = bed.run(write_in_quorum(suite, b"v2"))
         assert len(write.quorum) == 2
         assert len(write.stale) == 1
 
     def test_write_prefers_cheap_quorum(self, bed):
         # latencies 10, 20, 30 → quorum should be reps 1 and 2
         suite = bed.install(triple_config(), b"v1")
-        write = bed.run(suite.write(b"v2"))
+        write = bed.run(write_in_quorum(suite, b"v2"))
         assert write.quorum == ["rep-1", "rep-2"]
+
+    def test_suite_write_is_voted_by_every_voting_representative(self):
+        """A ``write()`` stages at every voting representative the rule
+        polls; the first ``w`` votes close the gather and every voter
+        commits the number: only the weak representative is left for
+        the refresher."""
+        bed = Testbed(servers=["s1", "s2", "s3", "s4"], seed=7)
+        suite = bed.install(triple_config(votes=(1, 1, 1, 0), w=2,
+                                          latencies=(10.0, 20.0, 30.0,
+                                                     5.0)), b"v1")
+        write = bed.run(suite.write(b"v2"))
+        bed.settle()
+        assert write.version == 2
+        assert write.quorum == ["rep-1", "rep-2", "rep-3"]
+        assert write.stale == ["rep-4"]          # weak: refreshed
+        assert sorted(write.observed) == ["rep-1", "rep-2"]
+        assert {server: fs_version(bed, server)
+                for server in ("s1", "s2", "s3", "s4")} == \
+            {"s1": 2, "s2": 2, "s3": 2, "s4": 2}
 
     def test_read_served_by_cheapest_current(self, bed):
         suite = bed.install(triple_config(), b"v1")
@@ -84,7 +103,7 @@ class TestStaleness:
         """After a write to {s1, s2}, a read whose quorum includes a
         stale rep must still return the new data."""
         suite = bed.install(triple_config(), b"old")
-        bed.run(suite.write(b"new"))            # quorum s1+s2; s3 stale
+        bed.run(write_in_quorum(suite, b"new"))  # quorum s1+s2; s3 stale
         # Force the read to consult s3 by crashing s1.
         bed.crash("s1")
         result = bed.run(suite.read())
@@ -93,14 +112,14 @@ class TestStaleness:
 
     def test_background_refresh_catches_up_stale_rep(self, bed):
         suite = bed.install(triple_config(), b"old")
-        bed.run(suite.write(b"new"))
+        bed.run(write_in_quorum(suite, b"new"))
         bed.settle()
         assert fs_version(bed, "s3") == 2
 
     def test_refresh_disabled_leaves_stale(self):
         bed = Testbed(servers=["s1", "s2", "s3"], refresh_enabled=False)
         suite = bed.install(triple_config(), b"old")
-        bed.run(suite.write(b"new"))
+        bed.run(write_in_quorum(suite, b"new"))
         bed.settle()
         assert fs_version(bed, "s3") == 1
         assert bed.metrics.counter("refresh.dropped").value >= 1
@@ -108,7 +127,7 @@ class TestStaleness:
     def test_read_notes_stale_reps(self, bed):
         suite = bed.install(triple_config(), b"old")
         suite.refresher.enabled = False
-        bed.run(suite.write(b"new"))     # quorum s1+s2; s3 left stale
+        bed.run(write_in_quorum(suite, b"new"))  # s3 left stale
         bed.crash("s1")                  # force s3 into the read quorum
         result = bed.run(suite.read())
         assert result.stale == ["rep-3"]

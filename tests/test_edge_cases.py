@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import triple_config, watch_requests
+from tests.helpers import triple_config, watch_requests, write_in_quorum
 from repro.core.suite import FileSuiteClient, install_suite
 from repro.errors import QuorumUnavailableError, TransactionAborted
 from repro.rpc import Reply, Request, RpcEndpoint
@@ -183,7 +183,7 @@ class TestRefreshEdges:
         suite.data_timeout = 300.0
         # Make the refresh target permanently unreachable: the quorum
         # write succeeds but s3 never comes back.
-        bed.run(suite.write(b"y"))
+        bed.run(write_in_quorum(suite, b"y"))
         bed.crash("s3")
         bed.settle(30_000.0)
         # Either the refresh landed before the crash or was abandoned;

@@ -119,22 +119,25 @@ def run_on_live_cluster():
                 await asyncio.sleep(0.02)
             assert fs_version("server-3") == write.version
             # Let trailing background traffic land before counting
-            # messages — notably the write transaction's abort retry to
-            # server-3 (it was an unconfirmed participant; the retry
-            # cadence is 500 ms of wall-clock time).  Wait for message
-            # counts to go quiescent, as Testbed.settle does in sim.
+            # messages — notably the write's stage to server-3, which
+            # was stopped: its retransmission (after the 5 s data
+            # timeout) lands on the restarted server, votes late and is
+            # aborted.  Wait until the client has no call out and the
+            # message counts are quiescent, as Testbed.settle does in
+            # sim.
             def counts():
                 return tuple(cluster.servers[server
                                              ].endpoint.requests_served
                              for server in SURVIVORS)
 
+            pending = suite.manager.endpoint._pending
             stable_since = loop.time()
             last = counts()
-            deadline = loop.time() + 12.0
+            deadline = loop.time() + 15.0
             while loop.time() < deadline:
                 await asyncio.sleep(0.25)
                 current = counts()
-                if current != last:
+                if current != last or pending:
                     last = current
                     stable_since = loop.time()
                 elif loop.time() - stable_since >= 1.0:

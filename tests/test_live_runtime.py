@@ -77,7 +77,9 @@ class TestLoopbackCluster:
 
                 write = await cluster.write(suite, b"v2")
                 assert write.version == 2
-                assert len(write.quorum) == 2
+                # At least w voters; the third too when its vote lands
+                # before the decision (a later one commits on arrival).
+                assert len(write.quorum) >= 2
 
                 read = await cluster.read(suite)
                 assert (read.data, read.version) == (b"v2", 2)

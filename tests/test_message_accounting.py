@@ -115,14 +115,15 @@ class TestWriteCosts:
         bed = quiet_bed
         suite = bed.install(triple_config(), b"x" * 1000)
         delta, result = message_delta(bed, suite.write(b"y" * 1000))
-        assert len(result.quorum) == 2
-        # 3 stats + 3 replies, 2 voting stages + 2 "prepared" replies
-        # (phase 1 rides them), 1 release to the representative polled
-        # but left out + its reply, phase 2 to the 2 writers = 2+2
-        # → total 16.
-        assert delta == message_cost(suite.config)["write"] == 16
+        assert len(result.quorum) == 3
+        # 3 version-less stages + 3 votes (the inquiry and phase 1 ride
+        # them), then phase 2, numbered, to the 3 voters = 3+3 → 12:
+        # no inquiry round, no release, and no refresh afterwards.
+        assert delta == message_cost(suite.config)["write"] == 12
 
     def test_data_moves_only_to_the_write_quorum(self, quiet_bed):
+        """Once to each representative written: a ``write()``'s quorum
+        is every voting representative, and nothing follows it."""
         bed = quiet_bed
         data = b"w" * 20_000
         suite = bed.install(triple_config(), b"small")
@@ -136,12 +137,13 @@ class TestWriteCosts:
         bed.network.send = counting_send
         result = bed.run(suite.write(data))
         bed.settle(5_000.0)
-        bulk_targets = {destination for destination, size in moved
-                        if size >= len(data)}
+        bulk_targets = [destination for destination, size in moved
+                        if size >= len(data)]
         quorum_servers = {
             suite.config.representative(rep_id).server
             for rep_id in result.quorum}
-        assert bulk_targets == quorum_servers
+        assert sorted(bulk_targets) == sorted(quorum_servers) \
+            == ["s1", "s2", "s3"]
 
 
 def requests_sent(bed, operation):
@@ -158,19 +160,22 @@ class TestWhoVotesWithItsStage:
     """Only a transaction that owns its single write lets the stage
     carry the vote; everything else keeps the explicit prepare round."""
 
-    def test_suite_write_sends_one_release_and_no_vote_request(
+    def test_suite_write_sends_no_inquiry_release_or_vote_request(
             self, quiet_bed):
+        """A ``write()`` is a version-less voting stage everywhere, then
+        the numbered commit — no ``txn.stat``, no ``txn.prepare``."""
         suite = quiet_bed.install(triple_config(), b"v1")
         sent = requests_sent(quiet_bed, suite.write(b"v2"))
+        assert [(server, method) for server, method, _args in sent] == [
+            ("s1", "txn.stage_write"), ("s2", "txn.stage_write"),
+            ("s3", "txn.stage_write"), ("s1", "txn.commit"),
+            ("s2", "txn.commit"), ("s3", "txn.commit")]
         stages = [args for _server, method, args in sent
                   if method == "txn.stage_write"]
-        assert [(args["prepare"], args["answered"]) for args in stages] \
-            == [(True, 1), (True, 1)]
-        prepares = [(server, args) for server, method, args in sent
-                    if method == "txn.prepare"]
-        # The representative polled but left out: a release, not a vote.
-        assert [server for server, _args in prepares] == ["s3"]
-        assert "answered" not in prepares[0][1]
+        assert all(args["prepare"] and "version" not in args
+                   and "answered" not in args for args in stages)
+        assert {args["version"] for _server, method, args in sent
+                if method == "txn.commit"} == {2}
 
     def test_install_votes_with_its_stage(self, quiet_bed):
         sent = requests_sent(
@@ -221,13 +226,13 @@ class TestWhoVotesWithItsStage:
         from repro.core import make_configuration
         five = make_configuration(
             "five", [(f"s{i}", 1) for i in range(1, 6)], 3, 3)
-        # inquiry 2·5 + stage-and-vote 2·3 + release 2·(5 − 3) + commit 2·3
-        assert message_cost(five)["write"] == 10 + 6 + 4 + 6
+        # stage-and-vote 2·5 + numbered commit 2·5
+        assert message_cost(five)["write"] == 10 + 10
         bed = Testbed(servers=[f"s{i}" for i in range(1, 6)], seed=7,
                       refresh_enabled=False)
         suite = bed.install(five, b"v1")
         delta, _ = message_delta(bed, suite.write(b"v2"))
-        assert delta == 26
+        assert delta == 20
 
 
 def _installing(bed, config):

@@ -18,6 +18,7 @@ from array import array
 
 import pytest
 
+from tests.helpers import write_in_quorum
 from repro.cli import main as cli_main
 from repro.core import change_configuration, make_configuration
 from repro.core.examples import example_configuration
@@ -431,7 +432,7 @@ class TestTestbedTracing:
         suite = bed.install(make_config(), b"v1")
 
         bed.crash("s3")
-        bed.run(suite.write(b"v2"))   # s3 left stale at version 1
+        bed.run(write_in_quorum(suite, b"v2"))  # s3 left at version 1
         bed.restart("s3")
         bed.settle()                  # background refresh repairs s3
 
@@ -633,9 +634,11 @@ class TestTimelineAndCli:
         bed = self._traced_bed()
         rows = breakdown(bed.collector.spans())
         assert rows["2pc.commit"][0] == 1 and "2pc.prepare" not in rows
-        # The release, caller and handler on separate rows.
-        assert rows["rpc.txn.prepare"][0] == 1
-        assert rows["rpc.txn.prepare@server"][0] == 1
+        # The voting stage, caller and handler on separate rows; no
+        # release follows a write.
+        assert rows["rpc.txn.stage_write"][0] == 3
+        assert rows["rpc.txn.stage_write@server"][0] == 3
+        assert "rpc.txn.prepare" not in rows
         assert rows["rpc.txn.stat"][0] == rows["rpc.txn.stat@server"][0]
         assert rows["quorum.assemble"][0] == 2  # one read, one write
         for _name, (count, mean) in rows.items():

@@ -362,10 +362,10 @@ class TestSpanBreakdown:
         assert_hot_path_rows(rows)
         assert rows["2pc.commit"][0] == 3
         # A round trip contains the handler it waited for, and the two
-        # are separate rows: three reads poll all three representatives,
-        # three writes the one that votes.
+        # are separate rows: three reads poll all three representatives;
+        # a write's stage is its inquiry.
         assert rows["rpc.txn.stat"][0] == rows["rpc.txn.stat@server"][0] \
-            == 12
+            == 9
         assert rows["rpc.txn.stat"][1] > rows["rpc.txn.stat@server"][1]
         # Durations are virtual milliseconds of the sim clock.
         assert rows["quorum.assemble"][1] > 0.0

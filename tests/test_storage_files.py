@@ -423,6 +423,72 @@ class TestIntentions:
             assert_pages_balanced(remount(store))
         assert seen == {"prepared", "decided"}
 
+    def test_unnumbered_row_is_old_in_doubt_or_new_at_every_step(self):
+        """Kill a version-less intend, then its numbered resolve, after
+        every page step: the remount is old, or in doubt — and the
+        retried resolve installs the number — or new."""
+        number = 4
+        new = {"a": (b"NEW-A" * 70, number, {"stamp": 1}),
+               "c": self.OLD["c"]}
+
+        def intend(fs):
+            return fs.intend(self.TXN, [Put("a", b"NEW-A" * 70, None)])
+
+        def prepared(fs):
+            (row,) = fs.intentions()[self.TXN]
+            assert (row.name, row.version) == ("a", None)
+            assert snapshot(fs) == self.OLD
+
+        store, fs = self.build()
+        intend_steps = sum(1 for _ in intend(fs))
+        resolve_steps = sum(1 for _ in fs.resolve(self.TXN, True, number))
+        assert snapshot(fs) == new
+        seen = set()
+        for kill_after in range(intend_steps + resolve_steps + 1):
+            store, fs = self.build()
+            operation = intend(fs)
+            for step in range(kill_after):
+                if step == intend_steps:
+                    drive(operation)        # the flip's in-memory tail
+                    operation = fs.resolve(self.TXN, True, number)
+                next(operation)
+            recovered = remount(store)
+            assert_pages_balanced(recovered)
+            if recovered.intentions():
+                prepared(recovered)
+                seen.add("in doubt")
+                drive(recovered.resolve(self.TXN, True, number))
+                assert_pages_balanced(recovered)
+            elif snapshot(recovered) == self.OLD:
+                seen.add("old")
+                continue
+            else:
+                seen.add("new")
+            assert snapshot(recovered) == new
+            assert recovered.intentions() == {}
+            assert_pages_balanced(remount(store))
+        assert seen == {"old", "in doubt", "new"}
+
+    @pytest.mark.parametrize("number", [0, 1])
+    def test_a_number_at_or_below_the_entry_discards_the_row(self, number):
+        store, fs = self.build()
+        free = fs.free_pages
+        drive(fs.intend(self.TXN, [Put("a", b"NEW-A" * 70, None)]))
+        rows = drive(fs.resolve(self.TXN, True, number))
+        assert [(row.name, row.version) for row in rows] == [("a", None)]
+        assert snapshot(fs) == self.OLD and fs.intentions() == {}
+        assert fs.free_pages == free
+        assert_pages_balanced(fs)
+        assert snapshot(remount(store)) == self.OLD
+
+    def test_an_unnumbered_row_needs_a_number_to_install(self):
+        store, fs = self.build()
+        drive(fs.intend(self.TXN, [Put("a", b"NEW-A" * 70, None)]))
+        with pytest.raises(StorageError, match="names none"):
+            fs.resolve(self.TXN, True)
+        drive(fs.resolve(self.TXN, False))
+        assert snapshot(fs) == self.OLD and fs.intentions() == {}
+
     def test_rows_live_in_the_bucket_of_the_file_they_name(self):
         store, fs = self.build()
         drive(self.intend(fs))

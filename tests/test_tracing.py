@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import triple_config
+from tests.helpers import triple_config, write_in_quorum
 from repro.obs import group_traces, render_trace
 from repro.testbed import Testbed
 
@@ -36,7 +36,7 @@ class TestSuiteTracing:
         representatives the write left behind."""
         bed = traced_bed
         suite = bed.install(triple_config(), b"v1")
-        write = bed.run(suite.write(b"v2"))
+        write = bed.run(write_in_quorum(suite, b"v2"))
         bed.settle()
         (refresh,) = roots(bed, "suite.refresh")
         assert refresh.status == "ok"

@@ -679,6 +679,24 @@ class TestVotingStageCrashAtEveryStep:
 
     OLD = {"f": (b"old-f" * 30, 1)}
     NEW = {"f": (b"new-f" * 50, 2)}
+    #: The intention row an in-doubt copy holds: ``(name, version,
+    #: delete)``.
+    ROW = ("f", 2, False)
+    #: ``(state after the crash, outcome)`` pairs the loop must see.  A
+    #: crash before the vote is out aborts (from old or from in doubt):
+    #: the retransmitted stage says it follows an answered inquiry,
+    #: which the restarted copy no longer remembers; after it the
+    #: decision is commit (from in doubt or already new); new is never
+    #: aborted.
+    OUTCOMES = {("old", "aborted"), ("in-doubt", "aborted"),
+                ("in-doubt", "committed"), ("new", "committed")}
+
+    def stage(self, txn):
+        """The transaction's calls before its commit."""
+        data, version = self.NEW["f"]
+        yield txn.call("s1", "txn.stat", name="f", mode=EXCLUSIVE)
+        yield txn.call("s1", "txn.stage_write", name="f", data=data,
+                       version=version, prepare=True)
 
     def start(self, page_size):
         bed = Testbed(servers=["s1"], seed=3, page_io_time=1.0,
@@ -695,11 +713,8 @@ class TestVotingStageCrashAtEveryStep:
 
         def flow():
             txn = holder["txn"] = manager.begin()
-            data, version = self.NEW["f"]
             try:
-                yield txn.call("s1", "txn.stat", name="f", mode=EXCLUSIVE)
-                yield txn.call("s1", "txn.stage_write", name="f",
-                               data=data, version=version, prepare=True)
+                yield from self.stage(txn)
                 yield from txn.commit()
             except (TransactionAborted, RpcTimeout):
                 yield from txn.abort()
@@ -731,7 +746,7 @@ class TestVotingStageCrashAtEveryStep:
             if participant.in_doubt():
                 assert participant.in_doubt() == [txn_id]
                 assert files_on(bed) == self.OLD
-                assert rows_on(bed) == {str(txn_id): [("f", 2, False)]}
+                assert rows_on(bed) == {str(txn_id): [self.ROW]}
                 assert participant.locks.holds(txn_id, "f", EXCLUSIVE)
                 state = "in-doubt"
             else:
@@ -747,11 +762,26 @@ class TestVotingStageCrashAtEveryStep:
             assert participant.locks.locked_resources(txn_id) == set()
             assert_pages_balanced(fs)
             assert_pages_balanced(bed.servers["s1"].server.fs)
-        # A crash before the vote is out aborts (from old or from in
-        # doubt); after it the decision is commit (from in doubt or
-        # already new); old never ends committed, new never aborted.
-        assert seen == {("old", "aborted"), ("in-doubt", "aborted"),
-                        ("in-doubt", "committed"), ("new", "committed")}
+        assert seen == self.OUTCOMES
+
+
+class TestUnnumberedVotingStageCrashAtEveryStep(
+        TestVotingStageCrashAtEveryStep):
+    """The same kill loop over a suite ``write()``'s stage: no version
+    and no inquiry, the copy votes its current version, and every
+    ``txn.commit`` — the decision's and each retry — carries the
+    number, so an in-doubt row is installed as version 2."""
+
+    ROW = ("f", None, False)
+    #: The stage is the transaction's first call here, so a crash that
+    #: leaves the copy old lets its retransmission run again and commit.
+    OUTCOMES = {("old", "committed"), ("in-doubt", "aborted"),
+                ("in-doubt", "committed"), ("new", "committed")}
+
+    def stage(self, txn):
+        vote = yield txn.call("s1", "txn.stage_write", name="f",
+                              data=self.NEW["f"][0], prepare=True)
+        assert vote == {"version": 1, "stamp": 0}
 
 
 class TestRestartInMidTransaction:

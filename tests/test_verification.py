@@ -338,7 +338,8 @@ class TestProtocolUnderChecker:
         good = bed.install(config, b"seed")
         history = []
         good_recorder = HistoryRecorder(good, history)
-        bed.run(good_recorder.write(b"v2"))     # quorum {s1, s2}
+        bed.crash("s3")
+        bed.run(good_recorder.write(b"v2"))     # voted by {s1, s2}
 
         broken = SingleRepInquiryClient(
             bed.clients["client"].manager, config, max_attempts=1,
@@ -346,6 +347,7 @@ class TestProtocolUnderChecker:
         broken_recorder = HistoryRecorder(broken, history)
         bed.crash("s1")
         bed.crash("s2")
+        bed.restart("s3")
         bed.run(broken_recorder.read())         # stale read, recorded
         violations = check_history(history, initial_tag="seed").violations
         assert any(v.rule == "real-time" for v in violations)
@@ -386,9 +388,9 @@ class TestNoNewOldInversion:
     is prepared or applied, so a later read quorum meets a member that
     blocks it or shows it the new version."""
 
-    #: On the writer's link to s2, a write sends stat, the stage that
-    #: carries the vote request, and then the commit.
-    COMMIT = 3
+    #: On the writer's link to s2, a write sends the stage that carries
+    #: the inquiry and the vote request, and then the commit.
+    COMMIT = 2
 
     def deploy(self, verdict):
         bed = Testbed(servers=["s1", "s2", "s3"],

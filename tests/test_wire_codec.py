@@ -198,9 +198,10 @@ class TestFrameLimit:
 
 def _capture_protocol_messages():
     """Every Request/Reply a traced sim deployment puts on the wire for
-    install_suite, a read, a write with its refresh, a truncated read
+    install_suite, a read, a write, a truncated read
     that falls back to ``txn.read``, a ``transact(read_in -> write_in)``
-    with its explicit prepare, and direct calls whose replies cover the
+    with its explicit prepare and the refresh of the copy it left
+    behind, and direct calls whose replies cover the
     remaining shapes (detail stat, ``None``, an error)."""
     from repro.errors import ReproError
     bed = Testbed(servers=["s1", "s2", "s3"], seed=7, obs=True)
@@ -328,6 +329,38 @@ class TestFixedLayout:
         assert inquiries and stats
         assert max(len(encode_binary_body(m)) for m in inquiries) <= 80
         assert max(len(encode_binary_body(m)) for m in stats) <= 40
+
+    def test_numbered_write_is_fixed_and_pinned(self, protocol_messages):
+        """A ``write()``'s version-less voting stage, its vote — a
+        stat-shaped reply — and the numbered ``txn.commit`` travel in
+        fixed layouts, at pinned sizes."""
+        requests = [m for m in protocol_messages if isinstance(m, Request)]
+        stages = [m for m in requests if m.method == "txn.stage_write"
+                  and m.args.get("prepare") and "version" not in m.args]
+        calls = {m.call_id for m in stages}
+        votes = [m for m in protocol_messages
+                 if isinstance(m, Reply) and m.call_id in calls]
+        commits = [m for m in requests if m.method == "txn.commit"
+                   and "version" in m.args]
+        assert len(stages) == len(votes) == len(commits) == 3
+        for message in (*stages, *votes, *commits):
+            body = encode_binary_body(message)
+            assert body[1] == (KIND_FIXED_REQUEST
+                               if isinstance(message, Request)
+                               else KIND_FIXED_REPLY), message
+            assert decode_one(body) == as_received(message)
+        assert all(set(m.value) == {"version", "stamp"} for m in votes)
+        stage = Request(call_id=5, source="client",
+                        method="txn.stage_write",
+                        args={"txn": "client#5", "name": "suite:db",
+                              "data": b"x" * 256, "prepare": True})
+        vote = Reply.success(5, {"version": 7, "stamp": 1})
+        commit = Request(call_id=6, source="client", method="txn.commit",
+                         args={"txn": "client#5", "version": 8})
+        # The numbered stage was 310 bytes, "prepared" 25, a bare
+        # commit 32: the number moves from the stage to the commit.
+        assert [len(encode_binary_body(m)) for m in (stage, vote, commit)] \
+            == [302, 33, 40]
 
     def test_data_travels_raw(self):
         reply = Reply.success(3, {"version": 4, "stamp": 1,
