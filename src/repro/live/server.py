@@ -63,6 +63,9 @@ class FilePageStore(PageStore):
         self._slot_size = _SLOT_HEADER + page_size
         existed = os.path.exists(path)
         self._file = open(path, "r+b" if existed else "w+b")
+        # Dropped by close(): after it the OS may hand the same number
+        # to another file.
+        self._descriptor: Optional[int] = self._file.fileno()
         if existed:
             self._load()
         else:
@@ -85,18 +88,33 @@ class FilePageStore(PageStore):
                 self._pages[address] = blob[start:start + length]
 
     def write(self, address: int, data: bytes) -> None:
-        if self._file.closed:
+        """Write the page to the file, then to memory.
+
+        A write the file refuses (a full disk, an I/O error) raises
+        :class:`StorageError` and leaves the page as it was, so memory
+        never holds a page the file does not.
+        """
+        descriptor = self._descriptor
+        if descriptor is None:
             raise StorageError(f"{self.name}: write to closed page store")
-        super().write(address, data)
-        # Ask the file object, not a saved descriptor: after close()
-        # the OS may hand the same number to another file.
-        descriptor = self._file.fileno()
-        os.pwrite(descriptor, len(data).to_bytes(_SLOT_HEADER, "big") + data,
-                  address * self._slot_size)
-        if self.fsync:
-            os.fsync(descriptor)
+        self._check_write(address, data)
+        data = bytes(data)
+        slot = len(data).to_bytes(_SLOT_HEADER, "big") + data
+        try:
+            written = os.pwrite(descriptor, slot, address * self._slot_size)
+            if self.fsync:
+                os.fsync(descriptor)
+        except OSError as exc:
+            raise StorageError(
+                f"{self.name}: page {address} not written: {exc}") from exc
+        if written != len(slot):
+            raise StorageError(f"{self.name}: page {address} not written: "
+                               f"{written} of {len(slot)} bytes")
+        self.writes += 1
+        self._pages[address] = data
 
     def close(self) -> None:
+        self._descriptor = None
         if not self._file.closed:
             self._file.close()
 

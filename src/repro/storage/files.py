@@ -37,6 +37,27 @@ rows.  Each is one flip through the tail :meth:`update` uses, the data
 is written once, and a row that survives a crash keeps its chain
 reachable until the transaction is decided.
 
+In memory
+---------
+
+Mount reads the whole directory once and keeps an image of it, so a
+flip costs what it touches, not the directory's width:
+
+* ``FileSystem._heads`` is the root page's head list.  A flip copies
+  it, patches the indexes of the buckets it rewrote, packs the root
+  from it and, once the root write stands, keeps the patched copy.
+* Every entry (:class:`FileStat`) and every :class:`IntentionRow`
+  carries its own JSON fragment, made when the record is made; a
+  bucket's bytes are those fragments joined.  Records are frozen — the
+  directory replaces an entry, never edits one — so a fragment cannot
+  go stale.  An entry that inherits its properties (a put without a
+  property map, as every suite write is) inherits their encoding too,
+  so the suite's configuration is encoded once per file, not per flip.
+
+None of this changes the bytes on disk: the root, the bucket chains and
+the data chains are exactly those of format 3, and a bucket's bytes are
+still ``json.dumps([entries by name, rows], separators=(",", ":"))``.
+
 Every mutating operation is written as a *generator* that yields an
 ``IoStep`` after each page write.  A timed caller (the storage server)
 charges disk time per step, and crash injection can kill the generator
@@ -51,9 +72,10 @@ import heapq
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import (Any, Dict, Generator, Iterable, List, Optional, Sequence,
-                    Tuple)
+from dataclasses import InitVar, dataclass, field
+from json.encoder import encode_basestring_ascii
+from typing import (Any, Dict, Generator, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..errors import (FileExistsError_, NoSuchFileError, StorageError)
 from .stable import StableStore
@@ -81,24 +103,57 @@ _CHAIN_HEADER = struct.Struct("<qi")
 _ROOT_HEADER = struct.Struct("<BQH")
 _HEAD_SIZE = 4
 
+#: The bucket encoding: ``json.dumps(..., separators=(",", ":"))``.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
-@dataclass(frozen=True)
-class IoStep:
+
+def _scalar(value: Any) -> str:
+    """``value`` as :func:`_dumps` writes it; an exact int skips the
+    encoder's set-up."""
+    return int.__repr__(value) if type(value) is int else _dumps(value)
+
+
+class IoStep(NamedTuple):
     """One page-level I/O performed by a file-system operation."""
 
     kind: str       # "read" | "write-primary" | "write-shadow"
     address: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileStat:
-    """Metadata for one file, as recorded in the directory."""
+    """Metadata for one file, as recorded in the directory.
+
+    Frozen: the directory replaces an entry and never edits one, so
+    the entry's bucket JSON (``encoded``) is made once, with it.
+    """
 
     name: str
     version: int
     length: int
     head: int = END_OF_CHAIN
     properties: Dict[str, Any] = field(default_factory=dict)
+    #: ``properties`` already in JSON: an entry that inherits its
+    #: predecessor's properties inherits their encoding too.
+    encoded_properties: InitVar[Optional[str]] = None
+
+    def __post_init__(self, encoded_properties: Optional[str]) -> None:
+        if encoded_properties is None:
+            encoded_properties = _dumps(self.properties)
+        setattr_ = object.__setattr__
+        setattr_(self, "_encoded_properties", encoded_properties)
+        setattr_(self, "encoded",
+                 f'{{"name":{encode_basestring_ascii(self.name)},'
+                 f'"version":{_scalar(self.version)},'
+                 f'"length":{_scalar(self.length)},'
+                 f'"head":{_scalar(self.head)},'
+                 f'"properties":{encoded_properties}}}')
+
+    def successor(self, version: int, length: int,
+                  head: int) -> "FileStat":
+        """The next entry of this file, keeping its properties."""
+        return FileStat(self.name, version, length, head, self.properties,
+                        self._encoded_properties)
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -147,6 +202,10 @@ class IntentionRow:
     properties: Optional[Dict[str, Any]] = None
     delete: bool = False
 
+    def __post_init__(self) -> None:
+        # The row's bucket JSON, made once (the row is frozen).
+        object.__setattr__(self, "encoded", _dumps(self.to_json()))
+
     def to_json(self) -> List[Any]:
         return [self.txn, self.name, self.version, self.length, self.head,
                 self.properties, self.delete]
@@ -170,12 +229,14 @@ class _Bucket:
         self.pages = list(pages)
 
     def encode(self) -> bytes:
-        if not self.files and not self.rows:
+        """``json.dumps([entries by name, rows], separators=(",", ":"))``,
+        joined from the fragments each entry and row carries."""
+        files = self.files
+        if not files and not self.rows:
             return b""
-        return json.dumps(
-            [[self.files[name].to_json() for name in sorted(self.files)],
-             [row.to_json() for row in self.rows]],
-            separators=(",", ":")).encode()
+        entries = ",".join([files[name].encoded for name in sorted(files)])
+        rows = ",".join([row.encoded for row in self.rows])
+        return f"[[{entries}],[{rows}]]".encode()
 
 
 FsOp = Generator[IoStep, None, Any]
@@ -192,6 +253,9 @@ class FileSystem:
         # The directory; ``_buckets[i].files`` is the only name -> stat
         # index.
         self._buckets: List[_Bucket] = [_Bucket() for _ in range(buckets)]
+        # The root page's head list: ``_heads[i]`` is the head of
+        # ``_buckets[i].pages``, so a flip patches only what it touched.
+        self._heads: List[int] = [END_OF_CHAIN] * buckets
         # Pages of every file's data chain, so a replaced or deleted
         # file is released without re-reading pages it no longer owns.
         self._file_pages: Dict[str, List[int]] = {}
@@ -202,6 +266,10 @@ class FileSystem:
         self._free: List[int] = []
         self._epoch = 0
         self._mounted = False
+        #: Flips whose root stood on its primary copy alone: the shadow
+        #: copy's write failed, and :meth:`StableStore.recover` repairs
+        #: it from the primary.
+        self.shadow_root_failures = 0
 
     # ------------------------------------------------------------------
     # Capacity helpers
@@ -241,6 +309,7 @@ class FileSystem:
         """
         self.store.recover()
         self._epoch, heads = self._read_root()
+        self._heads = list(heads)
         used = {ROOT_PAGE}
         self._file_pages = {}
         self._intentions = {}
@@ -476,10 +545,13 @@ class FileSystem:
                properties: Optional[Dict[str, Any]]) -> None:
         if properties is None:
             old = bucket.files.get(name)
-            properties = old.properties if old else {}
-        bucket.files[name] = FileStat(
-            name=name, version=version, length=length,
-            head=_head_of(chain), properties=dict(properties))
+            if old is not None:
+                bucket.files[name] = old.successor(version, length,
+                                                   _head_of(chain))
+                return
+            properties = {}
+        bucket.files[name] = FileStat(name, version, length, _head_of(chain),
+                                      dict(properties))
 
     def _write_data(self, puts: Sequence[Put],
                     ) -> Generator[IoStep, None, Dict[str, List[int]]]:
@@ -501,27 +573,34 @@ class FileSystem:
         directory and free the chains they replace.
 
         ``written`` are the chains the caller wrote for this flip:
-        should the buckets not fit, they are freed with them — nothing
-        is reachable from the root yet.
+        should the buckets not fit, or a write up to the root's primary
+        copy fail, they are freed with them — nothing is reachable from
+        the root yet.  Once the primary root is written the flip
+        stands: recovery prefers the primary, so a shadow root write
+        that fails is counted, not rolled back.
         """
+        heads = list(self._heads)
         try:
             for index in sorted(touched):
-                touched[index].pages = yield from self._write_chain(
-                    touched[index].encode())
+                bucket = touched[index]
+                bucket.pages = yield from self._write_chain(bucket.encode())
+                heads[index] = _head_of(bucket.pages)
+            root_payload = self._root.pack(ROOT_FORMAT, self._epoch + 1,
+                                           len(heads), *heads)
+            self.store.write_primary(ROOT_PAGE, root_payload)
         except StorageError:
             for chain in (*written, *(b.pages for b in touched.values())):
                 self._release(chain)
             raise
-        heads = [_head_of(touched.get(index, bucket).pages)
-                 for index, bucket in enumerate(self._buckets)]
-        root_payload = self._root.pack(ROOT_FORMAT, self._epoch + 1,
-                                       len(heads), *heads)
-        self.store.write_primary(ROOT_PAGE, root_payload)
         yield IoStep("write-primary", ROOT_PAGE)
-        self.store.write_shadow(ROOT_PAGE, root_payload)
+        try:
+            self.store.write_shadow(ROOT_PAGE, root_payload)
+        except StorageError:
+            self.shadow_root_failures += 1
         yield IoStep("write-shadow", ROOT_PAGE)
         # The flip is durable: now update the in-memory image.
         self._epoch += 1
+        self._heads = heads
         for index, bucket in touched.items():
             self._release(self._buckets[index].pages)
             self._buckets[index] = bucket
@@ -635,15 +714,20 @@ class FileSystem:
         if not chunks:
             return []
         addresses = self._allocate(len(chunks))
+        store = self.store
         next_address = END_OF_CHAIN
-        # Write back-to-front so each page can point at its successor.
-        for address, chunk in zip(reversed(addresses), reversed(chunks)):
-            payload = _CHAIN_HEADER.pack(next_address, len(chunk)) + chunk
-            self.store.write_primary(address, payload)
-            yield IoStep("write-primary", address)
-            self.store.write_shadow(address, payload)
-            yield IoStep("write-shadow", address)
-            next_address = address
+        try:
+            # Write back-to-front so each page can point at its successor.
+            for address, chunk in zip(reversed(addresses), reversed(chunks)):
+                payload = _CHAIN_HEADER.pack(next_address, len(chunk)) + chunk
+                store.write_primary(address, payload)
+                yield IoStep("write-primary", address)
+                store.write_shadow(address, payload)
+                yield IoStep("write-shadow", address)
+                next_address = address
+        except StorageError:
+            self._release(addresses)
+            raise
         return addresses
 
     def _walk_chain_sync(self, head: int) -> Tuple[List[bytes], List[int]]:

@@ -52,13 +52,16 @@ class PageStore:
 
     def write(self, address: int, data: bytes) -> None:
         """Overwrite a page.  ``data`` must fit in one page."""
+        self._check_write(address, data)
+        self.writes += 1
+        self._pages[address] = bytes(data)
+
+    def _check_write(self, address: int, data: bytes) -> None:
         self._check_address(address)
         if len(data) > self.page_size:
             raise ValueError(
                 f"{self.name}: {len(data)} bytes exceed page size "
                 f"{self.page_size}")
-        self.writes += 1
-        self._pages[address] = bytes(data)
 
     # -- fault injection -----------------------------------------------------
 

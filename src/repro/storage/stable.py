@@ -28,6 +28,7 @@ from .pages import PageStore
 
 # Careful page layout: 4-byte CRC32 + 4-byte payload length + payload.
 _HEADER = struct.Struct("<II")
+_pack_header = _HEADER.pack
 
 
 class CarefulStore:
@@ -35,23 +36,18 @@ class CarefulStore:
 
     def __init__(self, pages: PageStore) -> None:
         self.pages = pages
-
-    @property
-    def num_pages(self) -> int:
-        return self.pages.num_pages
-
-    @property
-    def payload_size(self) -> int:
-        """Usable bytes per page after the checksum header."""
-        return self.pages.page_size - _HEADER.size
+        self.num_pages = pages.num_pages
+        #: Usable bytes per page after the checksum header.
+        self.payload_size = pages.page_size - _HEADER.size
 
     def write(self, address: int, payload: bytes) -> None:
-        if len(payload) > self.payload_size:
+        size = len(payload)
+        if size > self.payload_size:
             raise ValueError(
-                f"payload of {len(payload)} bytes exceeds careful-page "
+                f"payload of {size} bytes exceeds careful-page "
                 f"capacity {self.payload_size}")
-        crc = zlib.crc32(payload)
-        self.pages.write(address, _HEADER.pack(crc, len(payload)) + payload)
+        self.pages.write(address,
+                         _pack_header(zlib.crc32(payload), size) + payload)
 
     def read(self, address: int) -> bytes:
         raw = self.pages.read(address)
@@ -85,6 +81,8 @@ class StableStore:
             raise ValueError("primary and shadow must have equal page counts")
         self.primary = primary
         self.shadow = shadow
+        self.num_pages = primary.num_pages
+        self.payload_size = primary.payload_size
 
     @classmethod
     def create(cls, num_pages: int, page_size: int = 512,
@@ -94,14 +92,6 @@ class StableStore:
             CarefulStore(PageStore(num_pages, page_size, f"{name}.primary")),
             CarefulStore(PageStore(num_pages, page_size, f"{name}.shadow")),
         )
-
-    @property
-    def num_pages(self) -> int:
-        return self.primary.num_pages
-
-    @property
-    def payload_size(self) -> int:
-        return self.primary.payload_size
 
     # -- the stable write is two separate steps so a crash can land
     # -- between them; write() performs both for callers that do not

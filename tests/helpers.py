@@ -1,5 +1,7 @@
 """Shared helpers for tests (importable, unlike conftest)."""
 
+import json
+
 from repro.core.votes import Representative, SuiteConfiguration
 
 
@@ -24,9 +26,32 @@ def write_in_quorum(suite, data: bytes):
     return suite.transact(lambda txn: suite.write_in(txn, data))
 
 
+def reference_bucket_encoding(bucket) -> bytes:
+    """A directory bucket's bytes, encoded from scratch as the on-disk
+    format defines them."""
+    if not bucket.files and not bucket.rows:
+        return b""
+    return json.dumps(
+        [[bucket.files[name].to_json() for name in sorted(bucket.files)],
+         [row.to_json() for row in bucket.rows]],
+        separators=(",", ":")).encode()
+
+
+def assert_image_current(fs) -> None:
+    """The file system's in-memory directory image equals a full
+    recompute: the root's head list and every bucket's encoding."""
+    assert fs._heads == [bucket.pages[0] if bucket.pages else -1
+                         for bucket in fs._buckets], "a stale root head"
+    for bucket in fs._buckets:
+        assert bucket.encode() == reference_bucket_encoding(bucket), \
+            "a stale bucket fragment"
+
+
 def assert_pages_balanced(fs) -> None:
     """Every page is free or reachable from the root (root, bucket
-    chains, file chains, shadow chains of intention rows), none both."""
+    chains, file chains, shadow chains of intention rows), none both;
+    and the directory image is current (:func:`assert_image_current`)."""
+    assert_image_current(fs)
     reachable = [0]
     for bucket in fs._buckets:
         reachable += bucket.pages

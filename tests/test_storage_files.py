@@ -1,16 +1,20 @@
 """Shadow-paging file system: operations and crash atomicity."""
 
+import collections
+import dataclasses
 import json
+import random
+import sys
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FileExistsError_, NoSuchFileError, StorageError
-from repro.storage import (ROOT_PAGE, FileSystem, IntentionRow, Put,
-                           StableStore, drive)
-from repro.storage.files import MAX_BUCKETS, ROOT_FORMAT
-from tests.helpers import assert_pages_balanced
+from repro.storage import (ROOT_PAGE, FileStat, FileSystem, IntentionRow,
+                           Put, StableStore, drive)
+from repro.storage.files import MAX_BUCKETS, ROOT_FORMAT, _Bucket
+from tests.helpers import assert_pages_balanced, reference_bucket_encoding
 
 
 def fresh_fs(num_pages=256, page_size=512):
@@ -201,6 +205,7 @@ class TestCrashAtomicity:
             recovered.mount()
             data, version = recovered.read_file_sync("f")
             assert (data, version) in ((b"OLD" * 200, 3), (b"NEW" * 300, 4))
+            assert_pages_balanced(recovered)
             outcomes.add(version)
         assert outcomes == {3, 4}  # both sides of the flip observed
 
@@ -757,3 +762,146 @@ class TestPropertyBased:
         recovered.mount()
         assert recovered.read_file_sync("f") in (
             (b"OLD" * 100, 1), (b"NEW" * 333, 2))
+
+
+#: JSON values as a bucket may hold them in a property map.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8)
+#: Names with quotes, backslashes, control and non-ASCII characters.
+names = st.text(alphabet=st.sampled_from('ab"\\\n\x00\x1f/é日\U0001f600'),
+                max_size=6)
+property_maps = st.dictionaries(st.text(max_size=5), json_values,
+                                max_size=3)
+
+
+class TestDirectoryImage:
+    """The in-memory image behind every flip — the root's head list,
+    each entry's and row's encoded fragment — stays equal to a full
+    recompute, and the bytes on disk stay those of format 3."""
+
+    @given(st.lists(st.tuples(names, st.integers(), st.integers(0, 10**6),
+                              st.integers(-1, 4095), property_maps,
+                              st.integers(), st.booleans()),
+                    max_size=4),
+           st.lists(st.tuples(names, names, st.none() | st.integers(),
+                              st.integers(0, 10**6), st.integers(-1, 4095),
+                              st.none() | property_maps, st.booleans()),
+                    max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_bucket_encoding_is_json_dumps(self, entries, rows):
+        files = {}
+        for name, version, length, head, properties, later, carry in entries:
+            stat = FileStat(name, version, length, head, properties)
+            if carry:       # an entry inheriting its properties
+                stat = stat.successor(later, length, head)
+            files[name] = stat
+        bucket = _Bucket(files, [IntentionRow(*row) for row in rows])
+        assert bucket.encode() == reference_bucket_encoding(bucket)
+
+    def test_entries_and_rows_are_replaced_never_mutated(self):
+        stat = FileStat("f", 1, 0, properties={"stamp": 1})
+        row = IntentionRow("t#1", "f", None, 0)
+        for record, field in ((stat, "version"), (row, "head")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, 7)
+        after = stat.successor(2, 5, 9)
+        assert (after.version, after.length, after.head) == (2, 5, 9)
+        assert after.properties is stat.properties
+        assert after == FileStat("f", 2, 5, 9, {"stamp": 1})
+
+    def test_every_operation_keeps_the_image_current(self):
+        """Each op kind, a failed flip and a remount: the cached heads
+        and fragments equal a full recompute after each."""
+        store = StableStore.create(40, 128)
+        fs = FileSystem(store)
+        fs.format()
+        a, b, c = names_in_distinct_buckets(fs, 3)
+        steps = [
+            lambda: fs.create_file_sync(a, {"stamp": 1}),
+            lambda: fs.write_file_sync(a, b"A" * 300, 2),
+            lambda: drive(fs.update([Put(b, b"B", 1, {"n": [1, "é"]}),
+                                     Put(c, b"C" * 50, 1)])),
+            lambda: drive(fs.intend("t#1", [Put(a, b"a" * 90, None)],
+                                    deletes=[c])),
+            lambda: drive(fs.resolve("t#1", True, 3)),
+            lambda: drive(fs.intend("t#2", [Put(b, b"b", 2, {})])),
+            lambda: drive(fs.resolve("t#2", False)),
+            lambda: fs.delete_file_sync(b),
+        ]
+        for step in steps:
+            step()
+            assert_pages_balanced(fs)
+        heads = list(fs._heads)
+        with pytest.raises(StorageError, match="out of pages"):
+            drive(fs.intend("t#3", [Put(a, b"x" * 10_000, None)]))
+        assert fs._heads == heads
+        assert_pages_balanced(fs)
+        recovered = remount(store)
+        assert recovered._heads == heads
+        assert_pages_balanced(recovered)
+        assert snapshot(recovered) == snapshot(fs)
+
+    def test_a_flip_makes_the_same_calls_whatever_the_bucket_count(self):
+        """An intend + resolve runs the same Python calls with 27
+        buckets as with 64: a flip costs what it touches, not the
+        directory's width."""
+        def calls(page_size):
+            fs = fresh_fs(num_pages=64, page_size=page_size)
+            fs.create_file_sync("f")
+            counts = collections.Counter()
+
+            def profile(_frame, event, _arg):
+                counts[event] += 1
+
+            sys.setprofile(profile)
+            try:
+                drive(fs.intend("t", [Put("f", b"", None)]))
+                drive(fs.resolve("t", True, 1))
+            finally:
+                sys.setprofile(None)
+            assert fs.stat("f").version == 1
+            return len(fs._buckets), counts["call"], counts["c_call"]
+
+        narrow, wide = calls(128), calls(512)
+        assert (narrow[0], wide[0]) == (27, 64)
+        assert narrow[1:] == wide[1:]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_page_images_match_the_reference_encoder(self, seed,
+                                                     monkeypatch):
+        """A seeded run of updates, intends, resolves and deletes
+        writes exactly the pages, primary and shadow, that encoding
+        every bucket from scratch writes."""
+        def run():
+            rng = random.Random(seed)
+            fs = fresh_fs(num_pages=512, page_size=256)
+            pool = [f"suite-{i}" for i in range(6)] + ["é\"", "日"]
+            pending = []
+            for step in range(60):
+                kind = rng.choice(["update", "intend", "resolve", "delete"])
+                name = rng.choice(pool)
+                props = rng.choice([None, {"stamp": step, "c": [name]}])
+                data = bytes([step]) * rng.randrange(0, 600)
+                if kind == "update":
+                    drive(fs.update([Put(name, data, step, props)]))
+                elif kind == "intend" and not any(
+                        name in names for _txn, names in pending):
+                    txn = f"t#{step}"
+                    drive(fs.intend(txn, [Put(name, data, rng.choice(
+                        [None, step]), props)]))
+                    pending.append((txn, {name}))
+                elif kind == "resolve" and pending:
+                    txn, _names = pending.pop(0)
+                    drive(fs.resolve(txn, rng.random() < 0.7, step))
+                elif kind == "delete" and fs.exists(name):
+                    fs.delete_file_sync(name)
+            return [list(store.pages._pages)
+                    for store in (fs.store.primary, fs.store.shadow)]
+
+        cached = run()
+        monkeypatch.setattr(_Bucket, "encode", reference_bucket_encoding)
+        assert cached == run()
